@@ -47,7 +47,7 @@ def run_chronicle(rate: float) -> tuple[float, float]:
     layout.flush()
     write_rate = BLOCKS * LBLOCK / MIB / clock.now
     clock.reset()
-    reader = SequentialBlockReader(layout, start_id=0)
+    reader = SequentialBlockReader(layout)
     for i in range(BLOCKS):
         reader.get(i)
     read_rate = BLOCKS * LBLOCK / MIB / clock.now

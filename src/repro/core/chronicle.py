@@ -325,11 +325,12 @@ class ChronicleDB:
         """
         return list(self.get_stream(stream).time_travel(t_start, t_end))
 
-    def execute(self, sql: str):
-        """Run an SQL-like query (see :mod:`repro.query`)."""
+    def execute(self, query):
+        """Run an SQL-like query — text or already parsed (see
+        :mod:`repro.query`)."""
         from repro.query.executor import execute
 
-        return execute(self, sql)
+        return execute(self, query)
 
     def explain(self, sql: str) -> dict:
         """The planner's chosen access path for *sql*, without running it."""

@@ -344,7 +344,7 @@ class TabTree:
         if self.event_count == 0:
             return
         leaf = self._descend_to_leaf(t_start)
-        reader = None
+        reader = SequentialBlockReader(self.layout, restart_gap=64)
         while leaf is not None:
             if leaf.count:
                 if leaf.t_min > t_end:
@@ -360,8 +360,6 @@ class TabTree:
             next_id = leaf.next_id
             if next_id == NO_NODE:
                 return
-            if reader is None:
-                reader = SequentialBlockReader(self.layout, next_id)
             leaf = self._fetch_leaf_sequential(next_id, reader)
 
     def _fetch_leaf_sequential(self, node_id: int, reader):
@@ -574,7 +572,7 @@ class TabTree:
         # Leaves are visited strictly left-to-right (ascending ids), so a
         # sequential prefetcher keeps weak-pruning filters at scan speed
         # while restarting past pruned gaps with a single seek.
-        reader = SequentialBlockReader(self.layout, 0, restart_gap=64)
+        reader = SequentialBlockReader(self.layout, restart_gap=64)
         yield from self._filter_node(self.root, t_start, t_end, ranges,
                                      positions, prunable, reader)
 
@@ -635,10 +633,19 @@ class TabTree:
             position = self.schema.index_of(r.name)
             if position in self.codec.indexed_positions:
                 prunable.append((self.codec.indexed_positions.index(position), r))
-        reader = SequentialBlockReader(self.layout, 0, restart_gap=64)
+        reader = SequentialBlockReader(self.layout, restart_gap=64)
         on_decode = self._decode_charger(stats)
-        yield from self._leaf_slice_node(self.root, t_start, t_end, prunable,
-                                         reader, stats, on_decode)
+        try:
+            yield from self._leaf_slice_node(self.root, t_start, t_end,
+                                             prunable, reader, stats, on_decode)
+        finally:
+            if stats is not None:
+                stats["blocks_requested"] = (
+                    stats.get("blocks_requested", 0) + reader.requested
+                )
+                stats["blocks_inflated"] = (
+                    stats.get("blocks_inflated", 0) + reader.inflated
+                )
 
     def _decode_charger(self, stats: dict | None):
         cost = self.layout.cost

@@ -23,7 +23,7 @@ from repro.errors import (
     StaleRouteError,
     SubscriptionError,
 )
-from repro.events.event import Event
+from repro.events.event import ColumnarEvents, Event
 from repro.events.schema import EventSchema
 from repro.events.serializer import PaxCodec
 from repro.net import frames
@@ -440,16 +440,10 @@ class BinaryChronicleClient:
         map-epoch prefix the server checks before applying.
         """
         schema, codec, schema_bytes = self._schema_entry(stream)
-        columns = getattr(events, "columns", None)
         try:
-            if columns is not None:
-                payload = frames.encode_batch_payload_columns(
-                    stream, schema_bytes, codec, events.timestamps, columns
-                )
-            else:
-                payload = frames.encode_batch_payload(
-                    stream, schema_bytes, codec, events
-                )
+            payload = frames.encode_events_payload(
+                stream, schema_bytes, codec, events
+            )
         except struct.error as error:
             raise ProtocolError(f"unencodable batch: {error}") from error
         if epoch is not None:
@@ -466,7 +460,9 @@ class BinaryChronicleClient:
             return result["aggregates"]
         if "groups" in result:
             return result["groups"]
-        return [event_from_wire(e) for e in result["events"]]
+        # SELECT * arrives as one columnar batch (``OP_OK_BATCH``),
+        # already decoded to events by the reader thread.
+        return result["events"]
 
     def query_partials(self, sql: str) -> dict:
         return self._call_json({"op": "query", "sql": sql, "partials": True})[
@@ -618,10 +614,7 @@ class BinaryChronicleClient:
 
 
 def _decode_batch_result(payload: bytes) -> dict:
-    """An ``OP_OK_BATCH`` payload → the catch-up result shape."""
+    """An ``OP_OK_BATCH`` payload → the catch-up / ``SELECT *`` shape."""
     _, schema, timestamps, columns = frames.decode_batch_payload(payload)
-    events = [
-        Event(timestamps[row], tuple(column[row] for column in columns))
-        for row in range(len(timestamps))
-    ]
+    events = ColumnarEvents(timestamps, columns).materialize()
     return {"schema": schema, "events": events}

@@ -16,10 +16,11 @@ protocol: JSON requests begin with ``{`` (0x7B) while frames begin with
 ``MAGIC`` (0xCB), so a server can sniff one byte per message and serve
 both on the same listener (negotiated fallback).
 
-Hot-path ops (``append_batch``, ``replicate_batch``, catch-up replies)
-carry a **columnar batch payload** that reuses the PAX serializer: the
-stream name, the schema (JSON, a few dozen bytes), and the event count,
-followed by the timestamps and each attribute column as packed structs.
+Hot-path ops (``append_batch``, ``replicate_batch``, catch-up and
+``SELECT *`` replies) carry a **columnar batch payload** that reuses the
+PAX serializer: the stream name, the schema (JSON, a few dozen bytes),
+and the event count, followed by the timestamps and each attribute
+column as packed structs.
 The payload is self-describing, so a primary forwards the *identical
 payload bytes* it received to its replicas (zero-copy replication) and a
 replica that missed the stream's creation can still apply it.  Every
@@ -58,7 +59,7 @@ OP_UNSUBSCRIBE = 0x08  # payload: JSON {sub_id}
 # Response opcodes.
 OP_OK = 0x80  # payload: JSON result
 OP_ERR = 0x81  # payload: JSON {"error": ...}
-OP_OK_BATCH = 0x82  # payload: columnar batch (catch-up replies)
+OP_OK_BATCH = 0x82  # payload: columnar batch (catch-up and SELECT * replies)
 
 # Push opcodes (server -> client, corr_id 0: not tied to any request).
 OP_SUB_EVENTS = 0x90  # payload: u64 sub_id | u64 seq | columnar batch
@@ -245,6 +246,21 @@ def encode_batch_payload_columns(
             codec.encode_columns(list(timestamps), [list(c) for c in columns]),
         )
     )
+
+
+def encode_events_payload(
+    stream: str, schema_bytes: bytes, codec: PaxCodec, events
+) -> bytes:
+    """Columnar batch payload for either batch shape: anything exposing
+    ``timestamps``/``columns`` (e.g. ``ColumnarEvents``) is encoded
+    straight from its arrays, a list of events through the
+    row-transposing encoder — byte-identical for equal content."""
+    columns = getattr(events, "columns", None)
+    if columns is not None:
+        return encode_batch_payload_columns(
+            stream, schema_bytes, codec, events.timestamps, columns
+        )
+    return encode_batch_payload(stream, schema_bytes, codec, events)
 
 
 def batch_event_count(payload: bytes) -> int:

@@ -29,19 +29,20 @@ from repro.errors import (
     StaleRouteError,
     SubscriptionError,
 )
+from repro.events.event import ColumnarEvents
 from repro.events.schema import EventSchema
 from repro.events.serializer import PaxCodec
 from repro.net import frames
 from repro.net.aio import AioServerCore
 from repro.net.protocol import (
     event_from_wire,
-    event_to_wire,
     events_from_wire,
     events_to_wire,
 )
 from repro.obs import OBS
 from repro.query.ast import SelectStar
 from repro.query.parser import parse as parse_query
+from repro.query.planner import execute as execute_query
 
 _STALE_REJECTIONS = OBS.counter("net.stale_route_rejections")
 
@@ -54,6 +55,24 @@ def _stale_payload(error: StaleRouteError) -> dict:
         "epoch": error.epoch,
         "map": error.wire_map,
     }
+
+
+class _EventRows:
+    """Events on their way to a transport, which encodes them outside
+    the stream lock: ``SELECT *`` rows — a :class:`ColumnarEvents` batch
+    (columnar plans) or a list of events (row plans) — and catch-up
+    replays."""
+
+    def __init__(self, stream: str, schema: EventSchema, rows):
+        self.stream, self.schema, self.rows = stream, schema, rows
+
+    def batch_payload(self) -> bytes:
+        """The ``OP_OK_BATCH`` reply, in the ingest path's batch format."""
+        return frames.encode_events_payload(
+            self.stream, frames.schema_bytes_of(self.schema),
+            PaxCodec(self.schema), self.rows,
+        )
+
 
 #: Ops that operate on one stream and take only that stream's lock.
 _STREAM_OPS = frozenset(
@@ -270,7 +289,10 @@ class ChronicleServer:
                 "error": "this server accepts only the binary frame protocol",
             }
         try:
-            return {"ok": True, "result": self._handle(request)}
+            result = self._handle(request)
+            if isinstance(result, _EventRows):
+                result = {"events": events_to_wire(result.rows)}
+            return {"ok": True, "result": result}
         except StaleRouteError as error:
             return {"ok": False, **_stale_payload(error)}
         except ChronicleError as error:
@@ -286,6 +308,8 @@ class ChronicleServer:
             )
         try:
             result = self._handle(request)
+            if isinstance(result, _EventRows):
+                return frames.OP_OK_BATCH, result.batch_payload()
             return frames.OP_OK, frames.encode_json_payload({"result": result})
         except StaleRouteError as error:
             return frames.OP_ERR, frames.encode_json_payload(
@@ -403,9 +427,9 @@ class ChronicleServer:
                 stream, int(request["t_start"]), int(request["t_end"])
             )
             schema = self.db.get_stream(stream).schema
-        return frames.OP_OK_BATCH, frames.encode_batch_payload(
-            stream, frames.schema_bytes_of(schema), PaxCodec(schema), events
-        )
+        return frames.OP_OK_BATCH, _EventRows(
+            stream, schema, events
+        ).batch_payload()
 
     # ------------------------------------------------------------ handlers
 
@@ -479,29 +503,35 @@ class ChronicleServer:
             from repro.query.partials import execute_partials
 
             return {
-                "partials": execute_partials(
-                    self.db, request["sql"], served=served
-                )
+                "partials": execute_partials(self.db, query, served=served)
             }
         if served is not None and not isinstance(query.select, SelectStar):
-            return self._owned_aggregates(request["sql"], query, served)
-        result = self.db.execute(request["sql"])
+            return self._owned_aggregates(query, served)
+        result = execute_query(self.db, query, materialize=False)
         if isinstance(result, dict):
             return {"aggregates": result}
-        if result and isinstance(result[0], dict):
+        if not isinstance(query.select, SelectStar):
             return {"groups": result}  # GROUP BY time(...) rows
         if served is not None:
-            result = [e for e in result if served(e.t)]
-        return {"events": [event_to_wire(e) for e in result]}
+            if isinstance(result, ColumnarEvents):
+                stamps = result.timestamps
+                keep = [row for row, t in enumerate(stamps) if served(t)]
+                owned = ColumnarEvents.empty(len(result.columns))
+                owned.append_rows(stamps, result.columns, keep)
+                result = owned
+            else:
+                result = [e for e in result if served(e.t)]
+        schema = self.db.get_stream(query.stream).schema
+        return _EventRows(query.stream, schema, result)
 
-    def _owned_aggregates(self, sql: str, query, served) -> dict:
+    def _owned_aggregates(self, query, served) -> dict:
         """Aggregates over an assignment-affected stream: the index
         statistics can't see ownership, so compute via the partials
         event fold with the ``served`` predicate and finalize locally —
         identical values to a node that never held the dead range."""
         from repro.query.partials import execute_partials, finalize
 
-        partial = execute_partials(self.db, sql, served=served)
+        partial = execute_partials(self.db, query, served=served)
         if "groups" in partial:
             rows = []
             for bucket in partial["groups"]:

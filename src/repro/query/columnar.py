@@ -79,9 +79,10 @@ def _charge(stream, examined: int, materialized: int) -> None:
 def scan_events(stream, query, stats: dict, time_order: bool):
     """``SELECT *`` through the columnar path.
 
-    Qualifying rows accumulate column-wise (:class:`ColumnarEvents`) and
-    become :class:`Event` objects in one pass at the end — the only
-    point that pays per-row deserialization.
+    Qualifying rows accumulate column-wise and come back as one
+    :class:`ColumnarEvents` batch; the caller turns it into
+    :class:`Event` objects (or wire columns) at the API boundary — the
+    only point that pays per-row deserialization.
     """
     out = ColumnarEvents.empty(stream.schema.arity)
     limit = query.limit
@@ -105,7 +106,7 @@ def scan_events(stream, query, stats: dict, time_order: bool):
         out = out[:limit]
     stats["rows_materialized"] = stats.get("rows_materialized", 0) + len(out)
     _charge(stream, examined, len(out))
-    return out.materialize()
+    return out
 
 
 def _gather(stream, query, stats: dict, t_start: int, t_end: int):

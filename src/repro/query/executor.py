@@ -24,8 +24,8 @@ from repro.query.naive import (  # noqa: F401  (re-exported compat names)
 )
 
 
-def execute(db, sql: str):
-    """Run *sql*; returns a list of events or a dict of aggregate values."""
+def execute(db, query):
+    """Run *query*; returns a list of events or a dict of aggregate values."""
     from repro.query.planner import execute as planner_execute
 
-    return planner_execute(db, sql)
+    return planner_execute(db, query)

@@ -71,8 +71,9 @@ def _accumulate_events(stream, query, events) -> dict:
     return out
 
 
-def execute_partials(db, sql: str, served=None):
-    """Run an aggregate query, returning components instead of finals.
+def execute_partials(db, query, served=None):
+    """Run an aggregate query (SQL text or already parsed), returning
+    components instead of finals.
 
     Plain aggregates answer index-only from the TAB+-tree statistics
     (same access path as :meth:`EventStream.aggregate`); filtered and
@@ -89,7 +90,8 @@ def execute_partials(db, sql: str, served=None):
     """
     from repro.query.executor import _passes_strict
 
-    query = parse(sql)
+    if isinstance(query, str):
+        query = parse(query)
     stream = db.get_stream(query.stream)
     if isinstance(query.select, SelectStar):
         raise QueryError("SELECT * has no partial-aggregate form")

@@ -52,13 +52,21 @@ _PLAN_COUNTERS = {
 }
 
 
-def execute(db, sql: str):
-    """Plan and run *sql* — the engine-wide query entry point."""
-    query = parse(sql)
+def execute(db, query, materialize: bool = True):
+    """Plan and run *query* — the engine-wide query entry point.
+
+    *query* is SQL text or an already-parsed query (the server parses
+    once, outside the stream lock, and hands the result through).  With
+    ``materialize=False`` a columnar ``SELECT *`` comes back as the
+    :class:`~repro.events.event.ColumnarEvents` batch the scan built,
+    for callers that encode columns straight onto the wire.
+    """
+    if isinstance(query, str):
+        query = parse(query)
     stream = db.get_stream(query.stream)
     naive.validate(stream, query)
     plan = build_plan(stream, query)
-    return run_plan(stream, plan)
+    return run_plan(stream, plan, materialize)
 
 
 def explain(db, sql: str) -> dict:
@@ -174,7 +182,7 @@ def build_plan(stream, query) -> Plan:
 # ----------------------------------------------------------------- execution
 
 
-def run_plan(stream, plan: Plan):
+def run_plan(stream, plan: Plan, materialize: bool = True):
     """Execute a built plan against one stream."""
     if OBS.enabled:
         _PLAN_COUNTERS[plan.kind].inc()
@@ -195,9 +203,10 @@ def run_plan(stream, plan: Plan):
     stats: dict = {}
     try:
         if isinstance(query.select, SelectStar):
-            return columnar.scan_events(
+            batch = columnar.scan_events(
                 stream, query, stats, plan.time_order
             )
+            return batch.materialize() if materialize else batch
         if query.group_by_time is not None:
             return columnar.scan_grouped(stream, query, stats)
         return columnar.scan_aggregates(stream, query, stats)

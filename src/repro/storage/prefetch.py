@@ -2,15 +2,25 @@
 
 Because TLB blocks sit *behind* the data they map, a naive reader that
 resolves every logical id through the TLB performs random I/O.  For range
-scans ChronicleDB instead reads the unit stream forward, decoding C-blocks
-into a bounded look-ahead buffer; lookups by increasing id are then served
-from the buffer, keeping disk access strictly sequential.
+scans ChronicleDB instead resolves only the *first* id it is asked for,
+then reads the unit stream forward from that macro block; lookups by
+increasing id are served from the stream, keeping disk access strictly
+sequential.  Passed-over C-blocks are held *compressed* in a bounded
+look-ahead buffer and inflated only when requested, so a scan's work is
+proportional to the blocks it returns, not to its position in the store.
 """
 
 from __future__ import annotations
 
+from repro.errors import CorruptBlockError, StorageError
+from repro.obs import OBS
+from repro.storage.addressing import decode_addr
 from repro.storage.cblock import decode_cblock
 from repro.storage.walker import iter_cblocks
+
+_REQUESTED = OBS.counter("storage.reader.blocks_requested")
+_INFLATED = OBS.counter("storage.reader.blocks_inflated")
+_PASSED = OBS.counter("storage.reader.blocks_passed")
 
 
 class SequentialBlockReader:
@@ -20,41 +30,71 @@ class SequentialBlockReader:
     ----------
     layout:
         The :class:`~repro.storage.layout.ChronicleLayout` to read from.
-    start_id:
-        First logical id that will be requested; the walk begins at its
-        physical position.
     window_blocks:
-        Maximum number of decoded-but-not-yet-requested blocks buffered
+        Maximum number of passed-over, still-compressed blocks buffered
         (the paper's sliding buffer of ``k`` L-blocks).
+    restart_gap:
+        Requesting an id further ahead of the walk than this re-seeks at
+        its position instead of streaming through the gap (lets filtered
+        scans skip pruned subtrees with one seek).
     """
 
-    def __init__(self, layout, start_id: int, window_blocks: int = 1024,
+    def __init__(self, layout, window_blocks: int = 1024,
                  restart_gap: int | None = None):
         self._layout = layout
         self._window = window_blocks
-        #: Requesting an id further ahead than this restarts the walk at
-        #: its position instead of streaming through the gap (lets
-        #: filtered scans skip pruned subtrees with one seek).
         self._restart_gap = restart_gap if restart_gap is not None else window_blocks
-        self._buffer: dict[int, bytes] = {}
-        self._highest_requested = start_id - 1
+        #: id -> (compressed payload, original length) of passed-over blocks
+        self._buffer: dict[int, tuple[bytes, int]] = {}
+        self._highest_requested = -1
         self._walker = None
-        self._position = start_id  # highest id consumed from the walker
-        self._start_id = start_id
+        self._position = -1  # highest id consumed from the walker
+        #: Wasted-work accounting: ``inflated == requested`` means no
+        #: block was decompressed that the caller did not ask for;
+        #: ``passed`` counts C-blocks walked over without being returned.
+        self.requested = 0
+        self.inflated = 0
+        self.passed = 0
 
-    def _ensure_walker(self, at_id: int | None = None):
-        if self._walker is None or at_id is not None:
-            start = at_id if at_id is not None else self._start_id
-            addr = self._layout._resolve(start)
-            macro_offset = addr >> 16
-            self._walker = iter_cblocks(
-                self._layout.device,
-                self._layout.lblock_size,
-                self._layout.macro_size,
-                macro_offset,
-            )
-            self._position = start
-        return self._walker
+    def _seek(self, block_id: int) -> None:
+        """Position the walk at the macro block holding *block_id*."""
+        offset, _ = decode_addr(self._layout._resolve(block_id))
+        self._walker = iter_cblocks(
+            self._layout.device,
+            self._layout.lblock_size,
+            self._layout.macro_size,
+            offset,
+        )
+        self._position = block_id
+
+    def _advance_to(self, block_id: int) -> tuple[bytes, int] | None:
+        """Walk forward to *block_id*; ``None`` if the stream lacks it."""
+        if self._walker is None or block_id - self._position > self._restart_gap:
+            try:
+                self._seek(block_id)
+            except (StorageError, CorruptBlockError):
+                return None  # unmapped or unwritten: read_block reports it
+        for _, framed in self._walker:
+            try:
+                found_id, original_len, payload = decode_cblock(framed)
+            except CorruptBlockError:
+                continue
+            if original_len == 0:
+                continue  # tombstone
+            if found_id > self._position:
+                self._position = found_id
+            if found_id == block_id:
+                return payload, original_len
+            self.passed += 1
+            # Ids are requested in increasing order, so only a block
+            # *ahead* of the request (interleaved or relocated) can still
+            # be asked for; it waits compressed, bounded by the window.
+            if found_id > block_id and len(self._buffer) < self._window:
+                self._buffer[found_id] = (payload, original_len)
+        # Not in the remaining stream (still in the open macro, or
+        # relocated backwards): the next request seeks afresh.
+        self._walker = None
+        return None
 
     def get(self, block_id: int) -> bytes:
         """Return the decompressed L-block *block_id*.
@@ -62,38 +102,19 @@ class SequentialBlockReader:
         Ids must be requested in increasing order for the sequential path;
         anything else falls back to a random read through the TLB.
         """
-        if block_id <= self._highest_requested:
-            return self._layout.read_block(block_id)
-        self._highest_requested = block_id
-        data = self._buffer.pop(block_id, None)
-        if data is not None:
-            return data
-        try:
-            restart_at = None
-            if (
-                self._walker is not None
-                and block_id - self._position > self._restart_gap
-            ):
-                restart_at = block_id  # skip the pruned gap with one seek
-            walker = self._ensure_walker(restart_at)
-        except Exception:
-            return self._layout.read_block(block_id)
-        for _, framed in walker:
-            try:
-                found_id, original_len, payload = decode_cblock(framed)
-            except Exception:
-                continue
-            if original_len == 0:
-                continue  # tombstone
-            self._position = max(self._position, found_id)
-            if found_id == block_id:
-                return self._layout._decompress(payload, original_len)
-            if len(self._buffer) < self._window:
-                # Keep passed-over blocks (interleaved tree nodes) around
-                # for later requests, bounded by the window.
-                self._buffer[found_id] = self._layout._decompress(
-                    payload, original_len
-                )
-        # Not in the remaining stream (e.g. still in the open macro or
-        # relocated backwards): random read.
-        return self._layout.read_block(block_id)
+        passed = self.passed
+        held = None
+        if block_id > self._highest_requested:
+            self._highest_requested = block_id
+            held = self._buffer.pop(block_id, None) or self._advance_to(block_id)
+        if held is None:
+            data = self._layout.read_block(block_id)
+        else:
+            data = self._layout._decompress(*held)
+        self.requested += 1
+        self.inflated += 1
+        if OBS.enabled:
+            _REQUESTED.inc()
+            _INFLATED.inc()
+            _PASSED.inc(self.passed - passed)
+        return data

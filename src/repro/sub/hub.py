@@ -606,9 +606,11 @@ class SubscriptionHub:
             # wire write, exactly like a peer vanishing mid-push.
             sub.channel.close()
             return
-        sub.channel.send(frames.OP_SUB_EVENTS, payload)
+        # Counted before the wire write: a subscriber that has the batch
+        # in hand must never read stats that do not include it yet.
         sub.pushed_batches += 1
         sub.pushed_events += len(events)
+        sub.channel.send(frames.OP_SUB_EVENTS, payload)
         if OBS.enabled:
             _M_BATCHES.inc()
             _M_EVENTS.inc(len(events))

@@ -1,0 +1,163 @@
+"""``SELECT *`` over the binary wire: one columnar ``OP_OK_BATCH`` frame.
+
+The reply reuses the catch-up/subscription batch payload, so what has to
+be proven is equivalence: for every result shape the binary client's
+``query`` returns exactly the ``list[Event]`` the JSON line client does —
+empty results, ``LIMIT``, row-plan results that merge the out-of-order
+queue, warm-tier segments, ownership-filtered streams after a shard
+split — and scatter-gather through pooled binary clients still merges
+plain events.
+"""
+
+import socket
+
+import pytest
+
+from repro import ChronicleConfig, ChronicleDB, Event, EventSchema
+from repro.cluster import Cluster, TimeWindowPlacement
+from repro.lifecycle import LifecyclePolicy
+from repro.net import BinaryChronicleClient, ChronicleClient, ChronicleServer
+from repro.net import frames
+from repro.query.plan import ROW
+
+SCHEMA = EventSchema.of("temp", "load")
+CONFIG = ChronicleConfig(lblock_size=512, macro_size=2048, queue_capacity=64)
+
+
+def make_events(t_lo, t_hi):
+    return [Event.of(t, 10.0 + t % 7, float(t // 50)) for t in range(t_lo, t_hi)]
+
+
+def both_protocols(host, port, sql):
+    """``(binary_result, json_result)`` of *sql* against one server."""
+    with BinaryChronicleClient(host, port) as binary:
+        got = binary.query(sql)
+    with ChronicleClient(host, port) as legacy:
+        want = legacy.query(sql)
+    return got, want
+
+
+@pytest.fixture
+def server():
+    db = ChronicleDB(config=CONFIG)
+    db.create_stream("s", SCHEMA).append_batch(make_events(0, 600))
+    with ChronicleServer(db) as srv:
+        yield srv
+
+
+def test_select_reply_frame_is_a_columnar_batch(server):
+    request = frames.encode_json_payload(
+        {"op": "query", "sql": "SELECT * FROM s WHERE t BETWEEN 100 AND 199"}
+    )
+    with socket.create_connection((server.host, server.port)) as sock:
+        reader = sock.makefile("rb")
+        sock.sendall(frames.encode_frame(frames.OP_JSON, 3, request))
+        op, corr_id, length = frames.decode_header(
+            reader.read(frames.HEADER_SIZE)
+        )
+        payload = reader.read(length)
+    assert (op, corr_id) == (frames.OP_OK_BATCH, 3)
+    stream, schema, timestamps, columns = frames.decode_batch_payload(payload)
+    assert (stream, schema) == ("s", SCHEMA)
+    assert timestamps == list(range(100, 200))
+    assert columns[1] == [float(t // 50) for t in range(100, 200)]
+    # 8 bytes per value, nothing per row beyond the columns.
+    assert length - 100 * 8 * 3 < 120
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT * FROM s",
+        "SELECT * FROM s WHERE t BETWEEN 5000 AND 6000",  # empty
+        "SELECT * FROM s WHERE t BETWEEN 40 AND 400 LIMIT 7",
+        "SELECT * FROM s WHERE load >= 8",
+        "SELECT * FROM s WHERE t >= 100 AND temp > 14 LIMIT 20",
+    ],
+)
+def test_binary_select_equals_json_select(server, sql):
+    got, want = both_protocols(server.host, server.port, sql)
+    assert got == want == server.db.execute(sql)
+    assert all(isinstance(event, Event) for event in got)
+
+
+def test_row_plan_result_reads_the_out_of_order_queue(server):
+    stream = server.db.get_stream("s")
+    stream.append(Event.of(300, 99.0, 99.0))  # late: parked in the queue
+    assert stream.ooo_pending_in(0, 1000) == 1
+    assert server.db.explain("SELECT * FROM s")["plan"] == ROW
+    got, want = both_protocols(server.host, server.port, "SELECT * FROM s")
+    assert got == want
+    assert len(got) == 601
+    assert Event.of(300, 99.0, 99.0) in got
+
+
+def test_warm_tier_segment_over_both_protocols():
+    config = ChronicleConfig(
+        lblock_size=256, macro_size=512, lblock_spare=0.2,
+        time_split_interval=100,
+        lifecycle=LifecyclePolicy(hot_to_warm_after=150, warm_macro_factor=4),
+    )
+    db = ChronicleDB(config=config)
+    stream = db.create_stream("s", SCHEMA)
+    stream.append_batch(make_events(0, 460))
+    assert db.lifecycle_tick("s")["s"]["warm"]
+    assert stream.tiers.warm
+    with ChronicleServer(db) as srv:
+        for sql in (
+            "SELECT * FROM s",
+            "SELECT * FROM s WHERE t BETWEEN 50 AND 350",
+            "SELECT * FROM s WHERE load >= 1 LIMIT 30",
+        ):
+            got, want = both_protocols(srv.host, srv.port, sql)
+            assert got == want == db.execute(sql)
+        got, _ = both_protocols(srv.host, srv.port, "SELECT * FROM s")
+        assert [e.t for e in got] == list(range(460))
+
+
+def test_ownership_filtered_select_after_a_shard_split():
+    with Cluster(
+        num_shards=2, policy=TimeWindowPlacement(100), config=CONFIG
+    ) as cluster:
+        client = cluster.client()
+        try:
+            client.create_stream("s", SCHEMA)
+            client.append_batch("s", make_events(0, 400))
+            record = cluster.split_shard(0, t_split=200)
+            assert record["status"] == "done"
+            # The source keeps a dead copy of the moved window; both
+            # protocols must filter it on the timestamp column.
+            source = cluster.shard_map.shards[0].primary
+            got, want = both_protocols(
+                source.host, source.port, "SELECT * FROM s"
+            )
+            assert got == want
+            assert [e.t for e in got] == list(range(0, 100))
+            limited, want = both_protocols(
+                source.host, source.port,
+                "SELECT * FROM s WHERE load >= 1 LIMIT 10",
+            )
+            assert limited == want
+        finally:
+            client.close()
+
+
+def test_cluster_scatter_gather_select_through_binary_pool():
+    with Cluster(
+        num_shards=3, policy=TimeWindowPlacement(100), config=CONFIG,
+        protocol="binary",
+    ) as cluster:
+        client = cluster.client()
+        try:
+            client.create_stream("s", SCHEMA)
+            acked = make_events(0, 900)
+            client.append_batch("s", acked)
+            assert client.query("SELECT * FROM s") == acked
+            assert client.query(
+                "SELECT * FROM s WHERE t BETWEEN 250 AND 649 LIMIT 120"
+            ) == acked[250:370]
+            filtered = client.query("SELECT * FROM s WHERE load >= 9")
+            assert filtered == [e for e in acked if e.values[1] >= 9]
+            assert all(isinstance(event, Event) for event in filtered)
+        finally:
+            client.close()

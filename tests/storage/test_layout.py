@@ -165,7 +165,7 @@ def test_sequential_reader_matches_random_reads():
     blocks = [block_bytes(i) for i in range(150)]
     ids = [layout.append_block(b) for b in blocks]
     layout.flush()
-    reader = SequentialBlockReader(layout, start_id=0)
+    reader = SequentialBlockReader(layout)
     for i in ids:
         assert reader.get(i) == blocks[i]
 
@@ -176,7 +176,7 @@ def test_sequential_reader_subset_of_ids():
     for b in blocks:
         layout.append_block(b)
     layout.flush()
-    reader = SequentialBlockReader(layout, start_id=10)
+    reader = SequentialBlockReader(layout)
     for i in range(10, 100, 7):
         assert reader.get(i) == blocks[i]
 
@@ -189,7 +189,7 @@ def test_sequential_reader_is_mostly_sequential():
         layout.append_block(block_bytes(i))
     layout.flush()
     before = disk.stats.snapshot()
-    reader = SequentialBlockReader(layout, start_id=0)
+    reader = SequentialBlockReader(layout)
     for i in range(200):
         reader.get(i)
     random_reads = disk.stats.random_reads - before.random_reads

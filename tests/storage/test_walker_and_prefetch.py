@@ -93,7 +93,7 @@ def test_prefetcher_restart_gap_skips_ahead():
     blocks = {layout.append_block(block_for(i)): block_for(i)
               for i in range(600)}
     layout.flush()
-    reader = SequentialBlockReader(layout, 0, restart_gap=16)
+    reader = SequentialBlockReader(layout, restart_gap=16)
     assert reader.get(0) == blocks[0]
     read_before = disk.stats.bytes_read
     # Jumping 500 ids ahead must NOT stream through the gap.
@@ -103,7 +103,7 @@ def test_prefetcher_restart_gap_skips_ahead():
 
 def test_prefetcher_backward_request_falls_back():
     disk, layout, blocks = build(50)
-    reader = SequentialBlockReader(layout, 0)
+    reader = SequentialBlockReader(layout)
     assert reader.get(30) == blocks[30]
     assert reader.get(10) == blocks[10]  # non-monotone: random fallback
     assert reader.get(40) == blocks[40]
@@ -115,5 +115,5 @@ def test_prefetcher_serves_open_macro_blocks():
         disk, lblock_size=LBLOCK, macro_size=MACRO, compressor=ZlibCompressor()
     )
     block_id = layout.append_block(block_for(0))  # still in the open macro
-    reader = SequentialBlockReader(layout, block_id)
+    reader = SequentialBlockReader(layout)
     assert reader.get(block_id) == block_for(0)

@@ -233,7 +233,16 @@ def test_subscription_stats_surface(server, client):
     client.append_batch("s", make_events(0, 10))
     with client.subscribe("s", from_t=0) as handle:
         handle.take(10, timeout=5)
-        stats = client.stats()["subscriptions"]
+        # take() can return before the hub thread has finished its
+        # bookkeeping for the batch (replay -> live flip, counters).
+        deadline = time.monotonic() + 5
+        while True:
+            stats = client.stats()["subscriptions"]
+            if (
+                stats["subs"] and stats["subs"][0]["mode"] == "live"
+            ) or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
         assert stats["active"] == 1
         (entry,) = stats["subs"]
         assert entry["stream"] == "s"
