@@ -1,4 +1,4 @@
-"""Cluster ingest scaling and wire-protocol throughput.
+"""Cluster ingest scaling and wire throughput.
 
 Not a paper figure — ChronicleDB is a single-node system; this measures
 the repo's own cluster layer (`repro.cluster`) in two ways:
@@ -7,23 +7,15 @@ the repo's own cluster layer (`repro.cluster`) in two ways:
 in-process shards with :class:`TimeWindowPlacement`; every node runs on
 its own simulated HDD/SSD cost model, so cluster ingest time is the
 *slowest node's* simulated time.  The quantity to eyeball is how close
-2 and 4 shards come to 2x and 4x.  ``PROTOCOL`` (or ``--protocol``)
-picks the wire protocol the routers speak; simulated time only charges
-the storage engine, so the sim metrics are protocol-independent and
-stay bit-identical across machines — they are the gated ones.
+2 and 4 shards come to 2x and 4x.  Simulated time only charges the
+storage engine, so the sim metrics stay bit-identical across machines —
+they are the gated ones.
 
-**Wire protocols (wall clock).**  Four ``python -m repro.net``
-subprocess shards, real sockets, and two ingest runs over the identical
-topology: the PR-4 JSON line protocol with its original client batch
-(1024 events, row encoding, one request in flight), and the binary
-frame protocol with the columnar client path (``ColumnarEvents`` in,
-PAX-encoded frames out, per-shard fan-out pipelined).  The headline
-metric is the speedup of binary over JSON.  Absolute wall events/s are
-machine-bound and never gated; the *ratio* is gated against a
-deliberately conservative floor — on a single-core container the
-measured speedup is ~6-8x (client and servers time-share one core), on
-multi-core hardware it is far higher because the JSON leg saturates the
-client core first.
+**Wire ingest (wall clock).**  Four ``python -m repro.net`` subprocess
+shards, real sockets, columnar client batches (``ColumnarEvents`` in,
+PAX-encoded frames out, per-shard fan-out pipelined).  Absolute wall
+events/s are machine-bound and never gated here; the wire's gate is
+``ingest_eps`` of ``benchmarks/e2e``.
 """
 
 import gc
@@ -36,7 +28,6 @@ from repro.cluster import Cluster, TimeWindowPlacement
 from repro.cluster.client import ClusterClient
 from repro.cluster.node import ProcessClusterNode
 from repro.cluster.placement import ShardMap, ShardSpec
-from repro.cluster.pool import ClientPool
 from repro.events import Event, EventSchema
 
 EVENTS = 48_000
@@ -45,39 +36,17 @@ SHARD_COUNTS = (1, 2, 4)
 #: Stripe width in event-time units; events are 1 unit apart.
 WINDOW = 512
 SCHEMA = EventSchema.of("a", "b")
-#: Wire protocol for the simulated-clock scaling runs ("json"/"binary").
-PROTOCOL = "binary"
 
-# Wall-clock wire bench: 4 subprocess shards, one stream, two protocols.
+# Wall-clock wire bench: 4 subprocess shards, one stream.
 WIRE_SHARDS = 4
-#: Binary leg: columnar batches sized for the frame hot path.
+#: Columnar batches sized for the frame hot path.
 WIRE_EVENTS = 192_000
 WIRE_BATCH = 131_072
 WIRE_WINDOW = 16_384
-#: Leaf/macro sizing for the binary leg's nodes — the ingest-tuned
-#: configuration the tentpole targets (large leaves amortize seals).
+#: Leaf/macro sizing for the nodes — ingest-tuned (large leaves
+#: amortize seals).
 WIRE_NODE_ARGS = ("--lblock-size", "262144", "--macro-size", "8388608")
-#: JSON leg: the PR-4 baseline — its client batch, stripe width, and
-#: default node configuration, unchanged.
-WIRE_JSON_EVENTS = 48_000
-WIRE_JSON_BATCH = CLIENT_BATCH
-WIRE_JSON_WINDOW = WINDOW
 WIRE_REPS = 3
-#: Single-core shared hosts schedule the 5-process binary topology
-#: bimodally: the same measurement lands at either ~1.2M or ~450K
-#: events/s from run to run, while the JSON leg barely moves.  A broken
-#: binary path can never luck into a *high* ratio, so the bench retries
-#: the whole leg pair and keeps the best attempt: one good attempt
-#: proves the fast path, and only a consistently broken one stays low.
-WIRE_ATTEMPTS = 3
-#: Stop retrying once an attempt reaches this ratio.
-WIRE_RETRY_BELOW = 3.0
-#: Wall-clock floor asserted by the bench: binary must beat the PR-4
-#: JSON path by this factor even if every attempt lands in the slow
-#: scheduling mode.  Quiet machines measure ~6-8x, multi-core hardware
-#: more.  The deterministic ingest-side win is gated separately and
-#: tightly as ``cluster.sim_eps_4sh`` (37x the PR-4 value).
-WIRE_MIN_SPEEDUP = 1.5
 
 
 def make_events(n=None, seed=42):
@@ -91,7 +60,7 @@ def make_events(n=None, seed=42):
 # ----------------------------------------------------- simulated scaling
 
 
-def measure(events, num_shards, protocol=None):
+def measure(events, num_shards):
     """(simulated seconds, wall seconds, per-node sim seconds)."""
     config = ChronicleConfig(
         data_disk="hdd", log_disk="ssd", cost_model=CpuCostModel()
@@ -102,7 +71,6 @@ def measure(events, num_shards, protocol=None):
         policy=TimeWindowPlacement(WINDOW),
         config=config,
         clock_factory=SimulatedClock,
-        protocol=protocol or PROTOCOL,
     ) as cluster:
         client = cluster.client()
         client.create_stream("bench", SCHEMA)
@@ -144,106 +112,71 @@ def run_cluster_scaling():
     return results
 
 
-# --------------------------------------------------- wall-clock protocols
+# ------------------------------------------------------ wall-clock wire
 
 
-def _start_wire_leg(protocol, tag, window, node_args):
-    """One complete subprocess topology plus a routed client for it."""
+def _start_wire_nodes():
+    """The subprocess topology plus a routed client for it."""
     nodes = [
-        ProcessClusterNode(f"wire-{tag}{i}", extra_args=node_args).start()
+        ProcessClusterNode(f"wire-{i}", extra_args=WIRE_NODE_ARGS).start()
         for i in range(WIRE_SHARDS)
     ]
     shard_map = ShardMap(
         [ShardSpec(i, node.endpoint) for i, node in enumerate(nodes)],
-        TimeWindowPlacement(window),
+        TimeWindowPlacement(WIRE_WINDOW),
     )
-    client = ClusterClient(shard_map, pool=ClientPool(protocol=protocol))
+    client = ClusterClient(shard_map)
     client.create_stream("bench", SCHEMA)
     return nodes, client
 
 
-def _wire_rep(client, total, batch, offset, columnar):
-    """Append ``total`` fresh events starting at ``offset``; events/s.
+def _wire_rep(client, offset):
+    """Append ``WIRE_EVENTS`` fresh events starting at ``offset``;
+    events/s.
 
     Fresh, strictly increasing timestamps keep every repetition on the
     in-order fast path instead of re-inserting old timestamps through
     the out-of-order queue.
     """
-    timestamps = list(range(offset, offset + total))
-    if columnar:
-        columns = [
-            [float(t % 97) for t in timestamps],
-            [float(t % 100) for t in timestamps],
-        ]
-        batches = [
-            ColumnarEvents(
-                timestamps[i : i + batch],
-                [c[i : i + batch] for c in columns],
-            )
-            for i in range(0, total, batch)
-        ]
-    else:
-        events = [
-            Event.of(t, float(t % 97), float(t % 100)) for t in timestamps
-        ]
-        batches = [events[i : i + batch] for i in range(0, total, batch)]
+    timestamps = list(range(offset, offset + WIRE_EVENTS))
+    columns = [
+        [float(t % 97) for t in timestamps],
+        [float(t % 100) for t in timestamps],
+    ]
+    batches = [
+        ColumnarEvents(
+            timestamps[i : i + WIRE_BATCH],
+            [c[i : i + WIRE_BATCH] for c in columns],
+        )
+        for i in range(0, WIRE_EVENTS, WIRE_BATCH)
+    ]
     appended = 0
     started = time.perf_counter()
     for sub in batches:
         appended += client.append_batch("bench", sub)
     wall = time.perf_counter() - started
-    assert appended == total, (appended, total)
-    return total / wall
+    assert appended == WIRE_EVENTS, (appended, WIRE_EVENTS)
+    return WIRE_EVENTS / wall
 
 
-def _measure_wire(protocol, total, batch, window, node_args, columnar):
-    """Best-of-``WIRE_REPS`` wall events/s for one protocol on its own."""
-    nodes, client = _start_wire_leg(protocol, protocol, window, node_args)
+def run_wire_ingest():
+    """Best-of-``WIRE_REPS`` wall-clock ingest at ``WIRE_SHARDS`` shards."""
+    # gc.freeze keeps whatever heap the suite runner accumulated before
+    # this bench out of cyclic-GC passes during the timed loops.
+    gc.collect()
+    gc.freeze()
+    nodes, client = _start_wire_nodes()
     try:
         with client:
-            return max(
-                _wire_rep(client, total, batch, rep * total, columnar)
+            binary_eps = max(
+                _wire_rep(client, rep * WIRE_EVENTS)
                 for rep in range(WIRE_REPS)
             )
     finally:
         for node in nodes:
             node.stop()
-
-
-def run_wire_protocols():
-    """Binary-vs-JSON wall-clock ingest at ``WIRE_SHARDS`` shards.
-
-    Best of up to ``WIRE_ATTEMPTS`` attempts; see ``WIRE_ATTEMPTS`` for
-    why retrying is sound for a floor gate.
-    """
-    # gc.freeze keeps whatever heap the suite runner accumulated before
-    # this bench out of cyclic-GC passes during the timed loops.
-    gc.collect()
-    gc.freeze()
-    try:
-        best = None
-        for _ in range(WIRE_ATTEMPTS):
-            json_eps = _measure_wire(
-                "json", WIRE_JSON_EVENTS, WIRE_JSON_BATCH,
-                WIRE_JSON_WINDOW, node_args=(), columnar=False,
-            )
-            binary_eps = _measure_wire(
-                "binary", WIRE_EVENTS, WIRE_BATCH, WIRE_WINDOW,
-                node_args=WIRE_NODE_ARGS, columnar=True,
-            )
-            attempt = {
-                "shards": WIRE_SHARDS,
-                "json_eps": round(json_eps),
-                "binary_eps": round(binary_eps),
-                "speedup": round(binary_eps / json_eps, 2),
-            }
-            if best is None or attempt["speedup"] > best["speedup"]:
-                best = attempt
-            if best["speedup"] >= WIRE_RETRY_BELOW:
-                break
-        return best
-    finally:
         gc.unfreeze()
+    return {"shards": WIRE_SHARDS, "binary_eps": round(binary_eps)}
 
 
 # ------------------------------------------------------------------ tests
@@ -266,8 +199,7 @@ def test_cluster_scaling(benchmark):
     report_rows(
         "cluster_scaling",
         f"Cluster ingest scaling — {EVENTS // 1000}K events, "
-        f"time-window stripe ({WINDOW}), client batch {CLIENT_BATCH}, "
-        f"{PROTOCOL} protocol",
+        f"time-window stripe ({WINDOW}), client batch {CLIENT_BATCH}",
         ["shards", "sim s", "sim events/s", "scaling", "imbalance",
          "wall events/s"],
         rows,
@@ -282,7 +214,6 @@ def test_cluster_scaling(benchmark):
             "window": WINDOW,
             "client_batch": CLIENT_BATCH,
             "replication_factor": 0,
-            "protocol": PROTOCOL,
         },
     )
 
@@ -293,36 +224,21 @@ def test_cluster_scaling(benchmark):
     assert results[-1]["scaling"] >= 1.2
 
 
-def test_wire_protocols(benchmark):
-    result = benchmark.pedantic(run_wire_protocols, rounds=1, iterations=1)
+def test_wire_ingest(benchmark):
+    result = benchmark.pedantic(run_wire_ingest, rounds=1, iterations=1)
 
     report_rows(
-        "cluster_wire_protocols",
-        f"Wire protocol ingest — {WIRE_SHARDS} subprocess shards, "
-        "wall clock",
-        ["protocol", "events", "client batch", "events/s"],
-        [
-            ["json (PR-4 path)", WIRE_JSON_EVENTS, WIRE_JSON_BATCH,
-             f"{result['json_eps']:,}"],
-            ["binary (columnar)", WIRE_EVENTS, WIRE_BATCH,
-             f"{result['binary_eps']:,}"],
-            ["speedup", "", "", f"{result['speedup']:.2f}x"],
-        ],
+        "cluster_wire_ingest",
+        f"Wire ingest — {WIRE_SHARDS} subprocess shards, wall clock",
+        ["events", "client batch", "events/s"],
+        [[WIRE_EVENTS, WIRE_BATCH, f"{result['binary_eps']:,}"]],
         notes=(
-            "Best of "
-            f"{WIRE_REPS} repetitions per protocol over identical "
-            "4-subprocess topologies, best of up to "
-            f"{WIRE_ATTEMPTS} attempts (single-core hosts schedule the "
-            "topology bimodally; a broken fast path can never retry "
-            "into a high ratio).  The JSON leg is the PR-4 baseline "
-            "verbatim (1024-event row batches, default node config); "
-            "the binary leg is the frame protocol with columnar "
-            "batches and ingest-tuned leaves.  Wall rates are "
-            "machine-bound; the gated ratio is a conservative floor."
+            f"Best of {WIRE_REPS} repetitions: columnar batches over the "
+            "frame protocol into ingest-tuned leaves.  Wall rates are "
+            "machine-bound and not gated."
         ),
         meta=result,
     )
-    assert result["speedup"] >= WIRE_MIN_SPEEDUP, result
 
 
 if __name__ == "__main__":
@@ -330,19 +246,13 @@ if __name__ == "__main__":
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--protocol", choices=("json", "binary"), default=PROTOCOL,
-        help="wire protocol for the simulated scaling runs "
-        f"(default: {PROTOCOL})",
-    )
-    parser.add_argument(
         "--skip-wire", action="store_true",
         help="run only the simulated scaling leg",
     )
     args = parser.parse_args()
-    PROTOCOL = args.protocol
     fake = type("B", (), {"pedantic": staticmethod(
         lambda fn, rounds=1, iterations=1: fn()
     )})()
     test_cluster_scaling(fake)
     if not args.skip_wire:
-        test_wire_protocols(fake)
+        test_wire_ingest(fake)

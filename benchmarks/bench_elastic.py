@@ -11,8 +11,8 @@ the split is copying, as a percentage of its steady-state rate — the
 acceptance floor is 75%.
 
 Both rates are wall-clock on the same machine back to back, so the
-ratio divides machine speed out and is gated (conservatively, like the
-wire-protocol speedup); the absolute rates ride along ungated.
+ratio divides machine speed out and is gated (conservatively); the
+absolute rates ride along ungated.
 """
 
 import threading

@@ -125,21 +125,11 @@ def extract_cluster_scaling(results):
 
 
 def extract_cluster_wire(result):
-    # The gated value is a *ratio* of two wall measurements on the same
-    # machine (best of several attempts — see WIRE_ATTEMPTS in the
-    # bench), so machine speed divides out; its committed baseline is a
-    # deliberately conservative floor that catches a broken binary path
-    # without flaking on host scheduling noise — quiet single-core
-    # containers measure ~6-8x, multi-core hardware more.  The
-    # deterministic ingest-side win is gated tightly via
-    # cluster.sim_eps_4sh above.
+    # A wall measurement on whatever machine runs the suite: reported,
+    # never gated.  The wire's gate is ``ingest_eps`` of benchmarks/e2e.
     return {
-        "cluster.wire_binary_vs_json_x": metric(result["speedup"], "x"),
         "cluster.wire_binary_eps_wall": metric(
             result["binary_eps"], "events/s", gate=False
-        ),
-        "cluster.wire_json_eps_wall": metric(
-            result["json_eps"], "events/s", gate=False
         ),
     }
 
@@ -305,12 +295,8 @@ SUITES = {
         {
             "name": "cluster_wire",
             "module": "benchmarks.bench_cluster_scaling",
-            "fn": "run_wire_protocols",
-            "overrides": {
-                "WIRE_EVENTS": 96_000,
-                "WIRE_JSON_EVENTS": 24_000,
-                "WIRE_REPS": 2,
-            },
+            "fn": "run_wire_ingest",
+            "overrides": {"WIRE_EVENTS": 96_000, "WIRE_REPS": 2},
             "extract": extract_cluster_wire,
         },
         {

@@ -1,15 +1,14 @@
 """Standalone-server mode: ChronicleDB over TCP (paper, Figure 1).
 
 Starts a server around an in-memory ChronicleDB, then drives it over
-both wire protocols the listener speaks — the binary frame protocol
-(columnar batches, pipelined) and the legacy JSON line protocol —
-negotiated per message from the first byte.
+the binary frame protocol: columnar batches, pipelined appends, queries
+and control ops on one connection.
 
 Run:  python examples/network_mode.py
 """
 
 from repro import ChronicleConfig, ChronicleDB, ColumnarEvents, Event, EventSchema
-from repro.net import BinaryChronicleClient, ChronicleClient, ChronicleServer
+from repro.net import BinaryChronicleClient, ChronicleServer
 
 
 def main() -> None:
@@ -17,8 +16,8 @@ def main() -> None:
     with ChronicleServer(db) as server:
         print(f"server listening on {server.host}:{server.port}")
 
-        # The binary hot path: columnar batches ride PAX-encoded frames,
-        # many in flight at once (correlation ids).
+        # The hot path: columnar batches ride PAX-encoded frames, many
+        # in flight at once (correlation ids).
         with BinaryChronicleClient(server.host, server.port) as client:
             assert client.ping()
             client.create_stream("metrics", EventSchema.of("cpu", "mem"))
@@ -32,7 +31,7 @@ def main() -> None:
                 ],
             )
             sent = client.append_batch("metrics", batch)
-            print(f"appended {sent} events as one columnar binary batch")
+            print(f"appended {sent} events as one columnar batch")
 
             pending = [
                 client.append_batch_async(
@@ -50,13 +49,11 @@ def main() -> None:
             )
             print(f"time travel over TCP returned {len(rows)} events")
 
-        # Legacy JSON clients keep working against the same listener.
-        with ChronicleClient(server.host, server.port) as legacy:
-            stats = legacy.query(
+            stats = client.query(
                 "SELECT avg(cpu), max(cpu), count(cpu) FROM metrics"
             )
-            print(f"aggregates over the JSON fallback: {stats}")
-            print(f"streams on the server: {legacy.list_streams()}")
+            print(f"aggregates: {stats}")
+            print(f"streams on the server: {client.list_streams()}")
     db.close()
 
 

@@ -1,9 +1,10 @@
 """The cluster router: shard-aware appends and scatter-gather queries.
 
-``ClusterClient`` looks like :class:`~repro.net.client.ChronicleClient`
-but routes by the shared :class:`~repro.cluster.placement.ShardMap`:
-appends go to the owning shard's primary (batches split per shard with
-order preserved, so each sub-batch keeps the run-batching fast path);
+``ClusterClient`` looks like
+:class:`~repro.net.client.BinaryChronicleClient` but routes by the
+shared :class:`~repro.cluster.placement.ShardMap`: appends go to the
+owning shard's primary (batches split per shard with order preserved,
+so each sub-batch keeps the run-batching fast path);
 queries against striped streams fan out to every shard and merge —
 events by timestamp, aggregates by re-aggregating ``(min, max, sum,
 count, sum_squares)`` partials so cluster aggregates stay index-only.

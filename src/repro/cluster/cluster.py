@@ -56,7 +56,6 @@ class Cluster:
         config: ChronicleConfig | None = None,
         clock_factory=None,
         retry: RetryPolicy | None = None,
-        protocol: str | None = None,
     ):
         if num_shards < 1:
             raise ClusterError("num_shards must be >= 1")
@@ -67,11 +66,7 @@ class Cluster:
         self.base_dir = base_dir
         self.replication_factor = replication_factor
         self.clock_factory = clock_factory
-        # One protocol for the whole deployment: the orchestrator's own
-        # pool (health, failover, replication) and every router pool it
-        # hands out speak it.  Default comes from CHRONICLE_PROTOCOL.
-        self.pool = ClientPool(retry=retry, protocol=protocol)
-        self.protocol = self.pool.protocol
+        self.pool = ClientPool(retry=retry)
         self.nodes: dict[Endpoint, ClusterNode] = {}
         self.shard_map: ShardMap | None = None
         self.counters = {
@@ -167,11 +162,7 @@ class Cluster:
     def _install_replicator(self, spec: ShardSpec) -> None:
         primary = self.nodes[spec.primary]
         primary.install_replicator(
-            Replicator(
-                spec.replicas,
-                self.pool,
-                schema_of=primary.schema_of,
-            )
+            Replicator(spec.replicas, self.pool)
             if spec.replicas
             else None
         )
@@ -181,7 +172,7 @@ class Cluster:
 
         return ClusterClient(
             self.shard_map,
-            pool=ClientPool(retry=retry, protocol=self.protocol),
+            pool=ClientPool(retry=retry),
             cluster=self,
         )
 

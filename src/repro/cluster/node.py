@@ -105,9 +105,6 @@ class ClusterNode:
             return None
         return self.server.route_epoch
 
-    def schema_of(self, stream: str) -> dict:
-        return self.db.get_stream(stream).schema.to_dict()
-
     def promote_for_writes(self) -> None:
         """Run the instant-recovery open before taking writes as primary.
 
@@ -151,13 +148,11 @@ class ProcessClusterNode:
         name: str,
         directory: str | None = None,
         host: str = "127.0.0.1",
-        protocol: str = "auto",
         extra_args: tuple[str, ...] = (),
     ):
         self.name = name
         self.directory = directory
         self.host = host
-        self.protocol = protocol
         self.extra_args = tuple(extra_args)
         self.process: subprocess.Popen | None = None
         self._endpoint: Endpoint | None = None
@@ -172,8 +167,6 @@ class ProcessClusterNode:
             "--port",
             "0",
             "--announce",
-            "--protocol",
-            self.protocol,
             *self.extra_args,
         ]
         if self.directory:

@@ -1,10 +1,7 @@
 """A thread-safe pool of client connections, one per endpoint.
 
-One cached connection per endpoint, created on demand with the pool's
-wire protocol (``binary`` — the pipelined frame protocol — by default;
-``json`` for the legacy line protocol; the ``CHRONICLE_PROTOCOL``
-environment variable sets the default so whole test suites can be
-re-run against either path).  ``run`` retries connection-level failures
+One cached :class:`~repro.net.client.BinaryChronicleClient` per
+endpoint, created on demand.  ``run`` retries connection-level failures
 with the same bounded exponential backoff shape as
 :class:`repro.core.devices.RetryPolicy` (the device-retry analogue at
 the network layer); application-level errors from the server propagate
@@ -20,28 +17,17 @@ buffer state with the dead socket.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
 from repro.cluster.placement import Endpoint
 from repro.core.devices import RetryPolicy
-from repro.errors import ClusterError, ProtocolError
+from repro.errors import ProtocolError
 from repro.net.client import (
     BinaryChronicleClient,
-    ChronicleClient,
+    ConnectionClosed,
     RemoteError,
 )
-
-#: Environment variable selecting the default wire protocol.
-PROTOCOL_ENV = "CHRONICLE_PROTOCOL"
-
-_FACTORIES = {"json": ChronicleClient, "binary": BinaryChronicleClient}
-
-
-def default_protocol() -> str:
-    return os.environ.get(PROTOCOL_ENV, "binary")
-
 
 #: The exception classes a transport failure can surface as.  Retry
 #: paths catch exactly these (then consult :func:`is_connection_error`)
@@ -52,15 +38,11 @@ TRANSPORT_ERRORS = (OSError, ProtocolError, RemoteError)
 
 def is_connection_error(error: Exception) -> bool:
     """A failure of the *connection*, not of the request."""
-    if isinstance(error, (OSError, ProtocolError)):
-        # OSError covers resets and timeouts (socket.timeout and the
-        # builtin TimeoutError are OSError subclasses); ProtocolError
-        # means a desynchronized stream — both are cured only by a
-        # fresh connection.
-        return True
-    return isinstance(error, RemoteError) and "closed the connection" in str(
-        error
-    )
+    # OSError covers resets and timeouts (socket.timeout and the builtin
+    # TimeoutError are OSError subclasses); ProtocolError means a
+    # desynchronized stream; ConnectionClosed is the peer's EOF — all
+    # are cured only by a fresh connection.
+    return isinstance(error, (OSError, ProtocolError, ConnectionClosed))
 
 
 class ClientPool:
@@ -68,25 +50,18 @@ class ClientPool:
         self,
         retry: RetryPolicy | None = None,
         timeout: float = 30.0,
-        protocol: str | None = None,
     ):
         self.retry = retry if retry is not None else RetryPolicy()
         self.timeout = timeout
-        self.protocol = protocol if protocol is not None else default_protocol()
-        if self.protocol not in _FACTORIES:
-            raise ClusterError(
-                f"unknown wire protocol {self.protocol!r} "
-                f"(expected one of {sorted(_FACTORIES)})"
-            )
         self.retries = 0
-        self._clients: dict[Endpoint, object] = {}
+        self._clients: dict[Endpoint, BinaryChronicleClient] = {}
         self._lock = threading.Lock()
 
-    def client(self, endpoint: Endpoint):
+    def client(self, endpoint: Endpoint) -> BinaryChronicleClient:
         with self._lock:
             client = self._clients.get(endpoint)
             if client is None:
-                client = _FACTORIES[self.protocol](
+                client = BinaryChronicleClient(
                     endpoint.host, endpoint.port, timeout=self.timeout
                 )
                 self._clients[endpoint] = client

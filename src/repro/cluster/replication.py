@@ -3,10 +3,11 @@
 A :class:`Replicator` is installed as a :class:`ChronicleServer`'s
 ``replicator`` hook on each shard primary.  The server applies a
 mutating request locally (under the stream lock), then hands the request
-here; the replicator ships the *same wire-format batch* to every replica
-synchronously and acknowledges the client only once a majority of the
-replica group (primary included) holds the events.  Replica sends absorb
-transient connection failures with the device-layer retry/backoff shape
+here; the replicator ships the *batch payload bytes the primary
+received*, unmodified, to every replica synchronously and acknowledges
+the client only once a majority of the replica group (primary included)
+holds the events.  Replica sends absorb transient connection failures
+with the device-layer retry/backoff shape
 (:class:`~repro.core.devices.RetryPolicy` via the client pool).
 
 Because the primary applies before shipping, a failed quorum leaves the
@@ -24,7 +25,7 @@ from collections import Counter
 from repro.cluster.placement import Endpoint
 from repro.cluster.pool import ClientPool
 from repro.errors import ReplicationError
-from repro.events.event import ColumnarEvents, Event
+from repro.events.event import Event
 from repro.net import frames
 from repro.net.client import RemoteError
 from repro.obs import OBS
@@ -49,10 +50,6 @@ class Replicator:
     quorum:
         Total acks (primary included) required before an append is
         acknowledged; defaults to a majority of the replica group.
-    schema_of:
-        ``schema_of(stream) -> dict`` — the primary's schema lookup,
-        attached to every shipped batch so a replica that missed the
-        stream's creation can still apply it.
     """
 
     def __init__(
@@ -60,13 +57,11 @@ class Replicator:
         replicas: tuple[Endpoint, ...],
         pool: ClientPool,
         quorum: int | None = None,
-        schema_of=None,
     ):
         self.replicas = tuple(replicas)
         self.pool = pool
         group = 1 + len(self.replicas)
         self.quorum = quorum if quorum is not None else group // 2 + 1
-        self.schema_of = schema_of
         self.batches = 0
         self.events = 0
         self.failures = 0
@@ -81,7 +76,7 @@ class Replicator:
         op = request.get("op")
         if op == "create_stream":
             self._replicate_create(request)
-        elif op in ("append", "append_batch"):
+        elif op == "append_batch":
             self._replicate_batch(request)
 
     def _replicate_create(self, request: dict) -> None:
@@ -102,45 +97,17 @@ class Replicator:
                 ) from error
 
     def _replicate_batch(self, request: dict) -> None:
-        stream = request["stream"]
-        raw = request.get("raw")
-        if raw is not None:
-            # Zero-copy path: the server received a binary batch payload
-            # and handed us the bytes; ship them unmodified.  The payload
-            # is self-describing (stream + schema + columns), so replicas
-            # need no side-channel schema.  A JSON-protocol pool decodes
-            # the payload once here and falls back to the dict form.
-            count = frames.batch_event_count(raw)
-            if self.pool.protocol == "binary":
-                ship = lambda c: c.replicate_raw(raw)  # noqa: E731
-            else:
-                _, schema, timestamps, columns = frames.decode_batch_payload(
-                    raw
-                )
-                decoded = list(ColumnarEvents(timestamps, columns))
-                ship = lambda c: c.replicate_batch(  # noqa: E731
-                    stream, decoded, schema
-                )
-        else:
-            events = (
-                [request["event"]]
-                if request["op"] == "append"
-                else request["events"]
-            )
-            count = len(events)
-            shipped = {
-                "op": "replicate_batch",
-                "stream": stream,
-                "events": events,
-            }
-            if self.schema_of is not None:
-                shipped["schema"] = self.schema_of(stream)
-            ship = lambda c: c.call(shipped)  # noqa: E731
+        # Zero-copy: the server hands over the batch payload it
+        # received; ship those bytes unmodified.  The payload is
+        # self-describing (stream + schema + columns), so replicas need
+        # no side-channel schema.
+        stream, raw = request["stream"], request["raw"]
+        count = frames.batch_event_count(raw)
         acks = 1  # the primary already applied locally
         errors = []
         for replica in self.replicas:
             try:
-                self.pool.run(replica, ship)
+                self.pool.run(replica, lambda c: c.replicate_raw(raw))
             except Exception as error:
                 errors.append(f"{replica}: {error}")
                 continue

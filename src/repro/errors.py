@@ -71,8 +71,8 @@ class ConfigError(ChronicleError):
 
 
 class ProtocolError(ChronicleError):
-    """A network peer violated the wire protocol (e.g. an unterminated
-    over-long line); the connection cannot be resynchronized."""
+    """A network peer violated the wire protocol (e.g. a bad frame
+    magic); the connection cannot be resynchronized."""
 
 
 class ClusterError(ChronicleError):

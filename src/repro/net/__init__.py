@@ -3,14 +3,13 @@
 ChronicleDB "supports an embedded as well as a network mode"
 (Section 3.3).  This package provides the standalone-server mode: an
 asyncio event-loop server (:mod:`repro.net.aio`) wrapping a
-:class:`~repro.core.chronicle.ChronicleDB` and speaking two protocols
-on one listener — pipelined binary frames with a columnar batch
-encoding (:mod:`repro.net.frames`, :class:`BinaryChronicleClient`) and
-the legacy line-delimited JSON protocol (:class:`ChronicleClient`),
-negotiated per message from the first byte.
+:class:`~repro.core.chronicle.ChronicleDB` and speaking one protocol —
+pipelined binary frames (:mod:`repro.net.frames`,
+:class:`BinaryChronicleClient`) in which events always travel as
+columnar batch payloads and control ops as JSON payloads.
 """
 
-from repro.net.client import BinaryChronicleClient, ChronicleClient
+from repro.net.client import BinaryChronicleClient
 from repro.net.server import ChronicleServer
 
-__all__ = ["BinaryChronicleClient", "ChronicleClient", "ChronicleServer"]
+__all__ = ["BinaryChronicleClient", "ChronicleServer"]

@@ -2,9 +2,7 @@
 
 Runs a :class:`~repro.net.server.ChronicleServer` around a ChronicleDB
 instance (in-memory by default, persistent with ``--directory``) until
-interrupted.  By default the server auto-negotiates the wire protocol
-per message (binary frames or legacy JSON lines, sniffed from the first
-byte); ``--protocol`` pins one of them.
+interrupted.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import threading
 
 from repro.core.chronicle import ChronicleDB
 from repro.core.config import ChronicleConfig
-from repro.net.server import PROTOCOLS, ChronicleServer
+from repro.net.server import ChronicleServer
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -39,11 +37,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--macro-size", type=int, default=None,
         help="macro block size in bytes (default: config default)",
-    )
-    parser.add_argument(
-        "--protocol", choices=PROTOCOLS, default="auto",
-        help="wire protocol: auto-negotiate per message (default), or "
-        "accept only 'json' lines / 'binary' frames",
     )
     parser.add_argument(
         "--announce", action="store_true",
@@ -72,13 +65,10 @@ def main(argv: list[str] | None = None) -> int:
     stop = threading.Event()
     signal.signal(signal.SIGINT, lambda *_: stop.set())
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    with ChronicleServer(
-        db, args.host, args.port, protocol=args.protocol
-    ) as server:
+    with ChronicleServer(db, args.host, args.port) as server:
         if args.announce:
             print(f"LISTENING {server.host} {server.port}", flush=True)
         print(f"ChronicleDB listening on {server.host}:{server.port} "
-              f"[{args.protocol}] "
               f"({'persistent: ' + args.directory if args.directory else 'in-memory'})",
               flush=True)
         stop.wait()

@@ -2,19 +2,16 @@
 
 One background thread runs an asyncio loop for *all* connections of a
 server; request handlers (which block on storage and replication) run in
-a shared thread pool.  Per connection the loop:
-
-* sniffs the first byte of each message — ``frames.MAGIC`` starts a
-  binary frame, anything else is a legacy JSON line — so old clients
-  keep working with no handshake;
-* reads frames/lines and dispatches them without waiting for earlier
-  requests to finish (pipelining).  Ordering rule: requests on one
-  connection execute in receipt order (a sequential chain through the
-  executor) **except** read-only "independent" ops (ping, health,
-  stats, ...), which bypass the chain and may complete out of order —
-  binary responses carry the request's correlation id so clients match
-  them; JSON-line requests always join the chain because the line
-  protocol has no correlation ids.
+a shared thread pool.  Per connection the loop reads binary frames
+(:mod:`repro.net.frames`; a header that fails validation — e.g. a peer
+that opens with anything but ``frames.MAGIC`` — gets one typed
+``OP_ERR`` and the connection closes) and dispatches them without
+waiting for earlier requests to finish (pipelining).  Ordering rule:
+requests on one connection execute in receipt order (a sequential chain
+through the executor) **except** read-only "independent" ops (ping,
+health, stats, ...), which bypass the chain and may complete out of
+order — responses carry the request's correlation id so clients match
+them.
 
 The server facade (:class:`repro.net.server.ChronicleServer`) supplies
 the actual request handlers; this module owns only sockets, framing,
@@ -27,24 +24,22 @@ import asyncio
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.errors import ChronicleError, ProtocolError
+from repro.errors import ProtocolError
 from repro.net import frames
-from repro.net.protocol import MAX_LINE, decode_message, encode_message
 from repro.obs import OBS
 
-#: JSON ops that bypass the per-connection ordering chain.  All are
-#: read-only, so reordering them around in-flight writes is harmless —
-#: and it is what lets a pipelined client see a ping overtake a large
-#: append still being applied.
+#: ``OP_JSON`` control ops that bypass the per-connection ordering
+#: chain.  All are read-only, so reordering them around in-flight writes
+#: is harmless — and it is what lets a pipelined client see a ping
+#: overtake a large append still being applied.
 INDEPENDENT_OPS = frozenset(
     {"ping", "health", "stats", "list_streams", "schema"}
 )
 
-#: Unterminated-buffer bound for JSON line mode.  Slightly under
-#: MAX_LINE so an unterminated flood errors out instead of waiting
-#: forever for bytes that will never come (the sniffed first byte plus
-#: this headroom keeps the bound at most MAX_LINE).
-_LINE_LIMIT = MAX_LINE - 64
+#: StreamReader high-water mark: a connection buffers at most twice
+#: this many unparsed request bytes before the transport stops reading
+#: and a pipelining client backs up into the kernel socket buffer.
+_READ_BUFFER = 16 * 1024 * 1024
 
 #: Binary ops that bypass the per-connection ordering chain.  Credit
 #: top-ups must not queue behind large in-flight appends on the same
@@ -52,7 +47,6 @@ _LINE_LIMIT = MAX_LINE - 64
 _INDEPENDENT_BINARY_OPS = frozenset({frames.OP_SUB_ACK})
 
 _M_FRAMES_IN = OBS.counter("net.frames_in")
-_M_JSON_LINES = OBS.counter("net.json_lines_in")
 _M_BYTES_IN = OBS.histogram("net.frame_bytes_in", smallest=1.0)
 _M_BYTES_OUT = OBS.histogram("net.frame_bytes_out", smallest=1.0)
 _M_HANDLE_S = OBS.histogram("net.frame_handle_seconds")
@@ -142,8 +136,9 @@ class AioServerCore:
 
     def __init__(self, handler, host: str, port: int, max_workers: int = 8):
         """``handler`` is the server facade; it must provide
-        ``handle_json(request) -> response_dict``,
-        ``handle_binary(op, payload, channel) -> (response_op, payload_bytes)``,
+        ``handle_json_framed(request)`` and
+        ``handle_binary(op, payload, channel)``, each returning
+        ``(response_op, payload_bytes)``,
         and may provide ``frame_tap(op, payload)`` for tests."""
         self.handler = handler
         self._loop = asyncio.new_event_loop()
@@ -158,7 +153,7 @@ class AioServerCore:
         # Bind synchronously so host/port are known before start().
         async def _bind():
             return await asyncio.start_server(
-                self._serve_connection, host, port, limit=_LINE_LIMIT
+                self._serve_connection, host, port, limit=_READ_BUFFER
             )
 
         self._server = self._loop.run_until_complete(_bind())
@@ -189,18 +184,9 @@ class AioServerCore:
         tasks: set[asyncio.Task] = set()
         try:
             while True:
-                try:
-                    first = await reader.readexactly(1)
-                except (asyncio.IncompleteReadError, OSError):
-                    break
-                if first[0] == frames.MAGIC:
-                    done = await self._read_frame(
-                        reader, writer, write_lock, chain, tasks, channel
-                    )
-                else:
-                    done = await self._read_json_line(
-                        reader, writer, write_lock, first, chain, tasks
-                    )
+                done = await self._read_frame(
+                    reader, writer, write_lock, chain, tasks, channel
+                )
                 if done is None:
                     break
                 chain = done if done is not False else chain
@@ -223,13 +209,11 @@ class AioServerCore:
         tail task, ``False`` to keep the current chain, or ``None`` to
         close the connection."""
         try:
-            first_rest = await reader.readexactly(frames.HEADER_SIZE - 1)
+            header = await reader.readexactly(frames.HEADER_SIZE)
         except (asyncio.IncompleteReadError, OSError):
             return None
         try:
-            op, corr_id, payload_len = frames.decode_header(
-                bytes([frames.MAGIC]) + first_rest
-            )
+            op, corr_id, payload_len = frames.decode_header(header)
         except ProtocolError as error:
             await self._send_frame(
                 writer,
@@ -291,68 +275,6 @@ class AioServerCore:
         tasks.add(task)
         task.add_done_callback(tasks.discard)
         return False if independent else task
-
-    async def _read_json_line(
-        self, reader, writer, write_lock, first, chain, tasks
-    ):
-        """Read the rest of a legacy JSON line and dispatch it (always
-        chained: the line protocol has no correlation ids, so responses
-        must come back in request order)."""
-        try:
-            rest = await reader.readuntil(b"\n")
-        except asyncio.LimitOverrunError:
-            # The old threaded server reported an over-long line as a
-            # typed protocol error, then dropped the connection.
-            response = encode_message(
-                {
-                    "ok": False,
-                    "error": (
-                        f"unterminated protocol line exceeds {MAX_LINE} bytes"
-                    ),
-                }
-            )
-            async with write_lock:
-                try:
-                    writer.write(response)
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    pass
-            return None
-        except (asyncio.IncompleteReadError, OSError):
-            return None  # peer hung up mid-line
-        line = first + rest
-        if OBS.enabled:
-            _M_JSON_LINES.inc()
-            _M_BYTES_IN.observe(len(line))
-
-        async def run(previous: asyncio.Task | None):
-            if previous is not None:
-                try:
-                    await previous
-                except Exception:
-                    pass
-            try:
-                request = decode_message(line)
-            except Exception as error:
-                response = {"ok": False, "error": f"bad request: {error}"}
-            else:
-                response = await self._loop.run_in_executor(
-                    self._executor, self.handler.handle_json, request
-                )
-            async with write_lock:
-                try:
-                    data = encode_message(response)
-                    writer.write(data)
-                    await writer.drain()
-                    if OBS.enabled:
-                        _M_BYTES_OUT.observe(len(data))
-                except (ConnectionError, OSError):
-                    pass
-
-        task = asyncio.ensure_future(run(chain))
-        tasks.add(task)
-        task.add_done_callback(tasks.discard)
-        return task
 
     async def _send_frame(self, writer, write_lock, op, corr_id, payload):
         async with write_lock:

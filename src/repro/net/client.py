@@ -1,12 +1,11 @@
-"""Clients for the ChronicleDB network protocols.
+"""Client for the ChronicleDB network protocol.
 
-:class:`ChronicleClient` speaks the legacy JSON line protocol — one
-blocking request/response at a time.  :class:`BinaryChronicleClient`
-speaks the binary frame protocol (:mod:`repro.net.frames`): requests
-carry correlation ids and may be **pipelined** — ``*_async`` methods
-return futures and multiple frames can be in flight on one connection;
-a background reader thread matches responses to futures by correlation
-id, so completions may arrive out of request order.
+:class:`BinaryChronicleClient` speaks the binary frame protocol
+(:mod:`repro.net.frames`): requests carry correlation ids and may be
+**pipelined** — ``*_async`` methods return futures and multiple frames
+can be in flight on one connection; a background reader thread matches
+responses to futures by correlation id, so completions may arrive out
+of request order.
 """
 
 from __future__ import annotations
@@ -17,29 +16,20 @@ import struct
 import threading
 from concurrent.futures import Future
 
-from repro.errors import (
-    ChronicleError,
-    ProtocolError,
-    StaleRouteError,
-    SubscriptionError,
-)
+from repro.errors import ChronicleError, ProtocolError, StaleRouteError
 from repro.events.event import ColumnarEvents, Event
 from repro.events.schema import EventSchema
 from repro.events.serializer import PaxCodec
 from repro.net import frames
-from repro.net.protocol import (
-    decode_message,
-    encode_message,
-    event_from_wire,
-    event_to_wire,
-    events_from_wire,
-    events_to_wire,
-    read_line,
-)
 
 
 class RemoteError(ChronicleError):
     """The server reported a failure."""
+
+
+class ConnectionClosed(RemoteError):
+    """The peer closed the socket: a failure of the connection, not of
+    any request — cured only by a fresh client."""
 
 
 def _error_from_payload(data: dict) -> ChronicleError:
@@ -57,187 +47,17 @@ def _error_from_payload(data: dict) -> ChronicleError:
     return RemoteError(message)
 
 
-def completed_future(compute) -> Future:
-    """A future resolved by calling ``compute()`` now — the JSON
-    client's stand-in for pipelined submission, so callers can treat
-    both protocols uniformly."""
-    future: Future = Future()
-    try:
-        future.set_result(compute())
-    except BaseException as error:  # noqa: BLE001 - forwarded to waiter
-        future.set_exception(error)
-    return future
-
-
-class ChronicleClient:
-    """Talks to a :class:`~repro.net.server.ChronicleServer`."""
-
-    def __init__(self, host: str, port: int, timeout: float = 30.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._reader = self._sock.makefile("rb")
-
-    def _call(self, request: dict):
-        self._sock.sendall(encode_message(request))
-        line = read_line(self._reader)
-        if line is None:
-            raise RemoteError("server closed the connection")
-        response = decode_message(line)
-        if not response.get("ok"):
-            raise _error_from_payload(response)
-        return response.get("result")
-
-    def call(self, request: dict):
-        """Send a raw protocol request (cluster replication fan-out ships
-        already-encoded wire payloads through this)."""
-        return self._call(request)
-
-    def ping(self) -> bool:
-        return self._call({"op": "ping"}) == "pong"
-
-    def create_stream(self, name: str, schema: EventSchema) -> None:
-        self._call(
-            {"op": "create_stream", "name": name, "schema": schema.to_dict()}
-        )
-
-    def append(
-        self, stream: str, event: Event, epoch: int | None = None
-    ) -> None:
-        request = {
-            "op": "append",
-            "stream": stream,
-            "event": event_to_wire(event),
-        }
-        if epoch is not None:
-            request["epoch"] = epoch
-        self._call(request)
-
-    def append_batch(
-        self, stream: str, events: list[Event], epoch: int | None = None
-    ) -> int:
-        request = {
-            "op": "append_batch",
-            "stream": stream,
-            "events": [event_to_wire(e) for e in events],
-        }
-        if epoch is not None:
-            request["epoch"] = epoch
-        return self._call(request)
-
-    def append_batch_async(
-        self, stream: str, events: list[Event], epoch: int | None = None
-    ) -> Future:
-        """Uniform surface with the binary client; the JSON line
-        protocol cannot pipeline, so this completes synchronously."""
-        return completed_future(
-            lambda: self.append_batch(stream, events, epoch=epoch)
-        )
-
-    def query(self, sql: str):
-        """Run SQL; returns a list of events or a dict of aggregates."""
-        result = self._call({"op": "query", "sql": sql})
-        if "aggregates" in result:
-            return result["aggregates"]
-        if "groups" in result:
-            return result["groups"]
-        return [event_from_wire(e) for e in result["events"]]
-
-    def query_partials(self, sql: str) -> dict:
-        """Run an aggregate query, returning mergeable components
-        (see :mod:`repro.query.partials`) instead of final values."""
-        return self._call({"op": "query", "sql": sql, "partials": True})[
-            "partials"
-        ]
-
-    def replicate_batch(
-        self, stream: str, events: list[Event], schema: EventSchema | None = None
-    ) -> int:
-        """Apply a primary's batch locally without re-replicating it."""
-        request = {
-            "op": "replicate_batch",
-            "stream": stream,
-            "events": events_to_wire(events),
-        }
-        if schema is not None:
-            request["schema"] = schema.to_dict()
-        return self._call(request)
-
-    def catchup(self, stream: str, t_start: int, t_end: int) -> dict:
-        """Fetch ``{"schema": ..., "events": [Event, ...]}`` for a
-        timestamp range, for replica catch-up."""
-        result = self._call(
-            {
-                "op": "catchup",
-                "stream": stream,
-                "t_start": t_start,
-                "t_end": t_end,
-            }
-        )
-        return {
-            "schema": EventSchema.from_dict(result["schema"]),
-            "events": events_from_wire(result["events"]),
-        }
-
-    def health(self) -> dict:
-        """Per-stream progress report (``status``, ``appended``,
-        time bounds), used by failover to pick the best replica."""
-        return self._call({"op": "health"})
-
-    def map_sync(self) -> dict:
-        """The server's current shard map: ``{"epoch", "map"}``."""
-        return self._call({"op": "map_sync"})
-
-    def map_update(self, wire_map: dict) -> dict:
-        """Install a shard map on the server (newer epochs only);
-        returns the server's resulting ``{"epoch": ...}``."""
-        return self._call({"op": "map_update", "map": wire_map})
-
-    def flush(self) -> None:
-        self._call({"op": "flush"})
-
-    def list_streams(self) -> list[str]:
-        return self._call({"op": "list_streams"})
-
-    def stats(self, stream: str | None = None) -> dict:
-        """Server-side observability snapshot; a whole-database report,
-        or one stream's when *stream* is given."""
-        request = {"op": "stats"}
-        if stream is not None:
-            request["stream"] = stream
-        return self._call(request)
-
-    def subscribe(self, *args, **kwargs):
-        """The JSON line protocol cannot carry pushed frames (it has no
-        correlation ids); use :class:`BinaryChronicleClient`."""
-        raise SubscriptionError(
-            "subscriptions require the binary frame protocol"
-        )
-
-    def close(self) -> None:
-        try:
-            self._reader.close()
-            self._sock.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "ChronicleClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 class BinaryChronicleClient:
     """Pipelined client for the binary frame protocol.
 
-    Same method surface as :class:`ChronicleClient`, plus ``*_async``
-    variants returning :class:`~concurrent.futures.Future` and
-    :meth:`replicate_raw` for zero-copy replication fan-out.  A reader
-    thread resolves responses by correlation id; a connection-level
-    failure (EOF, reset, a malformed frame from the peer) fails every
-    in-flight future, and the client is dead afterwards — callers
-    reconnect by building a new client, which is what resets any
-    half-read buffer state (:class:`repro.cluster.pool.ClientPool` does
-    this automatically).
+    Blocking methods plus ``*_async`` variants returning
+    :class:`~concurrent.futures.Future`, and :meth:`replicate_raw` for
+    zero-copy replication fan-out.  A reader thread resolves responses
+    by correlation id; a connection-level failure (EOF, reset, a
+    malformed frame from the peer) fails every in-flight future, and
+    the client is dead afterwards — callers reconnect by building a new
+    client, which is what resets any half-read buffer state
+    (:class:`repro.cluster.pool.ClientPool` does this automatically).
     """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
@@ -273,11 +93,11 @@ class BinaryChronicleClient:
             while True:
                 header = self._file.read(frames.HEADER_SIZE)
                 if len(header) < frames.HEADER_SIZE:
-                    raise RemoteError("server closed the connection")
+                    raise ConnectionClosed("server closed the connection")
                 op, corr_id, payload_len = frames.decode_header(header)
                 payload = self._file.read(payload_len)
                 if len(payload) < payload_len:
-                    raise RemoteError("server closed the connection")
+                    raise ConnectionClosed("server closed the connection")
                 self._dispatch(op, corr_id, payload)
         except Exception as error:
             self._fail_all(error)
@@ -410,14 +230,8 @@ class BinaryChronicleClient:
     def append(
         self, stream: str, event: Event, epoch: int | None = None
     ) -> None:
-        request = {
-            "op": "append",
-            "stream": stream,
-            "event": event_to_wire(event),
-        }
-        if epoch is not None:
-            request["epoch"] = epoch
-        self._call_json(request)
+        """One event is a one-row batch on the wire."""
+        self.append_batch(stream, [event], epoch=epoch)
 
     def append_batch(
         self, stream: str, events, epoch: int | None = None

@@ -11,21 +11,16 @@ Frame layout (12-byte header, little-endian)::
     8       4     payload_len  u32 payload byte count
     12      n     payload
 
-The first byte distinguishes a frame from the legacy JSON line
-protocol: JSON requests begin with ``{`` (0x7B) while frames begin with
-``MAGIC`` (0xCB), so a server can sniff one byte per message and serve
-both on the same listener (negotiated fallback).
-
-Hot-path ops (``append_batch``, ``replicate_batch``, catch-up and
-``SELECT *`` replies) carry a **columnar batch payload** that reuses the
-PAX serializer: the stream name, the schema (JSON, a few dozen bytes),
-and the event count, followed by the timestamps and each attribute
-column as packed structs.
+Every op that moves events (``append_batch``, ``replicate_batch``,
+catch-up and ``SELECT *`` replies, subscription pushes) carries a
+**columnar batch payload** that reuses the PAX serializer: the stream
+name, the schema (JSON, a few dozen bytes), and the event count,
+followed by the timestamps and each attribute column as packed structs.
 The payload is self-describing, so a primary forwards the *identical
 payload bytes* it received to its replicas (zero-copy replication) and a
 replica that missed the stream's creation can still apply it.  Every
-other op tunnels the existing JSON request dict inside an ``OP_JSON``
-frame — same handlers, same semantics, but framed and pipelined.
+other op is a control op: a JSON request dict inside an ``OP_JSON``
+frame.
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ HEADER_SIZE = HEADER.size
 MAX_FRAME = 64 * 1024 * 1024
 
 # Request opcodes.
-OP_JSON = 0x01  # payload: JSON request dict (legacy op surface, framed)
+OP_JSON = 0x01  # payload: JSON request dict (control ops)
 OP_APPEND_BATCH = 0x02  # payload: columnar batch
 OP_REPLICATE_BATCH = 0x03  # payload: columnar batch (primary's raw bytes)
 OP_CATCHUP = 0x04  # payload: JSON {stream, t_start, t_end}

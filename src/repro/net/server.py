@@ -1,18 +1,16 @@
 """The ChronicleDB network server (standalone mode).
 
 Serves one :class:`ChronicleDB` over TCP on an asyncio event loop
-(:mod:`repro.net.aio`) speaking **two protocols on one listener**,
-sniffed from the first byte of each message:
+(:mod:`repro.net.aio`) speaking one protocol, binary frames
+(:mod:`repro.net.frames`): length-prefixed and pipelined via
+correlation ids.  Events cross the socket only as columnar batch
+payloads — an append (one event or many) is decoded once into
+timestamp and attribute arrays and applied through the columnar ingest
+lane (:meth:`EventStream.append_columns`), never materializing
+per-event objects for in-order traffic; control ops (create, query,
+stats, map installs, ...) are JSON dicts inside ``OP_JSON`` frames.
 
-* binary frames (:mod:`repro.net.frames`): length-prefixed, pipelined
-  via correlation ids, with a columnar batch payload for the ingest hot
-  path — an ``append_batch`` payload is decoded once into timestamp and
-  attribute arrays and applied through the columnar ingest lane
-  (:meth:`EventStream.append_columns`), never materializing per-event
-  objects for in-order traffic;
-* the legacy JSON line protocol, unchanged, for old clients.
-
-Replication is zero-copy pass-through: a binary batch payload is
+Replication is zero-copy pass-through: a batch payload is
 self-describing (stream + schema + columns), so the primary hands its
 ``replicator`` hook the *received payload bytes* and the replicator
 ships those same bytes to every replica.
@@ -23,22 +21,12 @@ from __future__ import annotations
 import threading
 
 from repro.core.chronicle import ChronicleDB
-from repro.errors import (
-    ChronicleError,
-    ProtocolError,
-    StaleRouteError,
-    SubscriptionError,
-)
+from repro.errors import ChronicleError, ProtocolError, StaleRouteError
 from repro.events.event import ColumnarEvents
 from repro.events.schema import EventSchema
 from repro.events.serializer import PaxCodec
 from repro.net import frames
 from repro.net.aio import AioServerCore
-from repro.net.protocol import (
-    event_from_wire,
-    events_from_wire,
-    events_to_wire,
-)
 from repro.obs import OBS
 from repro.query.ast import SelectStar
 from repro.query.parser import parse as parse_query
@@ -74,16 +62,6 @@ class _EventRows:
         )
 
 
-#: Ops that operate on one stream and take only that stream's lock.
-_STREAM_OPS = frozenset(
-    {"append", "append_batch", "replicate_batch", "catchup"}
-)
-
-#: Accepted wire protocols.  ``auto`` sniffs per message; the explicit
-#: modes reject the other protocol (used to prove fallback coverage).
-PROTOCOLS = ("auto", "json", "binary")
-
-
 class ChronicleServer:
     """Serves one :class:`ChronicleDB` over TCP (asyncio event loop).
 
@@ -95,11 +73,11 @@ class ChronicleServer:
     lock, never both held across a wait on the other direction.
 
     ``replicator``, when given, is called as ``replicator(request)``
-    after a mutating stream op (``create_stream``, ``append``,
-    ``append_batch``) has been applied locally; raising inside it fails
-    the client's request.  For binary batches the request dict carries
-    the received payload under ``"raw"`` so the cluster layer can
-    forward the identical bytes (:mod:`repro.cluster.replication`).
+    after a mutating op (``create_stream``, ``append_batch``) has been
+    applied locally; raising inside it fails the client's request.  An
+    ``append_batch`` request carries the received batch payload under
+    ``"raw"`` so the cluster layer forwards the identical bytes
+    (:mod:`repro.cluster.replication`).
 
     ``frame_tap``, when given, is called as ``frame_tap(op, payload)``
     for every received binary frame — a test hook used to assert the
@@ -112,14 +90,15 @@ class ChronicleServer:
         host: str = "127.0.0.1",
         port: int = 0,
         replicator=None,
-        protocol: str = "auto",
+        protocol: str = "binary",
         frame_tap=None,
     ):
-        if protocol not in PROTOCOLS:
+        # Selects nothing: the frozen benchmarks/e2e launcher passes
+        # protocol="binary"; a benchmark follow-up removes the parameter.
+        if protocol != "binary":
             raise ProtocolError(f"unknown protocol {protocol!r}")
         self.db = db
         self.replicator = replicator
-        self.protocol = protocol
         self.frame_tap = frame_tap
         # Routing state, installed by ``map_update``: the newest shard
         # map this node has seen, its epoch, and which shard this node
@@ -137,11 +116,6 @@ class ChronicleServer:
         # that already hold the db lock (map installs).
         self._locks_guard = threading.Lock()
         self._stream_locks: dict[str, threading.Lock] = {}
-        # Kept for API compatibility with the old thread-per-connection
-        # server (tests introspect these); handler threads now live in
-        # the core's pool, so the set stays empty.
-        self._threads: set = set()
-        self._threads_lock = threading.Lock()
         from repro.sub.hub import SubscriptionHub
 
         self.hub = SubscriptionHub(
@@ -281,31 +255,8 @@ class ChronicleServer:
 
     # --------------------------------------------------- protocol adapters
 
-    def handle_json(self, request: dict) -> dict:
-        """A legacy JSON-line request → response dict."""
-        if self.protocol == "binary":
-            return {
-                "ok": False,
-                "error": "this server accepts only the binary frame protocol",
-            }
-        try:
-            result = self._handle(request)
-            if isinstance(result, _EventRows):
-                result = {"events": events_to_wire(result.rows)}
-            return {"ok": True, "result": result}
-        except StaleRouteError as error:
-            return {"ok": False, **_stale_payload(error)}
-        except ChronicleError as error:
-            return {"ok": False, "error": str(error)}
-        except Exception as error:  # malformed request etc.
-            return {"ok": False, "error": f"bad request: {error}"}
-
     def handle_json_framed(self, request: dict) -> tuple[int, bytes]:
         """An ``OP_JSON`` frame → ``(response_op, payload)``."""
-        if self.protocol == "json":
-            return frames.OP_ERR, frames.encode_json_payload(
-                {"error": "this server accepts only the JSON line protocol"}
-            )
         try:
             result = self._handle(request)
             if isinstance(result, _EventRows):
@@ -332,10 +283,6 @@ class ChronicleServer:
         ``channel`` is the connection's push side (``repro.net.aio.
         PushChannel``); subscription ops hand it to the hub so pushed
         event batches ride the same socket."""
-        if self.protocol == "json":
-            return frames.OP_ERR, frames.encode_json_payload(
-                {"error": "this server accepts only the JSON line protocol"}
-            )
         if self.frame_tap is not None:
             self.frame_tap(op, payload)
         try:
@@ -437,16 +384,6 @@ class ChronicleServer:
         op = request.get("op")
         if op == "ping":
             return "pong"
-        if op in ("subscribe", "sub_ack", "unsubscribe"):
-            # Pushed frames need correlation ids; the line protocol has
-            # none.  Typed so clients can tell "wrong transport" from
-            # "bad request".
-            raise SubscriptionError(
-                "subscriptions require the binary frame protocol"
-            )
-        if op in _STREAM_OPS:
-            with self._lock_for(request["stream"]):
-                return self._handle_stream_op(op, request)
         if op == "query":
             # Parse outside any lock; lock only the queried stream.
             query = parse_query(request["sql"])
@@ -460,42 +397,6 @@ class ChronicleServer:
                 return self.db.get_stream(request["stream"]).schema.to_dict()
         with self._db_lock:
             return self._handle_db_op(op, request)
-
-    def _handle_stream_op(self, op: str, request: dict):
-        if op == "append":
-            self._check_route(request.get("epoch"))
-            stream = self.db.get_stream(request["stream"])
-            stream.append(event_from_wire(request["event"]))
-            self._replicate(request)
-            return None
-        if op == "append_batch":
-            self._check_route(request.get("epoch"))
-            stream = self.db.get_stream(request["stream"])
-            count = stream.append_batch(events_from_wire(request["events"]))
-            self._replicate(request)
-            return count
-        if op == "replicate_batch":
-            # A replica applying its primary's batch: local apply only —
-            # never re-replicated.  ``schema`` lets catch-up reach a
-            # replica that missed the stream's creation.
-            name = request["stream"]
-            if name not in self.db.streams and "schema" in request:
-                self.db.create_stream(
-                    name, EventSchema.from_dict(request["schema"])
-                )
-            stream = self.db.get_stream(name)
-            return stream.append_batch(events_from_wire(request["events"]))
-        if op == "catchup":
-            # Serve a timestamp-range replay for replica catch-up.
-            name = request["stream"]
-            events = self.db.replay_range(
-                name, int(request["t_start"]), int(request["t_end"])
-            )
-            return {
-                "schema": self.db.get_stream(name).schema.to_dict(),
-                "events": events_to_wire(events),
-            }
-        raise ValueError(f"unhandled stream op {op!r}")
 
     def _handle_query(self, request: dict, query):
         served = self._served_filter(query.stream)

@@ -68,10 +68,7 @@ class ClusterSubscriber:
         self.cluster = cluster
         self.shard_map = shard_map
         self._own_pool = pool is None
-        # Subscriptions are binary-only; never inherit a json pool.
-        self.pool = pool if pool is not None else ClientPool(protocol="binary")
-        if self.pool.protocol != "binary":
-            raise ClusterError("subscriptions require a binary client pool")
+        self.pool = pool if pool is not None else ClientPool()
         self.cursor: tuple[int, int] | None = (
             tuple(cursor) if cursor is not None
             else ((int(from_t), 0) if from_t is not None else None)

@@ -187,7 +187,7 @@ def test_stale_router_is_fenced_and_transparently_retries():
         # the remote-client picture.
         stale_client = ClusterClient(
             ShardMap.from_wire(cluster.shard_map.to_wire()),
-            pool=ClientPool(protocol=cluster.protocol),
+            pool=ClientPool(),
         )
         try:
             client.create_stream("s", SCHEMA)

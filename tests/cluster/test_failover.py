@@ -22,7 +22,8 @@ import pytest
 from repro import ChronicleConfig, ChronicleDB, Event, EventSchema
 from repro.cluster import Cluster, ClusterMonitor, reconcile_stream
 from repro.errors import ChronicleError
-from repro.net.protocol import encode_message, events_to_wire
+from repro.events.serializer import PaxCodec
+from repro.net import frames
 from repro.simdisk.faults import FaultPlan
 
 SCHEMA = EventSchema.of("v", "w")
@@ -32,6 +33,13 @@ CONFIG = ChronicleConfig(
 )
 BATCH = 40
 BATCHES = 8
+
+
+def wire_bytes(events):
+    """*events* as the batch payload they cross a socket in."""
+    return frames.encode_batch_payload(
+        "s", frames.schema_bytes_of(SCHEMA), PaxCodec(SCHEMA), events
+    )
 
 
 def make_batches():
@@ -117,9 +125,7 @@ def test_failover_loses_no_acknowledged_event(crash_at):
                 oracle.create_stream("s", SCHEMA)
                 oracle.get_stream("s").append_batch(acked_events)
                 want = oracle.execute("SELECT * FROM s")
-            assert encode_message(events_to_wire(got)) == encode_message(
-                events_to_wire(want)
-            )
+            assert wire_bytes(got) == wire_bytes(want)
 
             # The promoted primary accepts writes (quorum now 2 of 2).
             next_t = acked_events[-1].t + 1 if acked_events else 0

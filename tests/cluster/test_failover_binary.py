@@ -1,15 +1,15 @@
-"""Failover over the binary frame protocol, plus zero-copy invariants.
+"""Failover with columnar client batches, plus zero-copy invariants.
 
-Mirrors the JSON crash matrix (``test_failover.py``) with the cluster
-pinned to ``protocol="binary"``: the primary dies at an exact device
-write mid-ingest, a replica is promoted, and zero acknowledged events
-are lost — with the replay byte-identical *on the JSON wire* to a
-no-crash oracle, proving the two protocols ingest to the same state.
+The crash matrix of ``test_failover.py`` with a columnar tail write: the
+primary dies at an exact device write mid-ingest, a replica is
+promoted, and zero acknowledged events are lost — with the replay
+byte-identical on the wire to a no-crash oracle.
 
 The zero-copy test asserts the replication fan-out ships the *exact
 payload bytes* the client sent: every ``OP_REPLICATE_BATCH`` payload a
 replica receives equals the corresponding ``OP_APPEND_BATCH`` payload
-the primary received.
+the primary received — for batches and for single appends, which are
+one-row batches on the wire.
 """
 
 import tempfile
@@ -25,8 +25,8 @@ from repro import (
 )
 from repro.cluster import Cluster, ClusterMonitor
 from repro.errors import ChronicleError
-from repro.net import frames
-from repro.net.protocol import encode_message, events_to_wire
+from repro.events.serializer import PaxCodec
+from repro.net import BinaryChronicleClient, frames
 from repro.simdisk.faults import FaultPlan
 
 SCHEMA = EventSchema.of("v", "w")
@@ -38,9 +38,16 @@ BATCH = 40
 BATCHES = 8
 
 
+def wire_bytes(events):
+    """*events* as the batch payload they cross a socket in."""
+    return frames.encode_batch_payload(
+        "s", frames.schema_bytes_of(SCHEMA), PaxCodec(SCHEMA), events
+    )
+
+
 def make_batches():
-    """Mildly out-of-order batches, as in the JSON matrix: every batch
-    touches the out-of-order WAL so crash points land densely."""
+    """Mildly out-of-order batches, as in ``test_failover.py``: every
+    batch touches the out-of-order WAL so crash points land densely."""
     batches = []
     for i in range(BATCHES):
         timestamps = list(range(i * BATCH, (i + 1) * BATCH))
@@ -57,7 +64,7 @@ def make_batches():
 def run_cluster(base_dir, fault_plan):
     cluster = Cluster(
         num_shards=1, replication_factor=2, base_dir=base_dir,
-        config=CONFIG, protocol="binary",
+        config=CONFIG,
     )
     cluster._members[0][0].fault_plan = fault_plan
     cluster.start()
@@ -106,18 +113,15 @@ def test_binary_failover_loses_no_acknowledged_event(crash_at):
                 (e.t, e.values) for e in acked_events
             )
 
-            # Byte-identical on the JSON wire to a no-crash single-node
-            # run over the acked prefix: binary-frame ingestion and the
-            # legacy path converge on the same replayed state.
+            # Byte-identical on the wire to a no-crash single-node run
+            # over the acked prefix.
             with ChronicleDB(config=CONFIG) as oracle:
                 oracle.create_stream("s", SCHEMA)
                 oracle.get_stream("s").append_batch(acked_events)
                 want = oracle.execute("SELECT * FROM s")
-            assert encode_message(events_to_wire(got)) == encode_message(
-                events_to_wire(want)
-            )
+            assert wire_bytes(got) == wire_bytes(want)
 
-            # The promoted primary accepts binary writes.
+            # The promoted primary accepts columnar writes.
             next_t = acked_events[-1].t + 1 if acked_events else 0
             tail = ColumnarEvents(
                 [next_t + i for i in range(10)],
@@ -136,9 +140,7 @@ def test_replication_forwards_identical_payload_bytes():
     """The zero-copy acceptance check: replica-received bytes == the
     client-sent bytes, frame payload for frame payload."""
     received, shipped = [], []
-    with Cluster(
-        num_shards=1, replication_factor=1, protocol="binary"
-    ) as cluster:
+    with Cluster(num_shards=1, replication_factor=1) as cluster:
         spec = cluster.shard_map.shards[0]
         primary = cluster.node_at(spec.primary)
         replica = cluster.node_at(spec.replicas[0])
@@ -172,13 +174,31 @@ def test_replication_forwards_identical_payload_bytes():
                      [float(-t) for t in timestamps]],
                 ),
             )
-        client.close()
+        # A single append is a one-row batch on the wire: routed
+        # (epoch-stamped) or sent straight to the primary (plain
+        # OP_APPEND_BATCH), in order or late.
+        ops = []
 
-    assert len(received) == 5
+        def tap_primary_ops(op, payload):
+            ops.append(op)
+            tap_primary(op, payload)
+
+        primary.server.frame_tap = tap_primary_ops
+        client.append("s", Event.of(100, 1.0, -100.0))
+        with BinaryChronicleClient(
+            spec.primary.host, spec.primary.port
+        ) as direct:
+            direct.append("s", Event.of(7, 0.5, -7.0))
+        client.close()
+    assert ops == [frames.OP_APPEND_BATCH_EPOCH, frames.OP_APPEND_BATCH]
+
+    assert len(received) == 7
     assert shipped == received, "replication must forward unmodified bytes"
     # And the payloads really are the client's encoding, not a re-encode.
-    for i, payload in enumerate(received):
+    expected = [list(range(i * 20, (i + 1) * 20)) for i in range(5)]
+    expected += [[100], [7]]
+    for payload, want in zip(received, expected):
         stream, schema, timestamps, _ = frames.decode_batch_payload(payload)
         assert stream == "s"
         assert schema == SCHEMA
-        assert list(timestamps) == list(range(i * 20, (i + 1) * 20))
+        assert list(timestamps) == want

@@ -81,7 +81,7 @@ def test_node_rearms_epoch_fencing_after_restart(base_dir):
 def test_cluster_restart_restores_split_routing(base_dir):
     with Cluster(
         num_shards=2, replication_factor=0, base_dir=base_dir,
-        config=CONFIG, protocol="binary",
+        config=CONFIG,
     ) as cluster:
         client = cluster.client()
         client.create_stream("s", SCHEMA)
@@ -96,7 +96,7 @@ def test_cluster_restart_restores_split_routing(base_dir):
     # Full restart (the split added a shard: three node groups now).
     with Cluster(
         num_shards=3, replication_factor=0, base_dir=base_dir,
-        config=CONFIG, protocol="binary",
+        config=CONFIG,
     ) as restarted:
         assert restarted.shard_map.version >= epoch
         assert restarted.shard_map.assignments
@@ -116,7 +116,7 @@ def test_cluster_restart_restores_split_routing(base_dir):
 def test_cluster_drops_out_of_range_assignments(base_dir):
     with Cluster(
         num_shards=2, replication_factor=0, base_dir=base_dir,
-        config=CONFIG, protocol="binary",
+        config=CONFIG,
     ) as cluster:
         client = cluster.client()
         client.create_stream("s", SCHEMA)
@@ -128,6 +128,6 @@ def test_cluster_drops_out_of_range_assignments(base_dir):
     # persisted facts cannot apply, so the founding map stands.
     with Cluster(
         num_shards=2, replication_factor=0, base_dir=base_dir,
-        config=CONFIG, protocol="binary",
+        config=CONFIG,
     ) as restarted:
         assert restarted.shard_map.assignments == ()

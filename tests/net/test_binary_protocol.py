@@ -1,13 +1,12 @@
-"""Binary frame protocol end-to-end: parity, negotiation, pipelining.
+"""Binary frame protocol end-to-end: ops, rejection, pipelining.
 
 Everything runs against a real :class:`ChronicleServer` on real
-sockets.  The suite proves the binary client matches the JSON client
-op-for-op, that one listener negotiates both protocols per message,
-that pipelined requests complete out of order, and that a client whose
+sockets.  The suite covers the client's op surface, that a peer which
+does not open with a frame is refused with a typed error, that
+pipelined requests complete out of order, and that a client whose
 connection desynchronizes fails over cleanly through the pool.
 """
 
-import json
 import socket
 import threading
 
@@ -16,12 +15,13 @@ import pytest
 from repro import ChronicleConfig, ChronicleDB, ColumnarEvents, Event, EventSchema
 from repro.cluster.placement import Endpoint
 from repro.cluster.pool import ClientPool, is_connection_error
+from repro.core.devices import RetryPolicy
 from repro.errors import ProtocolError
 from repro.events.serializer import PaxCodec
-from repro.net import BinaryChronicleClient, ChronicleClient, ChronicleServer
+from repro.net import BinaryChronicleClient, ChronicleServer
 from repro.net import frames
-from repro.net.client import RemoteError
-from repro.net.protocol import read_line
+from repro.net.client import ConnectionClosed, RemoteError
+from repro.testing.crashkit import device_bytes
 
 SCHEMA = EventSchema.of("temp", "load")
 
@@ -61,9 +61,8 @@ def test_append_paths_match_json_semantics(server, client):
     )
     assert client.append_batch("s", columnar) == 100
 
-    # Everything reads back identically through the legacy client.
-    with ChronicleClient(server.host, server.port) as legacy:
-        got = legacy.query("SELECT * FROM s")
+    # One event, a row batch and a columnar batch read back as one log.
+    got = client.query("SELECT * FROM s")
     assert [e.t for e in got] == list(range(201))
     assert got[150].values == (150.0, 0.5)
 
@@ -73,6 +72,32 @@ def test_append_paths_match_json_semantics(server, client):
     assert client.list_streams() == ["s"]
     assert client.stats()["streams"]["s"]["appended"] == 201
     client.flush()
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["in_order", "late"])
+def test_single_appends_over_wire_match_embedded_append(late):
+    """``client.append`` is a one-row batch on the wire; the store it
+    builds is device-byte-identical to ``EventStream.append``."""
+    timestamps = list(range(300))
+    if late:
+        timestamps[200:200] = [40, 41, 150]  # behind the frontier
+    events = [Event.of(t, float(t % 11), float(-t)) for t in timestamps]
+
+    embedded = make_db()
+    stream = embedded.create_stream("s", SCHEMA)
+    for event in events:
+        stream.append(event)
+    embedded.flush()
+
+    served = make_db()
+    with ChronicleServer(served) as srv:
+        with BinaryChronicleClient(srv.host, srv.port) as cli:
+            cli.create_stream("s", SCHEMA)
+            for event in events:
+                cli.append("s", event)
+            cli.flush()
+    assert device_bytes(served.devices) == device_bytes(embedded.devices)
+    assert served.get_stream("s").stats() == stream.stats()
 
 
 def test_catchup_roundtrip(client):
@@ -103,52 +128,33 @@ def test_schema_mismatch_is_reported(client):
         client.replicate_batch("s", [Event.of(0, 1.0)], other)
 
 
-# ----------------------------------------------------------- negotiation
+# ------------------------------------------------------------- rejection
 
 
-def test_one_socket_speaks_both_protocols(server):
-    """Per-message sniffing: a JSON line, then a frame, then JSON again,
-    all on one connection."""
-    with socket.create_connection((server.host, server.port)) as sock:
-        reader = sock.makefile("rb")
-        sock.sendall(json.dumps({"op": "ping"}).encode() + b"\n")
-        assert json.loads(read_line(reader))["result"] == "pong"
-
-        sock.sendall(
-            frames.encode_frame(
-                frames.OP_JSON, 7, frames.encode_json_payload({"op": "ping"})
+def test_binary_only_server_rejects_json_lines(server):
+    """A peer that opens with a JSON line (or any non-``MAGIC`` byte)
+    gets one ``OP_ERR`` frame naming the bad magic, then EOF."""
+    for opening in (b'{"op":"ping"}\n', b"\x00" * frames.HEADER_SIZE):
+        with socket.create_connection(
+            (server.host, server.port), timeout=5
+        ) as s:
+            s.sendall(opening)
+            reader = s.makefile("rb")
+            op, corr_id, length = frames.decode_header(
+                reader.read(frames.HEADER_SIZE)
             )
-        )
-        header = reader.read(frames.HEADER_SIZE)
-        op, corr_id, length = frames.decode_header(header)
-        assert (op, corr_id) == (frames.OP_OK, 7)
-        assert json.loads(reader.read(length))["result"] == "pong"
-
-        sock.sendall(json.dumps({"op": "list_streams"}).encode() + b"\n")
-        assert json.loads(read_line(reader))["result"] == []
-
-
-def test_json_only_server_rejects_frames():
-    with ChronicleServer(make_db(), protocol="json") as srv:
-        with BinaryChronicleClient(srv.host, srv.port) as cli:
-            with pytest.raises(RemoteError, match="JSON line protocol"):
-                cli.ping()
-        with ChronicleClient(srv.host, srv.port) as cli:
-            assert cli.ping()
-
-
-def test_binary_only_server_rejects_json_lines():
-    with ChronicleServer(make_db(), protocol="binary") as srv:
-        with ChronicleClient(srv.host, srv.port) as cli:
-            with pytest.raises(RemoteError, match="binary frame protocol"):
-                cli.ping()
-        with BinaryChronicleClient(srv.host, srv.port) as cli:
-            assert cli.ping()
+            assert (op, corr_id) == (frames.OP_ERR, 0)
+            error = frames.decode_json_payload(reader.read(length))["error"]
+            assert f"bad frame magic 0x{opening[0]:02x}" in error
+            assert reader.read() == b""  # the server hung up
+    with BinaryChronicleClient(server.host, server.port) as cli:
+        assert cli.ping()
 
 
 def test_unknown_protocol_rejected():
-    with pytest.raises(ProtocolError, match="unknown protocol"):
-        ChronicleServer(make_db(), protocol="carrier-pigeon")
+    for protocol in ("json", "auto", "carrier-pigeon"):
+        with pytest.raises(ProtocolError, match="unknown protocol"):
+            ChronicleServer(make_db(), protocol=protocol)
 
 
 # ------------------------------------------------------------ pipelining
@@ -206,7 +212,7 @@ def _garbage_listener():
 def test_desynced_stream_fails_typed_and_pool_reconnects(server):
     sink, port = _garbage_listener()
     try:
-        pool = ClientPool(protocol="binary")
+        pool = ClientPool()
         bad = pool.client(Endpoint("127.0.0.1", port))
         with pytest.raises((ProtocolError, RemoteError)) as excinfo:
             bad.ping()
@@ -220,6 +226,28 @@ def test_desynced_stream_fails_typed_and_pool_reconnects(server):
         pool.close()
     finally:
         sink.close()
+
+
+def test_remote_error_text_is_not_a_connection_error(server):
+    """Connection failures are classified by type: a deterministic
+    server error whose text happens to read like an EOF is not retried."""
+    retry = RetryPolicy(max_attempts=3, backoff_seconds=0.0)
+    with ClientPool(retry=retry) as pool:
+        endpoint = Endpoint(server.host, server.port)
+        with pytest.raises(RemoteError, match="unknown stream") as excinfo:
+            pool.run(endpoint, lambda c: c.stats("closed the connection"))
+        assert not is_connection_error(excinfo.value)
+        assert pool.retries == 0
+
+
+def test_server_eof_is_a_connection_error(server):
+    client = BinaryChronicleClient(server.host, server.port)
+    assert client.ping()
+    server.stop()
+    with pytest.raises((OSError, ConnectionClosed)) as excinfo:
+        client.ping()
+    assert is_connection_error(excinfo.value)
+    client.close()
 
 
 def test_client_close_fails_pending_cleanly(server):

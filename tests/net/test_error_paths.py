@@ -1,6 +1,5 @@
 """Protocol error paths: malformed input must never wedge the server."""
 
-import json
 import socket
 import threading
 import time
@@ -8,9 +7,8 @@ import time
 import pytest
 
 from repro import ChronicleConfig, ChronicleDB, Event, EventSchema
-from repro.errors import ProtocolError
-from repro.net import ChronicleClient, ChronicleServer
-from repro.net.protocol import MAX_LINE, read_line
+from repro.net import BinaryChronicleClient, ChronicleServer
+from repro.net import frames
 
 SCHEMA = EventSchema.of("v")
 
@@ -22,92 +20,82 @@ def server():
         yield srv
 
 
-def raw_exchange(server, payload: bytes) -> dict | None:
-    """Send raw bytes; return the decoded response line (or None)."""
+def read_frame(reader):
+    """One response frame off a socket file: ``(op, corr_id, body)``."""
+    op, corr_id, length = frames.decode_header(reader.read(frames.HEADER_SIZE))
+    return op, corr_id, frames.decode_json_payload(reader.read(length))
+
+
+def raw_exchange(server, payload: bytes, corr_id: int = 5):
+    """Send raw bytes as one ``OP_JSON`` frame payload; return the
+    response ``(op, corr_id, body)``."""
     with socket.create_connection((server.host, server.port), timeout=5) as s:
-        s.sendall(payload)
-        s.shutdown(socket.SHUT_WR)
-        data = s.makefile("rb").readline()
-    return json.loads(data) if data else None
+        s.sendall(frames.encode_frame(frames.OP_JSON, corr_id, payload))
+        return read_frame(s.makefile("rb"))
 
 
 def test_unknown_op_is_reported_not_fatal(server):
-    response = raw_exchange(server, b'{"op": "frobnicate"}\n')
-    assert response["ok"] is False
-    assert "frobnicate" in response["error"]
-    # The connection error did not take the server down.
-    with ChronicleClient(server.host, server.port) as client:
+    op, _, body = raw_exchange(server, b'{"op": "frobnicate"}')
+    assert op == frames.OP_ERR
+    assert "frobnicate" in body["error"]
+    # The request error did not take the server down.
+    with BinaryChronicleClient(server.host, server.port) as client:
         assert client.ping()
 
 
 def test_malformed_json_is_reported(server):
-    response = raw_exchange(server, b'{"op": "ping"\n')
-    assert response["ok"] is False
-    assert "bad request" in response["error"]
+    """A bad JSON frame payload is the request's error, not the
+    connection's: ``OP_ERR`` under the request's corr id, and the next
+    frame on the same socket is served."""
+    with socket.create_connection((server.host, server.port), timeout=5) as s:
+        reader = s.makefile("rb")
+        s.sendall(frames.encode_frame(frames.OP_JSON, 41, b'{"op": "ping"'))
+        op, corr_id, body = read_frame(reader)
+        assert (op, corr_id) == (frames.OP_ERR, 41)
+        assert "bad JSON frame payload" in body["error"]
+        s.sendall(frames.encode_frame(frames.OP_JSON, 42, b'{"op": "ping"}'))
+        assert read_frame(reader) == (frames.OP_OK, 42, {"result": "pong"})
 
 
 def test_missing_fields_are_reported(server):
-    response = raw_exchange(server, b'{"op": "append"}\n')
-    assert response["ok"] is False
-
-
-def test_oversized_line_gets_typed_error_and_close(server):
-    # Exactly MAX_LINE unterminated bytes: the server consumes the whole
-    # line before erroring, so its close is a clean FIN.  Any excess
-    # would sit unread and turn the close into a RST that can beat the
-    # error response to the client.
-    huge = b"x" * MAX_LINE
-    with socket.create_connection((server.host, server.port), timeout=5) as s:
-        s.sendall(huge)
-        reader = s.makefile("rb")
-        response = json.loads(reader.readline())
-        assert response["ok"] is False
-        assert "unterminated protocol line" in response["error"]
-        # The server closed the connection: nothing more arrives.
-        assert reader.readline() == b""
-
-
-def test_read_line_raises_protocol_error_on_unterminated_max_line():
-    import io
-
-    with pytest.raises(ProtocolError):
-        read_line(io.BytesIO(b"x" * MAX_LINE))
-    # A short unterminated line is a mid-line disconnect, not an error.
-    assert read_line(io.BytesIO(b"xyz")) is None
-    assert read_line(io.BytesIO(b"")) is None
+    for request in (b'{"op": "create_stream"}', b'{"op": "query"}', b"{}"):
+        op, corr_id, body = raw_exchange(server, request)
+        assert (op, corr_id) == (frames.OP_ERR, 5)
+        assert "bad request" in body["error"]
 
 
 def test_mid_request_disconnect_leaves_server_healthy(server):
-    with socket.create_connection((server.host, server.port), timeout=5) as s:
-        s.sendall(b'{"op": "ping"')  # no terminator; hang up mid-request
-    with ChronicleClient(server.host, server.port) as client:
+    frame = frames.encode_frame(frames.OP_JSON, 1, b'{"op": "ping"}')
+    for cut in (5, frames.HEADER_SIZE + 4):  # mid-header, mid-payload
+        with socket.create_connection(
+            (server.host, server.port), timeout=5
+        ) as s:
+            s.sendall(frame[:cut])  # hang up mid-request
+    with BinaryChronicleClient(server.host, server.port) as client:
         assert client.ping()
 
 
 def test_client_threads_are_pruned(server):
     for _ in range(8):
-        with ChronicleClient(server.host, server.port) as client:
+        with BinaryChronicleClient(server.host, server.port) as client:
             client.ping()
     deadline = time.time() + 5
     while server.live_connections and time.time() < deadline:
         time.sleep(0.01)
+    # Closed connections must not accumulate in the server core.
     assert server.live_connections == 0
-    with server._threads_lock:
-        dead = [t for t in server._threads if not t.is_alive()]
-    # Dead handler threads must not accumulate across connections.
-    assert len(dead) <= 1
 
 
 def test_streams_do_not_serialize_behind_each_other(server):
     """Appends to one stream proceed while another stream's lock is held."""
-    with ChronicleClient(server.host, server.port) as client:
+    with BinaryChronicleClient(server.host, server.port) as client:
         client.create_stream("a", SCHEMA)
         client.create_stream("b", SCHEMA)
         lock_a = server._lock_for("a")
         done = threading.Event()
 
         def append_b():
-            with ChronicleClient(server.host, server.port) as other:
+            with BinaryChronicleClient(server.host, server.port) as other:
                 other.append("b", Event.of(1, 1.0))
             done.set()
 
@@ -121,14 +109,14 @@ def test_streams_do_not_serialize_behind_each_other(server):
 
 def test_concurrent_appends_to_distinct_streams(server):
     streams = [f"s{i}" for i in range(4)]
-    with ChronicleClient(server.host, server.port) as admin:
+    with BinaryChronicleClient(server.host, server.port) as admin:
         for name in streams:
             admin.create_stream(name, SCHEMA)
     errors = []
 
     def writer(name):
         try:
-            with ChronicleClient(server.host, server.port) as client:
+            with BinaryChronicleClient(server.host, server.port) as client:
                 client.append_batch(
                     name, [Event.of(t, float(t)) for t in range(200)]
                 )
@@ -142,8 +130,9 @@ def test_concurrent_appends_to_distinct_streams(server):
         thread.start()
     for thread in threads:
         thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
     assert not errors
-    with ChronicleClient(server.host, server.port) as client:
+    with BinaryChronicleClient(server.host, server.port) as client:
         for name in streams:
             assert client.query(f"SELECT count(v) FROM {name}") == {
                 "count(v)": 200.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import ChronicleConfig, ChronicleDB, Event, EventSchema
-from repro.net import ChronicleClient, ChronicleServer
+from repro.net import BinaryChronicleClient, ChronicleServer
 from repro.net.client import RemoteError
 
 SCHEMA = EventSchema.of("temp", "load")
@@ -18,7 +18,7 @@ def server():
 
 @pytest.fixture
 def client(server):
-    with ChronicleClient(server.host, server.port) as cli:
+    with BinaryChronicleClient(server.host, server.port) as cli:
         yield cli
 
 
@@ -67,10 +67,10 @@ def test_server_reports_errors(client):
 
 
 def test_multiple_clients(server):
-    with ChronicleClient(server.host, server.port) as first:
+    with BinaryChronicleClient(server.host, server.port) as first:
         first.create_stream("s", SCHEMA)
         first.append_batch("s", [Event.of(i, 1.0, 2.0) for i in range(10)])
-    with ChronicleClient(server.host, server.port) as second:
+    with BinaryChronicleClient(server.host, server.port) as second:
         rows = second.query("SELECT * FROM s")
         assert len(rows) == 10
 

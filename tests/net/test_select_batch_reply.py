@@ -1,8 +1,8 @@
 """``SELECT *`` over the binary wire: one columnar ``OP_OK_BATCH`` frame.
 
 The reply reuses the catch-up/subscription batch payload, so what has to
-be proven is equivalence: for every result shape the binary client's
-``query`` returns exactly the ``list[Event]`` the JSON line client does —
+be proven is equivalence: for every result shape the client's ``query``
+returns exactly the ``list[Event]`` the embedded ``db.execute`` does —
 empty results, ``LIMIT``, row-plan results that merge the out-of-order
 queue, warm-tier segments, ownership-filtered streams after a shard
 split — and scatter-gather through pooled binary clients still merges
@@ -16,7 +16,7 @@ import pytest
 from repro import ChronicleConfig, ChronicleDB, Event, EventSchema
 from repro.cluster import Cluster, TimeWindowPlacement
 from repro.lifecycle import LifecyclePolicy
-from repro.net import BinaryChronicleClient, ChronicleClient, ChronicleServer
+from repro.net import BinaryChronicleClient, ChronicleServer
 from repro.net import frames
 from repro.query.plan import ROW
 
@@ -28,13 +28,9 @@ def make_events(t_lo, t_hi):
     return [Event.of(t, 10.0 + t % 7, float(t // 50)) for t in range(t_lo, t_hi)]
 
 
-def both_protocols(host, port, sql):
-    """``(binary_result, json_result)`` of *sql* against one server."""
-    with BinaryChronicleClient(host, port) as binary:
-        got = binary.query(sql)
-    with ChronicleClient(host, port) as legacy:
-        want = legacy.query(sql)
-    return got, want
+def wire_query(host, port, sql):
+    with BinaryChronicleClient(host, port) as client:
+        return client.query(sql)
 
 
 @pytest.fixture
@@ -76,8 +72,8 @@ def test_select_reply_frame_is_a_columnar_batch(server):
     ],
 )
 def test_binary_select_equals_json_select(server, sql):
-    got, want = both_protocols(server.host, server.port, sql)
-    assert got == want == server.db.execute(sql)
+    got = wire_query(server.host, server.port, sql)
+    assert got == server.db.execute(sql)
     assert all(isinstance(event, Event) for event in got)
 
 
@@ -86,8 +82,8 @@ def test_row_plan_result_reads_the_out_of_order_queue(server):
     stream.append(Event.of(300, 99.0, 99.0))  # late: parked in the queue
     assert stream.ooo_pending_in(0, 1000) == 1
     assert server.db.explain("SELECT * FROM s")["plan"] == ROW
-    got, want = both_protocols(server.host, server.port, "SELECT * FROM s")
-    assert got == want
+    got = wire_query(server.host, server.port, "SELECT * FROM s")
+    assert got == server.db.execute("SELECT * FROM s")
     assert len(got) == 601
     assert Event.of(300, 99.0, 99.0) in got
 
@@ -109,9 +105,8 @@ def test_warm_tier_segment_over_both_protocols():
             "SELECT * FROM s WHERE t BETWEEN 50 AND 350",
             "SELECT * FROM s WHERE load >= 1 LIMIT 30",
         ):
-            got, want = both_protocols(srv.host, srv.port, sql)
-            assert got == want == db.execute(sql)
-        got, _ = both_protocols(srv.host, srv.port, "SELECT * FROM s")
+            assert wire_query(srv.host, srv.port, sql) == db.execute(sql)
+        got = wire_query(srv.host, srv.port, "SELECT * FROM s")
         assert [e.t for e in got] == list(range(460))
 
 
@@ -125,27 +120,23 @@ def test_ownership_filtered_select_after_a_shard_split():
             client.append_batch("s", make_events(0, 400))
             record = cluster.split_shard(0, t_split=200)
             assert record["status"] == "done"
-            # The source keeps a dead copy of the moved window; both
-            # protocols must filter it on the timestamp column.
+            # The source keeps a dead copy of the moved window; the
+            # reply must filter it on the timestamp column.
             source = cluster.shard_map.shards[0].primary
-            got, want = both_protocols(
-                source.host, source.port, "SELECT * FROM s"
-            )
-            assert got == want
-            assert [e.t for e in got] == list(range(0, 100))
-            limited, want = both_protocols(
+            got = wire_query(source.host, source.port, "SELECT * FROM s")
+            assert got == make_events(0, 100)
+            limited = wire_query(
                 source.host, source.port,
                 "SELECT * FROM s WHERE load >= 1 LIMIT 10",
             )
-            assert limited == want
+            assert limited == make_events(50, 60)
         finally:
             client.close()
 
 
 def test_cluster_scatter_gather_select_through_binary_pool():
     with Cluster(
-        num_shards=3, policy=TimeWindowPlacement(100), config=CONFIG,
-        protocol="binary",
+        num_shards=3, policy=TimeWindowPlacement(100), config=CONFIG
     ) as cluster:
         client = cluster.client()
         try:

@@ -38,7 +38,7 @@ def base_dir():
 def test_failover_resumes_from_cursor(base_dir):
     with Cluster(
         num_shards=1, replication_factor=2, base_dir=base_dir,
-        config=CONFIG, protocol="binary",
+        config=CONFIG,
     ) as cluster:
         client = cluster.client()
         client.create_stream("s", SCHEMA)
@@ -65,7 +65,7 @@ def test_failover_resumes_from_cursor(base_dir):
 def test_subscription_follows_a_completed_split(base_dir):
     with Cluster(
         num_shards=2, replication_factor=1, base_dir=base_dir,
-        config=CONFIG, protocol="binary",
+        config=CONFIG,
     ) as cluster:
         client = cluster.client()
         client.create_stream("s", SCHEMA)
@@ -89,7 +89,7 @@ def test_subscription_follows_a_completed_split(base_dir):
 def test_subscription_survives_live_split_epoch_swap(base_dir):
     with Cluster(
         num_shards=2, replication_factor=1, base_dir=base_dir,
-        config=CONFIG, protocol="binary",
+        config=CONFIG,
     ) as cluster:
         client = cluster.client()
         client.create_stream("s", SCHEMA)
@@ -116,7 +116,7 @@ def test_windowed_placement_is_rejected(base_dir):
 
     with Cluster(
         num_shards=2, replication_factor=1, base_dir=base_dir,
-        config=CONFIG, protocol="binary",
+        config=CONFIG,
         policy=TimeWindowPlacement(window=100),
     ) as cluster:
         with pytest.raises(ClusterError):
@@ -153,7 +153,7 @@ def test_checkpointed_query_survives_restart_failover_and_split(base_dir):
     total, width = 400, 50
     with Cluster(
         num_shards=2, replication_factor=2, base_dir=base_dir,
-        config=CONFIG, protocol="binary",
+        config=CONFIG,
     ) as cluster:
         client = cluster.client()
         client.create_stream("s", SCHEMA)

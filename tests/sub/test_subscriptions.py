@@ -1,8 +1,7 @@
 """Live subscriptions end to end: replay, handoff, backpressure.
 
 Everything runs against a real :class:`ChronicleServer` on real
-sockets with the binary frame protocol (the only protocol that can
-carry pushed frames — the JSON client gets a typed refusal).
+sockets with the binary frame protocol.
 """
 
 import threading
@@ -11,8 +10,8 @@ import time
 import pytest
 
 from repro import ChronicleConfig, ChronicleDB, Event, EventSchema
-from repro.errors import SubscriptionClosed, SubscriptionError
-from repro.net import BinaryChronicleClient, ChronicleClient, ChronicleServer
+from repro.errors import SubscriptionClosed
+from repro.net import BinaryChronicleClient, ChronicleServer
 from repro.net.client import RemoteError
 
 SCHEMA = EventSchema.of("x", "y")
@@ -186,13 +185,12 @@ def test_unknown_stream_and_bad_params_are_typed_errors(server, client):
         client.subscribe("s", policy="wat")
 
 
-def test_json_protocol_refuses_subscriptions(server):
-    with ChronicleClient(server.host, server.port) as legacy:
-        with pytest.raises(SubscriptionError):
-            legacy.subscribe("s")
-        with pytest.raises(RemoteError) as err:
-            legacy.call({"op": "subscribe", "stream": "s"})
-        assert "binary" in str(err.value)
+def test_json_protocol_refuses_subscriptions(client):
+    """``subscribe`` is a frame op with a push channel behind it, not
+    an ``OP_JSON`` control op: tunnelled as one it is refused."""
+    with pytest.raises(RemoteError, match="unknown op 'subscribe'"):
+        client.call({"op": "subscribe", "stream": "s"})
+    assert client.ping()
 
 
 def test_late_out_of_order_event_behind_live_cursor_is_skipped(
