@@ -25,11 +25,7 @@ from repro.events.event import Event
 from repro.events.schema import EventSchema
 from repro.obs import OBS
 from repro.query.parser import parse as parse_query
-from repro.query.partials import (
-    finalize,
-    merge_components,
-    merge_partial_groups,
-)
+from repro.query.partials import finalize_result, merge_partials
 from repro.query.planner import plan_scatter
 
 _FORWARDED_BATCHES = OBS.counter("cluster.forwarded_batches")
@@ -215,10 +211,11 @@ class ClusterClient:
         client: a list of events, a dict of aggregates, or grouped rows.
 
         Scatter-gather ships *plans*, not events: every shard runs the
-        query through its own planner (index-only locally wherever the
-        statistics allow), and aggregate scatters return partial
-        components for the router to merge — only ``SELECT *`` ever
-        moves raw events.
+        query through :func:`repro.query.planner.execute` — the same
+        call a single node makes, index-only wherever the statistics
+        allow, columnar under a predicate — in components mode, so
+        aggregate scatters return partial components for the router to
+        merge; only ``SELECT *`` ever moves raw events.
         """
         query = parse_query(sql)
         specs = self.shard_map.shards_for_stream(query.stream)
@@ -236,9 +233,7 @@ class ClusterClient:
         self.counters["plan_pushdowns"] += 1
         if OBS.enabled:
             _PLAN_PUSHDOWNS.inc()
-        if scatter["mode"] == "grouped_partials":
-            return self._scatter_groups(sql, specs, query)
-        return self._scatter_aggregates(sql, specs, query)
+        return self._scatter_partials(sql, specs, query)
 
     execute = query
 
@@ -252,38 +247,12 @@ class ClusterClient:
             merged = merged[: query.limit]
         return merged
 
-    def _scatter_aggregates(self, sql: str, specs, query):
+    def _scatter_partials(self, sql: str, specs, query):
         partials = [
-            self._on_primary(spec, lambda c: c.query_partials(sql))[
-                "aggregates"
-            ]
+            self._on_primary(spec, lambda c: c.query_partials(sql))
             for spec in specs
         ]
-        out = {}
-        for agg in query.select:
-            components = merge_components(
-                [p[agg.label] for p in partials]
-            )
-            out[agg.label] = finalize(components, agg.function)
-        return out
-
-    def _scatter_groups(self, sql: str, specs, query):
-        labels = [agg.label for agg in query.select]
-        shard_rows = [
-            self._on_primary(spec, lambda c: c.query_partials(sql))[
-                "groups"
-            ]
-            for spec in specs
-        ]
-        rows = []
-        for bucket in merge_partial_groups(shard_rows, labels):
-            row = {"t_start": bucket["t_start"], "t_end": bucket["t_end"]}
-            for agg in query.select:
-                row[agg.label] = finalize(bucket[agg.label], agg.function)
-            rows.append(row)
-        if query.limit is not None:
-            rows = rows[: query.limit]
-        return rows
+        return finalize_result(merge_partials(partials, query), query)
 
     # ---------------------------------------------------------------- admin
 

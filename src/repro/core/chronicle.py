@@ -219,11 +219,6 @@ class ChronicleDB:
                 self.streams[name], policy
             )
 
-    def lifecycle_manager(self, name: str) -> LifecycleManager | None:
-        """The stream's lifecycle manager, or None when tiering is off."""
-        self.get_stream(name)
-        return self._lifecycles.get(name)
-
     def lifecycle_tick(self, name: str | None = None,
                        now: int | None = None) -> dict:
         """Run one tiering tick (all streams, or just *name*).
@@ -328,7 +323,7 @@ class ChronicleDB:
     def execute(self, query):
         """Run an SQL-like query — text or already parsed (see
         :mod:`repro.query`)."""
-        from repro.query.executor import execute
+        from repro.query.planner import execute
 
         return execute(self, query)
 

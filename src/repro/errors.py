@@ -62,10 +62,6 @@ class QueryError(ChronicleError):
     """A query is malformed (unknown attribute, bad range, parse error)."""
 
 
-class OutOfOrderError(ChronicleError):
-    """An out-of-order event could not be placed (e.g. before stream start)."""
-
-
 class ConfigError(ChronicleError):
     """Invalid engine or layout configuration."""
 

@@ -77,14 +77,6 @@ class PaxCodec:
         """
         return b"".join(self.encode_one(event) for event in events)
 
-    def decode_rows(self, data: bytes, count: int) -> list[Event]:
-        """Inverse of :meth:`encode_rows`."""
-        size = self.schema.event_size
-        return [
-            self.decode_one(data[i * size : (i + 1) * size])
-            for i in range(count)
-        ]
-
     def encode_one(self, event: Event) -> bytes:
         """Serialize a single event (used by the WAL and mirror log)."""
         return struct.pack(

@@ -108,7 +108,3 @@ class NodeBuffer:
 
     def drop(self, node_id: int) -> None:
         self._frames.pop(node_id, None)
-
-    @property
-    def dirty_count(self) -> int:
-        return sum(1 for f in self._frames.values() if f.dirty)

@@ -75,10 +75,6 @@ class RunStore:
         fences = [entries[i].value for i in range(0, len(entries), FENCE_EVERY)]
         return offset, fences
 
-    def read_entry(self, offset: int, index: int) -> SecondaryRef:
-        data = self.device.read(offset + index * ENTRY_SIZE, ENTRY_SIZE)
-        return SecondaryRef(*ENTRY.unpack(data))
-
     def read_slice(self, offset: int, start: int, count: int) -> list[SecondaryRef]:
         data = self.device.read(offset + start * ENTRY_SIZE, count * ENTRY_SIZE)
         return [

@@ -22,7 +22,6 @@ import threading
 
 from repro.core.chronicle import ChronicleDB
 from repro.errors import ChronicleError, ProtocolError, StaleRouteError
-from repro.events.event import ColumnarEvents
 from repro.events.schema import EventSchema
 from repro.events.serializer import PaxCodec
 from repro.net import frames
@@ -47,9 +46,9 @@ def _stale_payload(error: StaleRouteError) -> dict:
 
 class _EventRows:
     """Events on their way to a transport, which encodes them outside
-    the stream lock: ``SELECT *`` rows — a :class:`ColumnarEvents` batch
-    (columnar plans) or a list of events (row plans) — and catch-up
-    replays."""
+    the stream lock: ``SELECT *`` rows — a
+    :class:`~repro.events.event.ColumnarEvents` batch (columnar plans)
+    or a list of events (row plans) — and catch-up replays."""
 
     def __init__(self, stream: str, schema: EventSchema, rows):
         self.stream, self.schema, self.rows = stream, schema, rows
@@ -399,58 +398,23 @@ class ChronicleServer:
             return self._handle_db_op(op, request)
 
     def _handle_query(self, request: dict, query):
-        served = self._served_filter(query.stream)
-        if request.get("partials"):
-            from repro.query.partials import execute_partials
-
-            return {
-                "partials": execute_partials(self.db, query, served=served)
-            }
-        if served is not None and not isinstance(query.select, SelectStar):
-            return self._owned_aggregates(query, served)
-        result = execute_query(self.db, query, materialize=False)
+        """One planner call per request: the ownership predicate (dead
+        copies a split left behind) and the reply format — finals, or
+        mergeable components for a router's ``partials`` scatter — are
+        arguments of the same plan."""
+        partials = bool(request.get("partials"))
+        result = execute_query(
+            self.db, query, materialize=False,
+            served=self._served_filter(query.stream), components=partials,
+        )
+        if partials:
+            return {"partials": result}
         if isinstance(result, dict):
             return {"aggregates": result}
         if not isinstance(query.select, SelectStar):
             return {"groups": result}  # GROUP BY time(...) rows
-        if served is not None:
-            if isinstance(result, ColumnarEvents):
-                stamps = result.timestamps
-                keep = [row for row, t in enumerate(stamps) if served(t)]
-                owned = ColumnarEvents.empty(len(result.columns))
-                owned.append_rows(stamps, result.columns, keep)
-                result = owned
-            else:
-                result = [e for e in result if served(e.t)]
         schema = self.db.get_stream(query.stream).schema
         return _EventRows(query.stream, schema, result)
-
-    def _owned_aggregates(self, query, served) -> dict:
-        """Aggregates over an assignment-affected stream: the index
-        statistics can't see ownership, so compute via the partials
-        event fold with the ``served`` predicate and finalize locally —
-        identical values to a node that never held the dead range."""
-        from repro.query.partials import execute_partials, finalize
-
-        partial = execute_partials(self.db, query, served=served)
-        if "groups" in partial:
-            rows = []
-            for bucket in partial["groups"]:
-                row = {"t_start": bucket["t_start"], "t_end": bucket["t_end"]}
-                for agg in query.select:
-                    row[agg.label] = finalize(bucket[agg.label], agg.function)
-                rows.append(row)
-            if query.limit is not None:
-                rows = rows[: query.limit]
-            return {"groups": rows}
-        return {
-            "aggregates": {
-                agg.label: finalize(
-                    partial["aggregates"][agg.label], agg.function
-                )
-                for agg in query.select
-            }
-        }
 
     def _handle_db_op(self, op: str, request: dict):
         if op == "create_stream":

@@ -10,10 +10,9 @@ the programmatic API.  The dialect covers the paper's query classes:
 """
 
 from repro.query.ast import Aggregate, Query, SelectStar
-from repro.query.executor import execute
 from repro.query.parser import parse
 from repro.query.plan import Plan
-from repro.query.planner import build_plan, explain
+from repro.query.planner import build_plan, execute, explain
 
 __all__ = [
     "Aggregate",

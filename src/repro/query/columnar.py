@@ -24,13 +24,15 @@ from __future__ import annotations
 from repro.errors import QueryError
 from repro.events.event import ColumnarEvents
 from repro.query.naive import _MAX_BUCKETS, _fold
+from repro.query.partials import components_of_values
 
 
-def _selection(stream, query, leaf, lo, hi):
+def _selection(stream, query, leaf, lo, hi, served=None):
     """Qualifying row indices in ``[lo, hi)`` of one leaf.
 
     Applies the closed attribute ranges, then the strict (``<``/``>``)
-    residues, narrowing the selection vector predicate by predicate.
+    residues, then the ownership predicate *served* on the timestamp
+    column, narrowing the selection vector predicate by predicate.
     Returns ``(rows, examined)`` where *examined* counts the column
     values actually compared (the work the cost model charges for).
     """
@@ -62,7 +64,12 @@ def _selection(stream, query, leaf, lo, hi):
         rows = kept
         if not rows:
             return rows, examined
-    if rows is None:
+    if served is not None:
+        timestamps = leaf.timestamps
+        source = range(lo, hi) if rows is None else rows
+        examined += len(source)
+        rows = [i for i in source if served(timestamps[i])]
+    elif rows is None:
         rows = list(range(lo, hi))
     return rows, examined
 
@@ -76,13 +83,14 @@ def _charge(stream, examined: int, materialized: int) -> None:
     )
 
 
-def scan_events(stream, query, stats: dict, time_order: bool):
+def scan_events(stream, query, stats: dict, time_order: bool, served=None):
     """``SELECT *`` through the columnar path.
 
     Qualifying rows accumulate column-wise and come back as one
     :class:`ColumnarEvents` batch; the caller turns it into
     :class:`Event` objects (or wire columns) at the API boundary — the
-    only point that pays per-row deserialization.
+    only point that pays per-row deserialization.  ``LIMIT`` counts
+    selected rows, so it applies after the *served* predicate.
     """
     out = ColumnarEvents.empty(stream.schema.arity)
     limit = query.limit
@@ -91,7 +99,7 @@ def scan_events(stream, query, stats: dict, time_order: bool):
         query.t_start, query.t_end, query.ranges or None, stats,
         time_order=time_order,
     ):
-        rows, checked = _selection(stream, query, leaf, lo, hi)
+        rows, checked = _selection(stream, query, leaf, lo, hi, served)
         examined += checked
         if not rows:
             continue
@@ -109,7 +117,7 @@ def scan_events(stream, query, stats: dict, time_order: bool):
     return out
 
 
-def _gather(stream, query, stats: dict, t_start: int, t_end: int):
+def _gather(stream, query, stats: dict, served):
     """Collect per-attribute value lists for the selected rows.
 
     Returns ``(values, examined)`` with ``values[name]`` in naive scan
@@ -123,9 +131,9 @@ def _gather(stream, query, stats: dict, t_start: int, t_end: int):
     values: dict[str, list] = {name: [] for name in positions}
     examined = 0
     for leaf, lo, hi in stream.leaf_slices(
-        t_start, t_end, query.ranges or None, stats
+        query.t_start, query.t_end, query.ranges or None, stats
     ):
-        rows, checked = _selection(stream, query, leaf, lo, hi)
+        rows, checked = _selection(stream, query, leaf, lo, hi, served)
         examined += checked
         if not rows:
             continue
@@ -135,36 +143,54 @@ def _gather(stream, query, stats: dict, t_start: int, t_end: int):
     return values, examined
 
 
-def scan_aggregates(stream, query, stats: dict):
+def _render(agg, values: list, components: bool):
+    """One aggregate over its collected values: the oracle's fold, or
+    the mergeable components of the same values."""
+    if components:
+        return components_of_values(values)
+    return _fold(agg.function, values)
+
+
+def scan_aggregates(stream, query, stats: dict, served=None,
+                    components: bool = False):
     """Filtered, ungrouped aggregates without event materialization."""
-    values, examined = _gather(
-        stream, query, stats, query.t_start, query.t_end
-    )
+    values, examined = _gather(stream, query, stats, served)
     _charge(stream, examined, 0)
-    if not any(values.values()):
+    if not components and not any(values.values()):
         raise QueryError("aggregate over empty result set")
     return {
-        agg.label: _fold(agg.function, values[agg.attribute])
+        agg.label: _render(agg, values[agg.attribute], components)
         for agg in query.select
     }
 
 
-def scan_grouped(stream, query, stats: dict):
-    """Filtered ``GROUP BY time(width)`` through the columnar path."""
+def bucket_window(stream, query):
+    """``GROUP BY time``'s range clamped to the raw time bounds, as
+    ``(t_start, t_end)`` — ``None`` when no raw event can fall in it."""
     width = query.group_by_time
     bounds = stream.time_bounds()
     if bounds is None:
-        return []
+        return None
     t_start = max(query.t_start, bounds[0])
     t_end = min(query.t_end, bounds[1])
     if t_end < t_start:
-        return []
-    first = (t_start // width) * width
-    buckets = (t_end - first) // width + 1
+        return None
+    buckets = (t_end - (t_start // width) * width) // width + 1
     if buckets > _MAX_BUCKETS:
         raise QueryError(
             f"GROUP BY time({width}) would produce {buckets} buckets"
         )
+    return t_start, t_end
+
+
+def scan_grouped(stream, query, stats: dict, served=None,
+                 components: bool = False):
+    """Filtered ``GROUP BY time(width)`` through the columnar path."""
+    window = bucket_window(stream, query)
+    if window is None:
+        return []
+    t_start, t_end = window
+    width = query.group_by_time
     schema = stream.schema
     positions = {
         agg.attribute: schema.index_of(agg.attribute) for agg in query.select
@@ -174,7 +200,7 @@ def scan_grouped(stream, query, stats: dict):
     for leaf, lo, hi in stream.leaf_slices(
         t_start, t_end, query.ranges or None, stats
     ):
-        rows, checked = _selection(stream, query, leaf, lo, hi)
+        rows, checked = _selection(stream, query, leaf, lo, hi, served)
         examined += checked
         if not rows:
             continue
@@ -196,8 +222,6 @@ def scan_grouped(stream, query, stats: dict):
         row = {"t_start": bucket_start, "t_end": bucket_start + width}
         slot = by_bucket[bucket_start]
         for agg in query.select:
-            row[agg.label] = _fold(agg.function, slot[agg.attribute])
+            row[agg.label] = _render(agg, slot[agg.attribute], components)
         out.append(row)
-    if query.limit is not None:
-        out = out[: query.limit]
-    return out
+    return out[: query.limit]

@@ -40,6 +40,10 @@ class Plan:
     #: Columnar select-star only: emit leaves in global time order
     #: (matching ``time_travel``) instead of filter order.
     time_order: bool = False
+    #: Ownership predicate ``t -> bool`` the plan was built under (a
+    #: split's source still stores ranges it handed off), or None when
+    #: every stored event is authoritative.
+    served: object = None
     #: Execution counters, filled in by the planner after the run.
     executed: dict = field(default_factory=dict)
 

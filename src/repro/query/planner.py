@@ -25,16 +25,26 @@ Three access paths compete for every query:
 Plan choice is observable: ``ChronicleDB.explain(sql)`` renders the
 :class:`~repro.query.plan.Plan` without running it, and ``planner.*``
 metrics count chosen kinds and scan work when observation is enabled.
+
+:func:`execute` is the only way a query runs — embedded
+``db.execute``, the server's finals, a shard's ``partials`` reply and
+ownership-filtered reads after a split are the same plans with two call
+arguments: *served* (a ``t -> bool`` ownership predicate, one more
+selection on the timestamp column) and *components* (aggregates leave
+as mergeable :mod:`~repro.query.partials` components, not finals).
 """
 
 from __future__ import annotations
 
+from itertools import islice
+
 from repro.errors import QueryError
 from repro.index.queries import FAST_AGGREGATES, SCAN_AGGREGATES
 from repro.obs import OBS
-from repro.query import naive
+from repro.query import columnar, naive
 from repro.query.ast import SelectStar
 from repro.query.parser import parse
+from repro.query.partials import components_from_accumulator
 from repro.query.plan import COLUMNAR, INDEX_ONLY, ROW, Plan
 
 _PLANS_INDEX_ONLY = OBS.counter("planner.plans_index_only")
@@ -52,7 +62,8 @@ _PLAN_COUNTERS = {
 }
 
 
-def execute(db, query, materialize: bool = True):
+def execute(db, query, materialize: bool = True, served=None,
+            components: bool = False):
     """Plan and run *query* — the engine-wide query entry point.
 
     *query* is SQL text or an already-parsed query (the server parses
@@ -60,13 +71,23 @@ def execute(db, query, materialize: bool = True):
     ``materialize=False`` a columnar ``SELECT *`` comes back as the
     :class:`~repro.events.event.ColumnarEvents` batch the scan built,
     for callers that encode columns straight onto the wire.
+
+    *served*, when given, is a ``t -> bool`` ownership predicate: a
+    split's source shard retains dead copies of ranges it handed off,
+    and the serving node passes the predicate so those events are
+    excluded (before ``LIMIT``).  With *components* an aggregate query
+    returns ``{"aggregates": {label: components}}`` or ``{"groups":
+    [{"t_start", "t_end", label: components, ...}]}`` — what a shard
+    ships for the router to merge
+    (:func:`repro.query.partials.finalize_result` turns either back into
+    finals).
     """
     if isinstance(query, str):
         query = parse(query)
     stream = db.get_stream(query.stream)
     naive.validate(stream, query)
-    plan = build_plan(stream, query)
-    return run_plan(stream, plan, materialize)
+    plan = build_plan(stream, query, served)
+    return run_plan(stream, plan, materialize, components)
 
 
 def explain(db, sql: str) -> dict:
@@ -130,7 +151,7 @@ def _estimate_costs(stream, query, estimated_rows: int) -> dict:
     return out
 
 
-def build_plan(stream, query) -> Plan:
+def build_plan(stream, query, served=None) -> Plan:
     """Pick the cheapest access path that is exactly oracle-equivalent."""
     filtered = bool(query.ranges or getattr(query, "strict_checks", []))
     segments = stream.plan_segments(query.t_start, query.t_end)
@@ -139,7 +160,7 @@ def build_plan(stream, query) -> Plan:
 
     def plan(kind, reason, **extra):
         return Plan(
-            kind, query, reason, segments=segments,
+            kind, query, reason, segments=segments, served=served,
             estimated_rows=estimated_rows, estimated_cost=costs, **extra,
         )
 
@@ -163,6 +184,13 @@ def build_plan(stream, query) -> Plan:
             "API boundary",
             time_order=True,
         )
+    if served is not None:
+        return plan(
+            COLUMNAR,
+            "ownership predicate: index statistics still count the dead "
+            "copies a split left behind, so owned rows are selected on the "
+            "timestamp column",
+        )
     blocker = _index_only_blocker(stream, query)
     if not filtered and blocker is None:
         return plan(
@@ -182,34 +210,55 @@ def build_plan(stream, query) -> Plan:
 # ----------------------------------------------------------------- execution
 
 
-def run_plan(stream, plan: Plan, materialize: bool = True):
-    """Execute a built plan against one stream."""
+def run_plan(stream, plan: Plan, materialize: bool = True,
+             components: bool = False):
+    """Execute a built plan against one stream.
+
+    Finals and components come from the same work: index accumulators
+    either finalize or serialize, collected value lists either fold or
+    accumulate.
+    """
+    query = plan.query
+    if components and isinstance(query.select, SelectStar):
+        raise QueryError("SELECT * has no partial-aggregate form")
     if OBS.enabled:
         _PLAN_COUNTERS[plan.kind].inc()
-    query = plan.query
-    if plan.kind == ROW:
-        return naive.run_naive(stream, query)
-    if plan.kind == INDEX_ONLY:
-        if query.group_by_time is not None:
-            return _index_only_grouped(stream, query)
-        return {
+    grouped = query.group_by_time is not None
+    if plan.kind == COLUMNAR:
+        result = _run_columnar(stream, plan, materialize, components)
+    elif components and not grouped:
+        result = _accumulated(stream, query, query.t_start, query.t_end)
+    elif plan.kind == ROW:
+        result = _run_row(stream, plan, components)
+    elif grouped:
+        result = _index_only_grouped(stream, query, components)
+    else:
+        result = {
             agg.label: stream.aggregate(
                 query.t_start, query.t_end, agg.attribute, agg.function
             )
             for agg in query.select
         }
-    from repro.query import columnar
+    if components:
+        return {"groups" if grouped else "aggregates": result}
+    return result
 
+
+def _run_columnar(stream, plan: Plan, materialize: bool, components: bool):
+    query = plan.query
     stats: dict = {}
     try:
         if isinstance(query.select, SelectStar):
             batch = columnar.scan_events(
-                stream, query, stats, plan.time_order
+                stream, query, stats, plan.time_order, plan.served
             )
             return batch.materialize() if materialize else batch
-        if query.group_by_time is not None:
-            return columnar.scan_grouped(stream, query, stats)
-        return columnar.scan_aggregates(stream, query, stats)
+        scan = (
+            columnar.scan_aggregates
+            if query.group_by_time is None
+            else columnar.scan_grouped
+        )
+        return scan(stream, query, stats, plan.served, components)
     finally:
         plan.executed = stats
         if OBS.enabled:
@@ -219,55 +268,97 @@ def run_plan(stream, plan: Plan, materialize: bool = True):
             _ROWS_MATERIALIZED.inc(stats.get("rows_materialized", 0))
 
 
-def _index_only_grouped(stream, query):
+def _accumulated(stream, query, t_start: int, t_end: int) -> dict:
+    """Components per select over ``[t_start, t_end]``: index statistics
+    where they apply, else :meth:`EventStream.aggregate_accumulator`'s
+    scan fallback (the cases :func:`_index_only_blocker` names)."""
+    return {
+        agg.label: components_from_accumulator(
+            stream.aggregate_accumulator(
+                t_start, t_end, agg.attribute,
+                need_squares=agg.function in SCAN_AGGREGATES,
+            )
+        )
+        for agg in query.select
+    }
+
+
+def _run_row(stream, plan: Plan, components: bool):
+    """The oracle itself for finals; for what it has no notion of — an
+    ownership predicate, grouped components — the same scans it runs."""
+    query = plan.query
+    if plan.served is not None:
+        # Only an unfiltered SELECT * plans ROW under a predicate: the
+        # oracle's time-travel scan, filtered ahead of LIMIT.
+        owned = (
+            event
+            for event in stream.time_travel(query.t_start, query.t_end)
+            if plan.served(event.t)
+        )
+        return list(islice(owned, query.limit))
+    if not components:
+        return naive.run_naive(stream, query)
+    window = columnar.bucket_window(stream, query)
+    if window is None:
+        return []
+    t_start, t_end = window
+    width = query.group_by_time
+    rows = []
+    for bucket_start in range((t_start // width) * width, t_end + 1, width):
+        try:
+            row = _accumulated(
+                stream, query, max(bucket_start, t_start),
+                min(bucket_start + width - 1, t_end),
+            )
+        except QueryError:
+            continue  # needs raw events a tier no longer holds
+        if all(part["count"] for part in row.values()):
+            rows.append(
+                {"t_start": bucket_start, "t_end": bucket_start + width, **row}
+            )
+    return rows[: query.limit]
+
+
+def _index_only_grouped(stream, query, components: bool):
     """``GROUP BY time``: one grouped descent per split, not per bucket.
 
-    Matches the naive executor bucket for bucket: clamped to the raw
-    time bounds, empty buckets omitted, and buckets a tier cannot answer
-    at full resolution (cut rollup rows, expired history) dropped the
-    way the oracle's per-bucket ``QueryError`` handling drops them.
+    Matches the naive executor bucket for bucket in either output
+    format: clamped to the raw time bounds, empty buckets omitted, and
+    buckets a tier cannot answer at full resolution (cut rollup rows,
+    expired history) dropped the way the oracle's per-bucket
+    ``QueryError`` handling drops them.
     """
+    window = columnar.bucket_window(stream, query)
+    if window is None:
+        return []
+    t_start, t_end = window
     width = query.group_by_time
-    bounds = stream.time_bounds()
-    if bounds is None:
-        return []
-    t_start = max(query.t_start, bounds[0])
-    t_end = min(query.t_end, bounds[1])
-    if t_end < t_start:
-        return []
-    first = (t_start // width) * width
-    buckets = (t_end - first) // width + 1
-    if buckets > naive._MAX_BUCKETS:
-        raise QueryError(
-            f"GROUP BY time({width}) would produce {buckets} buckets"
-        )
     per_attr: dict[str, dict] = {}
     poisoned: set[int] = set()
     for attribute in dict.fromkeys(agg.attribute for agg in query.select):
-        components, bad = stream.grouped_components(
+        per_attr[attribute], bad = stream.grouped_components(
             t_start, t_end, attribute, width
         )
-        per_attr[attribute] = components
         poisoned |= bad
     keys: set[int] = set()
-    for components in per_attr.values():
-        keys.update(components)
+    for buckets in per_attr.values():
+        keys.update(buckets)
     rows = []
-    for bucket_start in sorted(keys):
-        if bucket_start in poisoned:
-            continue
+    for bucket_start in sorted(keys - poisoned):
         row = {"t_start": bucket_start, "t_end": bucket_start + width}
         try:
             for agg in query.select:
-                row[agg.label] = per_attr[agg.attribute][
-                    bucket_start
-                ].result(agg.function)
+                acc = per_attr[agg.attribute][bucket_start]
+                # Finalizing decides whether the bucket survives in
+                # either format, so both drop exactly the same rows.
+                value = acc.result(agg.function)
+                row[agg.label] = (
+                    components_from_accumulator(acc) if components else value
+                )
         except (KeyError, QueryError):
             continue  # bucket empty for some attribute, or squares lost
         rows.append(row)
-    if query.limit is not None:
-        rows = rows[: query.limit]
-    return rows
+    return rows[: query.limit]
 
 
 # ------------------------------------------------------------------- cluster
@@ -276,19 +367,19 @@ def _index_only_grouped(stream, query):
 def plan_scatter(query) -> dict:
     """How the cluster router should fan a parsed query out.
 
-    Shards always execute *plans* locally (their ``query`` op runs
-    through this planner); the router's remaining decision is what to
-    ship back: merged partial-aggregate components wherever the algebra
-    allows, raw events only for ``SELECT *``.
+    Shards always execute *plans* locally (their ``query`` op is one
+    :func:`execute` call, in components mode for a ``partials``
+    request); the router's remaining decision is what to ship back:
+    merged partial-aggregate components wherever the algebra allows,
+    raw events only for ``SELECT *``.
     """
     if isinstance(query.select, SelectStar):
         return {
             "mode": "events",
             "reason": "SELECT * has no partial-aggregate form",
         }
-    mode = "grouped_partials" if query.group_by_time is not None else "partials"
     return {
-        "mode": mode,
-        "reason": "shards answer index-only and ship components, "
+        "mode": "partials",
+        "reason": "shards run their own plan and ship components, "
         "not events",
     }

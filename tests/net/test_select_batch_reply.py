@@ -134,6 +134,14 @@ def test_ownership_filtered_select_after_a_shard_split():
             client.close()
 
 
+def test_limit_counts_owned_rows_not_scanned_rows(server):
+    # A node whose dead copies sort ahead of its owned rows: LIMIT must
+    # cut the owned rows, not the scan (which then filtered down to 0).
+    server._served_filter = lambda stream: lambda t: t >= 50
+    got = wire_query(server.host, server.port, "SELECT * FROM s LIMIT 10")
+    assert got == make_events(50, 60)
+
+
 def test_cluster_scatter_gather_select_through_binary_pool():
     with Cluster(
         num_shards=3, policy=TimeWindowPlacement(100), config=CONFIG

@@ -112,7 +112,7 @@ def test_fine_buckets_clamped_to_data_range(db):
 
 
 def test_bucket_explosion_guard():
-    from repro.query.executor import _MAX_BUCKETS
+    from repro.query.naive import _MAX_BUCKETS
 
     database = ChronicleDB(
         config=ChronicleConfig(lblock_size=512, macro_size=2048)

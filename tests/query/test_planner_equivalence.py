@@ -10,9 +10,16 @@ Values are float-encoded integers, so sums (and therefore avg/stdev
 inputs) are exact and results compare with ``==`` — except where the
 index-only path legitimately re-associates additions across split
 summaries, which stays exact on integers anyway.  Tiered streams get
-their own scenario at the bottom; the cluster path is covered by
-``tests/cluster`` plus the partials-vectorization test here.
+their own scenario below.
+
+The same strategies then pin the planner's two call arguments: a plan
+run in *components* mode finalizes to exactly its finals, an
+always-true *served* predicate changes nothing, and any other one
+answers as the oracle does over the owned events alone.  The cluster
+path on top of that is covered by ``tests/cluster``.
 """
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -23,9 +30,11 @@ from repro.errors import QueryError
 from repro.events import Event, EventSchema
 from repro.lifecycle import LifecycleManager, LifecyclePolicy
 from repro.query import naive
+from repro.query.ast import SelectStar
 from repro.query.parser import parse
-from repro.query.plan import KINDS
-from repro.query.planner import build_plan, run_plan
+from repro.query.partials import finalize_result
+from repro.query.plan import INDEX_ONLY, KINDS, ROW
+from repro.query.planner import build_plan, execute, run_plan
 
 ATTRS = ("a", "b", "c")
 
@@ -209,55 +218,264 @@ def test_plans_match_naive_oracle_on_tiered_streams(rows, policy, data):
         stream.close()
 
 
-def test_partials_vectorized_grouped_matches_per_bucket_loop():
-    """The shard-local grouped partials keep their exact wire shape."""
-    from repro.query import partials
+# ------------------------------------------- components and ownership
 
+
+class _Db:
+    """``execute`` only asks a database for the stream."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def get_stream(self, name):
+        return self._stream
+
+
+def _same(got, want):
+    """``==``, except ``stdev`` values: components finalize them from a
+    sum of squares where the oracle's scans use the two-pass formula."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if key.startswith("stdev("):
+                assert got[key] == pytest.approx(value, rel=1e-9, abs=1e-9)
+            else:
+                assert got[key] == value, key
+    elif isinstance(want, list) and want and isinstance(want[0], dict):
+        assert len(got) == len(want)
+        for got_row, want_row in zip(got, want):
+            _same(got_row, want_row)
+    else:
+        assert got == want
+
+
+def _execute(stream, query, **mode):
+    """Finals of ``execute(..., **mode)``, or the string "QueryError"."""
+    try:
+        result = execute(_Db(stream), query, **mode)
+        if mode.get("components"):
+            result = finalize_result(result, query)
+        return result
+    except QueryError:
+        return "QueryError"
+
+
+def _check_modes(stream, sql, owned_stream, predicate):
+    """Components and ownership change the output format and the
+    selection, never the answer.
+
+    Two tier facts bound what an ownership-filtered *unfiltered
+    aggregate* can be compared with: queued out-of-order events are
+    visible to time travel only (so also to the oracle's settled copy),
+    cold rollups and expired ranges to index statistics only.
+    """
+    query = parse(sql)
+    select_star = isinstance(query.select, SelectStar)
+    unfiltered = not (query.ranges or getattr(query, "strict_checks", []))
+    queue_empty = stream.ooo_pending_in(-(2**62), 2**62) == 0
+    raw_only = not (stream.tiers.cold or stream.tiers.expired)
+    finals = _execute(stream, query)
+    if not select_star:
+        _same(_execute(stream, query, components=True), finals)
+    if select_star or not unfiltered or (queue_empty and raw_only):
+        _same(_execute(stream, query, served=lambda t: True), finals)
+    if queue_empty or (select_star and unfiltered):
+        want = _run(naive.run_naive, owned_stream, query)
+        _same(_execute(stream, query, served=predicate), want)
+        if not select_star:
+            _same(
+                _execute(stream, query, served=predicate, components=True),
+                want,
+            )
+
+
+def _owned_copy(stream, predicate):
+    """The oracle's input: a settled stream of just the owned events."""
+    copy = EventStream(
+        "s", stream.schema,
+        ChronicleConfig(lblock_size=512, macro_size=2048), DeviceProvider(),
+    )
+    copy.append_batch([e for e in stream.scan() if predicate(e.t)])
+    copy.flush()
+    return copy
+
+
+predicates = st.sampled_from(
+    [
+        lambda t: t >= 40,
+        lambda t: t < 25,
+        lambda t: (t // 10) % 2 == 0,
+        lambda t: False,
+    ]
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    workloads,
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(CONFIGS),
+    st.booleans(),
+    predicates,
+    st.data(),
+)
+def test_components_and_ownership_match_finals(
+    rows, arity, overrides, flush, predicate, data
+):
+    stream = _build(rows, arity, overrides, flush)
+    owned = _owned_copy(stream, predicate)
+    try:
+        top = max(e.t for e in stream.scan())
+        for sql in _queries(top, ATTRS[:arity], data):
+            _check_modes(stream, sql, owned, predicate)
+    finally:
+        stream.close()
+        owned.close()
+
+
+TIERED_POLICY = LifecyclePolicy(
+    hot_to_warm_after=120,
+    warm_to_cold_after=240,
+    retention_horizon=480,
+    rollup_interval=60,
+    max_jobs_per_tick=2,
+)
+
+
+def _tiered(rows, policy=TIERED_POLICY):
+    config = ChronicleConfig(
+        lblock_size=256,
+        macro_size=512,
+        lblock_spare=0.2,
+        queue_capacity=8,
+        time_split_interval=60,
+        lifecycle=policy,
+    )
+    stream = EventStream("s", EventSchema.of("x", "y"), config, DeviceProvider())
+    manager = LifecycleManager(stream, policy)
+    now = 0
+    for position, (step, late, value) in enumerate(rows):
+        now += step
+        stream.append(
+            Event.of(max(0, now - late), float(value), float(position % 7))
+        )
+        if position % 25 == 24:
+            manager.tick()
+    manager.tick()
+    stream.flush()
+    return stream, max(now, 1)
+
+
+@settings(max_examples=10, deadline=None)
+@given(workloads, predicates, st.data())
+def test_components_and_ownership_match_finals_on_tiered_streams(
+    rows, predicate, data
+):
+    stream, top = _tiered(rows)
+    owned = _owned_copy(stream, predicate)
+    try:
+        for sql in _queries(top, ("x", "y"), data):
+            _check_modes(stream, sql, owned, predicate)
+        _check_modes(
+            stream, "SELECT sum(x), count(y) FROM s GROUP BY time(60)",
+            owned, predicate,
+        )
+    finally:
+        stream.close()
+        owned.close()
+
+
+def test_grouped_components_drop_the_buckets_finals_drop():
+    """A grouped range across expired history and cut cold-rollup rows:
+    a shard's components keep exactly the finals' buckets (at the parent
+    commit the whole scatter failed with "needs sub-bucket history")."""
+    rows = [(600, 0, 1)] + [(3, 0, i % 9) for i in range(300)]
+    stream, top = _tiered(rows)
+    try:
+        # GROUP BY clamps to the raw time bounds, which tiering keeps
+        # clear of cold and expired ranges — until a straggler older
+        # than all of them stretches the bounds back across both.
+        stream.append(Event.of(5, 1.0, 1.0))
+        stream.flush()
+        t_min, t_max = stream.time_bounds()
+        assert any(t_min < hi for _, hi, _ in stream.tiers.expired)
+        assert stream.tiers.cold
+        # 45 does not divide the 60-wide rollup rows: buckets get cut.
+        sql = "SELECT sum(x), count(y) FROM s GROUP BY time(45)"
+        query = parse(sql)
+        poisoned = stream.grouped_components(t_min, t_max, "x", 45)[1]
+        assert poisoned
+        plan = build_plan(stream, query)
+        assert plan.kind == INDEX_ONLY
+        finals = run_plan(stream, plan)
+        partial = run_plan(stream, plan, components=True)
+        assert finals and not poisoned & {row["t_start"] for row in finals}
+        assert [row["t_start"] for row in partial["groups"]] == [
+            row["t_start"] for row in finals
+        ]
+        assert finalize_result(partial, query) == finals
+    finally:
+        stream.close()
+
+
+def test_partial_rows_keep_their_wire_shape():
+    """What a shard ships for ``GROUP BY time``: one row per non-empty
+    bucket, a component set per label — whichever plan produced it."""
     schema = EventSchema.of("x", "y")
-    stream_a = EventStream(
+    indexed = EventStream(
         "s", schema, ChronicleConfig(lblock_size=256, macro_size=1024),
         DeviceProvider(),
     )
-    stream_b = EventStream(
+    unindexed = EventStream(
         "s", schema,
         ChronicleConfig(
             lblock_size=256, macro_size=1024, indexed_attributes=[]
         ),
         DeviceProvider(),
     )
-    for i in range(500):
-        event = Event.of(i, float(i % 13 - 6), float(i % 5))
-        stream_a.append(event)
-        stream_b.append(event)
-    stream_a.flush()
-    stream_b.flush()
-
-    class _Db:
-        def __init__(self, stream):
-            self._stream = stream
-
-        def get_stream(self, name):
-            return self._stream
-
-    sql = "SELECT sum(x), count(y), max(x) FROM s GROUP BY time(40)"
-    query = parse(sql)
-    assert partials._vectorizable(stream_a, query)
-    assert not partials._vectorizable(stream_b, query)  # unindexed: scan
-    vectorized = partials.execute_partials(_Db(stream_a), sql)
-    original = partials._vectorizable
-    partials._vectorizable = lambda *args: False  # force the per-bucket loop
+    events = [
+        Event.of(i, float(i % 13 - 6), float(i % 5))
+        for i in range(500)
+        if not 80 <= i < 160  # buckets 80 and 120 stay empty
+    ]
+    indexed.append_batch(events)
+    unindexed.append_batch(events)
+    indexed.flush()
+    unindexed.flush()
     try:
-        legacy = partials.execute_partials(_Db(stream_a), sql)
+        sql = "SELECT sum(x), count(y), max(x) FROM s GROUP BY time(40)"
+        query = parse(sql)
+        assert build_plan(indexed, query).kind == INDEX_ONLY
+        assert build_plan(unindexed, query).kind == ROW  # answered by scan
+        fast = execute(_Db(indexed), sql, components=True)["groups"]
+        scanned = execute(_Db(unindexed), sql, components=True)["groups"]
+        filtered = execute(
+            _Db(indexed), sql.replace("FROM s", "FROM s WHERE y >= 0"),
+            components=True,
+        )["groups"]
+        starts = [t for t in range(0, 500, 40) if t not in (80, 120)]
+        assert [row["t_start"] for row in fast] == starts
+        for rows in (fast, scanned, filtered):
+            for row, start in zip(rows, starts, strict=True):
+                assert row.keys() == {
+                    "t_start", "t_end", "sum(x)", "count(y)", "max(x)"
+                }
+                assert (row["t_start"], row["t_end"]) == (start, start + 40)
+                assert row["sum(x)"].keys() == {
+                    "min", "max", "sum", "count", "sum_squares"
+                }
+        # One answer three ways; only the scanned and folded values
+        # carry exact squares the plain index statistics do not track.
+        for row_fast, row_scan, row_filter in zip(fast, scanned, filtered):
+            for label in ("sum(x)", "count(y)", "max(x)"):
+                for key in ("min", "max", "sum", "count"):
+                    assert row_fast[label][key] == row_scan[label][key]
+                assert row_scan[label] == row_filter[label]
+        assert fast[0]["sum(x)"]["sum_squares"] is None
+        assert scanned[0]["sum(x)"]["sum_squares"] is not None
+        assert build_plan(indexed, parse(sql + " LIMIT 2")).kind == INDEX_ONLY
+        with pytest.raises(QueryError, match="no partial-aggregate form"):
+            execute(_Db(indexed), "SELECT * FROM s", components=True)
     finally:
-        partials._vectorizable = original
-    assert vectorized == legacy
-    # The unindexed stream still answers (via its scan fallback) with
-    # the same finalizable values, even though it carries exact squares.
-    scanned = partials.execute_partials(_Db(stream_b), sql)
-    for row_fast, row_scan in zip(vectorized["groups"], scanned["groups"]):
-        assert row_fast["t_start"] == row_scan["t_start"]
-        for label in ("sum(x)", "count(y)", "max(x)"):
-            for key in ("min", "max", "sum", "count"):
-                assert row_fast[label][key] == row_scan[label][key]
-    stream_a.close()
-    stream_b.close()
+        indexed.close()
+        unindexed.close()
