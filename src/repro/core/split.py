@@ -107,6 +107,10 @@ class TimeSplit:
         if kind is None:
             raise StorageError(f"no secondary index configured for {attribute!r}")
         device = self.devices.secondary_device(self.stream_name, self.index, attribute)
+        # Run metadata is memory-only, so a fresh index cannot reach what a
+        # previous session left on the device: start it empty instead of
+        # appending a rebuilt copy behind dead runs on every open.
+        device.truncate(0)
         if kind == "lsm":
             index = LsmIndex(
                 device,
@@ -132,11 +136,11 @@ class TimeSplit:
 
     def _on_leaf_flush(self, leaf) -> None:
         for attribute in self.secondary_attributes:
-            position = self.schema.index_of(attribute)
-            index = self.secondaries[attribute]
-            column = leaf.columns[position]
-            for row, t in enumerate(leaf.timestamps):
-                index.insert(float(column[row]), t, leaf.node_id)
+            self.secondaries[attribute].insert_run(
+                leaf.column(self.schema.index_of(attribute)),
+                leaf.timestamps,
+                leaf.node_id,
+            )
 
     def _on_ooo_insert(self, event: Event, leaf_id: int) -> None:
         for attribute in self.secondary_attributes:

@@ -13,6 +13,7 @@ from bisect import bisect_left
 from itertools import islice
 from operator import le
 
+from repro import obs
 from repro.core.config import ChronicleConfig
 from repro.core.devices import DeviceProvider
 from repro.core.scheduler import LoadScheduler, Pressure
@@ -825,20 +826,18 @@ class EventStream:
         if attribute in split.secondaries:
             return
         split._attach_secondary(attribute)
+        index = split.secondaries[attribute]
         position = self.schema.index_of(attribute)
-        reader = split.tree
-        leaf = reader._descend_to_leaf(-_HUGE)
-        while leaf is not None and leaf is not reader.leaf:
+        tree = split.tree
+        # The scan path: leaves stream past the out-of-order node buffer
+        # through the sliding reader, decoding only the one column.
+        for leaf, _, _ in tree.leaf_slices(-_HUGE, _HUGE):
             # The open leaf is skipped: its postings arrive when it flushes
             # (and live queries scan it directly).
-            for row in range(leaf.count):
-                split.secondaries[attribute].insert(
-                    float(leaf.columns[position][row]),
-                    leaf.timestamps[row],
-                    leaf.node_id,
-                )
-            leaf = reader._get_node(leaf.next_id) if leaf.next_id != -1 else None
-        split.secondaries[attribute].flush()
+            if leaf is not tree.leaf:
+                index.insert_run(leaf.column(position), leaf.timestamps,
+                                 leaf.node_id)
+        index.flush()
 
     def subscribe(self, callback) -> None:
         """Register a live tap: *callback(event)* runs on every append.
@@ -986,7 +985,8 @@ class EventStream:
             stream.splits[-1].sealed = False
         # Secondary-index metadata (run offsets, Blooms) lives in memory in
         # this reproduction; rebuild the indexes the manifest declares.
-        for split_state, split in zip(state["splits"], stream.splits):
-            for attribute in split_state.get("secondary_attributes", []):
-                stream.rebuild_secondary(attribute, split.index)
+        with obs.span("recovery.secondary_rebuild"):
+            for split_state, split in zip(state["splits"], stream.splits):
+                for attribute in split_state.get("secondary_attributes", []):
+                    stream.rebuild_secondary(attribute, split.index)
         return stream

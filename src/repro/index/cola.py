@@ -4,28 +4,16 @@ The paper offers COLA as an alternative log-structured secondary index
 with "better support for proximity and range queries" than a native
 LSM-tree (Section 5.3): a COLA keeps exactly one sorted array per power-
 of-two level, so a range query probes at most ``log2 N`` runs, whereas a
-size-tiered LSM may accumulate ``fanout`` runs per tier.
+size-tiered LSM may accumulate ``fanout`` runs per tier.  Buffer, runs
+and lookups are the shared :class:`~repro.index.secondary.SecondaryIndex`
+core; this module is only the binary-carry merge schedule.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+import numpy as np
 
-from repro.errors import ConfigError
-from repro.index.bloom import BloomFilter
-from repro.index.secondary import RunStore, SecondaryIndex, SecondaryRef
-from repro.obs import OBS
-
-
-@dataclass
-class _Level:
-    offset: int
-    count: int
-    min_value: float
-    max_value: float
-    bloom: BloomFilter
-    fences: list
+from repro.index.secondary import Run, SecondaryIndex
 
 
 class ColaIndex(SecondaryIndex):
@@ -39,113 +27,24 @@ class ColaIndex(SecondaryIndex):
         clock=None,
         cost=None,
     ):
-        if base_capacity < 2:
-            raise ConfigError("base_capacity must be >= 2")
-        self.store = RunStore(device)
-        self.base_capacity = base_capacity
-        self.bloom_fpr = bloom_fpr
-        self.clock = clock if clock is not None else getattr(device, "clock", None)
-        self.cost = cost
-        self._buffer: list[tuple] = []
-        self.levels: list[_Level | None] = []
-        self.posting_count = 0
-        self.merges_performed = 0
+        super().__init__(device, base_capacity, bloom_fpr, clock, cost)
+        self.levels: list[Run | None] = []
 
-    def insert(self, value: float, t: int, block_id: int) -> None:
-        if self.cost is not None and self.clock is not None:
-            self.clock.charge_cpu(self.cost.sorted_insert)
-        insort(self._buffer, (value, t, block_id))
-        self.posting_count += 1
-        if len(self._buffer) >= self.base_capacity:
-            self._cascade()
-
-    def flush(self) -> None:
-        if self._buffer:
-            self._cascade()
-
-    def _cascade(self) -> None:
-        carry = list(self._buffer)
-        self._buffer.clear()
+    def _place(self, postings: np.ndarray) -> None:
+        """Carry the buffer up, merging with every occupied level on the
+        way, into the first empty one (binary-counter increment)."""
         level = 0
-        while True:
-            if level >= len(self.levels):
-                self.levels.append(None)
-            occupant = self.levels[level]
-            if occupant is None:
-                self.levels[level] = self._write_level(carry)
-                return
-            self.merges_performed += 1
-            if OBS.enabled:
-                OBS.counter("index.secondary.merges").inc()
-            existing = [
-                (r.value, r.t, r.block_id)
-                for r in self.store.read_slice(occupant.offset, 0, occupant.count)
-            ]
-            carry = self._merge(existing, carry)
+        while level < len(self.levels) and self.levels[level] is not None:
+            postings = self._merge([self.levels[level]], postings)
             self.levels[level] = None
             level += 1
+        if level == len(self.levels):
+            self.levels.append(None)
+        self.levels[level] = self._write_run(postings)
 
-    @staticmethod
-    def _merge(a: list[tuple], b: list[tuple]) -> list[tuple]:
-        merged = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            if a[i] <= b[j]:
-                merged.append(a[i])
-                i += 1
-            else:
-                merged.append(b[j])
-                j += 1
-        merged.extend(a[i:])
-        merged.extend(b[j:])
-        return merged
-
-    def _write_level(self, items: list[tuple]) -> _Level:
-        refs = [SecondaryRef(*item) for item in items]
-        bloom = BloomFilter(max(8, len(refs)), self.bloom_fpr)
-        for ref in refs:
-            bloom.add(ref.value)
-        offset, fences = self.store.write_run(refs)
-        return _Level(
-            offset=offset,
-            count=len(refs),
-            min_value=refs[0].value,
-            max_value=refs[-1].value,
-            bloom=bloom,
-            fences=fences,
-        )
-
-    # -------------------------------------------------------------- reading
-
-    def lookup_exact(self, value: float) -> list[SecondaryRef]:
-        results = [SecondaryRef(*i) for i in self._buffer_slice(value, value)]
-        for level in self.levels:
-            if level is None or not level.min_value <= value <= level.max_value:
-                continue
-            if value not in level.bloom:
-                continue
-            results.extend(
-                self.store.scan_range(level.offset, level.count,
-                                      level.fences, value, value)
-            )
-        return results
-
-    def lookup_range(self, low: float, high: float) -> list[SecondaryRef]:
-        results = [SecondaryRef(*i) for i in self._buffer_slice(low, high)]
-        for level in self.levels:
-            if level is None or high < level.min_value or low > level.max_value:
-                continue
-            results.extend(
-                self.store.scan_range(level.offset, level.count,
-                                      level.fences, low, high)
-            )
-        return results
-
-    def _buffer_slice(self, low: float, high: float):
-        start = bisect_left(self._buffer, (low, -(2**62), -(2**62)))
-        end = bisect_right(self._buffer, (high, 2**62, 2**62))
-        return self._buffer[start:end]
+    def _runs(self) -> list[Run]:
+        return [level for level in self.levels if level is not None]
 
     @property
     def level_count(self) -> int:
-        return sum(1 for level in self.levels if level is not None)
+        return len(self._runs())

@@ -1,31 +1,20 @@
 """LSM-tree secondary index (paper, Section 5.3).
 
-A size-tiered log-structured merge tree: postings accumulate in a sorted
+A size-tiered log-structured merge tree: postings accumulate in an
 in-memory memtable, flush to immutable sorted runs, and runs of similar
 size merge when a tier fills.  Every run carries a Bloom filter so
 exact-match queries skip non-matching runs — the configuration the paper
-evaluates in Figures 13a/13b.
+evaluates in Figures 13a/13b.  Memtable, runs and lookups are the shared
+:class:`~repro.index.secondary.SecondaryIndex` core; this module is only
+the size-tiered merge schedule.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+import numpy as np
 
 from repro.errors import ConfigError
-from repro.index.bloom import BloomFilter
-from repro.index.secondary import RunStore, SecondaryIndex, SecondaryRef
-from repro.obs import OBS
-
-
-@dataclass
-class _Run:
-    offset: int
-    count: int
-    min_value: float
-    max_value: float
-    bloom: BloomFilter
-    fences: list
+from repro.index.secondary import Run, SecondaryIndex
 
 
 class LsmIndex(SecondaryIndex):
@@ -40,110 +29,23 @@ class LsmIndex(SecondaryIndex):
         clock=None,
         cost=None,
     ):
-        if memtable_capacity < 2 or fanout < 2:
-            raise ConfigError("memtable_capacity and fanout must be >= 2")
-        self.store = RunStore(device)
-        self.memtable_capacity = memtable_capacity
+        if fanout < 2:
+            raise ConfigError("fanout must be >= 2")
+        super().__init__(device, memtable_capacity, bloom_fpr, clock, cost)
         self.fanout = fanout
-        self.bloom_fpr = bloom_fpr
-        self.clock = clock if clock is not None else getattr(device, "clock", None)
-        self.cost = cost
-        self._memtable: list[SecondaryRef] = []
         #: tier -> runs; tier i holds runs of roughly capacity * fanout^i.
-        self.tiers: dict[int, list[_Run]] = {}
-        self.posting_count = 0
-        self.merges_performed = 0
+        self.tiers: dict[int, list[Run]] = {}
 
-    # -------------------------------------------------------------- writing
+    def _place(self, postings: np.ndarray, tier: int = 0) -> None:
+        runs = self.tiers.setdefault(tier, [])
+        runs.append(self._write_run(postings))
+        if len(runs) >= self.fanout:
+            del self.tiers[tier]
+            self._place(self._merge(runs), tier + 1)
 
-    def insert(self, value: float, t: int, block_id: int) -> None:
-        if self.cost is not None and self.clock is not None:
-            self.clock.charge_cpu(self.cost.sorted_insert)
-        insort(self._memtable, (value, t, block_id))
-        self.posting_count += 1
-        if len(self._memtable) >= self.memtable_capacity:
-            self._flush_memtable()
-
-    def flush(self) -> None:
-        if self._memtable:
-            self._flush_memtable()
-
-    def _flush_memtable(self) -> None:
-        refs = [SecondaryRef(*item) for item in self._memtable]
-        self._memtable.clear()
-        self._add_run(refs, tier=0)
-
-    def _add_run(self, refs: list[SecondaryRef], tier: int) -> None:
-        offset, fences = self.store.write_run(refs)
-        run = _Run(
-            offset=offset,
-            count=len(refs),
-            min_value=refs[0].value,
-            max_value=refs[-1].value,
-            bloom=self._build_bloom(refs),
-            fences=fences,
-        )
-        self.tiers.setdefault(tier, []).append(run)
-        if len(self.tiers[tier]) >= self.fanout:
-            self._compact_tier(tier)
-
-    def _build_bloom(self, refs: list[SecondaryRef]) -> BloomFilter:
-        bloom = BloomFilter(max(8, len(refs)), self.bloom_fpr)
-        for ref in refs:
-            bloom.add(ref.value)
-        return bloom
-
-    def _compact_tier(self, tier: int) -> None:
-        runs = self.tiers.pop(tier)
-        self.merges_performed += 1
-        if OBS.enabled:
-            OBS.counter("index.secondary.merges").inc()
-        merged: list[tuple] = []
-        for run in runs:
-            for ref in self.store.read_slice(run.offset, 0, run.count):
-                merged.append((ref.value, ref.t, ref.block_id))
-        merged.sort()
-        self._add_run([SecondaryRef(*item) for item in merged], tier + 1)
-
-    # -------------------------------------------------------------- reading
-
-    def _all_runs(self) -> list[_Run]:
+    def _runs(self) -> list[Run]:
         return [run for runs in self.tiers.values() for run in runs]
-
-    def lookup_exact(self, value: float) -> list[SecondaryRef]:
-        results = [
-            SecondaryRef(*item)
-            for item in self._memtable_slice(value, value)
-        ]
-        for run in self._all_runs():
-            if not run.min_value <= value <= run.max_value:
-                continue
-            if value not in run.bloom:
-                continue
-            results.extend(
-                self.store.scan_range(run.offset, run.count, run.fences,
-                                      value, value)
-            )
-        return results
-
-    def lookup_range(self, low: float, high: float) -> list[SecondaryRef]:
-        results = [
-            SecondaryRef(*item) for item in self._memtable_slice(low, high)
-        ]
-        for run in self._all_runs():
-            if high < run.min_value or low > run.max_value:
-                continue
-            results.extend(
-                self.store.scan_range(run.offset, run.count, run.fences,
-                                      low, high)
-            )
-        return results
-
-    def _memtable_slice(self, low: float, high: float):
-        start = bisect_left(self._memtable, (low, -(2**62), -(2**62)))
-        end = bisect_right(self._memtable, (high, 2**62, 2**62))
-        return self._memtable[start:end]
 
     @property
     def run_count(self) -> int:
-        return len(self._all_runs())
+        return len(self._runs())
