@@ -24,7 +24,7 @@ gate.
 
 from benchmarks.common import make_chronicle, report_rows
 from repro.datasets import DebsDataset
-from repro.query.naive import execute_naive
+from repro.testing.oracle import execute_naive
 
 EVENTS = 120_000
 #: Grouped-bucket width in events (bucket width = this * dataset step).

@@ -9,9 +9,10 @@ implements retention by dropping entire splits (paper, Sections 5.4–5.5).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from heapq import merge
 from itertools import islice
-from operator import le
+from operator import attrgetter, le
 
 from repro import obs
 from repro.core.config import ChronicleConfig
@@ -21,11 +22,13 @@ from repro.core.split import IRREGULAR, REGULAR, TimeSplit
 from repro.errors import QueryError, SchemaError, StorageError
 from repro.events.event import ColumnarEvents, Event
 from repro.events.schema import EventSchema
+from repro.index.node import NO_NODE, LeafNode
 from repro.index.queries import (
     AggregateAccumulator,
     AttributeRange,
     FAST_AGGREGATES,
     SCAN_AGGREGATES,
+    fold,
 )
 from repro.lifecycle.tiers import StreamTiers
 
@@ -327,6 +330,22 @@ class EventStream:
         known = [t for t in candidates if t is not None]
         return min(known) if known else -_HUGE
 
+    def _sources_in_time_order(self, t_start: int, t_end: int) -> list:
+        """``(split, queued)`` per warm or hot split overlapping the
+        range, by start time; *queued* is the split's still-queued late
+        events inside the range, oldest first (a warm split has none).
+
+        Splits cover disjoint time ranges, so reading them in this order
+        keeps the output in time order.
+        """
+        splits = self.tiers.warm_overlapping(t_start, t_end)
+        splits += self._overlapping(t_start, t_end)
+        splits.sort(key=self._split_start_key)
+        return [
+            (split, [e for e in split.manager.queue if t_start <= e.t <= t_end])
+            for split in splits
+        ]
+
     def time_travel(self, t_start: int, t_end: int):
         """All raw events in [t_start, t_end], in time order, across tiers.
 
@@ -336,29 +355,10 @@ class EventStream:
         cold and expired ranges no longer have raw events and contribute
         nothing — only :meth:`aggregate` reaches into them.
         """
-        from heapq import merge
-
-        start_key = self._split_start_key
-        sources: list = [
-            (start_key(s), False, s)
-            for s in self.tiers.warm_overlapping(t_start, t_end)
-        ]
-        sources.extend(
-            (start_key(s), True, s)
-            for s in self._overlapping(t_start, t_end)
-        )
-        # Splits cover disjoint time ranges, so ordering the splits by
-        # start time keeps the merged output in time order.
-        sources.sort(key=lambda source: source[0])
-        for _, hot, split in sources:
-            queued = (
-                sorted(e for e in split.manager.queue if t_start <= e.t <= t_end)
-                if hot
-                else None
-            )
+        for split, queued in self._sources_in_time_order(t_start, t_end):
             tree_iter = split.tree.time_travel(t_start, t_end)
             if queued:
-                yield from merge(tree_iter, queued, key=lambda e: e.t)
+                yield from merge(tree_iter, queued, key=attrgetter("t"))
             else:
                 yield from tree_iter
 
@@ -421,130 +421,127 @@ class EventStream:
                     "aggregates remain"
                 )
 
+    def index_blocker(self, attribute: str, function: str) -> str | None:
+        """Why index statistics cannot answer ``function(attribute)``, or
+        None when they can; a blocked aggregate folds scanned values."""
+        indexed = self.config.indexed_attributes
+        if indexed is not None and attribute not in indexed:
+            return f"attribute {attribute!r} is not indexed"
+        if function in SCAN_AGGREGATES and not self.config.extended_aggregates:
+            return (
+                f"{function} needs extended aggregates "
+                "(sum of squares is not tracked)"
+            )
+        return None
+
     def aggregate(self, t_start: int, t_end: int, attribute: str,
                   function: str) -> float:
         """Temporal aggregation across splits and tiers.
 
-        Splits fully inside the range answer from their sealed summary in
-        O(1); boundary splits descend their TAB+-tree (Section 5.6.2).
-        Warm splits behave exactly like sealed hot ones; cold ranges are
-        answered from rollup buckets (bucket-aligned ranges only).
+        Answered from index statistics (:meth:`aggregate_accumulator`)
+        unless :meth:`index_blocker` names a reason; then the attribute's
+        values are scanned and folded (:meth:`scan_values`).
+        """
+        if self.index_blocker(attribute, function):
+            return fold(function, self.scan_values(t_start, t_end, attribute))
+        return self.aggregate_accumulator(t_start, t_end, attribute).result(
+            function
+        )
+
+    def _split_components(self, t_start: int, t_end: int, attribute: str,
+                          width: int | None = None) -> dict:
+        """Index statistics of the hot and warm splits, per time bucket.
+
+        Splits fully inside the range — and, when grouping, inside one
+        *width*-aligned bucket — answer from their sealed summary in
+        O(1); the others descend their TAB+-tree once (Section 5.6.2).
+        Without *width* there is one bucket, keyed None.  Returns the
+        non-empty ``{bucket_start: AggregateAccumulator}``.
         """
         position = self.schema.index_of(attribute)
-        indexed = (
-            self.config.indexed_attributes is None
-            or attribute in self.config.indexed_attributes
-        )
-        if function in SCAN_AGGREGATES:
-            if not (indexed and self.config.extended_aggregates):
-                return self._aggregate_by_scan(t_start, t_end, attribute,
-                                               function)
-        elif function not in FAST_AGGREGATES:
-            raise QueryError(f"unknown aggregate function {function!r}")
-        if not indexed:
-            return self._aggregate_by_scan(t_start, t_end, attribute, function)
-        self._tier_guard(t_start, t_end, raw=False)
-        accumulator = AggregateAccumulator()
+        buckets: dict = {}
         splits = self._overlapping(t_start, t_end)
         splits += self.tiers.warm_overlapping(t_start, t_end)
         for split in splits:
             summary = split.summary
-            fully_covered = (
+            if (
                 split.sealed
                 and summary is not None
                 and t_start <= summary.t_min
                 and summary.t_max <= t_end
-            )
-            if fully_covered:
-                agg_position = split.tree.codec.indexed_positions.index(position)
-                agg = summary.aggs[agg_position]
-                accumulator.add_summary(
+                and (width is None
+                     or summary.t_min // width == summary.t_max // width)
+            ):
+                agg = summary.aggs[
+                    split.tree.codec.indexed_positions.index(position)
+                ]
+                part = AggregateAccumulator()
+                part.add_summary(
                     agg[0], agg[1], agg[2], summary.count,
                     agg[3] if len(agg) == 4 else None,
                 )
+                bucket = None if width is None else summary.t_min // width * width
+                parts = {bucket: part}
+            elif width is None:
+                parts = {
+                    None: split.tree.aggregate_components(
+                        t_start, t_end, attribute
+                    )
+                }
             else:
-                partial = split.tree.aggregate_components(t_start, t_end, attribute)
-                accumulator.add_summary(
-                    partial.minimum, partial.maximum, partial.total,
-                    partial.count,
-                    partial.sum_squares if partial.squares_exact else None,
+                parts = split.tree.grouped_components(
+                    t_start, t_end, attribute, width
                 )
-        for rollup in self.tiers.cold_overlapping(t_start, t_end):
-            rollup.accumulate(accumulator, t_start, t_end, attribute)
-        return accumulator.result(function)
+            for bucket, part in parts.items():
+                if part.count:
+                    acc = buckets.get(bucket)
+                    if acc is None:
+                        acc = buckets[bucket] = AggregateAccumulator()
+                    acc.add_summary(
+                        part.minimum, part.maximum, part.total, part.count,
+                        part.sum_squares if part.squares_exact else None,
+                    )
+        return buckets
 
     def aggregate_accumulator(self, t_start: int, t_end: int,
-                              attribute: str,
-                              need_squares: bool = False,
-                              ) -> AggregateAccumulator:
-        """Aggregate *components* for [t_start, t_end] (no finalization).
-
-        Same access path as :meth:`aggregate` — sealed-split summaries in
-        O(1), TAB+-tree descent for boundary splits — but returns the
-        raw :class:`AggregateAccumulator` so distributed queries can
-        merge per-shard components before finalizing
-        (:mod:`repro.query.partials`).  Unindexed attributes fall back to
-        scanning values in, as does ``need_squares`` when the tree does
-        not track extended aggregates (mirroring :meth:`aggregate`'s
-        stdev scan fallback — squares cannot be recovered from plain
-        min/max/sum/count summaries).
+                              attribute: str) -> AggregateAccumulator:
+        """Aggregate *components* of an indexed attribute over
+        [t_start, t_end], from statistics alone: split summaries and
+        tree descents (:meth:`_split_components`), then cold rollup
+        buckets (bucket-aligned ranges only).  Distributed queries merge
+        these per shard before finalizing (:mod:`repro.query.partials`).
         """
-        accumulator = AggregateAccumulator()
-        position = self.schema.index_of(attribute)
-        indexed = (
-            self.config.indexed_attributes is None
-            or attribute in self.config.indexed_attributes
-        )
-        if not indexed or (
-            need_squares and not self.config.extended_aggregates
-        ):
-            self._tier_guard(t_start, t_end, raw=True)
-            for event in self.time_travel(t_start, t_end):
-                accumulator.add_value(event.values[position])
-            return accumulator
         self._tier_guard(t_start, t_end, raw=False)
-        splits = self._overlapping(t_start, t_end)
-        splits += self.tiers.warm_overlapping(t_start, t_end)
-        for split in splits:
-            summary = split.summary
-            fully_covered = (
-                split.sealed
-                and summary is not None
-                and t_start <= summary.t_min
-                and summary.t_max <= t_end
-            )
-            if fully_covered:
-                agg_position = split.tree.codec.indexed_positions.index(position)
-                agg = summary.aggs[agg_position]
-                accumulator.add_summary(
-                    agg[0], agg[1], agg[2], summary.count,
-                    agg[3] if len(agg) == 4 else None,
-                )
-            else:
-                partial = split.tree.aggregate_components(t_start, t_end, attribute)
-                if partial.count:
-                    accumulator.add_summary(
-                        partial.minimum, partial.maximum, partial.total,
-                        partial.count,
-                        partial.sum_squares if partial.squares_exact else None,
-                    )
+        accumulator = self._split_components(t_start, t_end, attribute).get(
+            None, AggregateAccumulator()
+        )
         for rollup in self.tiers.cold_overlapping(t_start, t_end):
             rollup.accumulate(accumulator, t_start, t_end, attribute)
         return accumulator
 
-    def _aggregate_by_scan(self, t_start, t_end, attribute, function):
-        self._tier_guard(t_start, t_end, raw=True)
+    def _scan_column(self, t_start: int, t_end: int, attribute: str,
+                     stats: dict | None = None) -> tuple[list, list]:
+        """``(timestamps, values)`` of one attribute over the raw tiers,
+        in :meth:`time_travel` order with queued late events in place:
+        one column decoded per leaf, no :class:`Event` objects."""
         position = self.schema.index_of(attribute)
-        values = [e.values[position] for e in self.time_travel(t_start, t_end)]
-        if not values:
-            raise QueryError("aggregate over empty range")
-        if function == "stdev":
-            mean = sum(values) / len(values)
-            return (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
-        accumulator = AggregateAccumulator()
-        for value in values:
-            accumulator.add_value(value)
-        return accumulator.result(function)
+        timestamps: list = []
+        values: list = []
+        for leaf, lo, hi in self.leaf_slices(
+            t_start, t_end, stats=stats, time_order=True
+        ):
+            timestamps += leaf.timestamps[lo:hi]
+            values += leaf.column(position)[lo:hi]
+        return timestamps, values
+
+    def scan_values(self, t_start: int, t_end: int, attribute: str,
+                    stats: dict | None = None) -> list:
+        """The attribute's raw values in [t_start, t_end] — what an
+        aggregate folds when :meth:`index_blocker` rules statistics
+        out.  Cold and expired ranges hold no raw values, so a range
+        touching one is refused."""
+        self._tier_guard(t_start, t_end, raw=True)
+        return self._scan_column(t_start, t_end, attribute, stats)[1]
 
     def condensed_aggregate(self, t_start: int, t_end: int, attribute: str,
                             function: str) -> float:
@@ -553,32 +550,29 @@ class EventStream:
         Section 5.4: outdated events can be "thinned out or condensed via
         aggregation, leveraging the aggregates in the TAB+-tree".  Splits
         dropped by :meth:`delete_before` leave their summary behind; this
-        method folds those summaries in for ranges that fully cover them.
-        A range that cuts *through* a retired split cannot be answered
-        (the events are gone) and raises :class:`QueryError`.
+        method folds those summaries into :meth:`aggregate_accumulator`'s
+        answer for ranges that fully cover them (cold rollups are
+        condensed history in exactly the same sense).  A range that cuts
+        *through* a retired split cannot be answered (the events are
+        gone) and raises :class:`QueryError`.
         """
         if function not in FAST_AGGREGATES:
             raise QueryError(
                 f"condensed history supports {FAST_AGGREGATES}, "
                 f"not {function!r}"
             )
-        position = self.schema.index_of(attribute)
-        indexed = (
-            self.config.indexed_attributes is None
-            or attribute in self.config.indexed_attributes
-        )
-        if not indexed:
+        indexed = self.config.indexed_attributes
+        if indexed is not None and attribute not in indexed:
             raise QueryError(
                 f"attribute {attribute!r} is not indexed; its history was "
                 "not condensed"
             )
-        accumulator = AggregateAccumulator()
         agg_position = (
-            position
-            if self.config.indexed_attributes is None
-            else self.config.indexed_attributes.index(attribute)
+            self.schema.index_of(attribute)
+            if indexed is None
+            else indexed.index(attribute)
         )
-        self._tier_guard(t_start, t_end, raw=False)
+        accumulator = self.aggregate_accumulator(t_start, t_end, attribute)
         for retired in self.retired_summaries:
             lo, hi = retired["t_start"], retired["t_end"] - 1
             if hi < t_start or lo > t_end:
@@ -593,27 +587,12 @@ class EventStream:
                 agg[0], agg[1], agg[2], retired["count"],
                 agg[3] if len(agg) == 4 else None,
             )
-        # Cold rollups are condensed history in exactly the same sense.
-        for rollup in self.tiers.cold_overlapping(t_start, t_end):
-            rollup.accumulate(accumulator, t_start, t_end, attribute)
-        splits = self._overlapping(t_start, t_end)
-        splits += self.tiers.warm_overlapping(t_start, t_end)
-        for split in splits:
-            partial = split.tree.aggregate_components(t_start, t_end,
-                                                      attribute)
-            if partial.count:
-                accumulator.add_summary(
-                    partial.minimum, partial.maximum, partial.total,
-                    partial.count,
-                    partial.sum_squares if partial.squares_exact else None,
-                )
         return accumulator.result(function)
 
     def filter(self, t_start: int, t_end: int, ranges: list[AttributeRange]):
-        """Algorithm-2 filtered scan across splits (hot and warm tiers)."""
-        for split in self.tiers.warm_overlapping(t_start, t_end):
-            yield from split.tree.filter_scan(t_start, t_end, ranges)
-        for split in self._overlapping(t_start, t_end):
+        """Algorithm-2 filtered scan across splits (warm, then hot)."""
+        warm = self.tiers.warm_overlapping(t_start, t_end)
+        for split in warm + self._overlapping(t_start, t_end):
             yield from split.tree.filter_scan(t_start, t_end, ranges)
 
     # ------------------------------------------------------- planner surface
@@ -634,31 +613,11 @@ class EventStream:
             warm.tree._charge_cpu(seconds)
             return
 
-    def ooo_pending_in(self, t_start: int, t_end: int) -> int:
-        """Queued out-of-order events with timestamps inside the range.
-
-        Leaf-level access paths (columnar scans, index-only aggregates)
-        read trees only; events still waiting in a split's queue are
-        invisible to them but visible to :meth:`time_travel`.  The
-        planner uses this count to fall back to the row path when plan
-        and oracle would otherwise diverge.
-        """
-        total = 0
-        for split in self._overlapping(t_start, t_end):
-            if split.manager.pending:
-                total += sum(
-                    1 for e in split.manager.queue if t_start <= e.t <= t_end
-                )
-        return total
-
     def estimate_rows(self, t_start: int, t_end: int) -> int:
         """Upper-bound event count the range can touch (planner costing)."""
-        total = 0
-        for split in self._overlapping(t_start, t_end):
-            total += split.tree.event_count
-        for split in self.tiers.warm_overlapping(t_start, t_end):
-            total += split.tree.event_count
-        return total
+        splits = self._overlapping(t_start, t_end)
+        splits += self.tiers.warm_overlapping(t_start, t_end)
+        return sum(split.tree.event_count for split in splits)
 
     def plan_segments(self, t_start: int, t_end: int) -> list[dict]:
         """Per-tier segments a plan over the range is stitched from."""
@@ -682,77 +641,63 @@ class EventStream:
 
         Fans :meth:`TabTree.leaf_slices` over warm then hot splits in
         the same split order as :meth:`filter`, so a columnar scan sees
-        rows in exactly the naive filtered-scan order.  With
-        *time_order* the splits sort by start time instead, matching
-        :meth:`time_travel` (disjoint split ranges make that globally
-        time-ordered).  Queued out-of-order events are never included —
-        callers check :meth:`ooo_pending_in` first.
+        rows in exactly the row-at-a-time filtered-scan order — trees
+        only, as :meth:`filter` reads them.  With *time_order* the
+        windows arrive in :meth:`time_travel`'s order instead, and like
+        it they include each hot split's queued late events that fall in
+        the range: the queue is one more (in-memory) leaf, spliced in by
+        :func:`_splice_queued`.
         """
-        warm = self.tiers.warm_overlapping(t_start, t_end)
-        hot = self._overlapping(t_start, t_end)
-        if time_order:
-            sources = sorted(warm + hot, key=self._split_start_key)
-        else:
-            sources = warm + hot
-        for split in sources:
-            yield from split.tree.leaf_slices(t_start, t_end, ranges, stats)
+        if not time_order:
+            warm = self.tiers.warm_overlapping(t_start, t_end)
+            for split in warm + self._overlapping(t_start, t_end):
+                yield from split.tree.leaf_slices(t_start, t_end, ranges, stats)
+            return
+        for split, queued in self._sources_in_time_order(t_start, t_end):
+            windows = split.tree.leaf_slices(t_start, t_end, ranges, stats)
+            yield from _splice_queued(windows, queued) if queued else windows
 
     def grouped_components(self, t_start: int, t_end: int, attribute: str,
                            width: int):
         """Per-time-bucket components across splits and tiers.
 
-        One descent per boundary split (``TabTree.grouped_components``),
-        O(1) sealed-summary hits for splits inside both the range and a
-        single bucket, rollup rows via
+        Split summaries and one descent per boundary split
+        (:meth:`_split_components`), rollup rows via
         :meth:`ColdRollup.accumulate_grouped`.  Returns ``(buckets,
         poisoned)``: non-empty bucket accumulators, plus the buckets a
         tier cannot answer at this resolution (cut rollup rows, expired
-        history) — the caller drops those rows, as the naive executor's
-        per-bucket ``QueryError`` handling does.
+        history) — the caller drops those rows, as a per-bucket
+        :meth:`aggregate` raising :class:`QueryError` would.
         """
-        buckets: dict[int, AggregateAccumulator] = {}
         poisoned: set[int] = set()
         for lo, hi, _ in self.tiers.expired:
             if hi - 1 >= t_start and lo <= t_end:
                 first = (max(lo, t_start) // width) * width
                 for bucket in range(first, min(hi - 1, t_end) + 1, width):
                     poisoned.add(bucket)
-        position = self.schema.index_of(attribute)
-        splits = self._overlapping(t_start, t_end)
-        splits += self.tiers.warm_overlapping(t_start, t_end)
-        for split in splits:
-            summary = split.summary
-            if (
-                split.sealed
-                and summary is not None
-                and t_start <= summary.t_min
-                and summary.t_max <= t_end
-                and summary.t_min // width == summary.t_max // width
-            ):
-                agg_position = split.tree.codec.indexed_positions.index(position)
-                agg = summary.aggs[agg_position]
-                bucket = (summary.t_min // width) * width
-                acc = buckets.get(bucket)
-                if acc is None:
-                    acc = buckets[bucket] = AggregateAccumulator()
-                acc.add_summary(
-                    agg[0], agg[1], agg[2], summary.count,
-                    agg[3] if len(agg) == 4 else None,
-                )
-                continue
-            parts = split.tree.grouped_components(t_start, t_end, attribute,
-                                                  width)
-            for bucket, part in parts.items():
-                acc = buckets.get(bucket)
-                if acc is None:
-                    acc = buckets[bucket] = AggregateAccumulator()
-                acc.add_summary(
-                    part.minimum, part.maximum, part.total, part.count,
-                    part.sum_squares if part.squares_exact else None,
-                )
+        buckets = self._split_components(t_start, t_end, attribute, width)
         for rollup in self.tiers.cold_overlapping(t_start, t_end):
             rollup.accumulate_grouped(buckets, poisoned, t_start, t_end,
                                       attribute, width)
+        return buckets, poisoned
+
+    def grouped_values(self, t_start: int, t_end: int, attribute: str,
+                       width: int, stats: dict | None = None):
+        """:meth:`grouped_components` for an attribute
+        :meth:`index_blocker` rules statistics out for: per-bucket value
+        lists from one pass over the column.  Poisoned here are the
+        buckets touching a cold or expired range, whose raw values are
+        gone."""
+        buckets: dict[int, list] = {}
+        for t, value in zip(*self._scan_column(t_start, t_end, attribute, stats)):
+            buckets.setdefault(t // width * width, []).append(value)
+        poisoned = set()
+        for bucket in buckets:
+            try:
+                self._tier_guard(max(bucket, t_start),
+                                 min(bucket + width - 1, t_end), raw=True)
+            except QueryError:
+                poisoned.add(bucket)
         return buckets, poisoned
 
     def search(self, attribute: str, low: float, high: float | None = None,
@@ -766,16 +711,10 @@ class EventStream:
         if high is None:
             high = low
         results = []
-        for split in self.tiers.warm_overlapping(t_start, t_end):
-            # Warm splits drop their secondaries on migration; the
-            # TAB+-tree's min/max pruning serves them, like any
-            # partially-indexed split.
-            results.extend(
-                split.tree.filter_scan(
-                    t_start, t_end, [AttributeRange(attribute, low, high)]
-                )
-            )
-        for split in self._overlapping(t_start, t_end):
+        # Warm splits drop their secondaries on migration; the TAB+-tree's
+        # min/max pruning serves them, like any partially-indexed split.
+        warm = self.tiers.warm_overlapping(t_start, t_end)
+        for split in warm + self._overlapping(t_start, t_end):
             if attribute in split.secondaries:
                 hits = split.search_secondary(attribute, low, high)
                 results.extend(e for e in hits if t_start <= e.t <= t_end)
@@ -990,3 +929,36 @@ class EventStream:
                 for attribute in split_state.get("secondary_attributes", []):
                     stream.rebuild_secondary(attribute, split.index)
         return stream
+
+
+def _splice_queued(windows, queued):
+    """Merge one split's tree leaf windows with its queued late events.
+
+    *windows* are ``(leaf, lo, hi)`` in time order, *queued* the
+    non-empty, time-sorted queue content in range.  The queued events
+    become one in-memory :class:`LeafNode` whose rows are yielded, as
+    windows of their own, between the tree rows they fall between — a
+    tree row before a queued row of equal ``t``, the order of
+    :meth:`EventStream.time_travel`'s merge.
+    """
+    queue_ts = [event.t for event in queued]
+    queue_leaf = LeafNode(
+        NO_NODE, timestamps=queue_ts,
+        columns=[list(column) for column in zip(*(e.values for e in queued))],
+    )
+    at = 0
+    for leaf, lo, hi in windows:
+        timestamps = leaf.timestamps
+        while lo < hi and at < len(queue_ts):
+            cut = bisect_right(timestamps, queue_ts[at], lo, hi)
+            if cut > lo:
+                yield leaf, lo, cut
+                lo = cut
+            if lo < hi:
+                upto = bisect_left(queue_ts, timestamps[lo], at)
+                yield queue_leaf, at, upto
+                at = upto
+        if lo < hi:
+            yield leaf, lo, hi
+    if at < len(queue_ts):
+        yield queue_leaf, at, len(queue_ts)

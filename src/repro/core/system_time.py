@@ -28,7 +28,7 @@ from repro.core.stream import EventStream
 from repro.errors import QueryError
 from repro.events.event import Event
 from repro.events.schema import EventSchema, Field, FieldKind
-from repro.index.queries import AttributeRange, FAST_AGGREGATES
+from repro.index.queries import AttributeRange, fold
 
 _APP_TIME = "app_time"
 _HUGE = 2**62
@@ -118,26 +118,10 @@ class SystemTimeStream:
         events are scanned (the "additional cost ... in particular for
         aggregate queries" the paper predicts).
         """
-        if function not in FAST_AGGREGATES and function != "stdev":
-            raise QueryError(f"unknown aggregate function {function!r}")
         position = self.user_schema.index_of(attribute)
-        values = [e.values[position] for e in self.time_travel(t_start, t_end)]
-        if not values:
-            raise QueryError("aggregate over empty range")
-        if function == "sum":
-            return float(sum(values))
-        if function == "count":
-            return float(len(values))
-        if function == "min":
-            return float(min(values))
-        if function == "max":
-            return float(max(values))
-        if function == "avg":
-            return float(sum(values) / len(values))
-        mean = sum(values) / len(values)
-        return float(
-            (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
-        )
+        return fold(function, [
+            e.values[position] for e in self.time_travel(t_start, t_end)
+        ])
 
     def filter(self, t_start: int, t_end: int, ranges: list[AttributeRange]):
         """Application-time range + attribute filters."""

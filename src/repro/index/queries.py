@@ -111,3 +111,32 @@ class AggregateAccumulator:
             variance = max(0.0, self.sum_squares / self.count - mean * mean)
             return variance ** 0.5
         raise QueryError(f"unknown aggregate function {function!r}")
+
+
+def fold(function: str, values: list) -> float:
+    """One aggregate over a list of raw values.
+
+    The value-level counterpart of :meth:`AggregateAccumulator.result`,
+    shared by every path that scans values instead of reading index
+    statistics (and by the test oracle), so both sides of an equivalence
+    check run the same arithmetic.  ``stdev`` is two-pass: the
+    accumulator's sum-of-squares form cancels when |mean| >> sigma.
+    """
+    if not values:
+        raise QueryError("aggregate over empty range")
+    if function == "sum":
+        return float(sum(values))
+    if function == "count":
+        return float(len(values))
+    if function == "min":
+        return float(min(values))
+    if function == "max":
+        return float(max(values))
+    if function == "avg":
+        return float(sum(values) / len(values))
+    if function == "stdev":
+        mean = sum(values) / len(values)
+        return float(
+            (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
+        )
+    raise QueryError(f"unknown aggregate function {function!r}")

@@ -36,6 +36,7 @@ from repro.index.queries import (
     AttributeRange,
     FAST_AGGREGATES,
     SCAN_AGGREGATES,
+    fold,
 )
 from repro.storage.prefetch import SequentialBlockReader
 
@@ -431,7 +432,9 @@ class TabTree:
             function in SCAN_AGGREGATES and not self.codec.extended_aggregates
         )
         if needs_scan:
-            return self._aggregate_by_scan(t_start, t_end, position, function)
+            return fold(function, [
+                e.values[position] for e in self.time_travel(t_start, t_end)
+            ])
         return self.aggregate_components(t_start, t_end, attribute).result(function)
 
     def aggregate_components(
@@ -540,18 +543,6 @@ class TabTree:
             else:
                 self._grouped_node(self._get_node(child_id), t_start, t_end,
                                    position, agg_index, width, buckets)
-
-    def _aggregate_by_scan(self, t_start, t_end, position, function):
-        values = [e.values[position] for e in self.time_travel(t_start, t_end)]
-        if not values:
-            raise QueryError("aggregate over empty range")
-        if function == "stdev":
-            mean = sum(values) / len(values)
-            return (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
-        acc = AggregateAccumulator()
-        for value in values:
-            acc.add_value(value)
-        return acc.result(function)
 
     # ................................................... filtered scans (Alg 2)
 

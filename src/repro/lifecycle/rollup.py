@@ -137,7 +137,7 @@ class ColdRollup:
         resolution cannot answer — a row cut by a bucket boundary, or
         any overlap when *attribute* was never indexed — go into
         *poisoned* instead, mirroring the per-bucket
-        :class:`QueryError`-and-drop behaviour of the naive grouped
+        :class:`QueryError`-and-drop behaviour of the oracle's grouped
         executor.
         """
         if attribute not in self.indexed:

@@ -234,6 +234,11 @@ class AioServerCore:
         if op == frames.OP_JSON:
             try:
                 request = frames.decode_json_payload(payload)
+                if not isinstance(request, dict):
+                    raise ProtocolError(
+                        "bad JSON frame payload: a request is an object, "
+                        f"not {type(request).__name__}"
+                    )
             except ProtocolError as error:
                 await self._send_frame(
                     writer,

@@ -46,9 +46,8 @@ def _stale_payload(error: StaleRouteError) -> dict:
 
 class _EventRows:
     """Events on their way to a transport, which encodes them outside
-    the stream lock: ``SELECT *`` rows — a
-    :class:`~repro.events.event.ColumnarEvents` batch (columnar plans)
-    or a list of events (row plans) — and catch-up replays."""
+    the stream lock: the :class:`~repro.events.event.ColumnarEvents`
+    batch of a ``SELECT *``, or a catch-up replay's list of events."""
 
     def __init__(self, stream: str, schema: EventSchema, rows):
         self.stream, self.schema, self.rows = stream, schema, rows

@@ -12,19 +12,23 @@ exploit that with *late materialization*:
   per-row deserialization cost charged — only at the API boundary, and
   only for ``SELECT *``.  Aggregates never materialize events at all.
 
-Results are bit-identical to :mod:`repro.query.naive` by construction:
-leaves arrive in the same order as the naive scans
-(:meth:`EventStream.leaf_slices`), selections preserve row order, and
-the collected value lists are folded with the very same
-:func:`~repro.query.naive._fold` the oracle uses.
+Results are bit-identical to the row-at-a-time oracle
+(``repro.testing.oracle``) by construction: leaves arrive in the order
+of its scans (:meth:`EventStream.leaf_slices` — filter order, or
+time-travel order with queued late events spliced in), selections
+preserve row order, and the collected value lists are folded by the
+:func:`~repro.index.queries.fold` the oracle uses.
 """
 
 from __future__ import annotations
 
 from repro.errors import QueryError
 from repro.events.event import ColumnarEvents
-from repro.query.naive import _MAX_BUCKETS, _fold
+from repro.index.queries import fold
 from repro.query.partials import components_of_values
+
+#: Most buckets one ``GROUP BY time`` may span.
+MAX_BUCKETS = 100_000
 
 
 def _selection(stream, query, leaf, lo, hi, served=None):
@@ -117,49 +121,63 @@ def scan_events(stream, query, stats: dict, time_order: bool, served=None):
     return out
 
 
-def _gather(stream, query, stats: dict, served):
-    """Collect per-attribute value lists for the selected rows.
+def _gather(stream, query, stats: dict, served, t_start: int, t_end: int,
+            width: int | None = None) -> dict:
+    """Per-bucket, per-attribute value lists of the selected rows.
 
-    Returns ``(values, examined)`` with ``values[name]`` in naive scan
-    order, so a single ``_fold`` per aggregate reproduces the oracle's
-    arithmetic exactly.
+    Returns ``{bucket_start: {name: values}}`` — one bucket keyed None
+    without *width* — with every list in the oracle's scan order, so a
+    single ``fold`` per aggregate reproduces its arithmetic exactly.
     """
     schema = stream.schema
     positions = {
         agg.attribute: schema.index_of(agg.attribute) for agg in query.select
     }
-    values: dict[str, list] = {name: [] for name in positions}
+    by_bucket: dict = {}
     examined = 0
     for leaf, lo, hi in stream.leaf_slices(
-        query.t_start, query.t_end, query.ranges or None, stats
+        t_start, t_end, query.ranges or None, stats
     ):
         rows, checked = _selection(stream, query, leaf, lo, hi, served)
         examined += checked
         if not rows:
             continue
+        members = {None: rows}
+        if width is not None:
+            members, timestamps = {}, leaf.timestamps
+            for i in rows:
+                members.setdefault(timestamps[i] // width * width, []).append(i)
         for name, position in positions.items():
             column = leaf.column(position)
-            values[name].extend(column[i] for i in rows)
-    return values, examined
+            for bucket, picked in members.items():
+                slot = by_bucket.get(bucket)
+                if slot is None:
+                    slot = by_bucket[bucket] = {name: [] for name in positions}
+                slot[name].extend(column[i] for i in picked)
+    _charge(stream, examined, 0)
+    return by_bucket
 
 
-def _render(agg, values: list, components: bool):
+def render(agg, values: list, components: bool):
     """One aggregate over its collected values: the oracle's fold, or
     the mergeable components of the same values."""
     if components:
         return components_of_values(values)
-    return _fold(agg.function, values)
+    return fold(agg.function, values)
 
 
 def scan_aggregates(stream, query, stats: dict, served=None,
                     components: bool = False):
     """Filtered, ungrouped aggregates without event materialization."""
-    values, examined = _gather(stream, query, stats, served)
-    _charge(stream, examined, 0)
-    if not components and not any(values.values()):
-        raise QueryError("aggregate over empty result set")
+    values = _gather(
+        stream, query, stats, served, query.t_start, query.t_end
+    ).get(None)
+    if values is None:
+        if not components:
+            raise QueryError("aggregate over empty result set")
+        values = {agg.attribute: [] for agg in query.select}
     return {
-        agg.label: _render(agg, values[agg.attribute], components)
+        agg.label: render(agg, values[agg.attribute], components)
         for agg in query.select
     }
 
@@ -176,7 +194,7 @@ def bucket_window(stream, query):
     if t_end < t_start:
         return None
     buckets = (t_end - (t_start // width) * width) // width + 1
-    if buckets > _MAX_BUCKETS:
+    if buckets > MAX_BUCKETS:
         raise QueryError(
             f"GROUP BY time({width}) would produce {buckets} buckets"
         )
@@ -189,39 +207,13 @@ def scan_grouped(stream, query, stats: dict, served=None,
     window = bucket_window(stream, query)
     if window is None:
         return []
-    t_start, t_end = window
     width = query.group_by_time
-    schema = stream.schema
-    positions = {
-        agg.attribute: schema.index_of(agg.attribute) for agg in query.select
-    }
-    by_bucket: dict[int, dict[str, list]] = {}
-    examined = 0
-    for leaf, lo, hi in stream.leaf_slices(
-        t_start, t_end, query.ranges or None, stats
-    ):
-        rows, checked = _selection(stream, query, leaf, lo, hi, served)
-        examined += checked
-        if not rows:
-            continue
-        timestamps = leaf.timestamps
-        needed = {
-            name: leaf.column(position)
-            for name, position in positions.items()
-        }
-        for i in rows:
-            bucket = (timestamps[i] // width) * width
-            slot = by_bucket.get(bucket)
-            if slot is None:
-                slot = by_bucket[bucket] = {name: [] for name in positions}
-            for name, column in needed.items():
-                slot[name].append(column[i])
-    _charge(stream, examined, 0)
+    by_bucket = _gather(stream, query, stats, served, *window, width)
     out = []
     for bucket_start in sorted(by_bucket):
         row = {"t_start": bucket_start, "t_end": bucket_start + width}
         slot = by_bucket[bucket_start]
         for agg in query.select:
-            row[agg.label] = _render(agg, slot[agg.attribute], components)
+            row[agg.label] = render(agg, slot[agg.attribute], components)
         out.append(row)
     return out[: query.limit]

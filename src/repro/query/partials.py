@@ -14,9 +14,6 @@ from __future__ import annotations
 
 from repro.index.queries import AggregateAccumulator
 
-#: Wire keys of one component set.
-_KEYS = ("min", "max", "sum", "count", "sum_squares")
-
 
 def components_from_accumulator(acc: AggregateAccumulator) -> dict:
     return {
@@ -30,8 +27,7 @@ def components_from_accumulator(acc: AggregateAccumulator) -> dict:
 
 def components_of_values(values) -> dict:
     acc = AggregateAccumulator()
-    for value in values:
-        acc.add_value(value)
+    acc.add_values(values)  # sum(values), as ``fold`` adds the finals
     return components_from_accumulator(acc)
 
 

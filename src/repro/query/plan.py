@@ -17,10 +17,8 @@ INDEX_ONLY = "index_only"
 #: Vectorized leaf scan: decode only the columns the query needs, build
 #: selection vectors per leaf, materialize events at the API boundary.
 COLUMNAR = "columnar"
-#: Row-at-a-time fallback (the naive oracle in :mod:`repro.query.naive`).
-ROW = "row"
 
-KINDS = (INDEX_ONLY, COLUMNAR, ROW)
+KINDS = (INDEX_ONLY, COLUMNAR)
 
 
 @dataclass
@@ -37,8 +35,8 @@ class Plan:
     #: Estimated simulated CPU seconds per candidate kind (may be empty
     #: when the stream has no cost model attached).
     estimated_cost: dict = field(default_factory=dict)
-    #: Columnar select-star only: emit leaves in global time order
-    #: (matching ``time_travel``) instead of filter order.
+    #: Unfiltered columnar plans: read leaf windows in ``time_travel``
+    #: order — queued late events included — instead of filter order.
     time_order: bool = False
     #: Ownership predicate ``t -> bool`` the plan was built under (a
     #: split's source still stores ranges it handed off), or None when

@@ -1,4 +1,5 @@
-"""Correctness tooling: crash-consistency checking for recovery tests."""
+"""Reference tooling no serving node imports: the crash-consistency kit
+(``crashkit``) and the row-at-a-time query oracle (``oracle``)."""
 
 from repro.testing.crashkit import (
     CrashOutcome,

@@ -1,25 +1,29 @@
 """The row-at-a-time reference executor (the planner's oracle).
 
 This is the original executor, kept verbatim as the semantic baseline:
-every vectorized plan the planner produces must return exactly what
-these functions return (see ``tests/query/test_planner_equivalence``).
-The planner also falls back to this path — the ``ROW`` plan kind — when
-a vectorized plan would diverge (e.g. out-of-order events still queued)
-or cannot apply (unindexed attributes, stdev without extended
-aggregates).
+every plan the planner produces must return exactly what these
+functions return (see ``tests/query/test_planner_equivalence``).  It
+lives under :mod:`repro.testing` because nothing on a serving node runs
+it — ``tests/test_import_boundary.py`` keeps it off ``import
+repro.net.server``.
 
 Access paths per query class (Section 5.6): pure time predicates run as
-time-travel scans; aggregate selects use the TAB+-tree statistics;
-attribute predicates go through Algorithm-2 pruning.
+time-travel scans (``EventStream.time_travel`` → ``TabTree.time_travel``,
+the sibling-chain walk); aggregate selects use the TAB+-tree statistics
+through ``EventStream.aggregate``; attribute predicates go through
+Algorithm-2 pruning (``EventStream.filter`` → ``TabTree.filter_scan``).
+Those tree walks are kept in ``src/repro`` as the references the
+columnar leaf-window scans are checked against.
 """
 
 from __future__ import annotations
 
 from repro.errors import QueryError
+from repro.index.queries import fold
 from repro.query.ast import Query, SelectStar
+from repro.query.columnar import MAX_BUCKETS
 from repro.query.parser import parse
-
-_MAX_BUCKETS = 100_000
+from repro.query.planner import validate
 
 
 def execute_naive(db, sql: str):
@@ -28,17 +32,6 @@ def execute_naive(db, sql: str):
     stream = db.get_stream(query.stream)
     validate(stream, query)
     return run_naive(stream, query)
-
-
-def validate(stream, query: Query) -> None:
-    """Reject queries naming unknown attributes (shared with the planner)."""
-    for attr_range in query.ranges:
-        if attr_range.name not in stream.schema:
-            raise QueryError(f"unknown attribute {attr_range.name!r}")
-    if not isinstance(query.select, SelectStar):
-        for agg in query.select:
-            if agg.attribute not in stream.schema:
-                raise QueryError(f"unknown attribute {agg.attribute!r}")
 
 
 def run_naive(stream, query: Query):
@@ -104,7 +97,7 @@ def _execute_grouped(stream, query: Query):
         return []
     first = (t_start // width) * width
     buckets = (t_end - first) // width + 1
-    if buckets > _MAX_BUCKETS:
+    if buckets > MAX_BUCKETS:
         raise QueryError(
             f"GROUP BY time({width}) would produce {buckets} buckets"
         )
@@ -125,7 +118,7 @@ def _execute_grouped(stream, query: Query):
             for agg in query.select:
                 position = stream.schema.index_of(agg.attribute)
                 values = [e.values[position] for e in bucket_events]
-                row[agg.label] = _fold(agg.function, values)
+                row[agg.label] = fold(agg.function, values)
             rows.append(row)
     else:
         for bucket_start in range(first, t_end + 1, width):
@@ -146,25 +139,6 @@ def _execute_grouped(stream, query: Query):
     return rows
 
 
-def _fold(function: str, values: list) -> float:
-    if function == "sum":
-        return float(sum(values))
-    if function == "count":
-        return float(len(values))
-    if function == "min":
-        return float(min(values))
-    if function == "max":
-        return float(max(values))
-    if function == "avg":
-        return float(sum(values) / len(values))
-    if function == "stdev":
-        mean = sum(values) / len(values)
-        return float(
-            (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
-        )
-    raise QueryError(f"unknown aggregate function {function!r}")
-
-
 def _aggregate_with_filter(stream, query: Query):
     """Aggregates over a filtered event set (no stored statistics apply)."""
     events = [
@@ -178,5 +152,5 @@ def _aggregate_with_filter(stream, query: Query):
     for agg in query.select:
         position = stream.schema.index_of(agg.attribute)
         values = [e.values[position] for e in events]
-        out[agg.label] = _fold(agg.function, values)
+        out[agg.label] = fold(agg.function, values)
     return out

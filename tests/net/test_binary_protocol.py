@@ -50,7 +50,7 @@ def test_ping_and_health(client):
     assert client.health()["status"] == "ok"
 
 
-def test_append_paths_match_json_semantics(server, client):
+def test_append_paths_read_back_as_one_log(server, client):
     client.create_stream("s", SCHEMA)
     client.append("s", Event.of(0, 1.0, 2.0))
     rows = [Event.of(t, float(t), 0.5) for t in range(1, 101)]

@@ -49,10 +49,14 @@ def test_malformed_json_is_reported(server):
     frame on the same socket is served."""
     with socket.create_connection((server.host, server.port), timeout=5) as s:
         reader = s.makefile("rb")
-        s.sendall(frames.encode_frame(frames.OP_JSON, 41, b'{"op": "ping"'))
-        op, corr_id, body = read_frame(reader)
-        assert (op, corr_id) == (frames.OP_ERR, 41)
-        assert "bad JSON frame payload" in body["error"]
+        # Truncated JSON, then valid JSON that is not a request object.
+        for corr, bad in enumerate(
+            (b'{"op": "ping"', b"[]", b"3", b'"x"'), start=38
+        ):
+            s.sendall(frames.encode_frame(frames.OP_JSON, corr, bad))
+            op, corr_id, body = read_frame(reader)
+            assert (op, corr_id) == (frames.OP_ERR, corr)
+            assert "bad JSON frame payload" in body["error"]
         s.sendall(frames.encode_frame(frames.OP_JSON, 42, b'{"op": "ping"}'))
         assert read_frame(reader) == (frames.OP_OK, 42, {"result": "pong"})
 

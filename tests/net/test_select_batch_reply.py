@@ -3,7 +3,7 @@
 The reply reuses the catch-up/subscription batch payload, so what has to
 be proven is equivalence: for every result shape the client's ``query``
 returns exactly the ``list[Event]`` the embedded ``db.execute`` does —
-empty results, ``LIMIT``, row-plan results that merge the out-of-order
+empty results, ``LIMIT``, results that splice in the out-of-order
 queue, warm-tier segments, ownership-filtered streams after a shard
 split — and scatter-gather through pooled binary clients still merges
 plain events.
@@ -18,7 +18,7 @@ from repro.cluster import Cluster, TimeWindowPlacement
 from repro.lifecycle import LifecyclePolicy
 from repro.net import BinaryChronicleClient, ChronicleServer
 from repro.net import frames
-from repro.query.plan import ROW
+from repro.query.plan import COLUMNAR
 
 SCHEMA = EventSchema.of("temp", "load")
 CONFIG = ChronicleConfig(lblock_size=512, macro_size=2048, queue_capacity=64)
@@ -77,18 +77,20 @@ def test_binary_select_equals_json_select(server, sql):
     assert all(isinstance(event, Event) for event in got)
 
 
-def test_row_plan_result_reads_the_out_of_order_queue(server):
+def test_batch_reply_reads_the_out_of_order_queue(server):
     stream = server.db.get_stream("s")
     stream.append(Event.of(300, 99.0, 99.0))  # late: parked in the queue
-    assert stream.ooo_pending_in(0, 1000) == 1
-    assert server.db.explain("SELECT * FROM s")["plan"] == ROW
+    assert stream.splits[0].manager.pending == 1
+    plan = server.db.explain("SELECT * FROM s")
+    assert plan["plan"] == COLUMNAR
+    assert "queued late events spliced in" in plan["reason"]
     got = wire_query(server.host, server.port, "SELECT * FROM s")
     assert got == server.db.execute("SELECT * FROM s")
     assert len(got) == 601
     assert Event.of(300, 99.0, 99.0) in got
 
 
-def test_warm_tier_segment_over_both_protocols():
+def test_warm_tier_segment_over_the_wire():
     config = ChronicleConfig(
         lblock_size=256, macro_size=512, lblock_spare=0.2,
         time_split_interval=100,

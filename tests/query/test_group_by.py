@@ -112,14 +112,14 @@ def test_fine_buckets_clamped_to_data_range(db):
 
 
 def test_bucket_explosion_guard():
-    from repro.query.naive import _MAX_BUCKETS
+    from repro.query.columnar import MAX_BUCKETS
 
     database = ChronicleDB(
         config=ChronicleConfig(lblock_size=512, macro_size=2048)
     )
     stream = database.create_stream("s", SCHEMA)
     stream.append(Event.of(0, 1.0, 1.0))
-    stream.append(Event.of(10 * _MAX_BUCKETS, 1.0, 1.0))
+    stream.append(Event.of(10 * MAX_BUCKETS, 1.0, 1.0))
     with pytest.raises(QueryError):
         database.execute("SELECT count(temp) FROM s GROUP BY time(1)")
 

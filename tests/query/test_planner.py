@@ -4,7 +4,7 @@ import pytest
 
 from repro import ChronicleConfig, ChronicleDB, Event, EventSchema, obs
 from repro.query.parser import parse
-from repro.query.plan import COLUMNAR, INDEX_ONLY, ROW
+from repro.query.plan import COLUMNAR, INDEX_ONLY
 from repro.query.planner import build_plan, run_plan
 
 SCHEMA = EventSchema.of("temp", "load")
@@ -63,14 +63,20 @@ def test_select_star_plans_columnar_in_time_order(db):
     assert "time order" in plan["reason"]
 
 
-def test_pending_ooo_events_force_row_fallback():
+def test_pending_ooo_events_are_spliced_into_the_columnar_scan():
     db = make_db(queue_capacity=64)
     stream = db.get_stream("sensors")
-    stream.append(Event.of(500, 99.0, 99.0))  # queued: 500 < high water
-    assert stream.ooo_pending_in(0, 1000) == 1
-    assert db.explain("SELECT * FROM sensors")["plan"] == ROW
-    # Aggregates read trees only (the queue is invisible to the naive
-    # path too), so they stay vectorized.
+    late = Event.of(500, 99.0, 99.0)
+    stream.append(late)  # queued: 500 < high water
+    assert stream.splits[0].manager.pending == 1
+    plan = db.explain("SELECT * FROM sensors")
+    assert plan["plan"] == COLUMNAR
+    assert "queued late events spliced in" in plan["reason"]
+    got = db.execute("SELECT * FROM sensors WHERE t BETWEEN 499 AND 501")
+    assert [e.t for e in got] == [499, 500, 500, 501]
+    assert got[2] == late  # tree row first on equal t, as time_travel
+    # Index aggregates read trees only (the queue is invisible to the
+    # oracle's path too), so they stay index-only.
     assert db.explain("SELECT sum(temp) FROM sensors")["plan"] == INDEX_ONLY
     stream.flush()
     assert db.explain("SELECT * FROM sensors")["plan"] == COLUMNAR
@@ -79,12 +85,15 @@ def test_pending_ooo_events_force_row_fallback():
 def test_unindexed_attribute_blocks_index_only():
     db = make_db(indexed_attributes=["temp"])
     plan = db.explain("SELECT sum(load) FROM sensors")
-    assert plan["plan"] == ROW
-    assert "not indexed" in plan["reason"]
+    assert plan["plan"] == COLUMNAR
+    assert "'load' is not indexed" in plan["reason"]
+    assert "scanned in time order" in plan["reason"]
 
 
 def test_stdev_needs_extended_aggregates():
-    assert make_db().explain("SELECT stdev(temp) FROM sensors")["plan"] == ROW
+    plan = make_db().explain("SELECT stdev(temp) FROM sensors")
+    assert plan["plan"] == COLUMNAR
+    assert "stdev needs extended aggregates" in plan["reason"]
     db = make_db(extended_aggregates=True)
     assert db.explain("SELECT stdev(temp) FROM sensors")["plan"] == INDEX_ONLY
 
@@ -101,8 +110,11 @@ def test_explain_estimates_costs_under_cost_model():
 
     db = make_db(cost_model=CpuCostModel())
     plan = db.explain("SELECT * FROM sensors WHERE temp >= 12")
+    assert plan["estimated_cost"].keys() == {"columnar"}
     assert plan["estimated_cost"]["columnar"] > 0
-    assert plan["estimated_cost"]["row"] > plan["estimated_cost"]["columnar"]
+    plan = db.explain("SELECT sum(temp) FROM sensors")
+    assert plan["estimated_cost"].keys() == {"columnar", "index_only"}
+    assert plan["estimated_cost"]["index_only"] < plan["estimated_cost"]["columnar"]
 
 
 def test_explain_does_not_execute(db):

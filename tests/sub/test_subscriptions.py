@@ -185,7 +185,7 @@ def test_unknown_stream_and_bad_params_are_typed_errors(server, client):
         client.subscribe("s", policy="wat")
 
 
-def test_json_protocol_refuses_subscriptions(client):
+def test_subscribe_tunnelled_as_a_control_op_is_refused(client):
     """``subscribe`` is a frame op with a push channel behind it, not
     an ``OP_JSON`` control op: tunnelled as one it is refused."""
     with pytest.raises(RemoteError, match="unknown op 'subscribe'"):
