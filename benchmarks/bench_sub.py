@@ -5,8 +5,8 @@ Two measurements, both beyond the paper (the live-subscription layer):
 
 * **Delivery lag** — a live subscriber follows a stream over the binary
   wire protocol while batches are appended; the hub's
-  ``sub.delivery_lag_seconds`` histogram (append-enqueue → wire push)
-  yields the p99.  Wall-clock, so CI gates it against a deliberately
+  ``sub.delivery_lag_seconds`` histogram (``hub.notify`` ring → wire
+  push of the cursor scan that answered it) yields the p99.  Wall-clock, so CI gates it against a deliberately
   slack committed baseline; the throughput rides along ungated.
 
 * **Multi-tenant ingest retention** — ``NUM_STREAMS`` (≥10k) streams
@@ -62,8 +62,9 @@ def run_sub_latency():
     with ChronicleServer(db) as server:
         with BinaryChronicleClient(server.host, server.port) as client:
             client.create_stream("hot", SCHEMA)
-            # Tail subscription: live from the first append, so every
-            # delivery goes through the tap (and the lag histogram).
+            # Tail subscription: at the tail from the first append, so
+            # every delivery is a rung cursor scan (and feeds the lag
+            # histogram).
             handle = client.subscribe("hot", batch=LAG_BATCH, credits=8)
 
             def consume():

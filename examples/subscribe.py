@@ -1,12 +1,12 @@
-"""Live push subscriptions: replay a stream from a cursor, hand off to
-the live tail, survive a reconnect exactly-once, then run a
-checkpointed continuous query on top.
+"""Live push subscriptions: follow a stream from a cursor through its
+history into the live tail, survive a reconnect exactly-once, then run
+a checkpointed continuous query on top.
 
-The server replays history from the cursor and atomically attaches the
-subscription to the append path under the same per-stream lock the
-writers hold — no event is lost or duplicated at the handoff.  Credits
-(one per acked batch) are the backpressure; the cursor `(t, k)` is the
-resume token.
+A subscription is a cursor over the log: the server reads every pushed
+batch from storage, history and tail alike, under the same per-stream
+lock the writers hold, and an append only rings a doorbell — no event
+is lost or duplicated.  Credits (one per acked batch) are the
+backpressure; the cursor `(t, k)` is the resume token.
 
 Run:  python examples/subscribe.py
 """

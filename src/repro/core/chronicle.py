@@ -144,12 +144,6 @@ class ChronicleDB:
     def _on_stream_activated(self, name: str, stream: EventStream) -> None:
         self._attach_lifecycle(name)
 
-    def on_stream_activated(self, callback) -> None:
-        """Register ``callback(name, stream)`` fired when a parked
-        stream re-activates (the subscription hub re-attaches live
-        taps through this)."""
-        self.streams.on_activated(callback)
-
     def _write_manifest(self) -> None:
         if not self.directory:
             return

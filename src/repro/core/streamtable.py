@@ -83,8 +83,8 @@ class StreamTable(MutableMapping):
 
     def on_activated(self, callback) -> None:
         """Register ``callback(name, stream)``, fired whenever a parked
-        stream is re-activated (e.g. the subscription hub re-attaching
-        live taps)."""
+        stream is re-activated (the database re-attaches the stream's
+        lifecycle manager through this)."""
         self._callbacks.append(callback)
 
     # ------------------------------------------------------ mapping protocol

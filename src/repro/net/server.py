@@ -77,6 +77,12 @@ class ChronicleServer:
     ``"raw"`` so the cluster layer forwards the identical bytes
     (:mod:`repro.cluster.replication`).
 
+    Subscriptions are cursors over the log (:mod:`repro.sub.hub`): the
+    two batch-append handlers ring ``hub.notify(stream, count)`` once per
+    applied batch, under the stream lock, and that is all the append
+    path does for subscribers — the hub's dispatcher reads what to push
+    from storage under the same lock.
+
     ``frame_tap``, when given, is called as ``frame_tap(op, payload)``
     for every received binary frame — a test hook used to assert the
     zero-copy replication path ships unmodified bytes.
@@ -109,9 +115,9 @@ class ChronicleServer:
         self._self_shard: int | None = None
         self.stale_rejections = 0
         self._db_lock = threading.Lock()
-        # Stream-lock creation has its own guard (not the db lock): the
-        # subscription hub detaches taps under stream locks from paths
-        # that already hold the db lock (map installs).
+        # Stream-lock creation has its own guard (not the db lock):
+        # eviction looks its victims' locks up from handlers that
+        # already hold the db lock (create_stream).
         self._locks_guard = threading.Lock()
         self._stream_locks: dict[str, threading.Lock] = {}
         from repro.sub.hub import SubscriptionHub
@@ -144,8 +150,8 @@ class ChronicleServer:
     def db(self, db) -> None:
         # Replica promotion reopens the store and swaps it in here;
         # everything holding the old (closed) database must follow —
-        # most visibly the subscription hub, whose replay scans would
-        # otherwise hit closed devices.
+        # most visibly the subscription hub, whose scans would otherwise
+        # hit closed devices.
         self._db = db
         hub = getattr(self, "hub", None)
         if hub is not None:
@@ -339,6 +345,7 @@ class ChronicleServer:
                     f"schema {target.schema!r}"
                 )
             count = target.append_columns(timestamps, columns)
+            self.hub.notify(stream, count)
             self._replicate(
                 {"op": "append_batch", "stream": stream, "raw": payload}
             )
@@ -360,7 +367,9 @@ class ChronicleServer:
                     f"batch schema {schema!r} does not match stream "
                     f"schema {target.schema!r}"
                 )
-            return target.append_columns(timestamps, columns)
+            count = target.append_columns(timestamps, columns)
+            self.hub.notify(stream, count)
+        return count
 
     def _binary_catchup(self, payload: bytes) -> tuple[int, bytes]:
         """Catch-up replay, answered in the same columnar batch format

@@ -2,9 +2,10 @@
 
 ``repro.sub`` turns the event store into a push platform:
 
-* :mod:`repro.sub.hub` — the server-side subscription registry: cursor-
-  fenced replay→live handoff, credit-based backpressure, slow-consumer
-  policies, and pushed columnar batches over the binary wire protocol.
+* :mod:`repro.sub.hub` — the server-side subscription registry: each
+  subscription a cursor over the log, credit-based backpressure, slow-
+  consumer policies, and pushed columnar batches over the binary wire
+  protocol.
 * :mod:`repro.sub.client` — the client-side subscription handle fed by
   :class:`repro.net.client.BinaryChronicleClient`'s reader loop.
 * :mod:`repro.sub.cluster` — a routed subscriber that follows primary

@@ -17,7 +17,7 @@ import queue as queue_mod
 import threading
 
 from repro.errors import SubscriptionClosed
-from repro.events.event import Event
+from repro.events.event import ColumnarEvents
 from repro.net import frames
 
 _HUGE = 2**62
@@ -116,10 +116,7 @@ class SubscriptionHandle:
             _, _, timestamps, columns = frames.decode_batch_payload(
                 batch_payload
             )
-            events = [
-                Event(timestamps[row], tuple(col[row] for col in columns))
-                for row in range(len(timestamps))
-            ]
+            events = ColumnarEvents(timestamps, columns).materialize()
             with self._lock:
                 self._last_seq = seq
                 if events:

@@ -1,40 +1,41 @@
 """Server-side subscription hub.
 
 One :class:`SubscriptionHub` per :class:`~repro.net.server.ChronicleServer`
-owns every live subscription on that node.  The contract it implements:
+owns every subscription on that node.  The contract it implements:
 
-**Replay → live handoff, exactly once.**  A subscription starts in
-*replay* mode: history is streamed through the storage engine's normal
-leaf-scan machinery (:meth:`EventStream.time_travel`) from the
-subscriber's cursor.  When a replay round finds the stream exhausted,
-the hub — still holding the server's per-stream lock, the same lock
-every append handler takes — attaches a live tap to the stream and
-flips the subscription to *live* mode.  Because attachment happens
-under that lock, no append can land between "replay saw everything" and
-"the tap sees everything after": the handoff has no gap and no
-duplicate.  This is the cursor fence.
+**One delivery path: a subscription is a cursor over the log.**  The
+hub holds no event.  Every pushed batch — history and live tail alike —
+is one scan: take the server's per-stream lock (the lock every append
+handler holds), read :meth:`EventStream.time_travel` from the cursor,
+advance the cursor, push outside the lock.  The append path only rings
+a doorbell (:meth:`SubscriptionHub.notify`, once per batch): it adds
+the batch's size to the subscription's backlog count and flags it for
+the dispatcher.  No wake-up is lost: the dispatcher clears the flag
+before it scans, and scans and appends serialise on the stream lock, so
+an append either precedes the scan and is read by it, or follows it and
+rings again.
 
-**Cursors.**  A cursor is ``(t, k)``: every event strictly before
-timestamp ``t`` has been delivered, plus the first ``k`` events at
-``t`` (storage order at one timestamp is stable: insertion order).
-Resuming a subscription is just a fresh subscribe carrying the cursor —
-replay skips the ``k`` already-delivered events and the fence does the
-rest.  Delivery is time-ordered and monotone; an out-of-order event
-that lands *behind* a live cursor is not pushed (counted in
-``sub.skipped_late`` — a resumed replay would not see it either side of
-the fence differently, so the delivered sequence stays deterministic).
+**Cursors, exactly once.**  A cursor is ``(t, k)``: every event strictly
+before timestamp ``t`` has been delivered, plus the first ``k`` events
+at ``t`` (storage order at one timestamp is stable: insertion order).
+Resuming a subscription is just a fresh subscribe carrying the cursor.
+Delivery is in storage (time) order and monotone by construction — a
+batch that arrives out of order ahead of the cursor is pushed sorted,
+and an event that lands *behind* the cursor is not pushed, because no
+scan starts before the cursor; a resumed subscription sees exactly the
+sequence an uninterrupted one does.  The server's ownership predicate
+(``served_filter``) applies to every push.
 
 **Backpressure.**  Credits are granted by the client (one credit = one
-pushed batch) at subscribe time and topped up by ``sub_ack``.  Live
-events buffer in a bounded per-subscription queue; on overflow the
-slow-consumer policy runs: ``"spill"`` drops the buffer and falls back
-to replay mode (the data is durable — replay re-reads it from storage,
-so nothing is lost), ``"disconnect"`` pushes a typed ``slow_consumer``
-end notice and severs the connection.
+pushed batch) at subscribe time and topped up by ``sub_ack``.  Storage
+is the only buffer; ``queue_max`` is how many events behind the tail a
+consumer may fall.  When the backlog crosses it the slow-consumer
+policy runs: ``"spill"`` only counts the excursion (the events are
+durable, the next credited scan reads them), ``"disconnect"`` pushes a
+typed ``slow_consumer`` end notice and severs the connection.
 
 All pushes happen on the hub's dispatcher thread, never on the append
-path: appends only enqueue into live buffers and flag the subscription
-dirty, so ingest latency never waits on a subscriber's socket.
+path, so ingest latency never waits on a subscriber's socket.
 """
 
 from __future__ import annotations
@@ -57,38 +58,22 @@ POLICIES = ("spill", "disconnect")
 _M_SUBS = OBS.counter("sub.subscriptions")
 _M_BATCHES = OBS.counter("sub.batches_pushed")
 _M_EVENTS = OBS.counter("sub.events_pushed")
-_M_REPLAY_EVENTS = OBS.counter("sub.replay_events")
 _M_ACKS = OBS.counter("sub.acks")
 _M_SPILLS = OBS.counter("sub.spills")
 _M_SLOW_DISCONNECTS = OBS.counter("sub.slow_disconnects")
-_M_SKIPPED_LATE = OBS.counter("sub.skipped_late")
 _M_ACTIVE = OBS.gauge("sub.active")
 _M_QUEUE_DEPTH = OBS.histogram("sub.queue_depth", smallest=1.0)
 _M_LAG = OBS.histogram("sub.delivery_lag_seconds")
 
-_STOP = object()
-
-
-class _Tap:
-    """The live tap attached to ``EventStream.subscribers``.
-
-    Stays attached for the subscription's lifetime (the append path
-    iterates the subscriber list, so membership changes only happen
-    under the stream's server lock); when the subscription is not in
-    live mode the call is a no-op.
-    """
-
-    __slots__ = ("hub", "sub")
-
-    def __init__(self, hub: "SubscriptionHub", sub: "_Subscription"):
-        self.hub = hub
-        self.sub = sub
-
-    def __call__(self, event) -> None:
-        self.hub._on_live_event(self.sub, event)
-
 
 class _Subscription:
+    """A cursor, its credits and its doorbell — no event.
+
+    ``mode`` is ``LIVE`` iff the last scan reached the tail; ``backlog``
+    counts events rung since then and not yet pushed; ``rung_at`` stamps
+    the first ring no scan has answered yet (``None``: none pending).
+    """
+
     __slots__ = (
         "id",
         "stream",
@@ -105,15 +90,13 @@ class _Subscription:
         "acked_seq",
         "credits",
         "mode",
-        "queue",
-        "tap",
-        "tap_attached",
+        "backlog",
+        "rung_at",
         "dirty",
         "closed",
         "end_reason",
         "pending_end",
         "spills",
-        "skipped_late",
         "pushed_batches",
         "pushed_events",
     )
@@ -134,15 +117,13 @@ class _Subscription:
         self.acked_seq = 0
         self.credits = 0
         self.mode = REPLAY
-        self.queue: deque = deque()
-        self.tap = None
-        self.tap_attached = False
+        self.backlog = 0
+        self.rung_at: float | None = None
         self.dirty = False
         self.closed = False
         self.end_reason = None
         self.pending_end = None
         self.spills = 0
-        self.skipped_late = 0
         self.pushed_batches = 0
         self.pushed_events = 0
 
@@ -155,23 +136,22 @@ class _Subscription:
             "seq": self.seq,
             "acked_seq": self.acked_seq,
             "credits": self.credits,
-            "queued": len(self.queue),
+            "queued": self.backlog,
             "spills": self.spills,
-            "skipped_late": self.skipped_late,
             "pushed_batches": self.pushed_batches,
             "pushed_events": self.pushed_events,
         }
 
 
 class SubscriptionHub:
-    """Registry + dispatcher for one server's live subscriptions.
+    """Registry + dispatcher for one server's subscriptions.
 
     ``lock_for(stream)`` must return the same lock object the server's
-    append handlers hold while mutating that stream — the cursor fence
-    is only as good as that lock.  ``served_filter(stream)`` (optional)
-    returns an ownership predicate ``t -> bool`` or ``None``; both the
-    replay scan and the live tap honor it so a subscriber of a split
-    shard never sees the dead (moved-away) range twice.
+    append handlers hold while mutating that stream — scans and appends
+    serialise on it, which is what makes the doorbell lossless.
+    ``served_filter(stream)`` (optional) returns an ownership predicate
+    ``t -> bool`` or ``None``; every scan honors it so a subscriber of
+    a split shard never sees the dead (moved-away) range twice.
 
     ``fault_injector(sub_describe, seq) -> bool`` is a test hook: return
     True to sever the subscriber's connection *instead of* writing the
@@ -188,28 +168,20 @@ class SubscriptionHub:
         self.fault_injector = None
         self._lock = threading.Lock()
         self._subs: dict[int, _Subscription] = {}
-        self._by_stream: dict[str, list[_Subscription]] = {}
+        #: stream -> its subscriptions, as tuples replaced (never
+        #: mutated) under ``_lock`` so ``notify`` reads them lock-free.
+        self._by_stream: dict[str, tuple[_Subscription, ...]] = {}
         self._next_id = 1
         self._dirty: "deque[_Subscription]" = deque()
         self._wake = threading.Condition(threading.Lock())
         self._thread: threading.Thread | None = None
         self._stopping = False
-        # Re-attach live taps when an evicted stream is reactivated.
-        register = getattr(db, "on_stream_activated", None)
-        if register is not None:
-            register(self._on_stream_activated)
 
     def rebind(self, db) -> None:
-        """Follow a database swap (replica promotion reopens the store).
-
-        New subscriptions replay from the replacement database; live
-        subscriptions whose taps point into the old one end on their
-        next push and fail over via their cursors.
-        """
+        """Follow a database swap (replica promotion reopens the store):
+        every scan resolves its stream through ``self._db``, so cursors
+        simply continue over the replacement database."""
         self._db = db
-        register = getattr(db, "on_stream_activated", None)
-        if register is not None:
-            register(self._on_stream_activated)
 
     def _own_lock_for(self, stream: str) -> threading.Lock:
         with self._locks_guard:
@@ -266,7 +238,9 @@ class SubscriptionHub:
 
         with self._lock:
             self._subs[sub.id] = sub
-            self._by_stream.setdefault(stream_name, []).append(sub)
+            self._by_stream[stream_name] = (
+                *self._by_stream.get(stream_name, ()), sub
+            )
             if OBS.enabled:
                 _M_SUBS.inc()
                 _M_ACTIVE.set(len(self._subs))
@@ -304,6 +278,40 @@ class SubscriptionHub:
             return {"sub_id": int(request["sub_id"]), "closed": False}
         self._finish(sub, "unsubscribed", "client unsubscribed")
         return {"sub_id": sub.id, "closed": True}
+
+    def notify(self, stream: str, count: int) -> None:
+        """The doorbell: *count* events were just appended to *stream*.
+
+        Called by the append handlers once per batch, under the stream's
+        server lock.  Touches no event and no socket — it only counts
+        the backlog, applies the slow-consumer policy when the backlog
+        crosses ``queue_max`` and flags the subscription for a scan.
+        """
+        for sub in self._by_stream.get(stream, ()):
+            with sub.lock:
+                if sub.closed:
+                    continue
+                if sub.rung_at is None:
+                    sub.rung_at = time.monotonic()
+                before = sub.backlog
+                sub.backlog = before + count
+                if before <= sub.queue_max < sub.backlog:
+                    if sub.policy == "disconnect":
+                        sub.pending_end = (
+                            "slow_consumer",
+                            f"consumer fell more than {sub.queue_max} "
+                            "events behind the tail",
+                            True,
+                        )
+                        if OBS.enabled:
+                            _M_SLOW_DISCONNECTS.inc()
+                    else:
+                        # Spill: storage is the buffer, so nothing is
+                        # dropped — only the excursion is counted.
+                        sub.spills += 1
+                        if OBS.enabled:
+                            _M_SPILLS.inc()
+                self._mark_dirty_locked(sub)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -405,10 +413,8 @@ class SubscriptionHub:
 
     def _pump(self, sub: _Subscription) -> None:
         """Push batches for one subscription until it can't progress
-        (no credits, no data, or closed)."""
+        (no credits, nothing rung, or closed)."""
         while True:
-            events = None
-            enqueue_times = None
             with sub.lock:
                 sub.dirty = False
                 pending = sub.pending_end
@@ -416,168 +422,82 @@ class SubscriptionHub:
                 if pending is None:
                     if sub.closed or sub.credits <= 0:
                         return
-                    if sub.mode == LIVE:
-                        if not sub.queue:
-                            return
-                        take = min(len(sub.queue), sub.batch)
-                        if OBS.enabled:
-                            _M_QUEUE_DEPTH.observe(len(sub.queue))
-                        entries = [sub.queue.popleft() for _ in range(take)]
-                        events = [entry[0] for entry in entries]
-                        enqueue_times = [entry[1] for entry in entries]
-                        sub.credits -= 1
-                        sub.seq += 1
-                        seq = sub.seq
-                        self._advance_cursor(sub, events)
+                    if sub.mode == LIVE and sub.rung_at is None:
+                        return  # at the tail and nothing appended since
+                    rung_at, sub.rung_at = sub.rung_at, None
             if pending is not None:
                 reason, message, sever = pending
                 self._finish(sub, reason, message, sever=sever)
                 return
-            if events is None:
-                if not self._pump_replay(sub):
-                    return
-                continue
-            self._push_events(sub, seq, events, enqueue_times)
-            if sub.channel.closed:
+            if not self._pump_replay(sub, rung_at):
                 return
 
-    def _pump_replay(self, sub: _Subscription) -> bool:
-        """One replay round: scan up to a batch from the cursor; if the
-        scan exhausts the stream, fence the handoff (attach the live tap
-        under the stream's server lock) before releasing it.  Returns
-        True when a batch was pushed (more pumping may be possible)."""
-        seq = None
-        dropped = False
-        lost_tail = False
+    def _pump_replay(self, sub: _Subscription, rung_at) -> bool:
+        """One scan: read up to a batch from the cursor under the
+        stream's server lock, advance the cursor, push outside the lock.
+        Returns True when a batch was pushed (more pumping may be
+        possible)."""
         with self._lock_for(sub.stream):
             try:
                 stream = self._db.get_stream(sub.stream)
             except ChronicleError:
-                stream = None
-                dropped = True
-            if not dropped:
-                served = (
-                    self._served_filter(sub.stream)
-                    if self._served_filter is not None
-                    else None
-                )
-                with sub.lock:
-                    if sub.closed:
-                        return False
-                    cursor_t, cursor_k, batch = (
-                        sub.cursor_t,
-                        sub.cursor_k,
-                        sub.batch,
-                    )
-                skip = cursor_k
-                events: list = []
-                caught_up = True
-                for event in stream.time_travel(cursor_t, _HUGE):
-                    if served is not None and not served(event.t):
-                        continue
-                    if skip and event.t == cursor_t:
-                        skip -= 1
-                        continue
-                    if len(events) == batch:
-                        caught_up = False
-                        break
-                    events.append(event)
-                with sub.lock:
-                    if sub.closed:
-                        return False
-                    if caught_up and sub.mode != LIVE:
-                        if served is not None and not served(_HUGE - 1):
-                            # This node owns a bounded slice of the
-                            # stream (a split moved the tail away): once
-                            # the owned range is drained there is no
-                            # live tail to hand off to.  The typed end
-                            # tells the routed subscriber to advance to
-                            # the next owner — only after every locally
-                            # owned event has been pushed.
-                            lost_tail = not events
-                        else:
-                            # The fence: replay saw everything up to
-                            # now, and no append can land until this
-                            # lock is released — attach the tap *here*
-                            # and the handoff is seamless.
-                            self._attach_tap_locked(sub, stream)
-                            sub.mode = LIVE
-                    if events:
-                        sub.credits -= 1
-                        sub.seq += 1
-                        seq = sub.seq
-                        self._advance_cursor(sub, events)
-        if dropped:
-            # _finish re-takes the stream lock (tap detach), so it must
-            # run outside the scan's `with` block.
-            self._finish(sub, "stream_dropped", "stream no longer exists")
-            return False
-        if lost_tail:
+                self._finish(sub, "stream_dropped", "stream no longer exists")
+                return False
+            served = (
+                self._served_filter(sub.stream)
+                if self._served_filter is not None
+                else None
+            )
+            # Only this (the dispatcher) thread moves the cursor.
+            cursor_t, skip = sub.cursor_t, sub.cursor_k
+            events: list = []
+            caught_up = True
+            for event in stream.time_travel(cursor_t, _HUGE):
+                if served is not None and not served(event.t):
+                    continue
+                if skip and event.t == cursor_t:
+                    skip -= 1
+                    continue
+                if len(events) == sub.batch:
+                    caught_up = False
+                    break
+                events.append(event)
+            # This node may own a bounded slice of the stream (a split
+            # moved the tail away): the end of the owned range is not a
+            # tail to wait at.
+            bounded = (
+                caught_up and served is not None and not served(_HUGE - 1)
+            )
+            with sub.lock:
+                if sub.closed:
+                    return False
+                if OBS.enabled:
+                    _M_QUEUE_DEPTH.observe(sub.backlog)
+                if caught_up and not bounded:
+                    sub.mode = LIVE
+                    sub.backlog = 0
+                else:
+                    sub.mode = REPLAY
+                    sub.backlog = max(0, sub.backlog - len(events))
+                if events:
+                    sub.credits -= 1
+                    sub.seq += 1
+                    seq = sub.seq
+                    self._advance_cursor(sub, events)
+        if events:
+            self._push_events(sub, seq, events, rung_at)
+            return not sub.channel.closed
+        if bounded:
+            # Only after every locally owned event has been pushed: the
+            # typed end tells the routed subscriber to advance to the
+            # next owner.
             self._finish(
                 sub,
                 "ownership_boundary",
                 "local ownership ends at the cursor; "
                 "resubscribe at the next owner",
             )
-            return False
-        if seq is None:
-            return False
-        if OBS.enabled:
-            _M_REPLAY_EVENTS.inc(len(events))
-        self._push_events(sub, seq, events, None)
-        return not sub.channel.closed
-
-    def _attach_tap_locked(self, sub: _Subscription, stream) -> None:
-        """Caller holds the stream's server lock and ``sub.lock``."""
-        if sub.tap is None:
-            sub.tap = _Tap(self, sub)
-        if sub.tap not in stream.subscribers:
-            stream.subscribe(sub.tap)
-        sub.tap_attached = True
-
-    def _on_live_event(self, sub: _Subscription, event) -> None:
-        """The tap: runs on the append path, under the stream's server
-        lock.  Only buffers and flags — never touches the socket."""
-        with sub.lock:
-            if sub.closed or sub.mode != LIVE:
-                return
-            if event.t < sub.cursor_t:
-                sub.skipped_late += 1
-                if OBS.enabled:
-                    _M_SKIPPED_LATE.inc()
-                return
-            sub.queue.append((event, time.monotonic()))
-            if len(sub.queue) > sub.queue_max:
-                if sub.policy == "disconnect":
-                    sub.pending_end = (
-                        "slow_consumer",
-                        f"outbound queue exceeded {sub.queue_max} events",
-                        True,
-                    )
-                    if OBS.enabled:
-                        _M_SLOW_DISCONNECTS.inc()
-                else:
-                    # Spill: the buffered events are durable in storage;
-                    # drop the buffer and let replay re-read from the
-                    # cursor when the consumer frees credits.
-                    sub.queue.clear()
-                    sub.mode = REPLAY
-                    sub.spills += 1
-                    if OBS.enabled:
-                        _M_SPILLS.inc()
-            self._mark_dirty_locked(sub)
-
-    def _on_stream_activated(self, name: str, stream) -> None:
-        """A deactivated stream came back: re-attach live taps.  Runs
-        during ``get_stream`` — before any append can touch the fresh
-        object — so live subscriptions survive eviction unharmed."""
-        with self._lock:
-            subs = list(self._by_stream.get(name, ()))
-        for sub in subs:
-            with sub.lock:
-                if not sub.closed and sub.tap_attached:
-                    if sub.tap not in stream.subscribers:
-                        stream.subscribe(sub.tap)
+        return False
 
     def _advance_cursor(self, sub: _Subscription, events) -> None:
         """Caller holds ``sub.lock``; *events* are in delivery order."""
@@ -592,7 +512,7 @@ class SubscriptionHub:
         else:
             sub.cursor_t, sub.cursor_k = last_t, trailing
 
-    def _push_events(self, sub, seq, events, enqueue_times) -> None:
+    def _push_events(self, sub, seq, events, rung_at) -> None:
         payload = frames.encode_sub_events_payload(
             sub.id,
             seq,
@@ -614,13 +534,13 @@ class SubscriptionHub:
         if OBS.enabled:
             _M_BATCHES.inc()
             _M_EVENTS.inc(len(events))
-            if enqueue_times:
-                _M_LAG.observe(time.monotonic() - enqueue_times[0])
+            if rung_at is not None:
+                _M_LAG.observe(time.monotonic() - rung_at)
 
     def _finish(self, sub, reason, message, sever=False, notify=True):
         """Idempotently end a subscription: typed END push (when the
-        connection still stands), registry removal, tap detach.  Returns
-        the END frame's write future, if one was sent."""
+        connection still stands), registry removal.  Returns the END
+        frame's write future, if one was sent."""
         with sub.lock:
             if sub.closed:
                 return None
@@ -648,25 +568,12 @@ class SubscriptionHub:
     def _remove(self, sub: _Subscription) -> None:
         with self._lock:
             self._subs.pop(sub.id, None)
-            peers = self._by_stream.get(sub.stream)
-            if peers is not None:
-                try:
-                    peers.remove(sub)
-                except ValueError:
-                    pass
-                if not peers:
-                    del self._by_stream[sub.stream]
+            peers = tuple(
+                p for p in self._by_stream.get(sub.stream, ()) if p is not sub
+            )
+            if peers:
+                self._by_stream[sub.stream] = peers
+            else:
+                self._by_stream.pop(sub.stream, None)
             if OBS.enabled:
                 _M_ACTIVE.set(len(self._subs))
-        if sub.tap_attached:
-            with self._lock_for(sub.stream):
-                streams = getattr(self._db, "streams", None)
-                getter = getattr(streams, "active_get", None)
-                stream = (
-                    getter(sub.stream)
-                    if getter is not None
-                    else (streams or {}).get(sub.stream)
-                )
-                if stream is not None and sub.tap in stream.subscribers:
-                    stream.unsubscribe(sub.tap)
-            sub.tap_attached = False

@@ -47,8 +47,12 @@ class EveryNthPush:
         return False
 
 
-def collect_with_reconnects(host, port, total, batch=16):
-    """Drain ``total`` events of stream "s", reconnecting on any crash."""
+def collect_with_reconnects(host, port, total, batch=16, at_tail=None):
+    """Drain ``total`` events of stream "s", reconnecting on any crash.
+
+    ``at_tail=(n, feed)`` calls ``feed()`` once, when ``n`` events are
+    in hand and the subscription that delivered them still stands —
+    what ``feed`` appends lands on a caught-up subscriber."""
     events = []
     cursor = None
     attempts = 0
@@ -66,6 +70,9 @@ def collect_with_reconnects(host, port, total, batch=16):
                 for pushed in handle.batches(timeout=10):
                     events.extend(pushed)
                     cursor = handle.cursor
+                    if at_tail is not None and len(events) >= at_tail[0]:
+                        at_tail[1]()
+                        at_tail = None
                     if len(events) >= total:
                         handle.close()
                         break
@@ -91,8 +98,38 @@ def test_crash_matrix_exactly_once(stride):
             writer.append_batch(
                 "s", [Event.of(t, float(t), 0.0) for t in range(200, total)]
             )
-            events = collect_with_reconnects(srv.host, srv.port, total)
+
+            # Then, on the caught-up subscriber, one batch whose arrival
+            # order is not its storage order — all of it ahead of the
+            # cursor — around a run of equal timestamps longer than a
+            # pushed batch, so severed pushes leave cursors inside it.
+            tail_ts = [400, 402, 401] + [403] * 20 + [405, 404] + [403] * 20
+            tail_ts += [407, 406]
+
+            def feed_tail():
+                # Keep severing through the tail, the cadence restarted.
+                injector.pushes = 0
+                injector.budget += 8
+                writer.append_batch(
+                    "s",
+                    [
+                        Event.of(t, float(total + i), 0.0)
+                        for i, t in enumerate(tail_ts)
+                    ],
+                )
+
+            events = collect_with_reconnects(
+                srv.host, srv.port, total + len(tail_ts),
+                at_tail=(total, feed_tail),
+            )
             assert injector.crashes > 0, "matrix never fired"
+            # The no-crash oracle is storage (time-travel) order.
+            oracle = list(srv.db.get_stream("s").time_travel(0, 2**62))
+        assert [(e.t, e.values) for e in events] == [
+            (e.t, e.values) for e in oracle
+        ]
+        assert [e.t for e in events[total:]] == sorted(tail_ts)
+        del events[total:]
         assert [e.t for e in events] == list(range(total))
         assert [e.values[0] for e in events] == [float(t) for t in range(total)]
 

@@ -211,6 +211,30 @@ def test_late_out_of_order_event_behind_live_cursor_is_skipped(
     assert stats["active"] == 0
 
 
+def test_out_of_order_arrivals_ahead_of_cursor_push_in_storage_order(
+    server, client
+):
+    client.create_stream("s", SCHEMA)
+    client.append_batch("s", make_events(0, 20))
+    handle = client.subscribe("s", from_t=0)
+    assert len(handle.take(20, timeout=5)) == 20
+    _wait_for_sub(client, lambda s: s["mode"] == "live", "the tail")
+    # One batch, arrival order != storage order, all ahead of the cursor.
+    client.append_batch("s", [Event.of(t, float(t), 0.0) for t in (20, 22, 21)])
+    assert [e.t for e in handle.take(3, timeout=5)] == [20, 21, 22]
+    cursor = handle.cursor
+    handle.close()
+    # The cursor covers all three: a resume re-delivers nothing...
+    with client.subscribe("s", cursor=cursor) as resumed:
+        with pytest.raises(TimeoutError):
+            resumed.take(1, timeout=1)
+        # ...and the next append arrives exactly once.
+        client.append("s", Event.of(23, 23.0, 0.0))
+        assert [e.t for e in resumed.take(1, timeout=5)] == [23]
+        with pytest.raises(TimeoutError):
+            resumed.take(1, timeout=0.3)
+
+
 def test_two_subscribers_one_stream(server, client):
     client.create_stream("s", SCHEMA)
     client.append_batch("s", make_events(0, 30))
