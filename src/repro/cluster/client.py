@@ -21,7 +21,7 @@ from repro.cluster.pool import (
     is_connection_error,
 )
 from repro.errors import StaleRouteError
-from repro.events.event import Event
+from repro.events.event import ColumnarEvents, Event
 from repro.events.schema import EventSchema
 from repro.obs import OBS
 from repro.query.parser import parse as parse_query
@@ -111,24 +111,8 @@ class ClusterClient:
             )
 
     def append(self, stream: str, event: Event) -> None:
-        stale: StaleRouteError | None = None
-        for _ in range(_ROUTE_ATTEMPTS):
-            # Snapshot the epoch *before* routing: if the map advances
-            # in between, the stamped epoch is the older one and the
-            # worst case is a conservative rejection-and-retry, never a
-            # misrouted write accepted under the new epoch.
-            epoch = self.shard_map.version
-            spec = self.shard_map.shard_for(stream, event.t)
-            try:
-                self._on_primary(
-                    spec, lambda c: c.append(stream, event, epoch=epoch)
-                )
-                self._count(1)
-                return
-            except StaleRouteError as error:
-                stale = error
-                self._adopt_map(error, spec)
-        raise stale
+        """One event is a one-row batch, routed like any other."""
+        self.append_batch(stream, [event])
 
     def append_batch(
         self, stream: str, events, _route_attempts: int = _ROUTE_ATTEMPTS
@@ -142,9 +126,17 @@ class ClusterClient:
         errors propagate immediately.  Sub-batches rejected for a stale
         map epoch are re-partitioned under the refreshed map and
         retried (transparent live-split handoff).
+
+        *events* is transposed into one :class:`ColumnarEvents` batch
+        (with the stream's arity) before routing.  The epoch is
+        snapshotted *before* routing: if the map advances in between,
+        the stamped epoch is the older one and the worst case is a
+        conservative rejection-and-retry, never a misrouted write
+        accepted under the new epoch.
         """
+        batch = ColumnarEvents.of(events, self._arity(stream))
         epoch = self.shard_map.version
-        by_shard = self.shard_map.partition_batch(stream, events)
+        by_shard = self.shard_map.partition_batch(stream, batch)
         ordered = sorted(by_shard)
         in_flight: dict[int, object] = {}
         for shard_id in ordered:
@@ -194,8 +186,14 @@ class ClusterClient:
                 total += self.append_batch(
                     stream, sub_batch, _route_attempts - 1
                 )
-        self._count(len(events), batches=len(by_shard))
+        self._count(len(batch), batches=len(by_shard))
         return total
+
+    def _arity(self, stream: str) -> int:
+        """The stream's attribute count (the shard client caches the
+        schema after asking once)."""
+        spec = self.shard_map.shards_for_stream(stream)[0]
+        return self._on_primary(spec, lambda c: c.schema(stream)).arity
 
     def _count(self, events: int, batches: int = 1) -> None:
         self.counters["forwarded_batches"] += batches

@@ -246,14 +246,7 @@ def _ensure_stream(cluster, source: ShardSpec, target: ShardSpec,
                    stream: str, ops: _WireOps) -> None:
     """Uniform namespace: the target (incl. replicas, via its
     replicator) must hold the stream before events ship."""
-    from repro.events.schema import EventSchema
-
-    schema = EventSchema.from_dict(
-        cluster.pool.run(
-            source.primary,
-            lambda c: c.call({"op": "schema", "stream": stream}),
-        )
-    )
+    schema = cluster.pool.run(source.primary, lambda c: c.schema(stream))
     ops.tick(f"create:{stream}")
     try:
         cluster.pool.run(

@@ -267,45 +267,39 @@ class ShardMap:
 
     # ----------------------------------------------------------- partitioning
 
-    def partition_batch(self, stream: str, events) -> dict:
+    def partition_batch(self, stream: str, batch: ColumnarEvents) -> dict:
         """Split a batch by target shard, preserving order within each.
 
         The order-preserving split keeps each shard's sub-batch sorted
         whenever the input batch was, so the per-shard append keeps the
         PR-1 run-detection fast path.
 
-        Sorted batches skip the per-event loop whenever ownership is
+        Sorted batches skip the per-row loop whenever ownership is
         piecewise-constant in time — a windowed policy (cuts at window
         boundaries), a non-spanning policy (constant, cut only at
         assignment bounds), or both: boundaries are found by bisection,
         so the split costs O(pieces log n) instead of O(n) Python-level
-        iterations, and sub-batches come out as slices.  A
-        :class:`ColumnarEvents` batch stays columnar through the split —
-        no per-event objects are ever materialized on the hot path.
+        iterations, and sub-batches come out as slices.  Otherwise row
+        indices are bucketed per shard and gathered.  Either way the
+        :class:`ColumnarEvents` batch stays columnar — no per-event
+        objects are materialized.
         """
-        if len(events) == 0:
+        if len(batch) == 0:
             return {}
         cuts = self._assignment_cuts(stream)
         if not self.policy.spans_shards and not cuts:
-            shard = self.owner_of(stream, 0)
-            if isinstance(events, ColumnarEvents):
-                return {shard: events}
-            return {shard: list(events)}
+            return {self.owner_of(stream, 0): batch}
         window = getattr(self.policy, "window", None)
-        timestamps = getattr(events, "timestamps", None)
-        if timestamps is None:
-            timestamps = [event.t for event in events]
+        timestamps = batch.timestamps
         piecewise = window is not None or not self.policy.spans_shards
         if piecewise and all(
             map(le, timestamps, islice(timestamps, 1, None))
         ):
-            return self._partition_sorted(
-                stream, events, timestamps, window, cuts
-            )
-        out: dict[int, list] = {}
-        for event in events:
-            out.setdefault(self.owner_of(stream, event.t), []).append(event)
-        return out
+            return self._partition_sorted(stream, batch, window, cuts)
+        rows: dict[int, list] = {}
+        for row, t in enumerate(timestamps):
+            rows.setdefault(self.owner_of(stream, t), []).append(row)
+        return {shard: batch.take(picked) for shard, picked in rows.items()}
 
     def _assignment_cuts(self, stream: str) -> list[int]:
         """Sorted timestamps where an assignment bound can flip the
@@ -320,7 +314,7 @@ class ShardMap:
         return sorted(cuts)
 
     def _partition_sorted(
-        self, stream: str, events, timestamps, window: int | None, cuts
+        self, stream: str, batch: ColumnarEvents, window: int | None, cuts
     ) -> dict:
         """Piecewise split of a sorted batch via bisection.
 
@@ -332,6 +326,7 @@ class ShardMap:
         Slices land per shard in time order, so concatenation preserves
         sortedness.
         """
+        timestamps = batch.timestamps
         ranges: dict[int, list] = {}
         n = len(timestamps)
         i = 0
@@ -357,20 +352,15 @@ class ShardMap:
         for shard, spans in ranges.items():
             if len(spans) == 1:
                 i, j = spans[0]
-                out[shard] = events[i:j]
-            elif isinstance(events, ColumnarEvents):
+                out[shard] = batch[i:j]
+            else:
                 ts: list = []
-                columns: list[list] = [[] for _ in events.columns]
+                columns: list[list] = [[] for _ in batch.columns]
                 for i, j in spans:
                     ts.extend(timestamps[i:j])
-                    for acc, column in zip(columns, events.columns):
+                    for acc, column in zip(columns, batch.columns):
                         acc.extend(column[i:j])
                 out[shard] = ColumnarEvents(ts, columns)
-            else:
-                combined: list = []
-                for i, j in spans:
-                    combined.extend(events[i:j])
-                out[shard] = combined
         return out
 
     # ------------------------------------------------------------- mutation

@@ -21,11 +21,13 @@ double-counts.
 from __future__ import annotations
 
 from collections import Counter
+from operator import attrgetter
 
 from repro.cluster.placement import Endpoint
 from repro.cluster.pool import ClientPool
 from repro.errors import ReplicationError
-from repro.events.event import Event
+from repro.events.event import ColumnarEvents, Event
+from repro.events.schema import EventSchema
 from repro.net import frames
 from repro.net.client import RemoteError
 from repro.obs import OBS
@@ -152,32 +154,32 @@ class Replicator:
 # ------------------------------------------------------------------ catch-up
 
 
-def fetch_all(pool: ClientPool, source: Endpoint, stream: str) -> dict:
-    """Full-range catch-up fetch: ``{"schema": ..., "events": [...]}``."""
-    return pool.run(
-        source, lambda c: c.catchup(stream, -_HUGE, _HUGE)
-    )
-
-
 def range_counter(
     pool: ClientPool,
     endpoint: Endpoint,
     stream: str,
     t_lo: int,
     t_hi: int,
-) -> Counter:
-    """The ``(t, values)`` multiset a node holds for a timestamp range;
-    empty when the node never saw the stream."""
-    counts: Counter = Counter()
+) -> tuple[EventSchema | None, Counter]:
+    """The stream's schema and the ``(t, values)`` multiset a node holds
+    for a timestamp range; ``(None, empty)`` when the node never saw
+    the stream."""
     try:
-        fetched = pool.run(
-            endpoint, lambda c: c.catchup(stream, t_lo, t_hi)
-        )["events"]
+        fetched = pool.run(endpoint, lambda c: c.catchup(stream, t_lo, t_hi))
     except RemoteError:
-        return counts
-    for event in fetched:
-        counts[(event.t, event.values)] += 1
-    return counts
+        return None, Counter()
+    return fetched["schema"], Counter(
+        (event.t, event.values) for event in fetched["events"]
+    )
+
+
+def _as_batch(counts: Counter, schema: EventSchema | None) -> ColumnarEvents:
+    """A ``(t, values)`` multiset as one time-sorted batch."""
+    events = sorted(
+        (Event(t, values) for (t, values), n in counts.items() for _ in range(n)),
+        key=attrgetter("t"),
+    )
+    return ColumnarEvents.of(events, schema.arity if schema else 0)
 
 
 def missing_in_range(
@@ -187,23 +189,17 @@ def missing_in_range(
     stream: str,
     t_lo: int,
     t_hi: int,
-) -> list[Event]:
+) -> ColumnarEvents:
     """Events of ``[t_lo, t_hi]`` the source holds that the target does
-    not, as a sorted list — the live-migration copy/tail-sync unit.
-    Multiset semantics match :func:`reconcile_stream`: legitimate
+    not, as a time-sorted batch — the live-migration copy/tail-sync
+    unit.  Multiset semantics match :func:`reconcile_stream`: legitimate
     duplicates ship the right number of extra copies, already-copied
     events never ship twice, so one more pass over a quiescent range is
     always a no-op.
     """
-    have = range_counter(pool, target, stream, t_lo, t_hi)
-    want = range_counter(pool, source, stream, t_lo, t_hi)
-    missing: list[Event] = []
-    for (t, values), count in want.items():
-        extra = count - have[(t, values)]
-        if extra > 0:
-            missing.extend(Event(t, values) for _ in range(extra))
-    missing.sort(key=lambda e: e.t)
-    return missing
+    _, have = range_counter(pool, target, stream, t_lo, t_hi)
+    schema, want = range_counter(pool, source, stream, t_lo, t_hi)
+    return _as_batch(want - have, schema)
 
 
 def reconcile_stream(
@@ -217,41 +213,23 @@ def reconcile_stream(
     Events are compared as a multiset of ``(t, values)`` — duplicates a
     stream legitimately contains are preserved, while events already on
     the target (e.g. replicated before the primary died) are never
-    applied twice.  Returns the number of events applied.
+    applied twice.  A target that never saw the stream is created by
+    the shipped schema.  Returns the number of events applied.
     """
-    have: Counter = Counter()
-    try:
-        for event in pool.run(
-            target, lambda c: c.catchup(stream, -_HUGE, _HUGE)
-        )["events"]:
-            have[(event.t, event.values)] += 1
-    except RemoteError:
-        pass  # target never saw the stream; the shipped schema creates it
+    _, have = range_counter(pool, target, stream, -_HUGE, _HUGE)
     needed: Counter = Counter()
     schema = None
     for source in sources:
-        try:
-            fetched = fetch_all(pool, source, stream)
-        except RemoteError:
-            continue  # this source never saw the stream
-        schema = fetched["schema"]
-        counts: Counter = Counter()
-        for event in fetched["events"]:
-            counts[(event.t, event.values)] += 1
-        for key, count in counts.items():
+        source_schema, counts = range_counter(pool, source, stream, -_HUGE, _HUGE)
+        if source_schema is not None:
+            schema = source_schema
             # Two sources holding the same event both *witness* it once:
-            # take the max across sources, not the sum.
-            needed[key] = max(needed[key], count)
-    missing = []
-    for (t, values), count in needed.items():
-        extra = count - have[(t, values)]
-        missing.extend(Event(t, values) for _ in range(extra))
+            # take the max across sources (a union), not the sum.
+            needed |= counts
+    missing = _as_batch(needed - have, schema)
     if not missing:
         return 0
-    missing.sort(key=lambda e: e.t)
-    pool.run(
-        target, lambda c: c.replicate_batch(stream, missing, schema)
-    )
+    pool.run(target, lambda c: c.replicate_batch(stream, missing, schema))
     if OBS.enabled:
         _CATCHUP_EVENTS.inc(len(missing))
     return len(missing)

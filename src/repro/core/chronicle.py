@@ -304,16 +304,6 @@ class ChronicleDB:
 
     # ---------------------------------------------------------------- query
 
-    def replay_range(self, stream: str, t_start: int, t_end: int) -> list:
-        """All events of *stream* in ``[t_start, t_end]``, in time order.
-
-        The log-is-the-database replay primitive: reads through the
-        TAB+-tree (merging any still-queued out-of-order events), so the
-        result reflects every acknowledged event.  Replica catch-up in
-        :mod:`repro.cluster` ships these ranges over the ``catchup`` op.
-        """
-        return list(self.get_stream(stream).time_travel(t_start, t_end))
-
     def execute(self, query):
         """Run an SQL-like query — text or already parsed (see
         :mod:`repro.query`)."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.core.config import ChronicleConfig
 from repro.core.devices import DeviceProvider
 from repro.errors import StorageError
-from repro.events.event import Event
+from repro.events.event import ColumnarEvents, Event
 from repro.events.schema import EventSchema
 from repro.index.cola import ColaIndex
 from repro.index.correlation import RunningCorrelation
@@ -173,26 +173,19 @@ class TimeSplit:
             # or queue-triggered flush); keep the cached summary honest.
             self.summary = self.tree.summary()
 
-    def ingest_run(self, events: list[Event], timestamps: list[int] | None = None) -> None:
+    def ingest_run(self, run: ColumnarEvents) -> None:
         """Ingest a chronological run (batched form of :meth:`ingest`).
 
         Correlation trackers are fed column-wise — each tracker sees the
         exact per-event sequence, so sealed tc scores match the per-event
         path bit for bit — and the run reaches the tree through
-        :meth:`OutOfOrderManager.insert_run`.  The run is transposed into
-        columns exactly once here; the manager and tree reuse the same
-        columns for leaf extends instead of re-transposing per chunk.
+        :meth:`OutOfOrderManager.insert_run`, which slices the same
+        columns for its leaf extends.
         """
         index_of = self.schema.index_of
-        # A columnar batch (wire ingest lane) is already transposed.
-        columns = getattr(events, "columns", None)
-        if columns is None:
-            columns = list(zip(*[event.values for event in events]))
         for name, tracker in self._trackers.items():
-            tracker.add_run(columns[index_of(name)])
-        if timestamps is None:
-            timestamps = [event.t for event in events]
-        self.manager.insert_run(events, timestamps, columns)
+            tracker.add_run(run.columns[index_of(name)])
+        self.manager.insert_run(run)
         if self.sealed:
             self.summary = self.tree.summary()
 

@@ -93,8 +93,9 @@ class EventStream:
                 )
 
     def append(self, event: Event) -> None:
-        """Ingest one event (in order or out of order)."""
-        if self.config.validate_events:
+        """Ingest one event (in order or out of order).  A wrong arity is
+        always refused; value types only with ``validate_events``."""
+        if self.config.validate_events or len(event.values) != self.schema.arity:
             self.schema.validate_values(event.values)
         if self.tiers.tiered_count or self.tiers.expired:
             self._reject_tiered((event.t,))
@@ -115,26 +116,27 @@ class EventStream:
         schema validation is one pass per attribute column, routing is one
         `_route` call per run, the tree bulk-extends its open leaf, and
         log writes are group-committed.  Subscribers are dispatched once
-        per batch (each still sees every event, in order).  Validation
-        happens up front, so a batch with an invalid event appends
-        nothing (the per-event path would have appended the valid prefix).
+        per batch (each still sees every event, in order).  *events* is a
+        :class:`ColumnarEvents` batch or events transposed into one
+        (:meth:`ColumnarEvents.of`); arity and, with ``validate_events``,
+        value types are checked up front, so a batch with an invalid
+        event appends nothing (the per-event path would have appended the
+        valid prefix).
         """
-        if not isinstance(events, list):
-            events = list(events)
-        if not events:
+        batch = ColumnarEvents.of(events, self.schema.arity)
+        if not batch:
             return 0
         if self.config.validate_events:
-            self.schema.validate_batch(events)
-        ts = [event.t for event in events]
-        return self._append_run_sequence(events, ts)
+            self.schema.validate_batch(batch)
+        return self._append_run_sequence(batch)
 
     def append_columns(self, timestamps, columns) -> int:
         """Columnar ingest lane: append a decoded wire batch directly.
 
         ``timestamps`` and ``columns`` are the arrays a binary batch
         payload decodes into (:mod:`repro.net.frames`); they flow through
-        the same run-routing as :meth:`append_batch` wrapped in a
-        :class:`ColumnarEvents` view, so in-order data reaches the leaves
+        the same run-routing as :meth:`append_batch` as one
+        :class:`ColumnarEvents` batch, so in-order data reaches the leaves
         as bulk column extends without ever materializing per-event
         objects.  Schema *type* validation is skipped — the wire structs
         can only produce the schema's value types — but arity is checked,
@@ -147,13 +149,15 @@ class EventStream:
         if not timestamps:
             return 0
         ts = timestamps if isinstance(timestamps, list) else list(timestamps)
-        return self._append_run_sequence(ColumnarEvents(ts, columns), ts)
+        return self._append_run_sequence(ColumnarEvents(ts, columns))
 
-    def _append_run_sequence(self, events, ts: list[int]) -> int:
-        """Shared run-routing core of the batched ingest paths."""
+    def _append_run_sequence(self, batch: ColumnarEvents) -> int:
+        """Shared run-routing core of the batched ingest paths: each
+        chronological run reaches its split as one slice of *batch*."""
+        ts = batch.timestamps
         if self.tiers.tiered_count or self.tiers.expired:
             self._reject_tiered(ts)
-        n = len(events)
+        n = len(batch)
         # One C-level pass decides whether the whole batch is already
         # chronological — the overwhelmingly common case, where run ends
         # are found by bisection instead of a per-event Python loop.
@@ -192,16 +196,14 @@ class EventStream:
                     prev_t = t
                     j += 1
             if j - i == 1:
-                split.ingest(events[i])
-            elif j - i == n:
-                split.ingest_run(events, ts)
+                split.ingest(batch[i])
             else:
-                split.ingest_run(events[i:j], ts[i:j])
+                split.ingest_run(batch if j - i == n else batch[i:j])
             i = j
         self.appended += n
         if self.subscribers:
             for subscriber in self.subscribers:
-                for event in events:
+                for event in batch:
                     subscriber(event)
         return n
 
@@ -655,7 +657,10 @@ class EventStream:
             return
         for split, queued in self._sources_in_time_order(t_start, t_end):
             windows = split.tree.leaf_slices(t_start, t_end, ranges, stats)
-            yield from _splice_queued(windows, queued) if queued else windows
+            if queued:
+                queued = ColumnarEvents.of(queued, self.schema.arity)
+                windows = _splice_queued(windows, queued)
+            yield from windows
 
     def grouped_components(self, t_start: int, t_end: int, attribute: str,
                            width: int):
@@ -935,17 +940,14 @@ def _splice_queued(windows, queued):
     """Merge one split's tree leaf windows with its queued late events.
 
     *windows* are ``(leaf, lo, hi)`` in time order, *queued* the
-    non-empty, time-sorted queue content in range.  The queued events
-    become one in-memory :class:`LeafNode` whose rows are yielded, as
+    non-empty, time-sorted queue content in range as one batch.  It
+    becomes an in-memory :class:`LeafNode` whose rows are yielded, as
     windows of their own, between the tree rows they fall between — a
     tree row before a queued row of equal ``t``, the order of
     :meth:`EventStream.time_travel`'s merge.
     """
-    queue_ts = [event.t for event in queued]
-    queue_leaf = LeafNode(
-        NO_NODE, timestamps=queue_ts,
-        columns=[list(column) for column in zip(*(e.values for e in queued))],
-    )
+    queue_ts = queued.timestamps
+    queue_leaf = LeafNode(NO_NODE, timestamps=queue_ts, columns=queued.columns)
     at = 0
     for leaf, lo, hi in windows:
         timestamps = leaf.timestamps

@@ -1,8 +1,10 @@
-"""The event record type."""
+"""The event record type and the one batch type."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.errors import SchemaError
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,15 +39,17 @@ class Event:
 
 
 class ColumnarEvents:
-    """A batch of events held column-wise, viewed as a sequence of rows.
+    """A batch of events held column-wise — the one batch type.
 
-    The columnar ingest lane (wire batches decoded straight into arrays)
-    hands this to the same run-ingestion code paths that take event
-    lists.  Indexing materializes an :class:`Event` on demand, so the
-    in-order hot path — which only bulk-extends leaf columns and peeks
-    at boundary timestamps — never builds per-event objects; fallback
-    paths (late segments, sorted-prefix inserts, subscribers) get real
-    events transparently.
+    Every layer a batch crosses takes this shape: the wire encoder and
+    decoder, shard routing, stream run detection, the split, the
+    out-of-order manager and the TAB+-tree's flank append (which
+    bulk-extends leaf columns from it), and back out through the scan
+    that answers ``SELECT *``, catch-up and subscription pushes.  A list
+    of :class:`Event` becomes one only at the API boundary
+    (:meth:`of`); indexing or iterating materializes events on demand
+    for the per-event paths (late segments, sorted-prefix inserts,
+    embedded subscribers).
     """
 
     __slots__ = ("timestamps", "columns")
@@ -53,6 +57,27 @@ class ColumnarEvents:
     def __init__(self, timestamps, columns):
         self.timestamps = timestamps
         self.columns = columns
+
+    @classmethod
+    def of(cls, events, arity: int) -> "ColumnarEvents":
+        """*events* as a batch with *arity* attribute columns.
+
+        A batch passes through unchanged; an iterable of events is
+        transposed once, and every event must carry exactly *arity*
+        values — a wrong arity raises :class:`SchemaError` before any
+        caller has acted on the batch.
+        """
+        if isinstance(events, cls):
+            return events
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
+        values = [event.values for event in events]
+        if set(map(len, values)) - {arity}:
+            got = next(n for n in map(len, values) if n != arity)
+            raise SchemaError(f"expected {arity} attribute values, got {got}")
+        if not values:
+            return cls.empty(arity)
+        return cls([event.t for event in events], list(zip(*values)))
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -76,7 +101,7 @@ class ColumnarEvents:
 
     @classmethod
     def empty(cls, arity: int) -> "ColumnarEvents":
-        """A growable columnar buffer (the query engine's result sink)."""
+        """An empty, growable batch (also the scan's result sink)."""
         return cls([], [[] for _ in range(arity)])
 
     def append_rows(self, timestamps, columns, rows) -> None:
@@ -90,6 +115,12 @@ class ColumnarEvents:
         own_ts.extend(timestamps[row] for row in rows)
         for own, column in zip(self.columns, columns):
             own.extend(column[row] for row in rows)
+
+    def take(self, rows) -> "ColumnarEvents":
+        """The batch of the given *rows* (indices), in that order."""
+        out = ColumnarEvents.empty(len(self.columns))
+        out.append_rows(self.timestamps, self.columns, rows)
+        return out
 
     def materialize(self) -> list[Event]:
         """Build the per-event objects — the API-boundary step.

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
 
 from repro.errors import SchemaError
 
@@ -50,6 +48,13 @@ class Field:
             raise SchemaError("'t' is reserved for the event timestamp")
 
 
+def _check_value(field: Field, value) -> None:
+    if field.kind is FieldKind.I64 and not isinstance(value, int):
+        raise SchemaError(f"attribute {field.name!r} must be int, got {value!r}")
+    if field.kind is FieldKind.F64 and not isinstance(value, (int, float)):
+        raise SchemaError(f"attribute {field.name!r} must be numeric, got {value!r}")
+
+
 class EventSchema:
     """An ordered collection of :class:`Field` definitions.
 
@@ -65,7 +70,6 @@ class EventSchema:
             raise SchemaError(f"duplicate field names in schema: {names}")
         self.fields: tuple[Field, ...] = tuple(fields)
         self._index = {f.name: i for i, f in enumerate(self.fields)}
-        self._all_f64 = all(f.kind is FieldKind.F64 for f in self.fields)
 
     @classmethod
     def of(cls, *names: str, kind: FieldKind = FieldKind.F64) -> "EventSchema":
@@ -103,59 +107,24 @@ class EventSchema:
                 f"expected {self.arity} attribute values, got {len(values)}"
             )
         for field, value in zip(self.fields, values):
-            if field.kind is FieldKind.I64 and not isinstance(value, int):
-                raise SchemaError(f"attribute {field.name!r} must be int, got {value!r}")
-            if field.kind is FieldKind.F64 and not isinstance(value, (int, float)):
-                raise SchemaError(
-                    f"attribute {field.name!r} must be numeric, got {value!r}"
-                )
+            _check_value(field, value)
 
-    def validate_batch(self, events) -> None:
-        """Check every event of a batch against the schema.
+    def validate_batch(self, batch) -> None:
+        """Check every value of a columnar batch against the schema.
 
-        The vectorized form of :meth:`validate_values`: arities and value
-        types are collected with C-level ``map``/``set`` passes; only a
-        batch that fails the exact-type screen (wrong values, or exotic
-        numeric subclasses) is re-checked per value with the same
-        ``isinstance`` rules — and error messages — as the per-event
-        path.  Raises before anything is appended.
+        The vectorized form of :meth:`validate_values` (a batch's arity
+        was checked when it was built): value types are collected with
+        one C-level ``map``/``set`` pass per column; only a column that
+        fails the exact-type screen (wrong values, or exotic numeric
+        subclasses) is re-checked per value with the same ``isinstance``
+        rules — and error messages — as the per-event path.  Raises
+        before anything is appended.
         """
-        if not events:
-            return
-        arity = self.arity
-        values_list = [event.values for event in events]
-        if set(map(len, values_list)) != {arity}:
-            for values in values_list:
-                if len(values) != arity:
-                    raise SchemaError(
-                        f"expected {arity} attribute values, got {len(values)}"
-                    )
-        if self._all_f64:
-            # Every column accepts the same types, so one flat pass over
-            # all values replaces the per-column scans.
-            types = set(map(type, chain.from_iterable(values_list)))
-            if types <= _NUMERIC_TYPES:
-                return
-        for position, field in enumerate(self.fields):
-            types = set(map(type, map(itemgetter(position), values_list)))
-            if field.kind is FieldKind.I64:
-                if types <= _INT_TYPES:
-                    continue
-                for values in values_list:
-                    value = values[position]
-                    if not isinstance(value, int):
-                        raise SchemaError(
-                            f"attribute {field.name!r} must be int, got {value!r}"
-                        )
-            else:
-                if types <= _NUMERIC_TYPES:
-                    continue
-                for values in values_list:
-                    value = values[position]
-                    if not isinstance(value, (int, float)):
-                        raise SchemaError(
-                            f"attribute {field.name!r} must be numeric, got {value!r}"
-                        )
+        for field, column in zip(self.fields, batch.columns):
+            exact = _INT_TYPES if field.kind is FieldKind.I64 else _NUMERIC_TYPES
+            if not set(map(type, column)) <= exact:
+                for value in column:
+                    _check_value(field, value)
 
     def to_dict(self) -> dict:
         """JSON-serializable description (used by the stream manifest)."""

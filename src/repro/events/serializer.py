@@ -15,7 +15,7 @@ from __future__ import annotations
 import struct
 
 from repro.errors import SchemaError
-from repro.events.event import Event
+from repro.events.event import ColumnarEvents, Event
 from repro.events.schema import VALUE_SIZE, EventSchema
 
 
@@ -54,11 +54,10 @@ class PaxCodec:
             offset += count * VALUE_SIZE
         return timestamps, columns
 
-    def encode_events(self, events: list[Event]) -> bytes:
-        """Serialize a batch of row-form events."""
-        timestamps = [e.t for e in events]
-        columns = [[e.values[i] for e in events] for i in range(self.schema.arity)]
-        return self.encode_columns(timestamps, columns)
+    def encode_events(self, events) -> bytes:
+        """Serialize a batch given as events (or as a batch)."""
+        batch = ColumnarEvents.of(events, self.schema.arity)
+        return self.encode_columns(batch.timestamps, batch.columns)
 
     def decode_events(self, data: bytes, count: int) -> list[Event]:
         """Deserialize a batch back to row-form events."""

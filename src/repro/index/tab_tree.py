@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from repro.errors import QueryError, StorageError
-from repro.events.event import Event
+from repro.events.event import ColumnarEvents, Event
 from repro.events.schema import EventSchema
 from repro.index.buffer import NodeBuffer
 from repro.obs import OBS
@@ -208,45 +208,35 @@ class TabTree:
         if leaf.count >= self.leaf_write_capacity:
             self._flush_leaf()
 
-    def append_run(
-        self,
-        events: list[Event],
-        timestamps: list[int] | None = None,
-        columns: list[tuple] | None = None,
-    ) -> None:
+    def append_run(self, run: ColumnarEvents) -> None:
         """Insert a chronological run (non-decreasing timestamps) at the flank.
 
         The fast path of batched ingestion: instead of one :meth:`append`
-        per event, the run is bulk-extended into the open leaf with
-        ``list.extend`` — split at leaf-flush boundaries so the produced
-        leaves are byte-identical to per-event appends — and the CPU cost
-        model is charged once per chunk at the per-event rate.  A rare
-        prefix that sorts below the open leaf's tail falls back to
-        per-event sorted inserts (same as :meth:`append`).
-
-        Callers that already transposed the run (one timestamp list plus
-        one value tuple per attribute) pass ``timestamps``/``columns`` so
-        the leaf extends are pure slices of existing sequences.
+        per event, the columns of the :class:`ColumnarEvents` *run* are
+        bulk-extended into the open leaf with ``list.extend`` — split at
+        leaf-flush boundaries so the produced leaves are byte-identical
+        to per-event appends — and the CPU cost model is charged once per
+        chunk at the per-event rate.  A rare prefix that sorts below the
+        open leaf's tail falls back to per-event sorted inserts (same as
+        :meth:`append`).
         """
-        n = len(events)
+        n = len(run)
         if n == 0:
             return
         if n == 1:
-            self.append(events[0])
+            self.append(run[0])
             return
-        if self.min_t is None or events[0].t < self.min_t:
-            self.min_t = events[0].t
+        timestamps, columns = run.timestamps, run.columns
+        if self.min_t is None or timestamps[0] < self.min_t:
+            self.min_t = timestamps[0]
         i = 0
         leaf = self.leaf
-        while i < n and leaf.timestamps and events[i].t < leaf.timestamps[-1]:
-            self.append(events[i])
+        while i < n and leaf.timestamps and timestamps[i] < leaf.timestamps[-1]:
+            self.append(run[i])
             leaf = self.leaf
             i += 1
         if i >= n:
             return
-        if timestamps is None:
-            timestamps = [event.t for event in events]
-            columns = list(zip(*[event.values for event in events]))
         cost = self.layout.cost
         while i < n:
             leaf = self.leaf

@@ -3,9 +3,10 @@
 The job is the WAL'd state machine of :mod:`repro.lifecycle.manifest`:
 
 1. ``warm_begin``  — logged before any target bytes exist;
-2. **copy**        — bulk-append every event of the hot split's TAB+-tree
-   into a fresh layout with the policy's heavier codec and larger macro
-   blocks (chronological runs, so the warm tree builds at flank speed);
+2. **copy**        — bulk-append the hot split's TAB+-tree, one leaf
+   window at a time, into a fresh layout with the policy's heavier codec
+   and larger macro blocks (each window is a chronological run of
+   columns, so the warm tree builds at flank speed);
 3. **verify**      — re-scan both trees and compare event-for-event;
 4. **swap**        — seal the warm layout, then log ``warm_commit`` (the
    atomic switch: once durable, readers use the warm copy);
@@ -20,13 +21,12 @@ events exist exactly once.
 from __future__ import annotations
 
 from repro.errors import StorageError
+from repro.events.event import ColumnarEvents
 from repro.index.tab_tree import TabTree
 from repro.lifecycle.tiers import WarmSplit
 from repro.storage.layout import ChronicleLayout
 
 _HUGE = 2**62
-#: Events per bulk-append run while copying.
-_COPY_RUN = 1024
 
 
 def warm_layout_params(config, policy) -> tuple[int, int]:
@@ -40,7 +40,8 @@ def warm_layout_params(config, policy) -> tuple[int, int]:
 
 
 def copy_tree(source_tree, layout, schema, config) -> TabTree:
-    """Bulk-copy every event of *source_tree* into a tree on *layout*."""
+    """Bulk-copy every event of *source_tree* into a tree on *layout*:
+    each leaf window of the scan path becomes one flank run."""
     tree = TabTree(
         layout,
         schema,
@@ -49,14 +50,11 @@ def copy_tree(source_tree, layout, schema, config) -> TabTree:
         buffer_capacity=config.buffer_capacity,
         extended_aggregates=config.extended_aggregates,
     )
-    chunk = []
-    for event in source_tree.time_travel(-_HUGE, _HUGE):
-        chunk.append(event)
-        if len(chunk) >= _COPY_RUN:
-            tree.append_run(chunk)
-            chunk = []
-    if chunk:
-        tree.append_run(chunk)
+    positions = range(schema.arity)
+    for leaf, lo, hi in source_tree.leaf_slices(-_HUGE, _HUGE):
+        tree.append_run(ColumnarEvents(
+            leaf.timestamps[lo:hi], [leaf.column(p)[lo:hi] for p in positions]
+        ))
     return tree
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import socket
-import struct
 import threading
 from concurrent.futures import Future
 
@@ -221,6 +220,10 @@ class BinaryChronicleClient:
     def ping(self) -> bool:
         return self._call_json({"op": "ping"}) == "pong"
 
+    def schema(self, stream: str) -> EventSchema:
+        """The stream's schema (asked once per stream, then cached)."""
+        return self._schema_entry(stream)[0]
+
     def create_stream(self, name: str, schema: EventSchema) -> None:
         self._call_json(
             {"op": "create_stream", "name": name, "schema": schema.to_dict()}
@@ -244,22 +247,20 @@ class BinaryChronicleClient:
         self, stream: str, events, epoch: int | None = None
     ) -> Future:
         """Submit a columnar batch without waiting — the pipelined hot
-        path.  Encoding raises eagerly (e.g. schema arity mismatch).
+        path.
 
-        A batch that is already columnar (anything exposing
-        ``timestamps``/``columns``, e.g. :class:`ColumnarEvents`) is
-        encoded straight from its arrays; a list of events goes through
-        the row-transposing encoder.  With *epoch*, the batch goes out
-        as ``OP_APPEND_BATCH_EPOCH`` — the same payload behind a u32
+        *events* is a :class:`ColumnarEvents` batch or events transposed
+        into one (:meth:`ColumnarEvents.of`).  A batch that does not fit
+        the stream's schema — wrong arity, a value its column cannot
+        hold — raises :class:`SchemaError` here, before anything is
+        sent.  With *epoch*, the batch goes out as
+        ``OP_APPEND_BATCH_EPOCH`` — the same payload behind a u32
         map-epoch prefix the server checks before applying.
         """
         schema, codec, schema_bytes = self._schema_entry(stream)
-        try:
-            payload = frames.encode_events_payload(
-                stream, schema_bytes, codec, events
-            )
-        except struct.error as error:
-            raise ProtocolError(f"unencodable batch: {error}") from error
+        payload = frames.encode_batch_payload(
+            stream, schema_bytes, codec, ColumnarEvents.of(events, schema.arity)
+        )
         if epoch is not None:
             return self._submit(
                 frames.OP_APPEND_BATCH_EPOCH,
@@ -284,16 +285,16 @@ class BinaryChronicleClient:
         ]
 
     def replicate_batch(
-        self, stream: str, events: list[Event], schema: EventSchema | None = None
+        self, stream: str, events, schema: EventSchema | None = None
     ) -> int:
         """Apply a primary's batch locally without re-replicating it."""
         if schema is not None:
             entry = self._cache_schema(stream, schema)
         else:
             entry = self._schema_entry(stream)
-        _, codec, schema_bytes = entry
+        schema, codec, schema_bytes = entry
         payload = frames.encode_batch_payload(
-            stream, schema_bytes, codec, events
+            stream, schema_bytes, codec, ColumnarEvents.of(events, schema.arity)
         )
         return self._call(frames.OP_REPLICATE_BATCH, payload)
 

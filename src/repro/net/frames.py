@@ -21,6 +21,14 @@ payload bytes* it received to its replicas (zero-copy replication) and a
 replica that missed the stream's creation can still apply it.  Every
 other op is a control op: a JSON request dict inside an ``OP_JSON``
 frame.
+
+There is one encoder, :func:`encode_batch_payload`, and it takes the
+one batch type, :class:`~repro.events.event.ColumnarEvents` — client
+appends, replication, catch-up and ``SELECT *`` replies and
+subscription pushes all build their payload with it.  A batch the
+schema cannot hold raises :class:`~repro.errors.SchemaError` on the
+sender's side (an application error, never a broken connection); the
+decoder raises :class:`~repro.errors.ProtocolError` for malformed bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +36,8 @@ from __future__ import annotations
 import json
 import struct
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, SchemaError
+from repro.events.event import ColumnarEvents
 from repro.events.schema import VALUE_SIZE, EventSchema
 from repro.events.serializer import PaxCodec
 
@@ -206,56 +215,29 @@ def encode_batch_payload(
     stream: str,
     schema_bytes: bytes,
     codec: PaxCodec,
-    events,
+    batch: ColumnarEvents,
 ) -> bytes:
-    """Columnar batch payload for a list of row-form events."""
+    """The columnar batch payload of *batch*, straight from its arrays.
+
+    A batch whose columns do not fit the schema — the wrong number of
+    columns, or a value its column's struct cannot hold — raises
+    :class:`SchemaError`: the request is wrong, the connection is fine.
+    """
     name = stream.encode()
+    try:
+        body = codec.encode_columns(batch.timestamps, batch.columns)
+    except struct.error as error:
+        raise SchemaError(f"unencodable batch: {error}") from error
     return b"".join(
         (
             _BATCH_HEAD.pack(len(name)),
             name,
             _BATCH_HEAD.pack(len(schema_bytes)),
             schema_bytes,
-            _BATCH_COUNT.pack(len(events)),
-            codec.encode_events(events),
+            _BATCH_COUNT.pack(len(batch)),
+            body,
         )
     )
-
-
-def encode_batch_payload_columns(
-    stream: str,
-    schema_bytes: bytes,
-    codec: PaxCodec,
-    timestamps,
-    columns,
-) -> bytes:
-    """Columnar batch payload from already-transposed columns."""
-    name = stream.encode()
-    return b"".join(
-        (
-            _BATCH_HEAD.pack(len(name)),
-            name,
-            _BATCH_HEAD.pack(len(schema_bytes)),
-            schema_bytes,
-            _BATCH_COUNT.pack(len(timestamps)),
-            codec.encode_columns(list(timestamps), [list(c) for c in columns]),
-        )
-    )
-
-
-def encode_events_payload(
-    stream: str, schema_bytes: bytes, codec: PaxCodec, events
-) -> bytes:
-    """Columnar batch payload for either batch shape: anything exposing
-    ``timestamps``/``columns`` (e.g. ``ColumnarEvents``) is encoded
-    straight from its arrays, a list of events through the
-    row-transposing encoder — byte-identical for equal content."""
-    columns = getattr(events, "columns", None)
-    if columns is not None:
-        return encode_batch_payload_columns(
-            stream, schema_bytes, codec, events.timestamps, columns
-        )
-    return encode_batch_payload(stream, schema_bytes, codec, events)
 
 
 def batch_event_count(payload: bytes) -> int:

@@ -28,6 +28,7 @@ from repro.net import frames
 from repro.net.aio import AioServerCore
 from repro.obs import OBS
 from repro.query.ast import SelectStar
+from repro.query.columnar import read_events
 from repro.query.parser import parse as parse_query
 from repro.query.planner import execute as execute_query
 
@@ -45,18 +46,17 @@ def _stale_payload(error: StaleRouteError) -> dict:
 
 
 class _EventRows:
-    """Events on their way to a transport, which encodes them outside
-    the stream lock: the :class:`~repro.events.event.ColumnarEvents`
-    batch of a ``SELECT *``, or a catch-up replay's list of events."""
+    """A batch on its way to a transport, which encodes it outside the
+    stream lock: a ``SELECT *`` answer or a catch-up replay."""
 
-    def __init__(self, stream: str, schema: EventSchema, rows):
-        self.stream, self.schema, self.rows = stream, schema, rows
+    def __init__(self, stream: str, schema: EventSchema, batch):
+        self.stream, self.schema, self.batch = stream, schema, batch
 
     def batch_payload(self) -> bytes:
         """The ``OP_OK_BATCH`` reply, in the ingest path's batch format."""
-        return frames.encode_events_payload(
+        return frames.encode_batch_payload(
             self.stream, frames.schema_bytes_of(self.schema),
-            PaxCodec(self.schema), self.rows,
+            PaxCodec(self.schema), self.batch,
         )
 
 
@@ -373,16 +373,17 @@ class ChronicleServer:
 
     def _binary_catchup(self, payload: bytes) -> tuple[int, bytes]:
         """Catch-up replay, answered in the same columnar batch format
-        the ingest path uses."""
+        the ingest path uses.  Deliberately blind to ownership: a
+        migration's final tail-sync reads the source after its fence."""
         request = frames.decode_json_payload(payload)
-        stream = request["stream"]
-        with self._lock_for(stream):
-            events = self.db.replay_range(
+        name = request["stream"]
+        with self._lock_for(name):
+            stream = self.db.get_stream(name)
+            batch = read_events(
                 stream, int(request["t_start"]), int(request["t_end"])
             )
-            schema = self.db.get_stream(stream).schema
         return frames.OP_OK_BATCH, _EventRows(
-            stream, schema, events
+            name, stream.schema, batch
         ).batch_payload()
 
     # ------------------------------------------------------------ handlers

@@ -21,7 +21,7 @@ from collections import Counter
 
 from repro import obs
 from repro.errors import ConfigError
-from repro.events.event import Event
+from repro.events.event import ColumnarEvents, Event
 from repro.events.serializer import PaxCodec
 from repro.obs import OBS
 from repro.ooo.logfile import EventLog
@@ -81,30 +81,23 @@ class OutOfOrderManager:
         if self.queue.is_full:
             self.flush_queue()
 
-    def insert_run(
-        self,
-        events: list[Event],
-        timestamps: list[int] | None = None,
-        columns: list[tuple] | None = None,
-    ) -> None:
+    def insert_run(self, run: ColumnarEvents) -> None:
         """Route a chronological run (non-decreasing timestamps) — the
         batched form of :meth:`insert`.
 
         The flank boundary is checked once per segment instead of once per
         event: everything above the boundary goes to the tree as one
-        :meth:`~repro.index.tab_tree.TabTree.append_run`; late segments are
-        queued with a single group-committed mirror-log write per chunk,
-        flushing at exactly the same queue-capacity points as the
-        per-event path (so on-disk state stays byte-identical).
-
-        ``timestamps``/``columns`` are the run's pre-transposed form (one
-        list of timestamps plus one value tuple per attribute), computed
-        once by the caller and sliced per chunk at C speed here.
+        :meth:`~repro.index.tab_tree.TabTree.append_run` of a slice of
+        *run*; late segments are queued (as events) with a single
+        group-committed mirror-log write per chunk, flushing at exactly
+        the same queue-capacity points as the per-event path (so on-disk
+        state stays byte-identical).
         """
-        i, n = 0, len(events)
+        timestamps = run.timestamps
+        i, n = 0, len(run)
         while i < n:
             boundary = self.tree.flank_boundary_t
-            if boundary is None or events[i].t > boundary:
+            if boundary is None or timestamps[i] > boundary:
                 # The boundary is fixed until the open leaf flushes, and
                 # every event up to that flush is above it (non-decreasing
                 # run).  Chunk to the flush point, then re-read the
@@ -112,25 +105,15 @@ class OutOfOrderManager:
                 # t_max must divert to the queue, exactly as the
                 # per-event path would.
                 room = self.tree.leaf_write_capacity - self.tree.leaf.count
-                take = min(room, n - i)
-                end = i + take
-                if timestamps is None:
-                    self.tree.append_run(events[i:end])
-                elif i == 0 and end == n:
-                    self.tree.append_run(events, timestamps, columns)
-                else:
-                    self.tree.append_run(
-                        events[i:end],
-                        timestamps[i:end],
-                        [column[i:end] for column in columns],
-                    )
-                self.flank_inserts += take
+                end = i + min(room, n - i)
+                self.tree.append_run(run if i == 0 and end == n else run[i:end])
+                self.flank_inserts += end - i
                 i = end
                 continue
             # The late segment [i, split_at) belongs in the queue; the
             # boundary cannot move while we only queue events.
             split_at = i + 1
-            while split_at < n and events[split_at].t <= boundary:
+            while split_at < n and timestamps[split_at] <= boundary:
                 split_at += 1
             cost = self.tree.layout.cost
             clock = self.tree.layout.clock
@@ -140,7 +123,7 @@ class OutOfOrderManager:
                     self.flush_queue()
                     break  # the flush may advance the boundary: re-route
                 take = min(room, split_at - i)
-                chunk = events[i : i + take]
+                chunk = list(run[i : i + take])
                 if cost is not None and clock is not None:
                     clock.charge_cpu(cost.sorted_insert * take)
                 for event in chunk:

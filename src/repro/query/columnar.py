@@ -12,6 +12,12 @@ exploit that with *late materialization*:
   per-row deserialization cost charged — only at the API boundary, and
   only for ``SELECT *``.  Aggregates never materialize events at all.
 
+The unfiltered ``SELECT *`` scan is also the one read by which events
+leave a server: :func:`read_events` runs it without a plan for catch-up
+replies and subscription pushes, and its
+:class:`~repro.events.event.ColumnarEvents` batch goes onto the wire as
+is.
+
 Results are bit-identical to the row-at-a-time oracle
 (``repro.testing.oracle``) by construction: leaves arrive in the order
 of its scans (:meth:`EventStream.leaf_slices` — filter order, or
@@ -25,6 +31,7 @@ from __future__ import annotations
 from repro.errors import QueryError
 from repro.events.event import ColumnarEvents
 from repro.index.queries import fold
+from repro.query.ast import Query, SelectStar
 from repro.query.partials import components_of_values
 
 #: Most buckets one ``GROUP BY time`` may span.
@@ -119,6 +126,16 @@ def scan_events(stream, query, stats: dict, time_order: bool, served=None):
     stats["rows_materialized"] = stats.get("rows_materialized", 0) + len(out)
     _charge(stream, examined, len(out))
     return out
+
+
+def read_events(stream, t_start: int, t_end: int, served=None,
+                limit: int | None = None) -> ColumnarEvents:
+    """The one read of events out of a node: what an unfiltered
+    ``SELECT *`` plan runs — :func:`scan_events` over time-ordered leaf
+    windows, queued late events spliced in — without building a plan.
+    Catch-up replies and subscription pushes are this batch."""
+    query = Query(SelectStar(), stream.name, t_start, t_end, limit=limit)
+    return scan_events(stream, query, {}, True, served)
 
 
 def _gather(stream, query, stats: dict, served, t_start: int, t_end: int,

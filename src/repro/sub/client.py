@@ -19,8 +19,7 @@ import threading
 from repro.errors import SubscriptionClosed
 from repro.events.event import ColumnarEvents
 from repro.net import frames
-
-_HUGE = 2**62
+from repro.sub.hub import next_cursor
 
 
 class SubscriptionHandle:
@@ -116,12 +115,12 @@ class SubscriptionHandle:
             _, _, timestamps, columns = frames.decode_batch_payload(
                 batch_payload
             )
-            events = ColumnarEvents(timestamps, columns).materialize()
             with self._lock:
                 self._last_seq = seq
-                if events:
-                    self._advance(events)
-            yield events
+                self._cursor_t, self._cursor_k = next_cursor(
+                    (self._cursor_t, self._cursor_k), timestamps
+                )
+            yield ColumnarEvents(timestamps, columns).materialize()
             if self.auto_ack and self._closed is None:
                 self.ack(seq)
 
@@ -163,18 +162,6 @@ class SubscriptionHandle:
     def _close_with(self, error: SubscriptionClosed) -> None:
         self._closed = error
         self.client._unregister_push_handler(self.sub_id)
-
-    def _advance(self, events) -> None:
-        last_t = events[-1].t
-        trailing = 0
-        for event in reversed(events):
-            if event.t != last_t:
-                break
-            trailing += 1
-        if last_t == self._cursor_t:
-            self._cursor_k += trailing
-        else:
-            self._cursor_t, self._cursor_k = last_t, trailing
 
     def __enter__(self) -> "SubscriptionHandle":
         return self

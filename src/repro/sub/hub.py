@@ -6,8 +6,11 @@ owns every subscription on that node.  The contract it implements:
 **One delivery path: a subscription is a cursor over the log.**  The
 hub holds no event.  Every pushed batch — history and live tail alike —
 is one scan: take the server's per-stream lock (the lock every append
-handler holds), read :meth:`EventStream.time_travel` from the cursor,
-advance the cursor, push outside the lock.  The append path only rings
+handler holds), read from the cursor what an unfiltered ``SELECT *``
+reads (:func:`repro.query.columnar.read_events`: one columnar batch
+straight from the leaf windows, never an event object), advance the
+cursor, encode that batch and push it outside the lock.  The append
+path only rings
 a doorbell (:meth:`SubscriptionHub.notify`, once per batch): it adds
 the batch's size to the subscription's backlog count and flags it for
 the dispatcher.  No wake-up is lost: the dispatcher clears the flag
@@ -42,11 +45,14 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left, bisect_right
 from collections import deque
 
 from repro.errors import ChronicleError, SubscriptionError
+from repro.events.serializer import PaxCodec
 from repro.net import frames
 from repro.obs import OBS
+from repro.query import columnar
 
 _HUGE = 2**62
 
@@ -64,6 +70,19 @@ _M_SLOW_DISCONNECTS = OBS.counter("sub.slow_disconnects")
 _M_ACTIVE = OBS.gauge("sub.active")
 _M_QUEUE_DEPTH = OBS.histogram("sub.queue_depth", smallest=1.0)
 _M_LAG = OBS.histogram("sub.delivery_lag_seconds")
+
+
+def next_cursor(cursor: tuple[int, int], timestamps) -> tuple[int, int]:
+    """The ``(t, k)`` cursor after delivering *timestamps* (ascending)
+    from *cursor* — the one cursor rule, shared by the hub and the
+    client-side :class:`~repro.sub.client.SubscriptionHandle`."""
+    if not timestamps:
+        return cursor
+    last = timestamps[-1]
+    trailing = len(timestamps) - bisect_left(timestamps, last)
+    if last == cursor[0]:
+        return last, cursor[1] + trailing
+    return last, trailing
 
 
 class _Subscription:
@@ -225,7 +244,7 @@ class SubscriptionHub:
         with self._lock_for(stream_name):
             stream = self._db.get_stream(stream_name)
             sub.schema_bytes = frames.schema_bytes_of(stream.schema)
-            sub.codec = self._codec_for(stream.schema)
+            sub.codec = PaxCodec(stream.schema)
             cursor = request.get("cursor")
             if cursor is not None:
                 sub.cursor_t, sub.cursor_k = int(cursor[0]), int(cursor[1])
@@ -269,7 +288,14 @@ class SubscriptionHub:
                 sub.acked_seq = seq
             sub.credits += int(request.get("credits", 1))
             credits = sub.credits
-            self._mark_dirty_locked(sub)
+            # Credits matter only to a scan with something to read: a
+            # caught-up, un-rung subscription waits for the next bell.
+            if (
+                sub.mode != LIVE
+                or sub.rung_at is not None
+                or sub.pending_end is not None
+            ):
+                self._mark_dirty_locked(sub)
         return {"sub_id": sub.id, "credits": credits}
 
     def unsubscribe(self, request: dict) -> dict:
@@ -362,11 +388,6 @@ class SubscriptionHub:
 
     # ------------------------------------------------------------- internal
 
-    def _codec_for(self, schema):
-        from repro.events.serializer import PaxCodec
-
-        return PaxCodec(schema)
-
     def _ensure_thread(self) -> None:
         with self._lock:
             if self._thread is None or not self._thread.is_alive():
@@ -448,20 +469,18 @@ class SubscriptionHub:
                 if self._served_filter is not None
                 else None
             )
-            # Only this (the dispatcher) thread moves the cursor.
-            cursor_t, skip = sub.cursor_t, sub.cursor_k
-            events: list = []
-            caught_up = True
-            for event in stream.time_travel(cursor_t, _HUGE):
-                if served is not None and not served(event.t):
-                    continue
-                if skip and event.t == cursor_t:
-                    skip -= 1
-                    continue
-                if len(events) == sub.batch:
-                    caught_up = False
-                    break
-                events.append(event)
+            # Only this (the dispatcher) thread moves the cursor.  The
+            # cursor's k events at t lead the read (fewer if a client
+            # cursor claims more than exist); one row past the batch
+            # tells whether this scan reached the tail.
+            cursor = (sub.cursor_t, sub.cursor_k)
+            read = columnar.read_events(
+                stream, cursor[0], _HUGE, served,
+                limit=cursor[1] + sub.batch + 1,
+            )
+            skip = min(cursor[1], bisect_right(read.timestamps, cursor[0]))
+            batch = read[skip : skip + sub.batch]
+            caught_up = len(read) - skip <= sub.batch
             # This node may own a bounded slice of the stream (a split
             # moved the tail away): the end of the owned range is not a
             # tail to wait at.
@@ -478,14 +497,16 @@ class SubscriptionHub:
                     sub.backlog = 0
                 else:
                     sub.mode = REPLAY
-                    sub.backlog = max(0, sub.backlog - len(events))
-                if events:
+                    sub.backlog = max(0, sub.backlog - len(batch))
+                if batch:
                     sub.credits -= 1
                     sub.seq += 1
                     seq = sub.seq
-                    self._advance_cursor(sub, events)
-        if events:
-            self._push_events(sub, seq, events, rung_at)
+                    sub.cursor_t, sub.cursor_k = next_cursor(
+                        cursor, batch.timestamps
+                    )
+        if batch:
+            self._push_events(sub, seq, batch, rung_at)
             return not sub.channel.closed
         if bounded:
             # Only after every locally owned event has been pushed: the
@@ -499,25 +520,12 @@ class SubscriptionHub:
             )
         return False
 
-    def _advance_cursor(self, sub: _Subscription, events) -> None:
-        """Caller holds ``sub.lock``; *events* are in delivery order."""
-        last_t = events[-1].t
-        trailing = 0
-        for event in reversed(events):
-            if event.t != last_t:
-                break
-            trailing += 1
-        if last_t == sub.cursor_t:
-            sub.cursor_k += trailing
-        else:
-            sub.cursor_t, sub.cursor_k = last_t, trailing
-
-    def _push_events(self, sub, seq, events, rung_at) -> None:
+    def _push_events(self, sub, seq, batch, rung_at) -> None:
         payload = frames.encode_sub_events_payload(
             sub.id,
             seq,
             frames.encode_batch_payload(
-                sub.stream, sub.schema_bytes, sub.codec, events
+                sub.stream, sub.schema_bytes, sub.codec, batch
             ),
         )
         injector = self.fault_injector
@@ -529,11 +537,11 @@ class SubscriptionHub:
         # Counted before the wire write: a subscriber that has the batch
         # in hand must never read stats that do not include it yet.
         sub.pushed_batches += 1
-        sub.pushed_events += len(events)
+        sub.pushed_events += len(batch)
         sub.channel.send(frames.OP_SUB_EVENTS, payload)
         if OBS.enabled:
             _M_BATCHES.inc()
-            _M_EVENTS.inc(len(events))
+            _M_EVENTS.inc(len(batch))
             if rung_at is not None:
                 _M_LAG.observe(time.monotonic() - rung_at)
 

@@ -19,7 +19,13 @@ import tempfile
 
 import pytest
 
-from repro import ChronicleConfig, ChronicleDB, Event, EventSchema
+from repro import (
+    ChronicleConfig,
+    ChronicleDB,
+    ColumnarEvents,
+    Event,
+    EventSchema,
+)
 from repro.cluster import Cluster, ClusterMonitor, reconcile_stream
 from repro.errors import ChronicleError
 from repro.events.serializer import PaxCodec
@@ -38,7 +44,8 @@ BATCHES = 8
 def wire_bytes(events):
     """*events* as the batch payload they cross a socket in."""
     return frames.encode_batch_payload(
-        "s", frames.schema_bytes_of(SCHEMA), PaxCodec(SCHEMA), events
+        "s", frames.schema_bytes_of(SCHEMA), PaxCodec(SCHEMA),
+        ColumnarEvents.of(events, SCHEMA.arity),
     )
 
 

@@ -41,7 +41,8 @@ BATCHES = 8
 def wire_bytes(events):
     """*events* as the batch payload they cross a socket in."""
     return frames.encode_batch_payload(
-        "s", frames.schema_bytes_of(SCHEMA), PaxCodec(SCHEMA), events
+        "s", frames.schema_bytes_of(SCHEMA), PaxCodec(SCHEMA),
+        ColumnarEvents.of(events, SCHEMA.arity),
     )
 
 
@@ -107,6 +108,7 @@ def test_binary_failover_loses_no_acknowledged_event(crash_at):
             cluster.node_at(old_primary).kill()
             promoted = ClusterMonitor(cluster).poll_once()
             assert promoted and promoted[0] != old_primary
+            assert spec.primary == promoted[0]
 
             got = client.query("SELECT * FROM s")
             assert sorted((e.t, e.values) for e in got) == sorted(
@@ -131,6 +133,7 @@ def test_binary_failover_loses_no_acknowledged_event(crash_at):
             assert len(client.query("SELECT * FROM s")) == (
                 len(acked_events) + 10
             )
+            assert cluster.stats()["counters"]["failovers"] == 1
         finally:
             client.close()
             cluster.stop()

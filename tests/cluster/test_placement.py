@@ -53,7 +53,7 @@ def test_hash_map_routes_whole_stream_to_one_shard():
     specs = shard_map.shards_for_stream("s")
     assert len(specs) == 1
     by_shard = shard_map.partition_batch(
-        "s", [Event.of(t, 1.0) for t in range(20)]
+        "s", ColumnarEvents.of([Event.of(t, 1.0) for t in range(20)], 1)
     )
     assert list(by_shard) == [specs[0].shard_id]
     assert len(by_shard[specs[0].shard_id]) == 20
@@ -62,7 +62,7 @@ def test_hash_map_routes_whole_stream_to_one_shard():
 def test_time_window_partition_preserves_order_within_shard():
     shard_map = make_map(2, TimeWindowPlacement(5))
     events = [Event.of(t, float(t)) for t in range(30)]
-    by_shard = shard_map.partition_batch("s", events)
+    by_shard = shard_map.partition_batch("s", ColumnarEvents.of(events, 1))
     assert len(shard_map.shards_for_stream("s")) == 2
     assert sorted(by_shard) == [0, 1]
     recombined = []
@@ -88,7 +88,7 @@ def test_sorted_partition_matches_per_event_loop():
     for event in events:
         want.setdefault(policy.shard_of("s", event.t, 3), []).append(event)
 
-    by_shard = shard_map.partition_batch("s", events)
+    by_shard = shard_map.partition_batch("s", ColumnarEvents.of(events, 1))
     assert {k: list(v) for k, v in by_shard.items()} == want
 
     columnar = ColumnarEvents(
@@ -104,11 +104,11 @@ def test_unsorted_batch_falls_back_to_per_event_split():
     policy = TimeWindowPlacement(5)
     shard_map = make_map(2, policy)
     events = [Event.of(t, float(t)) for t in (9, 3, 14, 0, 7)]
-    by_shard = shard_map.partition_batch("s", events)
+    by_shard = shard_map.partition_batch("s", ColumnarEvents.of(events, 1))
     want: dict[int, list] = {}
     for event in events:
         want.setdefault(policy.shard_of("s", event.t, 2), []).append(event)
-    assert by_shard == want
+    assert {k: list(v) for k, v in by_shard.items()} == want
 
 
 def test_hash_placement_keeps_columnar_batches_columnar():

@@ -61,7 +61,7 @@ def test_sorted_fast_path_delegates_to_subclassed_policy():
     ``shard_of``, not the hard-coded built-in stripe."""
     shard_map = make_map(3, ReversedWindowPlacement(10))
     events = [Event.of(t, float(t)) for t in range(35)]  # sorted: fast path
-    got = shard_map.partition_batch("s", events)
+    got = shard_map.partition_batch("s", ColumnarEvents.of(events, 1))
     assert as_rows(got) == as_rows(slow_split(shard_map, "s", events))
     # The subclass reverses the stripe, so the old formula's answer is
     # genuinely different — this test fails against the old fast path.
@@ -117,7 +117,8 @@ def test_partition_batch_matches_per_event_loop(shard_map, timestamps, sort):
         timestamps = sorted(timestamps)
     events = [Event.of(t, float(t % 5), float(-t)) for t in timestamps]
     expected = as_rows(slow_split(shard_map, "s", events))
-    assert as_rows(shard_map.partition_batch("s", events)) == expected
+    batch = ColumnarEvents.of(events, 2)
+    assert as_rows(shard_map.partition_batch("s", batch)) == expected
     columnar = ColumnarEvents(
         list(timestamps),
         [[float(t % 5) for t in timestamps], [float(-t) for t in timestamps]],
@@ -130,6 +131,7 @@ def test_partition_batch_matches_per_event_loop(shard_map, timestamps, sort):
 def test_partition_batch_preserves_order_within_shards(shard_map, timestamps):
     timestamps = sorted(timestamps)
     events = [Event.of(t, float(t), 0.0) for t in timestamps]
-    for batch in shard_map.partition_batch("s", events).values():
+    split = shard_map.partition_batch("s", ColumnarEvents.of(events, 2))
+    for batch in split.values():
         ts = [e.t for e in batch]
         assert ts == sorted(ts)

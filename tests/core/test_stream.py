@@ -208,3 +208,30 @@ def test_event_validation():
 
     with pytest.raises(SchemaError):
         stream.append(Event.of(1, 1.0))  # wrong arity
+
+
+@pytest.mark.parametrize("values", [(1.0,), (1.0, 2.0, 3.0)], ids=["under", "over"])
+def test_wrong_arity_is_refused_before_any_side_effect(values):
+    """Without ``validate_events`` too: an event with too many values is
+    never silently truncated, one with too few never half-ingested."""
+    from repro.errors import SchemaError
+
+    stream = make_stream()
+    stream.append_batch(events_for(10))
+    bad = Event(10, values)
+    with pytest.raises(SchemaError, match="attribute values"):
+        stream.append(bad)
+    with pytest.raises(SchemaError, match="attribute values"):
+        stream.append_batch(events_for(5, start=10) + [bad])
+    assert stream.appended == 10
+
+    good = events_for(20, start=10)
+    stream.append_batch(good)
+    assert list(stream.scan()) == events_for(10) + good
+    # No correlation tracker saw the refused batch.
+    clean = make_stream()
+    clean.append_batch(events_for(10) + good)
+    (split,), (reference,) = stream.splits, clean.splits
+    assert {n: t.to_dict() for n, t in split._trackers.items()} == {
+        n: t.to_dict() for n, t in reference._trackers.items()
+    }

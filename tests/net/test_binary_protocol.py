@@ -16,7 +16,7 @@ from repro import ChronicleConfig, ChronicleDB, ColumnarEvents, Event, EventSche
 from repro.cluster.placement import Endpoint
 from repro.cluster.pool import ClientPool, is_connection_error
 from repro.core.devices import RetryPolicy
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, SchemaError
 from repro.events.serializer import PaxCodec
 from repro.net import BinaryChronicleClient, ChronicleServer
 from repro.net import frames
@@ -113,7 +113,7 @@ def test_replicate_raw_applies_and_counts(server, client):
         "fresh",
         frames.schema_bytes_of(SCHEMA),
         PaxCodec(SCHEMA),
-        [Event.of(t, 1.0, 2.0) for t in range(7)],
+        ColumnarEvents.of([Event.of(t, 1.0, 2.0) for t in range(7)], 2),
     )
     # The stream does not exist yet: the self-describing payload creates
     # it — the catch-up path for replicas that missed create_stream.
@@ -238,6 +238,30 @@ def test_remote_error_text_is_not_a_connection_error(server):
             pool.run(endpoint, lambda c: c.stats("closed the connection"))
         assert not is_connection_error(excinfo.value)
         assert pool.retries == 0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [Event.of(1, 1.0), Event.of(1, 1.0, 2.0, 3.0), Event.of(1, "x", 2.0)],
+    ids=["under_arity", "over_arity", "unencodable"],
+)
+def test_bad_batch_is_a_typed_request_error(server, bad):
+    """A batch the schema cannot hold fails on the client, typed, before
+    anything is sent: never retried as a transport failure, never
+    costing the cached connection, never silently truncated."""
+    retry = RetryPolicy(max_attempts=3, backoff_seconds=0.0)
+    with ClientPool(retry=retry) as pool:
+        endpoint = Endpoint(server.host, server.port)
+        client = pool.client(endpoint)
+        client.create_stream("s", SCHEMA)
+        batch = [Event.of(0, 1.0, 2.0), bad]
+        with pytest.raises(SchemaError) as excinfo:
+            pool.run(endpoint, lambda c: c.append_batch("s", batch))
+        assert not is_connection_error(excinfo.value)
+        assert pool.retries == 0
+        assert pool.client(endpoint) is client
+        assert client.stats()["streams"]["s"]["appended"] == 0
+        assert client.append_batch("s", [Event.of(0, 1.0, 2.0)]) == 1
 
 
 def test_server_eof_is_a_connection_error(server):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError, SchemaError
-from repro.events.event import Event
+from repro.events.event import ColumnarEvents, Event
 from repro.events.schema import EventSchema
 from repro.events.serializer import PaxCodec
 from repro.net import frames
@@ -86,15 +86,22 @@ def test_batch_payload_roundtrip(stream, rows):
     codec = PaxCodec(schema)
     schema_bytes = frames.schema_bytes_of(schema)
     events = [Event(t, (a, b)) for t, a, b in rows]
-    payload = frames.encode_batch_payload(stream, schema_bytes, codec, events)
-
-    # The columnar encoder produces the identical bytes for the same
-    # batch — the zero-copy forwarding invariant does not depend on
-    # which client-side encoder built the payload.
     ts = [t for t, _, _ in rows]
     columns = [[a for _, a, _ in rows], [b for _, _, b in rows]]
-    assert payload == frames.encode_batch_payload_columns(
-        stream, schema_bytes, codec, ts, columns
+    payload = frames.encode_batch_payload(
+        stream, schema_bytes, codec, ColumnarEvents(ts, columns)
+    )
+
+    # A list of events transposed at the API boundary encodes to the
+    # identical bytes — through the one payload encoder and through
+    # ``PaxCodec.encode_events`` — so the zero-copy forwarding invariant
+    # does not depend on which shape the caller started from.
+    assert payload == frames.encode_batch_payload(
+        stream, schema_bytes, codec, ColumnarEvents.of(events, 2)
+    )
+    assert payload.endswith(codec.encode_events(events))
+    assert len(payload) == len(codec.encode_events(events)) + (
+        2 + len(stream.encode()) + 2 + len(schema_bytes) + 4
     )
 
     assert frames.batch_event_count(payload) == len(events)
@@ -112,7 +119,8 @@ def _sample_payload(count=3):
     codec = PaxCodec(schema)
     events = [Event(i, (float(i),)) for i in range(count)]
     return frames.encode_batch_payload(
-        "s", frames.schema_bytes_of(schema), codec, events
+        "s", frames.schema_bytes_of(schema), codec,
+        ColumnarEvents.of(events, schema.arity),
     )
 
 
@@ -146,6 +154,7 @@ def test_arity_mismatch_rejected():
     schema = EventSchema.of("a", "b")
     codec = PaxCodec(schema)
     with pytest.raises(SchemaError, match="columns"):
-        frames.encode_batch_payload_columns(
-            "s", frames.schema_bytes_of(schema), codec, [1, 2], [[1.0, 2.0]]
+        frames.encode_batch_payload(
+            "s", frames.schema_bytes_of(schema), codec,
+            ColumnarEvents([1, 2], [[1.0, 2.0]]),
         )

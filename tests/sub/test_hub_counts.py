@@ -13,9 +13,9 @@ from collections import Counter, deque
 import pytest
 
 from repro import ChronicleConfig, ChronicleDB, Event, EventSchema
-from repro.core.stream import EventStream
 from repro.errors import SubscriptionClosed
 from repro.net import BinaryChronicleClient, ChronicleServer
+from repro.query import columnar
 from repro.sub.hub import SubscriptionHub
 
 SCHEMA = EventSchema.of("x", "y")
@@ -100,21 +100,49 @@ def test_ack_on_caught_up_unrung_subscription_scans_nothing(
         assert len(handle.take(10, timeout=5)) == 10
         sub = _settle(server, handle.sub_id, lambda sub: sub.mode == "live")
         scans = Counter()
-        real = EventStream.time_travel
+        real = columnar.read_events
 
-        def counted(self, *args, **kwargs):
-            scans["time_travel"] += 1
-            return real(self, *args, **kwargs)
+        def counted(*args, **kwargs):
+            scans["read_events"] += 1
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(EventStream, "time_travel", counted)
+        monkeypatch.setattr(columnar, "read_events", counted)
         credits = sub.credits
         handle.ack(credits=2)
         _settle(server, handle.sub_id, lambda sub: sub.credits == credits + 2)
-        assert scans["time_travel"] == 0
+        assert scans["read_events"] == 0
         # The bell is what makes the next ack-or-append scan.
         client.append("s", Event.of(10, 10.0, 0.0))
         assert [e.t for e in handle.take(1, timeout=5)] == [10]
-        assert scans["time_travel"] >= 1
+        assert scans["read_events"] >= 1
+
+
+def test_acks_on_caught_up_unrung_subscription_never_wake_the_dispatcher(
+    server, client, monkeypatch
+):
+    """An ack only grants credits; with nothing rung and the cursor at
+    the tail there is nothing to push, so the dispatcher stays asleep."""
+    client.append_batch("s", [Event.of(t, float(t), 0.0) for t in range(10)])
+    with client.subscribe("s", from_t=0) as handle:
+        assert len(handle.take(10, timeout=5)) == 10
+        sub = _settle(server, handle.sub_id, lambda sub: sub.mode == "live")
+        pumps = Counter()
+        real = SubscriptionHub._pump
+
+        def counted(self, *args, **kwargs):
+            pumps["_pump"] += 1
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(SubscriptionHub, "_pump", counted)
+        acks, credits = 20, sub.credits
+        for _ in range(acks):
+            handle.ack()
+        _settle(server, handle.sub_id,
+                lambda sub: sub.credits == credits + acks)
+        assert pumps["_pump"] == 0
+        client.append("s", Event.of(10, 10.0, 0.0))
+        assert [e.t for e in handle.take(1, timeout=5)] == [10]
+        assert pumps["_pump"] >= 1
 
 
 def _stalled_subscriber(client, server, policy):
