@@ -26,6 +26,14 @@ class Compressor(ABC):
     def decompress(self, blob: bytes, original_size: int) -> bytes:
         """Restore the original bytes; *original_size* is ``len(data)``."""
 
+    def decompress_prefix(self, blob: bytes, original_size: int, size: int) -> bytes:
+        """The first *size* bytes of the original (fewer if it is shorter).
+
+        Codecs that can stop early override this; the default restores
+        everything and cuts.
+        """
+        return self.decompress(blob, original_size)[:size]
+
 
 _REGISTRY: dict[str, type] = {}
 

@@ -37,6 +37,9 @@ class ZlibCompressor(Compressor):
             )
         return out
 
+    def decompress_prefix(self, blob: bytes, original_size: int, size: int) -> bytes:
+        return zlib.decompressobj().decompress(blob, size)
+
 
 @register
 class Zlib9Compressor(ZlibCompressor):

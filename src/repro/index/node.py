@@ -32,7 +32,7 @@ NO_NODE = -1
 #: to it must fall back to a timestamp search (paper, Section 5.7.2).
 FLAG_SPLIT = 1
 
-_HEADER = struct.Struct("<IHBBQqqq")
+NODE_HEADER = struct.Struct("<IHBBQqqq")
 
 
 @dataclass
@@ -182,6 +182,9 @@ class NodeCodec:
         # child_id, t_min, t_max, count + (min, max, sum[, sum_sq]) per
         # indexed attribute.
         self.entry_size = 32 + 8 * self._agg_width * len(self.indexed_positions)
+        self._entry = struct.Struct(
+            f"<qqqQ{self._agg_width * len(self.indexed_positions)}d"
+        )
         self.index_capacity = (lblock_size - NODE_HEADER_SIZE) // self.entry_size
         if self.leaf_capacity < 2 or self.index_capacity < 2:
             raise SchemaError(
@@ -196,7 +199,7 @@ class NodeCodec:
                 f"leaf holds {leaf.count} events, capacity {self.leaf_capacity}"
             )
         out = bytearray(self.lblock_size)
-        _HEADER.pack_into(
+        NODE_HEADER.pack_into(
             out, 0, MAGIC_LEAF, leaf.count, 0, leaf.flags, leaf.lsn,
             leaf.node_id, leaf.prev_id, leaf.next_id,
         )
@@ -211,7 +214,7 @@ class NodeCodec:
                 f" {self.index_capacity}"
             )
         out = bytearray(self.lblock_size)
-        _HEADER.pack_into(
+        NODE_HEADER.pack_into(
             out, 0, MAGIC_INDEX, node.count, node.level, node.flags, node.lsn,
             node.node_id, node.prev_id, node.next_id,
         )
@@ -237,7 +240,7 @@ class NodeCodec:
     def decode(self, data: bytes):
         """Decode an L-block into a :class:`LeafNode` or :class:`IndexNode`."""
         magic, count, level, flags, lsn, node_id, prev_id, next_id = (
-            _HEADER.unpack_from(data)
+            NODE_HEADER.unpack_from(data)
         )
         if magic == MAGIC_LEAF:
             timestamps, columns = self._pax.decode_columns(
@@ -246,20 +249,27 @@ class NodeCodec:
             return LeafNode(node_id, prev_id, next_id, lsn, flags,
                             timestamps, columns)
         if magic == MAGIC_INDEX:
-            entries = []
-            offset = NODE_HEADER_SIZE
-            agg_format = f"<{self._agg_width}d"
-            agg_bytes = 8 * self._agg_width
-            for _ in range(count):
-                child_id, t_min, t_max, n = struct.unpack_from("<qqqQ", data, offset)
-                offset += 32
-                aggs = []
-                for _ in range(len(self.indexed_positions)):
-                    aggs.append(struct.unpack_from(agg_format, data, offset))
-                    offset += agg_bytes
-                entries.append(IndexEntry(child_id, t_min, t_max, n, aggs))
+            entries = self._decode_entries(data, count)
             return IndexNode(node_id, level, prev_id, next_id, lsn, flags, entries)
         raise CorruptBlockError(f"not a TAB+-tree node (magic {magic:#x})")
+
+    def _decode_entries(self, data: bytes, count: int) -> list[IndexEntry]:
+        """The *count* index entries after the node header, one
+        ``iter_unpack`` over the entry array."""
+        if count > self.index_capacity:
+            raise CorruptBlockError(f"index node claims {count} entries")
+        width = self._agg_width
+        end = 4 + width * len(self.indexed_positions)
+        start = NODE_HEADER_SIZE
+        return [
+            IndexEntry(
+                v[0], v[1], v[2], v[3],
+                [v[i : i + width] for i in range(4, end, width)],
+            )
+            for v in self._entry.iter_unpack(
+                data[start : start + count * self.entry_size]
+            )
+        ]
 
     def leaf_view(self, data: bytes, on_decode=None):
         """Decode an L-block into a lazy :class:`LeafView` when possible.
@@ -267,7 +277,7 @@ class NodeCodec:
         Index blocks (or anything that is not a leaf) fall back to
         :meth:`decode` so callers can treat this as a drop-in fetch.
         """
-        header = _HEADER.unpack_from(data)
+        header = NODE_HEADER.unpack_from(data)
         if header[0] != MAGIC_LEAF:
             return self.decode(data)
         return LeafView(self._slicer, data, header, on_decode)

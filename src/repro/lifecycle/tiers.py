@@ -14,18 +14,22 @@ from __future__ import annotations
 from repro.errors import StorageError
 from repro.index.tab_tree import TabTree
 from repro.lifecycle.rollup import ColdRollup
+from repro.ooo.queue import SortedQueue
 from repro.storage.layout import ChronicleLayout
 
 
 class _NoQueue:
     """Stand-in for an :class:`OutOfOrderManager` on a read-only split."""
 
-    queue: tuple = ()
     pending = 0
     flank_inserts = 0
     queued_inserts = 0
     queue_flushes = 0
     checkpoints = 0
+
+    def __init__(self):
+        #: Always empty; ``min_t`` is ``None`` like a drained queue's.
+        self.queue = SortedQueue(1)
 
 
 class WarmSplit:

@@ -20,22 +20,74 @@ Events that existed only in the in-memory open leaf are lost with the
 crash, as in the paper's design; out-of-order events are re-applied from
 the write-ahead and mirror logs afterwards (Section 6.3).
 
-The dangling-link scan reads each stored node once, making tree recovery
-O(stored nodes).  (The TLB recovery that dominates the paper's Figure 10
-stays O(tail); a production system would bound this scan too by
-checkpointing the allocation watermark — noted in DESIGN.md.)
+The scan is a *header pass*: one forward walk over the macro blocks
+checks every C-block's CRC, but inflates only the 40-byte node header of
+a leaf (links, LSN) — index nodes decode in full, because split repair
+needs their entries.  A leaf's events are decoded only where they are
+summarized: the flank's children, repair candidates and the open leaf's
+predecessor.  Tree recovery is thus O(stored nodes) header reads plus
+O(fanout × height) full decodes.  Reaching O(height) would need the
+allocation watermark persisted, a format change noted in DESIGN.md.
 """
 
 from __future__ import annotations
 
 from repro import obs
-from repro.errors import RecoveryError, StorageError
+from repro.errors import CorruptBlockError, RecoveryError, StorageError
 from repro.index.entry import IndexEntry
-from repro.index.node import IndexNode, LeafNode, NO_NODE
+from repro.index.node import (
+    MAGIC_INDEX,
+    MAGIC_LEAF,
+    NO_NODE,
+    NODE_HEADER,
+    NODE_HEADER_SIZE,
+    IndexNode,
+    LeafNode,
+)
+from repro.obs import OBS
+from repro.storage.addressing import NULL_ADDR
+from repro.storage.cblock import decode_cblock
+from repro.storage.constants import SUPERBLOCK_SIZE
+from repro.storage.walker import iter_cblocks
 
 
-def _try_read_node(tree, node_id: int):
-    """Decode the block as a tree node; ``None`` for tombstones/garbage."""
+def _stored_addr(layout, block_id: int) -> int:
+    """Address of the stored block for this id; ``NULL_ADDR`` if none.
+
+    Reserved flank slots are mapped to the placeholder before their node
+    is written, and ids past the TLB were never mapped: both count as
+    unwritten.
+    """
+    tlb = layout.tlb
+    if block_id >= tlb.next_slot and block_id not in tlb.pending:
+        return NULL_ADDR
+    return layout._resolve(block_id)
+
+
+class StoredLeaf:
+    """A stored leaf as the header pass saw it: links and LSN, no events.
+
+    :func:`_content` decodes the full leaf on the few paths that need
+    its events (flank summaries, repair candidates, the open leaf's
+    predecessor).
+    """
+
+    __slots__ = ("node_id", "prev_id", "next_id", "lsn", "full")
+    level = 0
+
+    def __init__(self, node_id: int, prev_id: int, next_id: int, lsn: int):
+        self.node_id = node_id
+        self.prev_id = prev_id
+        self.next_id = next_id
+        self.lsn = lsn
+        self.full = None
+
+
+def _read_node(tree, node_id: int):
+    """Fully decode the stored block as a tree node; ``None`` for
+    tombstones and garbage."""
+    if OBS.enabled:
+        OBS.counter("recovery.nodes_inflated").inc()
     try:
         data = tree.layout.read_block(node_id)
     except StorageError:
@@ -46,24 +98,41 @@ def _try_read_node(tree, node_id: int):
         return None
 
 
-def _is_written(layout, block_id: int) -> bool:
-    """Does a stored block exist for this id?
-
-    Reserved flank slots are mapped to a placeholder (NULL_ADDR) before
-    their node is written; they count as unwritten.
-    """
-    from repro.storage.addressing import NULL_ADDR
-
-    tlb = layout.tlb
-    if block_id >= tlb.next_slot and block_id not in tlb.pending:
-        return False
-    return tlb.lookup(block_id) != NULL_ADDR
+def _classify(tree, block_id: int, original_len: int, payload: bytes):
+    """The scan record of a stored C-block: a :class:`StoredLeaf`, a full
+    :class:`IndexNode` (``_find_repairs`` needs its entries), or ``None``
+    for anything that is not a node."""
+    layout = tree.layout
+    if original_len != layout.lblock_size:
+        return None  # a tombstone, or not an L-block at all
+    try:
+        header = layout.codec.decompress_prefix(
+            payload, original_len, NODE_HEADER_SIZE
+        )
+    except Exception:
+        return None
+    if len(header) < NODE_HEADER_SIZE:
+        return None
+    magic, count, _, _, lsn, node_id, prev_id, next_id = NODE_HEADER.unpack(header)
+    if magic == MAGIC_LEAF and count <= tree.codec.leaf_capacity:
+        if OBS.enabled:
+            OBS.counter("recovery.nodes_header_only").inc()
+        return StoredLeaf(node_id, prev_id, next_id, lsn)
+    if magic != MAGIC_INDEX:
+        return None
+    if OBS.enabled:
+        OBS.counter("recovery.nodes_inflated").inc()
+    try:
+        return tree.codec.decode(layout._decompress(payload, original_len))
+    except Exception:
+        return None
 
 
 def _scan_nodes(tree) -> tuple[dict[int, object], list[int], set[int], set[int]]:
     """Classify every allocated id: ``(nodes, unwritten, occupied, orphans)``.
 
-    * ``nodes`` — ids with a decodable tree node;
+    * ``nodes`` — ids with a stored tree node: a :class:`StoredLeaf` per
+      leaf, a decoded :class:`IndexNode` per index node;
     * ``unwritten`` — ids with no stored block (reserved flank slots and
       ids whose write the crash swallowed);
     * ``occupied`` — ids whose block exists but is not a node (tombstones
@@ -75,20 +144,47 @@ def _scan_nodes(tree) -> tuple[dict[int, object], list[int], set[int], set[int]]
       R whose predecessor still skips it was mid-split at crash time and
       is rolled back: the stale L retains the full pre-split contents,
       and the WAL re-applies the event that triggered the split.
+
+    One forward walk over the macro blocks reads every C-block in file
+    order.  A block stands for its id only where the TLB maps that id to
+    the block's address; ids the walk did not settle (a reference entry,
+    a block still in the open macro) are read through the TLB instead.
     """
     layout = tree.layout
     nodes: dict[int, object] = {}
-    unwritten: list[int] = []
     occupied: set[int] = set()
+    for addr, framed in iter_cblocks(
+        layout.device, layout.lblock_size, layout.macro_size, SUPERBLOCK_SIZE
+    ):
+        try:
+            block_id, original_len, payload = decode_cblock(framed)
+        except CorruptBlockError:
+            continue  # a stale fragment; the TLB read below decides
+        if block_id >= layout.next_id or _stored_addr(layout, block_id) != addr:
+            continue
+        node = _classify(tree, block_id, original_len, payload)
+        if node is None:
+            occupied.add(block_id)
+        else:
+            nodes[block_id] = node
+    unwritten: list[int] = []
     for node_id in range(layout.next_id):
-        if not _is_written(layout, node_id):
+        if node_id in nodes or node_id in occupied:
+            continue
+        if _stored_addr(layout, node_id) == NULL_ADDR:
             unwritten.append(node_id)
             continue
-        node = _try_read_node(tree, node_id)
+        node = _read_node(tree, node_id)
         if node is None:
             occupied.add(node_id)
         else:
             nodes[node_id] = node
+    nodes = {node_id: nodes[node_id] for node_id in sorted(nodes)}
+    return nodes, unwritten, occupied, _find_orphans(nodes)
+
+
+def _find_orphans(nodes: dict[int, object]) -> set[int]:
+    """Right halves of half-applied splits (see :func:`_scan_nodes`)."""
     orphans: set[int] = set()
     for node_id, node in nodes.items():
         prev = nodes.get(node.prev_id)
@@ -102,7 +198,18 @@ def _scan_nodes(tree) -> tuple[dict[int, object], list[int], set[int], set[int]]
             # to this node's own successor: the split that created it
             # never committed (the left half was not rewritten).
             orphans.add(node_id)
-    return nodes, unwritten, occupied, orphans
+    return orphans
+
+
+def _content(tree, node):
+    """The full node behind a scan record; a leaf is decoded at most once."""
+    if not isinstance(node, StoredLeaf):
+        return node
+    if node.full is None:
+        node.full = _read_node(tree, node.node_id)
+        if node.full is None:
+            raise RecoveryError(f"leaf {node.node_id} no longer decodes")
+    return node.full
 
 
 def _find_repairs(
@@ -123,7 +230,7 @@ def _find_repairs(
     """
     entry_at: dict[int, tuple[int, int]] = {}
     for node_id, node in nodes.items():
-        if node_id in orphans or isinstance(node, LeafNode):
+        if node_id in orphans or node.level == 0:
             continue
         for i, entry in enumerate(node.entries):
             entry_at[entry.child_id] = (node_id, i)
@@ -178,7 +285,7 @@ def _redo_parent_entry(
             break
         found = None
         for node_id, node in nodes.items():
-            if node_id in orphans or isinstance(node, LeafNode):
+            if node_id in orphans or node.level == 0:
                 continue
             for i, entry in enumerate(node.entries):
                 if entry.child_id == cursor:
@@ -275,6 +382,7 @@ def _find_dangling_links(
 
 
 def _summarize(tree, node) -> IndexEntry:
+    node = _content(tree, node)
     if isinstance(node, LeafNode):
         return IndexEntry.summarize_leaf(
             node.node_id,
@@ -325,7 +433,7 @@ def _recover_tree_flank(tree) -> None:
             prev_id=last_leaf.node_id,
             columns=[[] for _ in range(tree.schema.arity)],
         )
-        tree.last_flushed_leaf = (last_leaf.node_id, last_leaf.t_max)
+        tree.last_flushed_leaf = (last_leaf.node_id, _content(tree, last_leaf).t_max)
     else:
         tree.leaf = LeafNode(
             node_id=fresh_id(),

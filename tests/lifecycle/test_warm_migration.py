@@ -110,3 +110,16 @@ def test_warm_split_survives_reopen_from_device():
     assert [
         (e.t, e.values) for e in reopened.tree.time_travel(-_HUGE, _HUGE)
     ] == [(e.t, e.values) for e in warm.tree.time_travel(-_HUGE, _HUGE)]
+
+
+def test_warm_split_without_bounds_sorts_by_its_oldest_event():
+    """A warm split whose source split was restored without bounds has no
+    ``t_start``; time-ordered reads still sort it (by the tree's oldest
+    event: a warm split queues nothing)."""
+    stream, log = _stream_with_sealed_split()
+    before = [(e.t, e.values) for e in stream.scan()]
+    warm = _migrate_first(stream, log)
+    warm.t_start = None
+    assert warm.manager.queue.min_t is None
+    assert EventStream._split_start_key(warm) == warm.tree.min_t == 0
+    assert [(e.t, e.values) for e in stream.time_travel(-_HUGE, _HUGE)] == before
