@@ -131,10 +131,9 @@ class StorageEngine:
                     continue
                 try:
                     with self._locks[name]:
-                        if isinstance(item, list):
-                            self._streams[name].append_batch(item)
-                        else:
-                            self._streams[name].append(item)
+                        # A single event is a batch of one.
+                        batch = item if isinstance(item, list) else (item,)
+                        self._streams[name].append_batch(batch)
                 except ChronicleError as error:
                     # Keep draining: a crashed device keeps raising, so
                     # every lost item leaves a typed record behind.

@@ -142,11 +142,11 @@ class TimeSplit:
                 leaf.node_id,
             )
 
-    def _on_ooo_insert(self, event: Event, leaf_id: int) -> None:
+    def _on_ooo_insert(self, t: int, values, leaf_id: int) -> None:
         for attribute in self.secondary_attributes:
             position = self.schema.index_of(attribute)
             self.secondaries[attribute].insert(
-                float(event.values[position]), event.t, leaf_id
+                float(values[position]), t, leaf_id
             )
         if self.sealed:
             # A late event reached a sealed split (its queue drained into
@@ -164,30 +164,25 @@ class TimeSplit:
             return False
         return True
 
-    def ingest(self, event: Event) -> None:
-        for name, tracker in self._trackers.items():
-            tracker.add(float(event.values[self.schema.index_of(name)]))
-        self.manager.insert(event)
-        if self.sealed:
-            # A late arrival changed a sealed split's tree (flank insert
-            # or queue-triggered flush); keep the cached summary honest.
-            self.summary = self.tree.summary()
-
     def ingest_run(self, run: ColumnarEvents) -> None:
-        """Ingest a chronological run (batched form of :meth:`ingest`).
+        """Ingest a chronological run (non-decreasing timestamps).
 
         Correlation trackers are fed column-wise — each tracker sees the
-        exact per-event sequence, so sealed tc scores match the per-event
-        path bit for bit — and the run reaches the tree through
+        exact per-event sequence — and the run reaches the tree through
         :meth:`OutOfOrderManager.insert_run`, which slices the same
-        columns for its leaf extends.
+        columns for its leaf extends and its queued late segments.
         """
         index_of = self.schema.index_of
         for name, tracker in self._trackers.items():
             tracker.add_run(run.columns[index_of(name)])
         self.manager.insert_run(run)
         if self.sealed:
+            # A late arrival changed a sealed split's tree (flank insert
+            # or queue-triggered flush); keep the cached summary honest.
             self.summary = self.tree.summary()
+
+    #: The per-event name, kept for the frozen tracer table (ROADMAP 10(d)).
+    ingest = ingest_run
 
     # --------------------------------------------------------------- queries
 
@@ -208,17 +203,17 @@ class TimeSplit:
             refs = index.lookup_range(low, high)
         events = resolve_refs(self.tree, attribute, refs)
         position = self.schema.index_of(attribute)
-        leaf = self.tree.leaf
-        column = leaf.columns[position]
-        extra = [
-            Event(leaf.timestamps[row], tuple(c[row] for c in leaf.columns))
-            for row in range(leaf.count)
-            if low <= column[row] <= high
-        ]
-        extra.extend(
-            e for e in self.manager.queue if low <= e.values[position] <= high
-        )
-        return sorted(events + extra, key=lambda e: e.t)
+        queued = self.manager.queue.window(-(2**62), 2**62)
+        for rows in (self.tree.leaf, queued):
+            if not rows.timestamps:
+                continue
+            column = rows.columns[position]
+            events.extend(
+                Event(rows.timestamps[row], tuple(c[row] for c in rows.columns))
+                for row in range(len(column))
+                if low <= column[row] <= high
+            )
+        return sorted(events, key=lambda e: e.t)
 
     # ---------------------------------------------------------------- sealing
 

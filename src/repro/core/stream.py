@@ -93,71 +93,48 @@ class EventStream:
                 )
 
     def append(self, event: Event) -> None:
-        """Ingest one event (in order or out of order).  A wrong arity is
-        always refused; value types only with ``validate_events``."""
-        if self.config.validate_events or len(event.values) != self.schema.arity:
-            self.schema.validate_values(event.values)
-        if self.tiers.tiered_count or self.tiers.expired:
-            self._reject_tiered((event.t,))
-        split = self._route(event.t)
-        split.ingest(event)
-        self.appended += 1
-        if self.subscribers:
-            for subscriber in self.subscribers:
-                subscriber(event)
+        """Ingest one event: a batch of one."""
+        self.append_batch((event,))
 
     def append_batch(self, events) -> int:
-        """Ingest a batch of events through the vectorized fast path.
+        """Ingest a batch of events, in order or out of order.
 
-        Semantically identical to calling :meth:`append` per event — same
-        splits, same leaves, same WAL/mirror bytes — but the work is done
-        per *chronological run* (a maximal stretch of consecutive events
-        with non-decreasing timestamps that route to the same split):
-        schema validation is one pass per attribute column, routing is one
-        `_route` call per run, the tree bulk-extends its open leaf, and
-        log writes are group-committed.  Subscribers are dispatched once
-        per batch (each still sees every event, in order).  *events* is a
-        :class:`ColumnarEvents` batch or events transposed into one
-        (:meth:`ColumnarEvents.of`); arity and, with ``validate_events``,
-        value types are checked up front, so a batch with an invalid
-        event appends nothing (the per-event path would have appended the
-        valid prefix).
+        *events* is a :class:`ColumnarEvents` batch or events transposed
+        into one (:meth:`ColumnarEvents.of`).  Arity and, with
+        ``validate_events``, value types are checked up front, so an
+        invalid batch appends nothing.
         """
         batch = ColumnarEvents.of(events, self.schema.arity)
-        if not batch:
-            return 0
-        if self.config.validate_events:
-            self.schema.validate_batch(batch)
-        return self._append_run_sequence(batch)
+        return self._ingest(batch, self.config.validate_events)
 
     def append_columns(self, timestamps, columns) -> int:
-        """Columnar ingest lane: append a decoded wire batch directly.
-
-        ``timestamps`` and ``columns`` are the arrays a binary batch
-        payload decodes into (:mod:`repro.net.frames`); they flow through
-        the same run-routing as :meth:`append_batch` as one
-        :class:`ColumnarEvents` batch, so in-order data reaches the leaves
-        as bulk column extends without ever materializing per-event
-        objects.  Schema *type* validation is skipped — the wire structs
-        can only produce the schema's value types — but arity is checked,
-        since a wrong-arity batch would corrupt leaf columns.
-        """
-        if len(columns) != self.schema.arity:
-            raise SchemaError(
-                f"expected {self.schema.arity} columns, got {len(columns)}"
-            )
-        if not timestamps:
-            return 0
+        """Append a decoded wire batch (:mod:`repro.net.frames`) as one
+        :class:`ColumnarEvents`.  Schema *type* validation is skipped —
+        the wire structs can only produce the schema's value types."""
         ts = timestamps if isinstance(timestamps, list) else list(timestamps)
-        return self._append_run_sequence(ColumnarEvents(ts, columns))
+        return self._ingest(ColumnarEvents(ts, columns), False)
 
-    def _append_run_sequence(self, batch: ColumnarEvents) -> int:
-        """Shared run-routing core of the batched ingest paths: each
-        chronological run reaches its split as one slice of *batch*."""
+    def _ingest(self, batch: ColumnarEvents, validate: bool) -> int:
+        """The one ingest path.  The batch's shape (and, with *validate*,
+        its value types) is checked before any side effect; then each
+        *chronological run* — a maximal stretch of non-decreasing
+        timestamps that route to the same split — reaches its split as
+        one slice of *batch*, with one `_route` call per run.
+        Subscribers see every event, in order, after the batch."""
         ts = batch.timestamps
+        n = len(ts)
+        if len(batch.columns) != self.schema.arity:
+            raise SchemaError(
+                f"expected {self.schema.arity} columns, got {len(batch.columns)}"
+            )
+        if any(len(column) != n for column in batch.columns):
+            raise SchemaError("ragged columns: lengths differ from timestamps")
+        if not n:
+            return 0
+        if validate:
+            self.schema.validate_batch(batch)
         if self.tiers.tiered_count or self.tiers.expired:
             self._reject_tiered(ts)
-        n = len(batch)
         # One C-level pass decides whether the whole batch is already
         # chronological — the overwhelmingly common case, where run ends
         # are found by bisection instead of a per-event Python loop.
@@ -195,10 +172,7 @@ class EventStream:
                         break
                     prev_t = t
                     j += 1
-            if j - i == 1:
-                split.ingest(batch[i])
-            else:
-                split.ingest_run(batch if j - i == n else batch[i:j])
+            split.ingest_run(batch if j - i == n else batch[i:j])
             i = j
         self.appended += n
         if self.subscribers:
@@ -334,8 +308,9 @@ class EventStream:
 
     def _sources_in_time_order(self, t_start: int, t_end: int) -> list:
         """``(split, queued)`` per warm or hot split overlapping the
-        range, by start time; *queued* is the split's still-queued late
-        events inside the range, oldest first (a warm split has none).
+        range, by start time; *queued* is the batch of the split's
+        still-queued late events inside the range, oldest first (a warm
+        split has none).
 
         Splits cover disjoint time ranges, so reading them in this order
         keeps the output in time order.
@@ -344,7 +319,7 @@ class EventStream:
         splits += self._overlapping(t_start, t_end)
         splits.sort(key=self._split_start_key)
         return [
-            (split, [e for e in split.manager.queue if t_start <= e.t <= t_end])
+            (split, split.manager.queue.window(t_start, t_end))
             for split in splits
         ]
 
@@ -658,7 +633,6 @@ class EventStream:
         for split, queued in self._sources_in_time_order(t_start, t_end):
             windows = split.tree.leaf_slices(t_start, t_end, ranges, stats)
             if queued:
-                queued = ColumnarEvents.of(queued, self.schema.arity)
                 windows = _splice_queued(windows, queued)
             yield from windows
 

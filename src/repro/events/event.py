@@ -24,8 +24,7 @@ class Event:
     values: tuple
 
     def __lt__(self, other: "Event") -> bool:
-        # Ordering by application time makes events directly usable in
-        # sorted containers (the out-of-order queue sorts by `t`).
+        # Events order by application time (``sorted(events)``).
         return self.t < other.t
 
     def value(self, index: int):
@@ -43,13 +42,12 @@ class ColumnarEvents:
 
     Every layer a batch crosses takes this shape: the wire encoder and
     decoder, shard routing, stream run detection, the split, the
-    out-of-order manager and the TAB+-tree's flank append (which
-    bulk-extends leaf columns from it), and back out through the scan
-    that answers ``SELECT *``, catch-up and subscription pushes.  A list
-    of :class:`Event` becomes one only at the API boundary
-    (:meth:`of`); indexing or iterating materializes events on demand
-    for the per-event paths (late segments, sorted-prefix inserts,
-    embedded subscribers).
+    out-of-order manager, its late-event queue and logs, and the
+    TAB+-tree's flank append (which bulk-extends leaf columns from it),
+    and back out through the scan that answers ``SELECT *``, catch-up
+    and subscription pushes.  A list of :class:`Event` becomes one only
+    at the API boundary (:meth:`of`); on ingest, only the embedded
+    subscriber tap still iterates a batch into events.
     """
 
     __slots__ = ("timestamps", "columns")
@@ -82,15 +80,13 @@ class ColumnarEvents:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return ColumnarEvents(
-                self.timestamps[index],
-                [column[index] for column in self.columns],
-            )
-        return Event(
+    def __getitem__(self, index: slice) -> "ColumnarEvents":
+        """The rows in the slice *index*, as a batch of their own."""
+        if not isinstance(index, slice):
+            raise TypeError("a batch is sliced, not indexed by row")
+        return ColumnarEvents(
             self.timestamps[index],
-            tuple(column[index] for column in self.columns),
+            [column[index] for column in self.columns],
         )
 
     def __iter__(self):

@@ -25,6 +25,8 @@ class PaxCodec:
     def __init__(self, schema: EventSchema):
         self.schema = schema
         self._column_chars = [f.kind.struct_char for f in schema.fields]
+        #: One event as ``(t, *values)``: the WAL and mirror-log payload.
+        self.row = struct.Struct("<q" + "".join(self._column_chars))
 
     def encode_columns(self, timestamps: list[int], columns: list[list]) -> bytes:
         """Serialize columnar data: timestamps first, then each attribute column."""
@@ -74,15 +76,4 @@ class PaxCodec:
         layout inside L-blocks because grouping a column's similar values
         compresses better than interleaved rows (Section 4.2.1).
         """
-        return b"".join(self.encode_one(event) for event in events)
-
-    def encode_one(self, event: Event) -> bytes:
-        """Serialize a single event (used by the WAL and mirror log)."""
-        return struct.pack(
-            "<q" + "".join(self._column_chars), event.t, *event.values
-        )
-
-    def decode_one(self, data: bytes) -> Event:
-        """Inverse of :meth:`encode_one`."""
-        fields = struct.unpack("<q" + "".join(self._column_chars), data)
-        return Event(fields[0], tuple(fields[1:]))
+        return b"".join(self.row.pack(event.t, *event.values) for event in events)

@@ -108,7 +108,7 @@ class TabTree:
         #: stream layer uses it to feed secondary indexes (block ids of
         #: events are only known once their leaf is durable).
         self.leaf_flush_hook = None
-        #: Called with (event, leaf_id) after an out-of-order insert.
+        #: Called with (t, values, leaf_id) after an out-of-order insert.
         self.ooo_insert_hook = None
         self._m_leaf_flushes = OBS.counter("index.leaf_flushes")
         self._m_flank_flushes = OBS.counter("index.flank_flushes")
@@ -180,64 +180,38 @@ class TabTree:
 
     # -------------------------------------------------------------- ingestion
 
-    def append(self, event: Event) -> None:
-        """Insert an event at (or near) the right flank.
-
-        Chronological events append in O(1); events newer than the last
-        flushed leaf but older than the newest event sort into the open
-        leaf (the "right flank buffer" of Algorithm 3).
-        """
-        leaf = self.leaf
-        cost = self.layout.cost
-        if cost is not None:
-            self._charge_cpu(cost.serialize_event)
-        if leaf.timestamps and event.t < leaf.timestamps[-1]:
-            if cost is not None:
-                self._charge_cpu(cost.sorted_insert)
-            position = bisect_right(leaf.timestamps, event.t)
-            leaf.timestamps.insert(position, event.t)
-            for column, value in zip(leaf.columns, event.values):
-                column.insert(position, value)
-        else:
-            leaf.timestamps.append(event.t)
-            for column, value in zip(leaf.columns, event.values):
-                column.append(value)
-        self.event_count += 1
-        if self.min_t is None or event.t < self.min_t:
-            self.min_t = event.t
-        if leaf.count >= self.leaf_write_capacity:
-            self._flush_leaf()
-
     def append_run(self, run: ColumnarEvents) -> None:
         """Insert a chronological run (non-decreasing timestamps) at the flank.
 
-        The fast path of batched ingestion: instead of one :meth:`append`
-        per event, the columns of the :class:`ColumnarEvents` *run* are
-        bulk-extended into the open leaf with ``list.extend`` — split at
-        leaf-flush boundaries so the produced leaves are byte-identical
-        to per-event appends — and the CPU cost model is charged once per
-        chunk at the per-event rate.  A rare prefix that sorts below the
-        open leaf's tail falls back to per-event sorted inserts (same as
-        :meth:`append`).
+        The run's columns are bulk-extended into the open leaf, split at
+        leaf-flush boundaries, with the CPU cost model charged once per
+        chunk at the per-event rate.  A prefix that sorts below the open
+        leaf's tail (the "right flank buffer" of Algorithm 3) is inserted
+        row by row at its sorted position, column by column.
         """
         n = len(run)
         if n == 0:
             return
-        if n == 1:
-            self.append(run[0])
-            return
         timestamps, columns = run.timestamps, run.columns
         if self.min_t is None or timestamps[0] < self.min_t:
             self.min_t = timestamps[0]
+        cost = self.layout.cost
         i = 0
         leaf = self.leaf
         while i < n and leaf.timestamps and timestamps[i] < leaf.timestamps[-1]:
-            self.append(run[i])
-            leaf = self.leaf
+            if cost is not None:
+                self._charge_cpu(cost.serialize_event)
+                self._charge_cpu(cost.sorted_insert)
+            t = timestamps[i]
+            position = bisect_right(leaf.timestamps, t)
+            leaf.timestamps.insert(position, t)
+            for column, values in zip(leaf.columns, columns):
+                column.insert(position, values[i])
+            self.event_count += 1
             i += 1
-        if i >= n:
-            return
-        cost = self.layout.cost
+            if leaf.count >= self.leaf_write_capacity:
+                self._flush_leaf()
+                leaf = self.leaf
         while i < n:
             leaf = self.leaf
             take = min(self.leaf_write_capacity - leaf.count, n - i)
@@ -258,6 +232,9 @@ class TabTree:
             i = end
             if leaf.count >= self.leaf_write_capacity:
                 self._flush_leaf()
+
+    #: The per-event name, kept for the frozen tracer table (ROADMAP 10(d)).
+    append = append_run
 
     def _flush_leaf(self) -> None:
         leaf = self.leaf
@@ -707,8 +684,9 @@ class TabTree:
         self.lsn += 1
         return self.lsn
 
-    def ooo_insert(self, event: Event, lsn: int | None = None) -> None:
-        """Insert an event older than the flank boundary (Section 5.7.1).
+    def ooo_insert(self, t: int, values, lsn: int | None = None) -> None:
+        """Insert the event ``(t, values)``, older than the flank boundary
+        (Section 5.7.1).
 
         The caller (the out-of-order manager) has already WAL-logged the
         event.  Spare space in the target leaf absorbs the insert; a full
@@ -717,29 +695,29 @@ class TabTree:
         if lsn is None:
             lsn = self.next_lsn()
         boundary = self.flank_boundary_t
-        if boundary is None or event.t > boundary:
-            self.append(event)
+        if boundary is None or t > boundary:
+            self.append_run(ColumnarEvents([t], [[value] for value in values]))
             return
-        path, leaf = self._descend_with_path(event.t)
+        path, leaf = self._descend_with_path(t)
         if OBS.enabled:
             self._m_ooo_inserts.inc()
-        indexed = self.codec.indexed_values(event.values)
+        indexed = self.codec.indexed_values(values)
         for node, entry_index in path:
             if entry_index is not None:
-                node.entries[entry_index].add_value(event.t, indexed)
+                node.entries[entry_index].add_value(t, indexed)
                 node.lsn = max(node.lsn, lsn)
                 if not self._is_flank(node):
                     self.buffer.mark_dirty(node.node_id)
         if self.layout.cost is not None:
             self._charge_cpu(self.layout.cost.sorted_insert)
-        position = bisect_right(leaf.timestamps, event.t)
-        leaf.timestamps.insert(position, event.t)
-        for column, value in zip(leaf.columns, event.values):
+        position = bisect_right(leaf.timestamps, t)
+        leaf.timestamps.insert(position, t)
+        for column, value in zip(leaf.columns, values):
             column.insert(position, value)
         leaf.lsn = max(leaf.lsn, lsn)
         self.event_count += 1
-        if self.min_t is None or event.t < self.min_t:
-            self.min_t = event.t
+        if self.min_t is None or t < self.min_t:
+            self.min_t = t
         if leaf is self.leaf:
             if leaf.count >= self.leaf_write_capacity:
                 self._flush_leaf()
@@ -748,20 +726,20 @@ class TabTree:
         if leaf.count > self.codec.leaf_capacity:
             self._split_leaf(leaf, path)
         if self.ooo_insert_hook is not None:
-            self.ooo_insert_hook(event, leaf.node_id)
+            self.ooo_insert_hook(t, values, leaf.node_id)
 
-    def ooo_insert_if_newer(self, event: Event, lsn: int) -> bool:
+    def ooo_insert_if_newer(self, t: int, values, lsn: int) -> bool:
         """WAL redo (Section 6.3): insert unless the target leaf already
         carries this LSN.  Returns whether the event was applied."""
         boundary = self.flank_boundary_t
-        if boundary is None or event.t > boundary:
+        if boundary is None or t > boundary:
             target = self.leaf
         else:
-            _, target = self._descend_with_path(event.t)
+            _, target = self._descend_with_path(t)
         if target.lsn >= lsn:
             return False
         self.lsn = max(self.lsn, lsn)
-        self.ooo_insert(event, lsn)
+        self.ooo_insert(t, values, lsn)
         return True
 
     def _descend_with_path(self, t: int):

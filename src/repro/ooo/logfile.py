@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import struct
 import zlib
+from itertools import repeat
 from typing import Iterator
 
-from repro.events.event import Event
+from repro.events.event import ColumnarEvents
 from repro.events.serializer import PaxCodec
 
 _RECORD_HEADER = struct.Struct("<IQI")  # payload length, lsn, crc
@@ -27,43 +28,34 @@ class EventLog:
         self.codec = codec
         self._tail = device.size
 
-    def append(self, event: Event, lsn: int = 0) -> None:
-        payload = self.codec.encode_one(event)
-        record = _RECORD_HEADER.pack(len(payload), lsn, zlib.crc32(payload)) + payload
-        self.device.write(self._tail, record)
-        self._tail += len(record)
-
-    def append_many(self, events, lsns=None) -> None:
-        """Group commit: frame *events* into one buffer, one device write.
-
-        The resulting bytes are identical to N :meth:`append` calls —
-        replay cannot tell the difference — but the device sees a single
-        sequential write, which is what makes batched ingestion run at
-        transfer speed.  *lsns* parallels *events*; ``None`` stamps every
-        record with LSN 0 (the mirror log's arrival ordering).
+    def append_many(self, batch: ColumnarEvents, lsns=None) -> None:
+        """Group commit: one record per row of *batch*, packed straight
+        from the columns with the codec's row struct, in one device
+        write — the same bytes as one write per record.  *lsns* parallels
+        the rows; ``None`` stamps LSN 0 (the mirror log's arrival order).
         """
-        if not events:
+        if not batch:
             return
-        encode = self.codec.encode_one
+        pack_row = self.codec.row.pack
         pack = _RECORD_HEADER.pack
         crc32 = zlib.crc32
-        parts = []
         if lsns is None:
-            for event in events:
-                payload = encode(event)
-                parts.append(pack(len(payload), 0, crc32(payload)))
-                parts.append(payload)
-        else:
-            for event, lsn in zip(events, lsns):
-                payload = encode(event)
-                parts.append(pack(len(payload), lsn, crc32(payload)))
-                parts.append(payload)
+            lsns = repeat(0)
+        parts = []
+        for t, values, lsn in zip(batch.timestamps, zip(*batch.columns), lsns):
+            payload = pack_row(t, *values)
+            parts.append(pack(len(payload), lsn, crc32(payload)))
+            parts.append(payload)
         buffer = b"".join(parts)
         self.device.write(self._tail, buffer)
         self._tail += len(buffer)
 
-    def _records(self) -> Iterator[tuple[int, Event, int]]:
-        """Yield ``(lsn, event, end_offset)`` for every intact record.
+    #: The per-event name, kept for the frozen tracer table (ROADMAP 10(d)).
+    append = append_many
+
+    def _records(self) -> Iterator[tuple[int, tuple, int]]:
+        """Yield ``(lsn, row, end_offset)`` for every intact record, *row*
+        being ``(t, *values)``.
 
         Stops at the first torn or corrupt frame: a truncated header, a
         length that points past the end of the device, or a payload that
@@ -83,12 +75,13 @@ class EventLog:
             if zlib.crc32(payload) != crc:
                 return
             offset += header_size + length
-            yield lsn, self.codec.decode_one(payload), offset
+            yield lsn, self.codec.row.unpack(payload), offset
 
-    def replay(self) -> Iterator[tuple[int, Event]]:
-        """Yield ``(lsn, event)`` from the start; stops at a torn record."""
-        for lsn, event, _ in self._records():
-            yield lsn, event
+    def replay(self) -> Iterator[tuple[int, int, tuple]]:
+        """Yield ``(lsn, t, values)`` from the start; stops at a torn
+        record."""
+        for lsn, row, _ in self._records():
+            yield lsn, row[0], row[1:]
 
     def trim_torn_tail(self) -> int:
         """Discard a torn trailing record after a crash; returns bytes cut.

@@ -5,8 +5,8 @@ The manager sits between ingestion and one TAB+-tree:
 * events newer than the last flushed leaf go straight to the tree's
   right flank (a sorted insert into the open leaf at worst);
 * older events enter the sorted queue and the mirror log;
-* a full queue is bulk-flushed into the tree — each event WAL-logged
-  first, inserted through the LRU node buffer (no-force), the mirror log
+* a full queue is bulk-flushed into the tree — WAL-logged first,
+  inserted through the LRU node buffer (no-force), the mirror log
   cleared afterwards;
 * a checkpoint (every *checkpoint_interval* flushed events) writes the
   dirty pages back and truncates the WAL.
@@ -17,11 +17,13 @@ then rebuilds the sorted queue from the mirror log.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
+from operator import itemgetter
 
 from repro import obs
 from repro.errors import ConfigError
-from repro.events.event import ColumnarEvents, Event
+from repro.events.event import ColumnarEvents
 from repro.events.serializer import PaxCodec
 from repro.obs import OBS
 from repro.ooo.logfile import EventLog
@@ -60,38 +62,16 @@ class OutOfOrderManager:
         self._m_flushes = OBS.counter("ooo.queue_flushes")
         self._m_checkpoints = OBS.counter("ooo.checkpoints")
 
-    def insert(self, event: Event) -> None:
-        """Route one (possibly late) event — Algorithm 3."""
-        boundary = self.tree.flank_boundary_t
-        if boundary is None or event.t > boundary:
-            self.tree.append(event)
-            self.flank_inserts += 1
-            return
-        cost = self.tree.layout.cost
-        if cost is not None and self.tree.layout.clock is not None:
-            self.tree.layout.clock.charge_cpu(cost.sorted_insert)
-        self.queue.add(event)
-        self.mirror.append(event)
-        self.queued_inserts += 1
-        if OBS.enabled:
-            self._m_queued.inc()
-            self._m_reorder.observe(boundary - event.t + 1)
-            self._m_queue_depth.set(len(self.queue))
-            self._m_mirror_bytes.set(self.mirror.size_bytes)
-        if self.queue.is_full:
-            self.flush_queue()
-
     def insert_run(self, run: ColumnarEvents) -> None:
-        """Route a chronological run (non-decreasing timestamps) — the
-        batched form of :meth:`insert`.
+        """Route a chronological run (non-decreasing timestamps) —
+        Algorithm 3, one segment at a time.
 
-        The flank boundary is checked once per segment instead of once per
-        event: everything above the boundary goes to the tree as one
+        The flank boundary is checked once per segment: everything above
+        it goes to the tree as one
         :meth:`~repro.index.tab_tree.TabTree.append_run` of a slice of
-        *run*; late segments are queued (as events) with a single
-        group-committed mirror-log write per chunk, flushing at exactly
-        the same queue-capacity points as the per-event path (so on-disk
-        state stays byte-identical).
+        *run*; a late segment is queued as column slices with one
+        mirror-log write per chunk, flushing at exactly the queue-capacity
+        points one event at a time would (so on-disk state is the same).
         """
         timestamps = run.timestamps
         i, n = 0, len(run)
@@ -102,9 +82,13 @@ class OutOfOrderManager:
                 # every event up to that flush is above it (non-decreasing
                 # run).  Chunk to the flush point, then re-read the
                 # boundary: an event *equal* to the freshly flushed leaf's
-                # t_max must divert to the queue, exactly as the
-                # per-event path would.
+                # t_max must divert to the queue.
                 room = self.tree.leaf_write_capacity - self.tree.leaf.count
+                if room <= 0:
+                    # Only a failed flush leaves the open leaf full: retry
+                    # it (a dead device raises again), then re-route.
+                    self.tree._flush_leaf()
+                    continue
                 end = i + min(room, n - i)
                 self.tree.append_run(run if i == 0 and end == n else run[i:end])
                 self.flank_inserts += end - i
@@ -112,9 +96,7 @@ class OutOfOrderManager:
                 continue
             # The late segment [i, split_at) belongs in the queue; the
             # boundary cannot move while we only queue events.
-            split_at = i + 1
-            while split_at < n and timestamps[split_at] <= boundary:
-                split_at += 1
+            split_at = bisect_right(timestamps, boundary, i)
             cost = self.tree.layout.cost
             clock = self.tree.layout.clock
             while i < split_at:
@@ -123,51 +105,55 @@ class OutOfOrderManager:
                     self.flush_queue()
                     break  # the flush may advance the boundary: re-route
                 take = min(room, split_at - i)
-                chunk = list(run[i : i + take])
+                # A copy: the queue outlives the caller's batch.
+                chunk = run[i : i + take]
                 if cost is not None and clock is not None:
                     clock.charge_cpu(cost.sorted_insert * take)
-                for event in chunk:
-                    self.queue.add(event)
+                self.queue.add_run(chunk)
                 self.mirror.append_many(chunk)
                 self.queued_inserts += take
                 if OBS.enabled:
                     self._m_queued.inc(take)
-                    for event in chunk:
-                        self._m_reorder.observe(boundary - event.t + 1)
+                    for t in chunk.timestamps:
+                        self._m_reorder.observe(boundary - t + 1)
                     self._m_queue_depth.set(len(self.queue))
                     self._m_mirror_bytes.set(self.mirror.size_bytes)
                 i += take
                 if self.queue.is_full:
                     self.flush_queue()
 
+    #: The per-event name, kept for the frozen tracer table (ROADMAP 10(d)).
+    insert = insert_run
+
     def flush_queue(self) -> None:
         """Bulk-insert the queue into the tree; clears the mirror log.
 
-        The WAL records for the whole flush are group-committed: framed
-        into one buffer and written with a single device write, byte-
-        identical to per-record appends.  Any event the (lost) WAL tail
-        would miss after a crash is still covered by the mirror log, which
-        is only cleared after every insert landed.
+        The queue drains as one batch, WAL-logged with a single device
+        write (byte-identical to per-record appends), then inserted row
+        by row.  Any event the (lost) WAL tail would miss after a crash is
+        still covered by the mirror log, which is only cleared after
+        every insert landed.
         """
-        events = self.queue.drain()
-        if not events:
+        batch = self.queue.drain()
+        if not batch:
             return
         self.queue_flushes += 1
-        lsns = [self.tree.next_lsn() for _ in events]
-        self.wal.append_many(events, lsns)
-        for event, lsn in zip(events, lsns):
+        lsns = range(self.tree.lsn + 1, self.tree.lsn + 1 + len(batch))
+        self.wal.append_many(batch, lsns)
+        insert = self.tree.ooo_insert
+        for t, values, lsn in zip(batch.timestamps, zip(*batch.columns), lsns):
             # Roll the tree's LSN cursor in step, as interleaved
             # append/insert would have: leaves flushed mid-loop must
             # record the LSN current *at that point*, not the batch tail.
             self.tree.lsn = lsn
-            self.tree.ooo_insert(event, lsn)
+            insert(t, values, lsn)
         self.mirror.clear()
         if OBS.enabled:
             self._m_flushes.inc()
             self._m_queue_depth.set(len(self.queue))
             self._m_mirror_bytes.set(self.mirror.size_bytes)
             self._m_wal_bytes.set(self.wal.size_bytes)
-        self._since_checkpoint += len(events)
+        self._since_checkpoint += len(batch)
         if self._since_checkpoint >= self.checkpoint_interval:
             self.checkpoint()
 
@@ -205,20 +191,26 @@ class OutOfOrderManager:
             applied = 0
             max_lsn = self.tree.lsn
             wal_seen: Counter = Counter()
-            for lsn, event in self.wal.replay():
+            for lsn, t, values in self.wal.replay():
                 max_lsn = max(max_lsn, lsn)
-                wal_seen[(event.t, event.values)] += 1
-                if self.tree.ooo_insert_if_newer(event, lsn):
+                wal_seen[(t, values)] += 1
+                if self.tree.ooo_insert_if_newer(t, values, lsn):
                     applied += 1
             self.tree.lsn = max_lsn
-            requeued = 0
-            for _, event in self.mirror.replay():
-                key = (event.t, event.values)
+            rows = []
+            for _, t, values in self.mirror.replay():
+                key = (t, values)
                 if wal_seen[key] > 0:
                     wal_seen[key] -= 1
                     continue
-                self.queue.add(event)
-                requeued += 1
+                rows.append(key)
+            # The mirror log is in arrival order: a stable sort by time
+            # re-queues the survivors as the queue had sorted them.
+            rows.sort(key=itemgetter(0))
+            if rows:
+                ts, values = zip(*rows)
+                self.queue.add_run(ColumnarEvents(list(ts), list(zip(*values))))
+            requeued = len(rows)
             if OBS.enabled:
                 OBS.counter("recovery.wal_records_replayed").inc(applied)
                 OBS.counter("recovery.mirror_records_requeued").inc(requeued)

@@ -1,5 +1,6 @@
 """Reference tooling no serving node imports: the crash-consistency kit
-(``crashkit``) and the row-at-a-time query oracle (``oracle``)."""
+(``crashkit``), the row-at-a-time query oracle (``oracle``) and the
+event-at-a-time ingest model (``ingest``)."""
 
 from repro.testing.crashkit import (
     CrashOutcome,

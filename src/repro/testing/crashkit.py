@@ -159,8 +159,8 @@ def durable_floor(
             devices.wal_device(stream_name, index),
             devices.mirror_device(stream_name, index),
         ):
-            for _, event in EventLog(log_device, codec).replay():
-                floor.add((event.t, event.values))
+            for _, t, values in EventLog(log_device, codec).replay():
+                floor.add((t, values))
     return floor
 
 

@@ -1,12 +1,14 @@
-"""Batch ingestion fast path: equivalence with per-event appends.
+"""The one ingest path against Algorithm 3 walked one event at a time.
 
 The contract of `EventStream.append_batch` (and everything below it —
 `OutOfOrderManager.insert_run`, `TabTree.append_run`,
-`EventLog.append_many`) is that batching is *invisible* on disk: the
-same leaves, the same WAL and mirror-log bytes, the same sealed
-metadata as N per-event appends.  These tests drive both paths over
+`EventLog.append_many`, the segment queue) is that batching is
+*invisible* on disk: the same leaves, the same WAL and mirror-log bytes,
+the same queue order, the same sealed metadata as the per-event
+reference model (`repro.testing.ingest`).  These tests drive both over
 workloads that straddle leaf flushes, time-split boundaries, and
 out-of-order queue flushes, and compare raw device bytes.
+`EventStream.append` per event is one more chunking: a batch of one.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from repro.core.chronicle import ChronicleDB
 from repro.core.config import ChronicleConfig
 from repro.errors import SchemaError
 from repro.events import Event, EventSchema
+from repro.testing import ingest
 
 SCHEMA = EventSchema.of("a", "b")
 
@@ -30,10 +33,15 @@ CONFIG = dict(
 
 
 def build(events, chunk, validate=False, seal=True):
-    """Ingest *events* per-event (chunk=0) or in batches of *chunk*."""
+    """Ingest *events* through the reference model (chunk=0), through
+    `EventStream.append` per event (chunk="append"), or in batches of
+    *chunk*."""
     db = ChronicleDB(config=ChronicleConfig(validate_events=validate, **CONFIG))
     stream = db.create_stream("s", SCHEMA)
     if chunk == 0:
+        for event in events:
+            ingest.append_one(stream, event)
+    elif chunk == "append":
         for event in events:
             stream.append(event)
     else:
@@ -42,6 +50,12 @@ def build(events, chunk, validate=False, seal=True):
     if seal:
         db.close()
     return db, stream
+
+
+def queued(split):
+    """A split's queue content, in the order a flush would insert it."""
+    batch = split.manager.queue.window(-(2**60), 2**60)
+    return list(zip(batch.timestamps, *batch.columns))
 
 
 def state_of(db, stream, sealed):
@@ -58,6 +72,7 @@ def state_of(db, stream, sealed):
             key: device._backend.read(0, device.size)
             for key, device in db.devices.devices.items()
         },
+        "queues": [queued(sp) for sp in stream.splits],
     }
     if sealed:
         state["summaries"] = [sp.summary for sp in stream.splits]
@@ -80,16 +95,34 @@ rows_strategy = st.lists(
 )
 
 
+@st.composite
+def equal_t_rows(draw):
+    """Long runs of one timestamp with distinct values: where a stable
+    merge of queued segments and per-event sorted inserts could part."""
+    runs = draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=2000),
+                  st.integers(min_value=1, max_value=40)),
+        min_size=1, max_size=20,
+    ))
+    rows = []
+    for t, length in runs:
+        rows += [(t, float(len(rows)), float(-len(rows))) for _ in range(length)]
+    return rows
+
+
+chunks = st.integers(min_value=1, max_value=64) | st.just("append")
+
+
 @settings(max_examples=25, deadline=None)
 @given(
-    rows=rows_strategy,
-    chunk=st.integers(min_value=1, max_value=64),
+    rows=rows_strategy | equal_t_rows(),
+    chunk=chunks,
     sort_fraction=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_batch_equals_per_event_on_disk(rows, chunk, sort_fraction):
     """Arbitrary mixes of in-order and late events, arbitrary chunking:
     tree state, time_travel, summaries, and every device's raw bytes
-    must match the per-event path exactly."""
+    must match the per-event reference exactly."""
     # Mostly-sorted streams exercise long chronological runs; raw
     # hypothesis orderings exercise the out-of-order queue.
     cut = int(len(rows) * sort_fraction)
@@ -101,19 +134,14 @@ def test_batch_equals_per_event_on_disk(rows, chunk, sort_fraction):
 
 
 @settings(max_examples=10, deadline=None)
-@given(rows=rows_strategy, chunk=st.integers(min_value=1, max_value=64))
+@given(rows=rows_strategy | equal_t_rows(), chunk=chunks)
 def test_batch_equals_per_event_before_seal(rows, chunk):
     """Mid-stream (unsealed) state matches too: open leaves, pending
-    out-of-order queues, WAL and mirror logs."""
+    out-of-order queues in flush order, WAL and mirror logs."""
     rows = sorted(rows[: len(rows) // 2]) + rows[len(rows) // 2 :]
     events = events_from_rows(rows)
     ref_db, ref_stream = build(events, 0, seal=False)
     got_db, got_stream = build(events, chunk, seal=False)
-    ref_queues = [sorted((e.t, e.values) for e in sp.manager.queue)
-                  for sp in ref_stream.splits]
-    got_queues = [sorted((e.t, e.values) for e in sp.manager.queue)
-                  for sp in got_stream.splits]
-    assert ref_queues == got_queues
     assert state_of(ref_db, ref_stream, False) == state_of(got_db, got_stream, False)
     ref_db.close()
     got_db.close()

@@ -76,10 +76,33 @@ def test_append_columns_arity_checked():
     db.close()
 
 
+def test_ragged_batch_is_refused_before_any_side_effect():
+    """A column shorter or longer than the timestamps used to be acked and
+    then wedge the stream: the open leaf held columns of unequal length,
+    ``SELECT *`` raised ``IndexError`` and the next leaf flush a
+    ``SchemaError``."""
+    db = ChronicleDB(config=CONFIG)
+    stream = db.create_stream("s", SCHEMA)
+    ragged = ([1, 2, 3], [[1.0], [2.0, 3.0, 4.0]])
+    with pytest.raises(SchemaError, match="ragged"):
+        stream.append_columns(*ragged)
+    with pytest.raises(SchemaError, match="ragged"):
+        stream.append_batch(ColumnarEvents(*ragged))
+    with pytest.raises(SchemaError, match="columns"):
+        stream.append_batch(ColumnarEvents([1], [[1.0]]))
+    assert stream.appended == 0
+    assert stream.splits == []
+    rows = [(t, float(t), -float(t)) for t in range(1, 400)]
+    stream.append_columns([r[0] for r in rows], [[r[1] for r in rows], [r[2] for r in rows]])
+    assert [(e.t, *e.values) for e in db.execute("SELECT * FROM s")] == rows
+    db.close()
+
+
 def test_columnar_events_sequence_semantics():
     batch = ColumnarEvents([1, 2, 3], [[1.0, 2.0, 3.0], [9.0, 8.0, 7.0]])
     assert len(batch) == 3
-    assert batch[1] == Event(2, (2.0, 8.0))
+    with pytest.raises(TypeError):
+        batch[1]  # a batch is sliced, never indexed by row
     assert list(batch) == [
         Event(1, (1.0, 9.0)), Event(2, (2.0, 8.0)), Event(3, (3.0, 7.0)),
     ]

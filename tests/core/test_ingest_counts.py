@@ -1,0 +1,82 @@
+"""Count-based guard (no wall clock): no per-event objects on ingest.
+
+A late-heavy load arrives through the two batch lanes
+(``append_columns`` and ``append_batch`` of a ``ColumnarEvents``).  From
+the API boundary to the devices nothing becomes an ``Event``: late
+segments are queued as column slices, mirror-logged with one write per
+queued chunk, and each queue flush is one WAL write of the drained batch.
+"""
+
+import numpy as np
+
+from repro import ChronicleConfig, ChronicleDB, EventSchema
+from repro.events import ColumnarEvents, Event
+from repro.ooo.queue import SortedQueue
+
+N_EVENTS = 20_000
+CONFIG = ChronicleConfig(
+    secondary_indexes={"b": "lsm"},
+    memtable_capacity=256,
+    time_split_interval=10 * N_EVENTS // 2,
+    queue_capacity=64,
+    checkpoint_interval=256,
+)
+
+
+def count_calls(monkeypatch, owner, name, when=None):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        if when is None or when(*args, **kwargs):
+            calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def device_writes(db, suffix):
+    return sum(
+        device.stats.seq_writes + device.stats.random_writes
+        for key, device in db.devices.devices.items()
+        if key.endswith(suffix)
+    )
+
+
+def test_late_heavy_ingest_builds_no_events(monkeypatch):
+    rng = np.random.default_rng(28)
+    t = np.arange(1, N_EVENTS + 1, dtype=np.int64) * 10
+    a, b = (np.floor(rng.random(N_EVENTS) * 1000) / 10 for _ in range(2))
+    order = []
+    for start in range(0, N_EVENTS, 2_000):
+        window = np.arange(start, start + 2_000)
+        late = rng.random(len(window)) < 0.05
+        order += window[~late].tolist() + window[late].tolist()
+    db = ChronicleDB(config=CONFIG)
+    stream = db.create_stream("s", EventSchema.of("a", "b"))
+
+    events = count_calls(monkeypatch, Event, "__init__")
+    iterations = count_calls(monkeypatch, ColumnarEvents, "__iter__")
+    row_lookups = count_calls(
+        monkeypatch, ColumnarEvents, "__getitem__",
+        when=lambda batch, index: not isinstance(index, slice),
+    )
+    chunks_queued = count_calls(monkeypatch, SortedQueue, "add_run")
+    for k, i in enumerate(range(0, N_EVENTS, 128)):
+        pick = order[i : i + 128]
+        columns = [a[pick].tolist(), b[pick].tolist()]
+        if k % 2:
+            stream.append_columns(t[pick].tolist(), columns)
+        else:
+            stream.append_batch(ColumnarEvents(t[pick].tolist(), columns))
+
+    managers = [split.manager for split in stream.splits]
+    assert stream.appended == N_EVENTS
+    assert sum(m.queued_inserts for m in managers) > 500
+    flushes = sum(m.queue_flushes for m in managers)
+    assert flushes >= 3
+    assert sum(m.checkpoints for m in managers) >= 1
+    assert len(events) == len(iterations) == len(row_lookups) == 0
+    assert device_writes(db, ".mirror") == len(chunks_queued)
+    assert device_writes(db, ".wal") == flushes

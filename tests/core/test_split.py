@@ -6,9 +6,14 @@ from repro.core.config import ChronicleConfig
 from repro.core.devices import DeviceProvider
 from repro.core.split import REGULAR, TimeSplit
 from repro.errors import StorageError
-from repro.events import Event, EventSchema
+from repro.events import ColumnarEvents, Event, EventSchema
 
 SCHEMA = EventSchema.of("x", "y")
+
+
+def run(events):
+    """*events* (non-decreasing timestamps) as one chronological run."""
+    return ColumnarEvents.of(list(events), SCHEMA.arity)
 
 
 def make_split(t_start=0, t_end=1000, secondary=None, **overrides):
@@ -41,8 +46,7 @@ def test_unbounded_split_covers_everything():
 
 def test_ingest_and_seal_records_statistics():
     split, _ = make_split()
-    for i in range(300):
-        split.ingest(Event.of(i, float(i), float(i % 7)))
+    split.ingest_run(run(Event.of(i, float(i), float(i % 7)) for i in range(300)))
     split.seal()
     assert split.sealed
     assert split.summary.count == 300
@@ -54,9 +58,8 @@ def test_ingest_and_seal_records_statistics():
 
 def test_seal_drains_queue_and_logs():
     split, _ = make_split(queue_capacity=64)
-    for i in range(300):
-        split.ingest(Event.of(i, float(i), 0.0))
-    split.ingest(Event.of(5, -1.0, 0.0))  # late -> queue + mirror
+    split.ingest_run(run(Event.of(i, float(i), 0.0) for i in range(300)))
+    split.ingest_run(run([Event.of(5, -1.0, 0.0)]))  # late -> queue + mirror
     assert split.manager.pending == 1
     split.seal()
     assert split.manager.pending == 0
@@ -66,14 +69,15 @@ def test_seal_drains_queue_and_logs():
 
 def test_search_secondary_includes_open_leaf_and_queue():
     split, _ = make_split(queue_capacity=64, lblock_spare=0.2)
-    for i in range(100):
-        split.ingest(Event.of(i, float(i), float(i % 5)))
+    split.ingest_run(run(Event.of(i, float(i), float(i % 5)) for i in range(100)))
     # An event still in the open leaf and a queued late event both match.
-    split.ingest(Event.of(2, 0.0, 3.0))  # late (flank boundary permitting)
+    split.ingest_run(run([Event.of(2, 0.0, 3.0)]))  # late (flank boundary permitting)
     hits = split.search_secondary("y", 3.0, 3.0)
     expected_ts = [e.t for e in split.tree.time_travel(-1, 10**9)
                    if e.values[1] == 3.0]
-    queued = [e.t for e in split.manager.queue if e.values[1] == 3.0]
+    window = split.manager.queue.window(-1, 10**9)
+    queued = [t for t, y in zip(window.timestamps, window.columns[1]) if y == 3.0]
+    assert queued == [2]
     assert sorted(e.t for e in hits) == sorted(expected_ts + queued)
 
 
@@ -103,8 +107,7 @@ def test_reopen_sealed_split(tmp_path):
     devices = DeviceProvider(str(tmp_path / "db"))
     split = TimeSplit("s", 0, 0, None, REGULAR, SCHEMA, config, devices,
                       secondary_attributes=[])
-    for i in range(200):
-        split.ingest(Event.of(i, float(i), 0.0))
+    split.ingest_run(run(Event.of(i, float(i), 0.0) for i in range(200)))
     split.seal()
     devices.close()
 

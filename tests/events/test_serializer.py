@@ -55,7 +55,10 @@ def test_decode_rejects_short_buffer():
 def test_single_event_roundtrip():
     codec = PaxCodec(MIXED)
     event = Event.of(42, 3.75, -9)
-    assert codec.decode_one(codec.encode_one(event)) == event
+    data = codec.row.pack(event.t, *event.values)
+    assert data == codec.encode_rows([event])
+    t, *values = codec.row.unpack(data)
+    assert Event(t, tuple(values)) == event
 
 
 @given(

@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import ChronicleConfig
 from repro.core.devices import DeviceProvider
 from repro.core.stream import EventStream
-from repro.events import Event, EventSchema
+from repro.events import ColumnarEvents, Event, EventSchema
 from repro.index import TabTree
 from repro.index.node import NodeCodec
 from repro.simdisk import SimulatedDisk
@@ -60,9 +60,8 @@ def test_stdev_from_statistics_matches_scan():
     events = events_for(1500, rng)
     fast = make_tree(extended=True)
     slow = make_tree(extended=False)
-    for e in events:
-        fast.append(e)
-        slow.append(e)
+    fast.append_run(ColumnarEvents.of(events, SCHEMA.arity))
+    slow.append_run(ColumnarEvents.of(events, SCHEMA.arity))
     for lo, hi in [(0, 1499), (100, 800), (37, 38)]:
         selected = [e.values[0] for e in events if lo <= e.t <= hi]
         expected = naive_stdev(selected)
@@ -77,8 +76,7 @@ def test_stdev_from_statistics_matches_scan():
 def test_stdev_fast_path_avoids_leaf_reads():
     rng = random.Random(2)
     tree = make_tree(extended=True)
-    for e in events_for(3000, rng):
-        tree.append(e)
+    tree.append_run(ColumnarEvents.of(events_for(3000, rng), SCHEMA.arity))
     tree.flush_all()
     disk = tree.layout.device
     before = disk.stats.bytes_read
@@ -86,8 +84,7 @@ def test_stdev_fast_path_avoids_leaf_reads():
     fast_bytes = disk.stats.bytes_read - before
 
     scan_tree = make_tree(extended=False)
-    for e in events_for(3000, rng):
-        scan_tree.append(e)
+    scan_tree.append_run(ColumnarEvents.of(events_for(3000, rng), SCHEMA.arity))
     scan_tree.flush_all()
     scan_disk = scan_tree.layout.device
     before = scan_disk.stats.bytes_read
@@ -100,12 +97,11 @@ def test_extended_aggregates_survive_ooo_inserts():
     rng = random.Random(3)
     tree = make_tree(extended=True)
     events = events_for(800, rng)
-    for e in events:
-        tree.append(e)
+    tree.append_run(ColumnarEvents.of(events, SCHEMA.arity))
     late = [Event.of(rng.randrange(0, 800), rng.uniform(-5, 5), 1.0)
             for _ in range(40)]
     for e in late:
-        tree.ooo_insert(e)
+        tree.ooo_insert(e.t, e.values)
     values = [e.values[0] for e in events] + [e.values[0] for e in late]
     assert tree.aggregate(-1, 10**9, "x", "stdev") == pytest.approx(
         naive_stdev(values), rel=1e-6
@@ -135,8 +131,7 @@ def test_extended_tree_recovers():
     tree = TabTree(layout, SCHEMA, extended_aggregates=True)
     rng = random.Random(5)
     events = events_for(900, rng)
-    for e in events:
-        tree.append(e)
+    tree.append_run(ColumnarEvents.of(events, SCHEMA.arity))
     tree.flush_all()
     flushed = tree.event_count - tree.leaf.count
     recovered = TabTree.recover(

@@ -5,7 +5,7 @@ from bisect import insort
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.events import Event, EventSchema
+from repro.events import ColumnarEvents, EventSchema
 from repro.index import AttributeRange, TabTree
 from repro.simdisk import SimulatedDisk
 from repro.storage import ChronicleLayout
@@ -37,7 +37,7 @@ def test_mixed_in_and_out_of_order_inserts_match_oracle(rows):
     tree = make_tree()
     oracle: list[tuple[int, float]] = []
     for t, x in rows:
-        tree.ooo_insert(Event.of(t, x))
+        tree.ooo_insert(t, (x,))
         insort(oracle, (t, x))
     scanned = [(e.t, e.values[0]) for e in tree.full_scan()]
     assert sorted(scanned) == oracle
@@ -56,7 +56,7 @@ def test_time_travel_matches_oracle(rows, a, b):
     tree = make_tree()
     oracle = []
     for t, x in sorted(rows):
-        tree.append(Event.of(t, x))
+        tree.append_run(ColumnarEvents([t], [[x]]))
         insort(oracle, (t, x))
     expected = [
         item for item in oracle if t_start <= item[0] <= t_end
@@ -75,7 +75,7 @@ def test_aggregates_match_oracle(rows, a, b):
     t_start, t_end = min(a, b), max(a, b)
     tree = make_tree()
     for t, x in sorted(rows):
-        tree.append(Event.of(t, x))
+        tree.append_run(ColumnarEvents([t], [[x]]))
     values = [x for t, x in rows if t_start <= t <= t_end]
     if not values:
         return
@@ -101,7 +101,7 @@ def test_filter_scan_matches_oracle(rows, lo, hi):
     low, high = min(lo, hi), max(lo, hi)
     tree = make_tree()
     for t, x in sorted(rows):
-        tree.append(Event.of(t, x))
+        tree.append_run(ColumnarEvents([t], [[x]]))
     expected = sorted(
         (t, x) for t, x in rows if low <= x <= high
     )
@@ -121,7 +121,7 @@ def test_crash_recovery_preserves_flushed_prefix(rows):
     )
     tree = TabTree(layout, SCHEMA, lblock_spare=0.2)
     for t, x in sorted(rows):
-        tree.append(Event.of(t, x))
+        tree.append_run(ColumnarEvents([t], [[x]]))
     tree.flush_all()
     flushed = tree.event_count - tree.leaf.count
     recovered = TabTree.recover(ChronicleLayout.open(disk), SCHEMA)

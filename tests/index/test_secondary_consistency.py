@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.events import Event, EventSchema
+from repro.events import ColumnarEvents, Event, EventSchema
 from repro.index import LsmIndex, TabTree
 from repro.index.node import FLAG_SPLIT
 from repro.index.secondary import SecondaryRef, resolve_refs
@@ -35,13 +35,14 @@ def build_with_secondary(n=600, spare=0.0):
             index.insert(float(leaf.columns[1][row]), leaf.timestamps[row],
                          leaf.node_id)
 
-    def ooo_hook(event, leaf_id):
-        index.insert(float(event.values[1]), event.t, leaf_id)
+    def ooo_hook(t, values, leaf_id):
+        index.insert(float(values[1]), t, leaf_id)
 
     tree.leaf_flush_hook = flush_hook
     tree.ooo_insert_hook = ooo_hook
-    for i in range(n):
-        tree.append(Event.of(i, float(i), float(i % 40)))
+    tree.append_run(ColumnarEvents(
+        list(range(n)), [[float(i) for i in range(n)], [float(i % 40) for i in range(n)]]
+    ))
     return tree, index
 
 
@@ -49,7 +50,7 @@ def test_split_flag_set_on_split_leaves():
     tree, _ = build_with_secondary()
     target = 100
     for i in range(40):  # overflow one leaf
-        tree.ooo_insert(Event.of(target, 1.0, 1.0))
+        tree.ooo_insert(target, (1.0, 1.0))
     assert tree.splits_performed > 0
     leaf = tree._descend_to_leaf(target)
     assert leaf.flags & FLAG_SPLIT
@@ -71,7 +72,7 @@ def test_resolve_refs_falls_back_after_split():
     # Split leaves around t=200 with many late inserts of y=39.
     rng = random.Random(1)
     for _ in range(60):
-        tree.ooo_insert(Event.of(200 + rng.randrange(3), 0.0, 39.0))
+        tree.ooo_insert(200 + rng.randrange(3), (0.0, 39.0))
     assert tree.splits_performed > 0
     tree.flush_all()
     index.flush()
@@ -108,7 +109,7 @@ def test_resolve_refs_ignores_nonexistent_event():
 
 def test_ooo_hook_feeds_secondary_index():
     tree, index = build_with_secondary(spare=0.3)
-    tree.ooo_insert(Event.of(55, -1.0, 777.0))
+    tree.ooo_insert(55, (-1.0, 777.0))
     index.flush()
     refs = index.lookup_exact(777.0)
     assert len(refs) == 1

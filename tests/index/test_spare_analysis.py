@@ -13,7 +13,7 @@ import random
 
 from scipy import stats
 
-from repro.events import Event, EventSchema
+from repro.events import ColumnarEvents, EventSchema
 from repro.index import TabTree
 from repro.simdisk import SimulatedDisk
 from repro.storage import ChronicleLayout
@@ -43,7 +43,7 @@ def test_monte_carlo_overflow_rate_matches_urn_model():
     per_leaf = tree.leaf_write_capacity
     total = n_leaves * per_leaf
     for i in range(total):
-        tree.append(Event.of(i * 10, float(i)))
+        tree.append_run(ColumnarEvents([i * 10], [[float(i)]]))
 
     # Expectation of 15 late events per flushed leaf, uniform placement.
     rng = random.Random(7)
@@ -51,7 +51,7 @@ def test_monte_carlo_overflow_rate_matches_urn_model():
     late_count = 15 * (flushed_leaves - 1)
     for _ in range(late_count):
         t = rng.randrange(0, (total - per_leaf) * 10)
-        tree.ooo_insert(Event.of(t, -1.0))
+        tree.ooo_insert(t, (-1.0,))
 
     overflow_rate = tree.splits_performed / flushed_leaves
     expected = 1.0 - stats.poisson.cdf(spare, 15)
@@ -68,12 +68,10 @@ def test_zero_spare_splits_far_more_than_spared_tree():
         tree = TabTree(layout, SCHEMA, lblock_spare=spare)
         per_leaf = tree.leaf_write_capacity
         for i in range(per_leaf * 20):
-            tree.append(Event.of(i * 10, float(i)))
+            tree.append_run(ColumnarEvents([i * 10], [[float(i)]]))
         rng = random.Random(3)
         for _ in range(60):
-            tree.ooo_insert(
-                Event.of(rng.randrange(0, per_leaf * 19 * 10), -1.0)
-            )
+            tree.ooo_insert(rng.randrange(0, per_leaf * 19 * 10), (-1.0,))
         return tree.splits_performed
 
     without_spare = run(0.0)

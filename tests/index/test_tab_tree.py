@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import QueryError
-from repro.events import Event, EventSchema
+from repro.events import ColumnarEvents, Event, EventSchema
 from repro.index import AttributeRange, TabTree
 from repro.simdisk import SimulatedDisk
 from repro.storage import ChronicleLayout
@@ -33,8 +33,7 @@ def events_for(n, start=0, step=2):
 
 
 def fill(tree, events):
-    for e in events:
-        tree.append(e)
+    tree.append_run(ColumnarEvents.of(events, SCHEMA.arity))
 
 
 def test_append_and_full_scan_roundtrip():
@@ -214,7 +213,7 @@ def test_ooo_insert_into_spare_space():
     events = events_for(400)
     fill(tree, events)
     late = Event.of(101, -1.0, -1.0)  # between existing timestamps 100, 102
-    tree.ooo_insert(late)
+    tree.ooo_insert(late.t, late.values)
     scanned = list(tree.full_scan())
     assert len(scanned) == 401
     ts = [e.t for e in scanned]
@@ -226,7 +225,7 @@ def test_ooo_insert_updates_aggregates():
     tree, _, _ = make_tree(lblock_spare=0.3)
     fill(tree, events_for(400))
     before = tree.aggregate(0, 10**9, "x", "sum")
-    tree.ooo_insert(Event.of(101, 1000.0, 0.0))
+    tree.ooo_insert(101, (1000.0, 0.0))
     assert tree.aggregate(0, 10**9, "x", "sum") == pytest.approx(before + 1000.0)
     assert tree.aggregate(0, 10**9, "x", "max") == 1000.0
 
@@ -237,7 +236,7 @@ def test_ooo_insert_many_triggers_split():
     rng = random.Random(9)
     extra = [Event.of(rng.randrange(0, 600), 5.0, 5.0) for _ in range(120)]
     for e in extra:
-        tree.ooo_insert(e)
+        tree.ooo_insert(e.t, e.values)
     assert tree.splits_performed > 0
     scanned = list(tree.full_scan())
     assert len(scanned) == 720
@@ -252,7 +251,7 @@ def test_ooo_split_preserves_queries_after_flush():
     target = 250
     inserted = [Event.of(target, float(100 + i), 0.0) for i in range(40)]
     for e in inserted:
-        tree.ooo_insert(e)
+        tree.ooo_insert(e.t, e.values)
     tree.flush_all()
     result = list(tree.time_travel(target, target))
     assert len(result) == 1 + 40  # the original event plus inserts
@@ -264,7 +263,7 @@ def test_ooo_insert_newer_than_boundary_appends():
     tree, _, _ = make_tree()
     fill(tree, events_for(300))
     newest = Event.of(10**6, 1.0, 1.0)
-    tree.ooo_insert(newest)
+    tree.ooo_insert(newest.t, newest.values)
     assert list(tree.full_scan())[-1] == newest
 
 
@@ -272,7 +271,7 @@ def test_ooo_insert_before_all_data():
     tree, _, _ = make_tree(lblock_spare=0.3)
     fill(tree, events_for(300, start=1000))
     early = Event.of(1, 0.0, 0.0)
-    tree.ooo_insert(early)
+    tree.ooo_insert(early.t, early.values)
     assert list(tree.full_scan())[0] == early
     assert tree.aggregate(0, 10, "x", "count") == 1
 
@@ -282,9 +281,9 @@ def test_ooo_redo_skips_already_applied():
     fill(tree, events_for(400))
     event = Event.of(55, 9.0, 9.0)
     lsn = tree.next_lsn()
-    tree.ooo_insert(event, lsn)
-    assert not tree.ooo_insert_if_newer(event, lsn)  # idempotent redo
-    assert tree.ooo_insert_if_newer(Event.of(57, 1.0, 1.0), lsn + 1)
+    tree.ooo_insert(event.t, event.values, lsn)
+    assert not tree.ooo_insert_if_newer(event.t, event.values, lsn)  # idempotent redo
+    assert tree.ooo_insert_if_newer(57, (1.0, 1.0), lsn + 1)
     assert tree.aggregate(0, 10**9, "x", "count") == 402
 
 
@@ -293,7 +292,7 @@ def test_sibling_links_consistent_after_splits():
     fill(tree, events_for(400))
     rng = random.Random(4)
     for _ in range(60):
-        tree.ooo_insert(Event.of(rng.randrange(0, 800), 1.0, 1.0))
+        tree.ooo_insert(rng.randrange(0, 800), (1.0, 1.0))
     tree.flush_all()
     # Walk the leaf chain forward and compare with a full scan.
     chain_counts = 0

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.events import Event, EventSchema
+from repro.errors import StorageError
+from repro.events import ColumnarEvents, Event, EventSchema
 from repro.index import TabTree
 from repro.ooo import OutOfOrderManager
 from repro.simdisk import SimulatedDisk
@@ -31,6 +32,11 @@ def make_setup(queue_capacity=16, checkpoint_interval=64, spare=0.2):
     return manager, tree, disk
 
 
+def run(events):
+    """*events* (non-decreasing timestamps) as one chronological run."""
+    return ColumnarEvents.of(list(events), SCHEMA.arity)
+
+
 def mixed_workload(n, ooo_fraction, rng, max_delay=200):
     """Chronological stream with a fraction of delayed events."""
     events = []
@@ -44,8 +50,7 @@ def mixed_workload(n, ooo_fraction, rng, max_delay=200):
 
 def test_in_order_events_bypass_queue():
     manager, tree, _ = make_setup()
-    for i in range(100):
-        manager.insert(Event.of(i, float(i), 0.0))
+    manager.insert_run(run(Event.of(i, float(i), 0.0) for i in range(100)))
     assert manager.queued_inserts == 0
     assert manager.flank_inserts == 100
     assert tree.event_count == 100
@@ -53,20 +58,17 @@ def test_in_order_events_bypass_queue():
 
 def test_late_events_enter_queue_and_mirror():
     manager, tree, _ = make_setup(queue_capacity=50)
-    for i in range(200):
-        manager.insert(Event.of(i * 10, float(i), 0.0))
-    late = Event.of(5, -1.0, 0.0)
-    manager.insert(late)
+    manager.insert_run(run(Event.of(i * 10, float(i), 0.0) for i in range(200)))
+    manager.insert_run(run([Event.of(5, -1.0, 0.0)]))
     assert manager.pending == 1
-    assert [e for _, e in manager.mirror.replay()] == [late]
+    assert list(manager.mirror.replay()) == [(0, 5, (-1.0, 0.0))]
 
 
 def test_queue_flush_inserts_into_tree():
     manager, tree, _ = make_setup(queue_capacity=4)
-    for i in range(300):
-        manager.insert(Event.of(i * 10, float(i), 0.0))
-    for t in (15, 25, 35, 45):  # fills the queue, triggers a flush
-        manager.insert(Event.of(t, 111.0, 0.0))
+    manager.insert_run(run(Event.of(i * 10, float(i), 0.0) for i in range(300)))
+    # Fills the queue, triggers a flush.
+    manager.insert_run(run(Event.of(t, 111.0, 0.0) for t in (15, 25, 35, 45)))
     assert manager.pending == 0
     assert manager.queue_flushes == 1
     assert tree.event_count == 304
@@ -81,7 +83,7 @@ def test_full_workload_keeps_time_order():
     rng = random.Random(11)
     events = mixed_workload(2000, 0.05, rng)
     for e in events:
-        manager.insert(e)
+        manager.insert_run(run([e]))
     manager.close()
     scanned = list(tree.full_scan())
     assert len(scanned) == 2000
@@ -92,10 +94,10 @@ def test_full_workload_keeps_time_order():
 
 def test_checkpoint_truncates_wal():
     manager, tree, _ = make_setup(queue_capacity=4, checkpoint_interval=8)
-    for i in range(300):
-        manager.insert(Event.of(i * 10, float(i), 0.0))
-    for k in range(8):  # two queue flushes -> checkpoint
-        manager.insert(Event.of(5 + k, 1.0, 0.0))
+    manager.insert_run(run(Event.of(i * 10, float(i), 0.0) for i in range(300)))
+    # Two queue flushes -> checkpoint.
+    manager.insert_run(run(Event.of(5 + k, 1.0, 0.0) for k in range(8)))
+    assert manager.queue_flushes == 2
     assert manager.checkpoints == 1
     assert list(manager.wal.replay()) == []
 
@@ -111,17 +113,14 @@ def test_recovery_replays_wal_and_mirror():
     manager = OutOfOrderManager(
         tree, wal_disk, mirror_disk, queue_capacity=8, checkpoint_interval=10**9
     )
-    for i in range(500):
-        manager.insert(Event.of(i * 10, float(i), 0.0))
+    manager.insert_run(run(Event.of(i * 10, float(i), 0.0) for i in range(500)))
     # 8 late events flush the queue (WAL-logged, pages dirty, NOT checkpointed).
     flushed_late = [Event.of(100 + k, 5555.0, 0.0) for k in range(8)]
-    for e in flushed_late:
-        manager.insert(e)
+    manager.insert_run(run(flushed_late))
     assert manager.queue_flushes == 1
     # 3 more remain in the queue (mirror log only).
     queued_late = [Event.of(200 + k, 7777.0, 0.0) for k in range(3)]
-    for e in queued_late:
-        manager.insert(e)
+    manager.insert_run(run(queued_late))
     layout.flush()  # crash: dirty tree pages lost, logs survive
 
     recovered_layout = ChronicleLayout.open(disk)
@@ -138,7 +137,7 @@ def test_recovery_replays_wal_and_mirror():
     assert count_5555 == len(flushed_late)
     # Queued (never-inserted) events were rebuilt from the mirror log.
     assert recovered_manager.pending == len(queued_late)
-    assert sorted(e.t for e in recovered_manager.queue) == [200, 201, 202]
+    assert recovered_manager.queue.drain().materialize() == queued_late
     ts = [e.t for e in recovered_tree.full_scan()]
     assert ts == sorted(ts)
 
@@ -154,10 +153,8 @@ def test_recovery_is_idempotent_when_pages_were_flushed():
     manager = OutOfOrderManager(
         tree, wal_disk, mirror_disk, queue_capacity=4, checkpoint_interval=10**9
     )
-    for i in range(400):
-        manager.insert(Event.of(i * 10, float(i), 0.0))
-    for k in range(4):
-        manager.insert(Event.of(50 + k, 9999.0, 0.0))
+    manager.insert_run(run(Event.of(i * 10, float(i), 0.0) for i in range(400)))
+    manager.insert_run(run(Event.of(50 + k, 9999.0, 0.0) for k in range(4)))
     # Pages flushed but WAL NOT truncated (crash before checkpoint's clear).
     tree.buffer.flush_dirty()
     layout.flush()
@@ -171,3 +168,23 @@ def test_recovery_is_idempotent_when_pages_were_flushed():
     assert applied == 0  # leaf LSNs already cover the WAL records
     count = sum(1 for e in recovered_tree.full_scan() if e.values[0] == 9999.0)
     assert count == 4
+
+
+def test_insert_after_a_failed_leaf_flush_retries_the_flush(monkeypatch):
+    """A leaf flush that fails leaves the open leaf full; the next insert
+    retries the flush instead of making no progress forever."""
+    manager, tree, _ = make_setup()
+    capacity = tree.leaf_write_capacity
+    write_block = tree.layout.write_block
+
+    def fail_once(*args):
+        monkeypatch.setattr(tree.layout, "write_block", write_block)
+        raise StorageError("injected write failure")
+
+    monkeypatch.setattr(tree.layout, "write_block", fail_once)
+    with pytest.raises(StorageError):
+        manager.insert_run(run(Event.of(i, float(i), 0.0) for i in range(capacity)))
+    assert tree.leaf.count == capacity
+    manager.insert_run(run([Event.of(capacity, 0.0, 0.0)]))
+    assert tree.flank_boundary_t == capacity - 1
+    assert [e.t for e in tree.full_scan()] == list(range(capacity + 1))

@@ -5,7 +5,7 @@ stop cleanly at the torn frame, and :meth:`EventLog.trim_torn_tail`
 must restore append-consistency so post-recovery records are reachable.
 """
 
-from repro.events import Event, EventSchema
+from repro.events import ColumnarEvents, Event, EventSchema
 from repro.events.serializer import PaxCodec
 from repro.ooo.logfile import EventLog
 from repro.simdisk import INSTANT, SimulatedDisk
@@ -18,15 +18,19 @@ def _event(i):
     return Event.of(i * 10, float(i), float(i) / 2)
 
 
+def _rows(*events):
+    return ColumnarEvents.of(events, SCHEMA.arity)
+
+
 def _full_log_bytes(n, via_batch=False):
     disk = SimulatedDisk(INSTANT)
     log = EventLog(disk, CODEC)
     events = [_event(i) for i in range(n)]
     if via_batch:
-        log.append_many(events, lsns=list(range(1, n + 1)))
+        log.append_many(_rows(*events), lsns=list(range(1, n + 1)))
     else:
         for i, event in enumerate(events):
-            log.append(event, lsn=i + 1)
+            log.append_many(_rows(event), lsns=[i + 1])
     return disk.read(0, disk.size)
 
 
@@ -48,16 +52,16 @@ def test_every_cut_of_the_last_frame_single_append():
         disk, log = _torn_log(data, cut)
         replayed = list(log.replay())
         assert len(replayed) == n - 1, f"cut={cut}"
-        assert [lsn for lsn, _ in replayed] == list(range(1, n))
+        assert [lsn for lsn, _, _ in replayed] == list(range(1, n))
         discarded = log.trim_torn_tail()
         assert discarded == frame - cut
         assert disk.size == (n - 1) * frame
         # The log is append-consistent again: a new record is reachable.
-        log.append(_event(99), lsn=50)
+        log.append_many(_rows(_event(99)), lsns=[50])
         replayed = list(log.replay())
         assert len(replayed) == n
-        assert replayed[-1][0] == 50
-        assert replayed[-1][1] == _event(99)
+        lsn, t, values = replayed[-1]
+        assert (lsn, Event(t, values)) == (50, _event(99))
 
 
 def test_every_cut_of_a_group_commit():
@@ -71,7 +75,7 @@ def test_every_cut_of_a_group_commit():
         survivors = (len(data) - cut) // frame
         replayed = list(log.replay())
         assert len(replayed) == survivors, f"cut={cut}"
-        assert [lsn for lsn, _ in replayed] == list(range(1, survivors + 1))
+        assert [lsn for lsn, _, _ in replayed] == list(range(1, survivors + 1))
 
 
 def test_trim_on_intact_log_is_a_noop():
@@ -87,5 +91,5 @@ def test_append_after_trim_without_replay():
     data = _full_log_bytes(3)
     disk, log = _torn_log(data, 5)
     log.trim_torn_tail()
-    log.append(_event(7), lsn=9)
-    assert [lsn for lsn, _ in log.replay()] == [1, 2, 9]
+    log.append_many(_rows(_event(7)), lsns=[9])
+    assert [lsn for lsn, _, _ in log.replay()] == [1, 2, 9]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.events import Event, EventSchema
+from repro.events import ColumnarEvents, Event, EventSchema
 from repro.index import TabTree
 from repro.simdisk import SimulatedDisk
 from repro.storage import ChronicleLayout
@@ -19,8 +19,7 @@ def build_tree(disk, events, spare=0.1, flush_layout=True):
         disk, lblock_size=LBLOCK, macro_size=MACRO, compressor="zlib"
     )
     tree = TabTree(layout, SCHEMA, lblock_spare=spare)
-    for e in events:
-        tree.append(e)
+    tree.append_run(ColumnarEvents.of(events, SCHEMA.arity))
     if flush_layout:
         tree.flush_all()
     return tree
@@ -53,8 +52,7 @@ def test_recovered_tree_continues_appending():
     lost = original.leaf.count
     recovered = recover(disk)
     extra = events_for(500, start=10**6)
-    for e in extra:
-        recovered.append(e)
+    recovered.append_run(ColumnarEvents.of(extra, SCHEMA.arity))
     scanned = list(recovered.full_scan())
     assert len(scanned) == 1000 - lost + 500
     assert scanned[-1] == extra[-1]
@@ -80,12 +78,11 @@ def test_recover_reflects_durable_ooo_inserts():
         disk, lblock_size=LBLOCK, macro_size=MACRO, compressor="zlib"
     )
     tree = TabTree(layout, SCHEMA, lblock_spare=0.3)
-    for e in events_for(800):
-        tree.append(e)
+    tree.append_run(ColumnarEvents.of(events_for(800), SCHEMA.arity))
     rng = random.Random(5)
     inserted = [Event.of(rng.randrange(0, 1000), 9999.0, 9999.0) for _ in range(30)]
     for e in inserted:
-        tree.ooo_insert(e)
+        tree.ooo_insert(e.t, e.values)
     tree.flush_all()  # checkpoint: dirty pages now durable
     boundary = tree.flank_boundary_t
     durable_inserts = [e for e in inserted if e.t <= boundary]
@@ -102,10 +99,9 @@ def test_recover_after_splits():
         disk, lblock_size=LBLOCK, macro_size=MACRO, compressor="zlib"
     )
     tree = TabTree(layout, SCHEMA, lblock_spare=0.0)
-    for e in events_for(600):
-        tree.append(e)
+    tree.append_run(ColumnarEvents.of(events_for(600), SCHEMA.arity))
     for i in range(60):
-        tree.ooo_insert(Event.of(300 + (i % 5), 7.0, 7.0))
+        tree.ooo_insert(300 + (i % 5), (7.0, 7.0))
     assert tree.splits_performed > 0
     tree.flush_all()
     expected = [e.t for e in tree.full_scan() if e.t <= tree.flank_boundary_t]
@@ -121,5 +117,5 @@ def test_recover_empty_tree():
     recovered = recover(disk)
     assert recovered.event_count == 0
     assert list(recovered.full_scan()) == []
-    recovered.append(Event.of(1, 1.0, 1.0))
+    recovered.append_run(ColumnarEvents([1], [[1.0], [1.0]]))
     assert len(list(recovered.full_scan())) == 1
