@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from heapq import merge
 from itertools import islice
-from operator import attrgetter, le
+from operator import attrgetter, itemgetter, le
 
 from repro import obs
 from repro.core.config import ChronicleConfig
@@ -28,6 +28,7 @@ from repro.index.queries import (
     AttributeRange,
     FAST_AGGREGATES,
     SCAN_AGGREGATES,
+    add_bucketed,
     fold,
 )
 from repro.lifecycle.tiers import StreamTiers
@@ -78,15 +79,20 @@ class EventStream:
         """Refuse appends into warm/cold/expired time ranges.
 
         The raw split for such a range is gone: `_route` would drop the
-        event into a split whose bounds exclude it (invisible to range
-        queries) or duplicate history that was already rolled up.
+        event into a split whose bounds exclude it or duplicate history
+        that was already rolled up.  A straggler older than every hot
+        split and than the warm tier's end would sort ``splits[0]`` ahead
+        of that warm history, so it is refused too.
         """
         tiers = self.tiers
         frontier = tiers.frontier
         if frontier is None:
             return
+        floor = -_HUGE
+        if tiers.warm and self.splits and self.splits[0].t_start is not None:
+            floor = min(self.splits[0].t_start, frontier)
         for t in ts:
-            if t < frontier and tiers.blocks(t):
+            if t < floor or (t < frontier and tiers.blocks(t)):
                 raise StorageError(
                     f"event at t={t} falls in a tiered (warm/cold/expired) "
                     "range; the hot split for it no longer exists"
@@ -195,10 +201,7 @@ class EventStream:
             return active
         if active.t_end is not None and t >= active.t_end:
             return None
-        for split in reversed(self.splits[:-1]):
-            if split.covers(t):
-                return split
-        return self.splits[0]
+        return self._late_split(t)
 
     def _route(self, t: int) -> TimeSplit:
         active = self.active
@@ -209,11 +212,21 @@ class EventStream:
         if active.t_end is not None and t >= active.t_end:
             active.seal()
             return self._open_split(t, kind=REGULAR)
-        # Late event that belongs to an earlier split.
-        for split in reversed(self.splits[:-1]):
+        return self._late_split(t)
+
+    def _late_split(self, t: int) -> TimeSplit:
+        """The split for a late event at *t*: the newest split covering
+        it, else the oldest one starting after it — ``splits[0]`` for a
+        straggler older than every split, the split after the gap for
+        one between splits.  Either way each split's held data stays
+        between its neighbours', the order :meth:`_splits` reads in."""
+        later = self.splits[0]
+        for split in reversed(self.splits):
             if split.covers(t):
                 return split
-        return self.splits[0]
+            if split.t_start is not None and t < split.t_start:
+                later = split
+        return later
 
     def _split_bounds(self, t: int) -> tuple[int | None, int | None]:
         interval = self.config.time_split_interval
@@ -283,61 +296,69 @@ class EventStream:
 
     # --------------------------------------------------------------- queries
 
-    def _overlapping(self, t_start: int, t_end: int) -> list[TimeSplit]:
-        chosen = []
-        for split in self.splits:
-            lo = split.t_start if split.t_start is not None else -_HUGE
-            hi = (split.t_end - 1) if split.t_end is not None else _HUGE
-            if hi >= t_start and lo <= t_end:
-                chosen.append(split)
-        return chosen
-
     @staticmethod
     def _split_start_key(split) -> int:
-        """Time-order sort key of a (hot or warm) split."""
-        if split.t_start is not None:
-            return split.t_start
-        # Splits restored without bounds (post-crash) order by their
-        # oldest stored or still-queued event.
-        candidates = [split.tree.min_t]
-        manager = getattr(split, "manager", None)
-        if manager is not None:
-            candidates.append(manager.queue.min_t)
-        known = [t for t in candidates if t is not None]
-        return min(known) if known else -_HUGE
+        """Where a (hot or warm) split's held data starts: its lower
+        bound, or its oldest stored or still-queued event when that is
+        older (a straggler routed to ``splits[0]``) or the split has no
+        bound (restored post-crash).  :meth:`_splits` sorts by it."""
+        start = split.t_start
+        for t in (split.tree.min_t, split.manager.queue.min_t):
+            if t is not None and (start is None or t < start):
+                start = t
+        return -_HUGE if start is None else start
 
-    def _sources_in_time_order(self, t_start: int, t_end: int) -> list:
-        """``(split, queued)`` per warm or hot split overlapping the
-        range, by start time; *queued* is the batch of the split's
-        still-queued late events inside the range, oldest first (a warm
-        split has none).
+    def _splits(self, t_start: int, t_end: int) -> list:
+        """The one read view: every warm or hot split whose held data
+        can overlap [t_start, t_end], sorted by where that data starts.
 
-        Splits cover disjoint time ranges, so reading them in this order
-        keeps the output in time order.
+        Splits hold disjoint time ranges, so reading them in this order
+        keeps the output in time order.  Every reader walks this list,
+        each split as its tree plus the part of its late queue in range
+        (a warm split queues nothing).
         """
-        splits = self.tiers.warm_overlapping(t_start, t_end)
-        splits += self._overlapping(t_start, t_end)
-        splits.sort(key=self._split_start_key)
-        return [
-            (split, split.manager.queue.window(t_start, t_end))
-            for split in splits
-        ]
+        chosen = []
+        for split in [*self.tiers.warm.values(), *self.splits]:
+            if split.t_end is None or split.t_end > t_start:
+                start = self._split_start_key(split)
+                if start <= t_end:
+                    chosen.append((start, split))
+        chosen.sort(key=itemgetter(0))
+        return [split for _, split in chosen]
 
-    def time_travel(self, t_start: int, t_end: int):
-        """All raw events in [t_start, t_end], in time order, across tiers.
+    def time_travel(self, t_start: int, t_end: int,
+                    ranges: list[AttributeRange] | None = None):
+        """All raw events in [t_start, t_end], in time order, across tiers
+        — with *ranges*, only those whose attributes fall in every range.
 
-        Events still waiting in a split's out-of-order queue are merged in
-        so reads always reflect every acknowledged event.  Warm splits are
-        read like hot ones (they hold the same raw events, re-compressed);
+        The row-at-a-time reference walk: each split's tree
+        (:meth:`TabTree.time_travel`, or Algorithm 2's
+        :meth:`TabTree.filter_scan` with *ranges*) merged with its
+        still-queued late events, a tree row first on equal ``t``, so
+        reads reflect every acknowledged event.  Warm splits are read
+        like hot ones (they hold the same raw events, re-compressed);
         cold and expired ranges no longer have raw events and contribute
         nothing — only :meth:`aggregate` reaches into them.
         """
-        for split, queued in self._sources_in_time_order(t_start, t_end):
-            tree_iter = split.tree.time_travel(t_start, t_end)
-            if queued:
-                yield from merge(tree_iter, queued, key=attrgetter("t"))
-            else:
-                yield from tree_iter
+        for split in self._splits(t_start, t_end):
+            yield from self._split_rows(split, t_start, t_end, ranges)
+
+    def _split_rows(self, split, t_start: int, t_end: int, ranges):
+        """One split's part of :meth:`time_travel`."""
+        tree = split.tree
+        if ranges is None:
+            rows = tree.time_travel(t_start, t_end)
+        else:
+            rows = tree.filter_scan(t_start, t_end, ranges)
+        queued = split.manager.queue.window(t_start, t_end)
+        if queued and ranges:
+            index_of = self.schema.index_of
+            queued = [e for e in queued if all(
+                r.contains(e.values[index_of(r.name)]) for r in ranges
+            )]
+        if queued:
+            return merge(rows, queued, key=attrgetter("t"))
+        return rows
 
     def scan(self):
         """Replay the entire stream."""
@@ -432,14 +453,14 @@ class EventStream:
         Splits fully inside the range — and, when grouping, inside one
         *width*-aligned bucket — answer from their sealed summary in
         O(1); the others descend their TAB+-tree once (Section 5.6.2).
-        Without *width* there is one bucket, keyed None.  Returns the
-        non-empty ``{bucket_start: AggregateAccumulator}``.
+        Each split's queued late events in range add their values on
+        top, so statistics count what the scans read.  Without *width*
+        there is one bucket, keyed None.  Returns the non-empty
+        ``{bucket_start: AggregateAccumulator}``.
         """
         position = self.schema.index_of(attribute)
         buckets: dict = {}
-        splits = self._overlapping(t_start, t_end)
-        splits += self.tiers.warm_overlapping(t_start, t_end)
-        for split in splits:
+        for split in self._splits(t_start, t_end):
             summary = split.summary
             if (
                 split.sealed
@@ -459,16 +480,14 @@ class EventStream:
                 )
                 bucket = None if width is None else summary.t_min // width * width
                 parts = {bucket: part}
-            elif width is None:
-                parts = {
-                    None: split.tree.aggregate_components(
-                        t_start, t_end, attribute
-                    )
-                }
             else:
                 parts = split.tree.grouped_components(
                     t_start, t_end, attribute, width
                 )
+            queued = split.manager.queue.window(t_start, t_end)
+            if queued:
+                add_bucketed(parts, queued.timestamps,
+                             queued.columns[position], 0, len(queued), width)
             for bucket, part in parts.items():
                 if part.count:
                     acc = buckets.get(bucket)
@@ -504,9 +523,7 @@ class EventStream:
         position = self.schema.index_of(attribute)
         timestamps: list = []
         values: list = []
-        for leaf, lo, hi in self.leaf_slices(
-            t_start, t_end, stats=stats, time_order=True
-        ):
+        for leaf, lo, hi in self.leaf_slices(t_start, t_end, stats=stats):
             timestamps += leaf.timestamps[lo:hi]
             values += leaf.column(position)[lo:hi]
         return timestamps, values
@@ -567,10 +584,8 @@ class EventStream:
         return accumulator.result(function)
 
     def filter(self, t_start: int, t_end: int, ranges: list[AttributeRange]):
-        """Algorithm-2 filtered scan across splits (warm, then hot)."""
-        warm = self.tiers.warm_overlapping(t_start, t_end)
-        for split in warm + self._overlapping(t_start, t_end):
-            yield from split.tree.filter_scan(t_start, t_end, ranges)
+        """Algorithm-2 filtered scan: :meth:`time_travel` with *ranges*."""
+        return self.time_travel(t_start, t_end, ranges)
 
     # ------------------------------------------------------- planner surface
 
@@ -592,46 +607,43 @@ class EventStream:
 
     def estimate_rows(self, t_start: int, t_end: int) -> int:
         """Upper-bound event count the range can touch (planner costing)."""
-        splits = self._overlapping(t_start, t_end)
-        splits += self.tiers.warm_overlapping(t_start, t_end)
-        return sum(split.tree.event_count for split in splits)
+        return sum(
+            split.tree.event_count + split.manager.pending
+            for split in self._splits(t_start, t_end)
+        )
 
     def plan_segments(self, t_start: int, t_end: int) -> list[dict]:
-        """Per-tier segments a plan over the range is stitched from."""
-        segments = self.tiers.plan_segments(t_start, t_end)
-        for split in self._overlapping(t_start, t_end):
-            segments.append({
-                "tier": "hot",
+        """Per-tier segments a plan over the range is stitched from: the
+        warm and hot splits it reads, then cold and expired ranges."""
+        return [
+            {
+                "tier": "warm" if split.kind == "warm" else "hot",
                 "split": split.index,
                 "t_start": split.t_start,
                 "t_end": split.t_end,
                 "events": split.tree.event_count,
                 "ooo_pending": split.manager.pending,
-            })
-        return segments
+            }
+            for split in self._splits(t_start, t_end)
+        ] + self.tiers.plan_segments(t_start, t_end)
 
     def leaf_slices(self, t_start: int, t_end: int,
                     ranges: list[AttributeRange] | None = None,
                     stats: dict | None = None,
-                    time_order: bool = False):
+                    time_order: bool = True):
         """Qualifying leaf windows across tiers (columnar access path).
 
-        Fans :meth:`TabTree.leaf_slices` over warm then hot splits in
-        the same split order as :meth:`filter`, so a columnar scan sees
-        rows in exactly the row-at-a-time filtered-scan order — trees
-        only, as :meth:`filter` reads them.  With *time_order* the
-        windows arrive in :meth:`time_travel`'s order instead, and like
-        it they include each hot split's queued late events that fall in
-        the range: the queue is one more (in-memory) leaf, spliced in by
-        :func:`_splice_queued`.
+        Fans :meth:`TabTree.leaf_slices` over :meth:`_splits`, each
+        split's queued late events in range spliced in as one more
+        (in-memory) leaf by :func:`_splice_queued` — so a columnar scan
+        sees exactly the rows of :meth:`time_travel`, in its order.  The
+        queued leaf is not pruned by *ranges*; callers select rows.
         """
-        if not time_order:
-            warm = self.tiers.warm_overlapping(t_start, t_end)
-            for split in warm + self._overlapping(t_start, t_end):
-                yield from split.tree.leaf_slices(t_start, t_end, ranges, stats)
-            return
-        for split, queued in self._sources_in_time_order(t_start, t_end):
+        # ``time_order`` selects nothing (every read is in time order);
+        # it stays only for the frozen e2e scenario's caller, ROADMAP 10(d).
+        for split in self._splits(t_start, t_end):
             windows = split.tree.leaf_slices(t_start, t_end, ranges, stats)
+            queued = split.manager.queue.window(t_start, t_end)
             if queued:
                 windows = _splice_queued(windows, queued)
             yield from windows
@@ -689,20 +701,16 @@ class EventStream:
         """
         if high is None:
             high = low
+        ranges = [AttributeRange(attribute, low, high)]
         results = []
         # Warm splits drop their secondaries on migration; the TAB+-tree's
         # min/max pruning serves them, like any partially-indexed split.
-        warm = self.tiers.warm_overlapping(t_start, t_end)
-        for split in warm + self._overlapping(t_start, t_end):
+        for split in self._splits(t_start, t_end):
             if attribute in split.secondaries:
                 hits = split.search_secondary(attribute, low, high)
                 results.extend(e for e in hits if t_start <= e.t <= t_end)
             else:
-                results.extend(
-                    split.tree.filter_scan(
-                        t_start, t_end, [AttributeRange(attribute, low, high)]
-                    )
-                )
+                results.extend(self._split_rows(split, t_start, t_end, ranges))
         return results
 
     # ------------------------------------------------------------ maintenance

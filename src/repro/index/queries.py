@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.errors import QueryError
@@ -111,6 +112,24 @@ class AggregateAccumulator:
             variance = max(0.0, self.sum_squares / self.count - mean * mean)
             return variance ** 0.5
         raise QueryError(f"unknown aggregate function {function!r}")
+
+
+def add_bucketed(buckets: dict, timestamps, values, lo: int, hi: int,
+                 width: int | None) -> None:
+    """Fold rows ``[lo, hi)`` of a time-sorted column into ``{bucket_start:
+    AggregateAccumulator}``, one slice per *width*-aligned bucket — one
+    bucket, keyed None, without *width*."""
+    while lo < hi:
+        if width is None:
+            bucket, stop = None, hi
+        else:
+            bucket = timestamps[lo] // width * width
+            stop = bisect_right(timestamps, bucket + width - 1, lo, hi)
+        acc = buckets.get(bucket)
+        if acc is None:
+            acc = buckets[bucket] = AggregateAccumulator()
+        acc.add_values(values[lo:stop])
+        lo = stop
 
 
 def fold(function: str, values: list) -> float:

@@ -36,6 +36,7 @@ from repro.index.queries import (
     AttributeRange,
     FAST_AGGREGATES,
     SCAN_AGGREGATES,
+    add_bucketed,
     fold,
 )
 from repro.storage.prefetch import SequentialBlockReader
@@ -412,52 +413,23 @@ class TabTree:
         Exposed so time splits can combine partial results across split
         boundaries without losing the logarithmic fast path.
         """
-        position = self.schema.index_of(attribute)
-        if position not in self.codec.indexed_positions:
-            raise QueryError(f"attribute {attribute!r} is not indexed")
-        agg_index = self.codec.indexed_positions.index(position)
-        accumulator = AggregateAccumulator()
-        if self.event_count:
-            self._aggregate_node(self.root, t_start, t_end, position, agg_index,
-                                 accumulator)
-        return accumulator
-
-    def _aggregate_node(self, node, t_start, t_end, position, agg_index, acc):
-        if isinstance(node, LeafNode):
-            lo = bisect_left(node.timestamps, t_start)
-            hi = bisect_right(node.timestamps, t_end)
-            column = node.columns[position]
-            for row in range(lo, hi):
-                acc.add_value(column[row])
-            return
-        if self.layout.cost is not None:
-            self._charge_cpu(self.layout.cost.node_visit)
-        for entry, child_id in self._children(node):
-            if entry is None:
-                self._aggregate_node(self._get_node(child_id), t_start, t_end,
-                                     position, agg_index, acc)
-                continue
-            if entry.t_max < t_start or entry.t_min > t_end:
-                continue
-            if t_start <= entry.t_min and entry.t_max <= t_end:
-                agg = entry.aggs[agg_index]
-                acc.add_summary(agg[0], agg[1], agg[2], entry.count,
-                                agg[3] if len(agg) == 4 else None)
-            else:
-                self._aggregate_node(self._get_node(child_id), t_start, t_end,
-                                     position, agg_index, acc)
+        return self.grouped_components(t_start, t_end, attribute).get(
+            None, AggregateAccumulator()
+        )
 
     def grouped_components(
-        self, t_start: int, t_end: int, attribute: str, width: int
+        self, t_start: int, t_end: int, attribute: str,
+        width: int | None = None,
     ) -> dict:
         """Per-time-bucket aggregate components in a single descent.
 
         Buckets align to multiples of *width* (the ``GROUP BY time``
-        contract).  An index entry whose span sits inside both the query
-        range and one bucket contributes its stored statistics in O(1);
-        only entries cut by the range or by a bucket boundary descend.
-        Returns ``{bucket_start: AggregateAccumulator}`` for non-empty
-        buckets only.
+        contract); without *width* there is one bucket, keyed None.  An
+        index entry whose span sits inside both the query range and one
+        bucket contributes its stored statistics in O(1); only entries
+        cut by the range or by a bucket boundary descend.  Returns
+        ``{bucket_start: AggregateAccumulator}`` for non-empty buckets
+        only.
         """
         if t_end < t_start:
             raise QueryError(f"empty time interval [{t_start}, {t_end}]")
@@ -465,7 +437,7 @@ class TabTree:
         if position not in self.codec.indexed_positions:
             raise QueryError(f"attribute {attribute!r} is not indexed")
         agg_index = self.codec.indexed_positions.index(position)
-        buckets: dict[int, AggregateAccumulator] = {}
+        buckets: dict = {}
         if self.event_count:
             self._grouped_node(self.root, t_start, t_end, position, agg_index,
                                width, buckets)
@@ -477,17 +449,9 @@ class TabTree:
             timestamps = node.timestamps
             lo = bisect_left(timestamps, t_start)
             hi = bisect_right(timestamps, t_end)
-            if lo >= hi:
-                return
-            column = node.column(position)
-            while lo < hi:
-                bucket = (timestamps[lo] // width) * width
-                stop = bisect_right(timestamps, bucket + width - 1, lo, hi)
-                acc = buckets.get(bucket)
-                if acc is None:
-                    acc = buckets[bucket] = AggregateAccumulator()
-                acc.add_values(column[lo:stop])
-                lo = stop
+            if lo < hi:
+                add_bucketed(buckets, timestamps, node.column(position),
+                             lo, hi, width)
             return
         if self.layout.cost is not None:
             self._charge_cpu(self.layout.cost.node_visit)
@@ -498,9 +462,10 @@ class TabTree:
                 continue
             if entry.t_max < t_start or entry.t_min > t_end:
                 continue
-            if (t_start <= entry.t_min and entry.t_max <= t_end
-                    and entry.t_min // width == entry.t_max // width):
-                bucket = (entry.t_min // width) * width
+            if t_start <= entry.t_min and entry.t_max <= t_end and (
+                width is None or entry.t_min // width == entry.t_max // width
+            ):
+                bucket = None if width is None else entry.t_min // width * width
                 agg = entry.aggs[agg_index]
                 acc = buckets.get(bucket)
                 if acc is None:

@@ -87,16 +87,6 @@ class StreamTiers:
 
     # ------------------------------------------------------------- queries
 
-    def warm_overlapping(self, t_start: int, t_end: int) -> list[WarmSplit]:
-        out = []
-        for index in sorted(self.warm):
-            split = self.warm[index]
-            hi = split.t_end - 1 if split.t_end is not None else 2**62
-            lo = split.t_start if split.t_start is not None else -(2**62)
-            if hi >= t_start and lo <= t_end:
-                out.append(split)
-        return out
-
     def cold_overlapping(self, t_start: int, t_end: int) -> list[ColdRollup]:
         return [
             self.cold[index]
@@ -105,23 +95,16 @@ class StreamTiers:
         ]
 
     def plan_segments(self, t_start: int, t_end: int) -> list[dict]:
-        """Tiered plan segments overlapping ``[t_start, t_end]``.
+        """Cold and expired plan segments overlapping ``[t_start, t_end]``.
 
-        The query planner's view of this stream's non-hot history: each
+        The query planner's view of this stream's rolled-up history: each
         segment names its tier, bounds and event count so plans (and
         their ``explain`` output) can show which tier answers which part
         of the range.  Cold segments carry their bucket width — the
-        resolution limit index-only plans must respect.
+        resolution limit index-only plans must respect.  Warm and hot
+        segments are the splits :meth:`EventStream.plan_segments` reads.
         """
         segments = []
-        for split in self.warm_overlapping(t_start, t_end):
-            segments.append({
-                "tier": "warm",
-                "split": split.index,
-                "t_start": split.t_start,
-                "t_end": split.t_end,
-                "events": split.tree.event_count,
-            })
         for rollup in self.cold_overlapping(t_start, t_end):
             segments.append({
                 "tier": "cold",

@@ -20,9 +20,9 @@ is.
 
 Results are bit-identical to the row-at-a-time oracle
 (``repro.testing.oracle``) by construction: leaves arrive in the order
-of its scans (:meth:`EventStream.leaf_slices` — filter order, or
-time-travel order with queued late events spliced in), selections
-preserve row order, and the collected value lists are folded by the
+of its scans (:meth:`EventStream.leaf_slices` — time order, each split's
+queued late events spliced in as one more leaf), selections preserve
+row order, and the collected value lists are folded by the
 :func:`~repro.index.queries.fold` the oracle uses.
 """
 
@@ -94,7 +94,7 @@ def _charge(stream, examined: int, materialized: int) -> None:
     )
 
 
-def scan_events(stream, query, stats: dict, time_order: bool, served=None):
+def scan_events(stream, query, stats: dict, served=None):
     """``SELECT *`` through the columnar path.
 
     Qualifying rows accumulate column-wise and come back as one
@@ -107,8 +107,7 @@ def scan_events(stream, query, stats: dict, time_order: bool, served=None):
     limit = query.limit
     examined = 0
     for leaf, lo, hi in stream.leaf_slices(
-        query.t_start, query.t_end, query.ranges or None, stats,
-        time_order=time_order,
+        query.t_start, query.t_end, query.ranges or None, stats
     ):
         rows, checked = _selection(stream, query, leaf, lo, hi, served)
         examined += checked
@@ -131,11 +130,10 @@ def scan_events(stream, query, stats: dict, time_order: bool, served=None):
 def read_events(stream, t_start: int, t_end: int, served=None,
                 limit: int | None = None) -> ColumnarEvents:
     """The one read of events out of a node: what an unfiltered
-    ``SELECT *`` plan runs — :func:`scan_events` over time-ordered leaf
-    windows, queued late events spliced in — without building a plan.
-    Catch-up replies and subscription pushes are this batch."""
+    ``SELECT *`` plan runs (:func:`scan_events`), without building a
+    plan.  Catch-up replies and subscription pushes are this batch."""
     query = Query(SelectStar(), stream.name, t_start, t_end, limit=limit)
-    return scan_events(stream, query, {}, True, served)
+    return scan_events(stream, query, {}, served)
 
 
 def _gather(stream, query, stats: dict, served, t_start: int, t_end: int,

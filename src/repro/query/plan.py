@@ -35,9 +35,6 @@ class Plan:
     #: Estimated simulated CPU seconds per candidate kind (may be empty
     #: when the stream has no cost model attached).
     estimated_cost: dict = field(default_factory=dict)
-    #: Unfiltered columnar plans: read leaf windows in ``time_travel``
-    #: order — queued late events included — instead of filter order.
-    time_order: bool = False
     #: Ownership predicate ``t -> bool`` the plan was built under (a
     #: split's source still stores ranges it handed off), or None when
     #: every stored event is authoritative.

@@ -12,11 +12,13 @@ Two access paths compete for every query:
 ``columnar``
     Vectorized leaf scan (:mod:`repro.query.columnar`): batch-at-a-time
     column decoding with late materialization.  Chosen for filtered
-    queries, for every unfiltered ``SELECT *`` (leaf windows in time
-    order, a split's queued late events spliced in as one more leaf) and
-    for unfiltered aggregates the index cannot answer (unindexed
-    attribute, ``stdev`` without extended aggregates): those fold the
-    one named column, scanned in the same time order.
+    queries, for every ``SELECT *`` and for unfiltered aggregates the
+    index cannot answer (unindexed attribute, ``stdev`` without extended
+    aggregates): those fold the one named column.
+
+Both paths read one view of a stream (:meth:`EventStream._splits`): leaf
+windows in time order with each split's queued late events spliced in
+as one more leaf, and index statistics plus those queued values.
 
 Every plan must return exactly what the row-at-a-time oracle
 (``repro.testing.oracle``, never imported here) returns.  Plan choice is
@@ -121,17 +123,21 @@ def _estimate_costs(stream, query, estimated_rows: int) -> dict:
     return out
 
 
+def _filtered(query) -> bool:
+    return bool(query.ranges or getattr(query, "strict_checks", []))
+
+
 def build_plan(stream, query, served=None) -> Plan:
     """Pick the cheapest access path that is exactly oracle-equivalent."""
-    filtered = bool(query.ranges or getattr(query, "strict_checks", []))
+    filtered = _filtered(query)
     segments = stream.plan_segments(query.t_start, query.t_end)
     estimated_rows = stream.estimate_rows(query.t_start, query.t_end)
     costs = _estimate_costs(stream, query, estimated_rows)
 
-    def plan(kind, reason, **extra):
+    def plan(kind, reason):
         return Plan(
             kind, query, reason, segments=segments, served=served,
-            estimated_rows=estimated_rows, estimated_cost=costs, **extra,
+            estimated_rows=estimated_rows, estimated_cost=costs,
         )
 
     if isinstance(query.select, SelectStar):
@@ -145,7 +151,6 @@ def build_plan(stream, query, served=None) -> Plan:
             COLUMNAR,
             "full scan in time order, queued late events spliced in as a "
             "leaf; events materialize only at the API boundary",
-            time_order=True,
         )
     if served is not None:
         return plan(
@@ -169,7 +174,6 @@ def build_plan(stream, query, served=None) -> Plan:
             COLUMNAR,
             f"{next(filter(None, blockers))}: that column is scanned in "
             "time order and its values folded, never materializing events",
-            time_order=True,
         )
     return plan(
         INDEX_ONLY,
@@ -199,11 +203,9 @@ def run_plan(stream, plan: Plan, materialize: bool = True,
     stats: dict = {}
     try:
         if select_star:
-            batch = columnar.scan_events(
-                stream, query, stats, plan.time_order, plan.served
-            )
+            batch = columnar.scan_events(stream, query, stats, plan.served)
             return batch.materialize() if materialize else batch
-        if plan.kind == COLUMNAR and not plan.time_order:
+        if _filtered(query) or plan.served is not None:
             scan = columnar.scan_grouped if grouped else columnar.scan_aggregates
             result = scan(stream, query, stats, plan.served, components)
         elif grouped:

@@ -12,8 +12,10 @@ time-travel scans (``EventStream.time_travel`` → ``TabTree.time_travel``,
 the sibling-chain walk); aggregate selects use the TAB+-tree statistics
 through ``EventStream.aggregate``; attribute predicates go through
 Algorithm-2 pruning (``EventStream.filter`` → ``TabTree.filter_scan``).
-Those tree walks are kept in ``src/repro`` as the references the
-columnar leaf-window scans are checked against.
+Each walks the stream's one read view (``EventStream._splits``), every
+split's queued late events merged in, as the planner's reads do.  Those
+tree walks are kept in ``src/repro`` as the references the columnar
+leaf-window scans are checked against.
 """
 
 from __future__ import annotations

@@ -144,7 +144,7 @@ def test_queued_late_event_is_a_leaf_of_the_columnar_select(plans):
     got = db.execute(sql)
     assert counters()["planner.plans_columnar"] == 1
     assert counters().get("planner.plans_index_only", 0) == 0
-    assert plans[-1].kind == COLUMNAR and plans[-1].time_order
+    assert plans[-1].kind == COLUMNAR
     assert got == list(stream.time_travel(10, 400))
     # Tree row first on equal t, queued rows in arrival order.
     assert got[291:295] == make_events(300, 301) + late[:2] + make_events(301, 302)
@@ -195,7 +195,7 @@ def test_aggregates_the_index_cannot_answer_scan_one_column(
             _cold(stream)  # cached leaves would decode nothing
             result = planner.execute(db, query, components=components)
             plan = plans[-1]
-            assert plan.kind == COLUMNAR and plan.time_order
+            assert plan.kind == COLUMNAR
             assert counters()["planner.plans_columnar"] == 1
             assert counters().get("planner.rows_materialized", 0) == 0
             assert plan.executed.get("rows_materialized", 0) == 0

@@ -75,8 +75,8 @@ def test_pending_ooo_events_are_spliced_into_the_columnar_scan():
     got = db.execute("SELECT * FROM sensors WHERE t BETWEEN 499 AND 501")
     assert [e.t for e in got] == [499, 500, 500, 501]
     assert got[2] == late  # tree row first on equal t, as time_travel
-    # Index aggregates read trees only (the queue is invisible to the
-    # oracle's path too), so they stay index-only.
+    # Index statistics add the queued values, so aggregates over a
+    # queued late event stay index-only.
     assert db.explain("SELECT sum(temp) FROM sensors")["plan"] == INDEX_ONLY
     stream.flush()
     assert db.explain("SELECT * FROM sensors")["plan"] == COLUMNAR
