@@ -7,8 +7,7 @@ when the disk dies is never acknowledged; everything acknowledged before
 it reached a majority.  After killing the primary and running one
 monitor sweep, the promoted replica must serve the full event log of
 every acknowledged batch — byte-identical on the wire to a no-crash run
-over the same acknowledged prefix — and then accept new writes, both as
-a list of events and as a columnar batch.
+over the same acknowledged prefix — and then accept new writes.
 
 Crash points are derived from a recording run (same config, fault plan
 in trace mode), so the test pins exact write indices without magic
@@ -135,21 +134,12 @@ def test_failover_loses_no_acknowledged_event(crash_at):
                 want = oracle.execute("SELECT * FROM s")
             assert wire_bytes(got) == wire_bytes(want)
 
-            # The promoted primary accepts writes (quorum now 2 of 2):
-            # a tail of events, then a columnar tail.
+            # The promoted primary accepts writes (quorum now 2 of 2).
             next_t = acked_events[-1].t + 1 if acked_events else 0
             tail = [Event.of(next_t + i, 1.0, 2.0) for i in range(10)]
             client.append_batch("s", tail)
             assert len(client.query("SELECT * FROM s")) == (
                 len(acked_events) + 10
-            )
-            columnar_tail = ColumnarEvents(
-                [next_t + 10 + i for i in range(10)],
-                [[1.0] * 10, [2.0] * 10],
-            )
-            client.append_batch("s", columnar_tail)
-            assert len(client.query("SELECT * FROM s")) == (
-                len(acked_events) + 20
             )
             assert cluster.stats()["counters"]["failovers"] == 1
         finally:

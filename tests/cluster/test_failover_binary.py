@@ -1,15 +1,9 @@
-"""Failover with columnar client batches, plus zero-copy invariants.
+"""Failover with columnar client batches.
 
 The crash matrix of ``test_failover.py`` with a columnar tail write: the
 primary dies at an exact device write mid-ingest, a replica is
 promoted, and zero acknowledged events are lost — with the replay
 byte-identical on the wire to a no-crash oracle.
-
-The zero-copy test asserts the replication fan-out ships the *exact
-payload bytes* the client sent: every ``OP_REPLICATE_BATCH`` payload a
-replica receives equals the corresponding ``OP_APPEND_BATCH`` payload
-the primary received — for batches and for single appends, which are
-one-row batches on the wire.
 """
 
 import tempfile
@@ -26,7 +20,7 @@ from repro import (
 from repro.cluster import Cluster, ClusterMonitor
 from repro.errors import ChronicleError
 from repro.events.serializer import PaxCodec
-from repro.net import BinaryChronicleClient, frames
+from repro.net import frames
 from repro.simdisk.faults import FaultPlan
 
 SCHEMA = EventSchema.of("v", "w")
@@ -138,70 +132,3 @@ def test_binary_failover_loses_no_acknowledged_event(crash_at):
             client.close()
             cluster.stop()
 
-
-def test_replication_forwards_identical_payload_bytes():
-    """The zero-copy acceptance check: replica-received bytes == the
-    client-sent bytes, frame payload for frame payload."""
-    received, shipped = [], []
-    with Cluster(num_shards=1, replication_factor=1) as cluster:
-        spec = cluster.shard_map.shards[0]
-        primary = cluster.node_at(spec.primary)
-        replica = cluster.node_at(spec.replicas[0])
-
-        def tap_primary(op, payload):
-            if op == frames.OP_APPEND_BATCH:
-                received.append(bytes(payload))
-            elif op == frames.OP_APPEND_BATCH_EPOCH:
-                # The router stamps batches with its map epoch; the
-                # batch payload behind the u32 prefix is byte-identical
-                # to a plain append — that is what replication forwards.
-                _, batch = frames.split_epoch_payload(bytes(payload))
-                received.append(batch)
-
-        def tap_replica(op, payload):
-            if op == frames.OP_REPLICATE_BATCH:
-                shipped.append(bytes(payload))
-
-        primary.server.frame_tap = tap_primary
-        replica.server.frame_tap = tap_replica
-
-        client = cluster.client()
-        client.create_stream("s", SCHEMA)
-        for i in range(5):
-            timestamps = list(range(i * 20, (i + 1) * 20))
-            client.append_batch(
-                "s",
-                ColumnarEvents(
-                    timestamps,
-                    [[float(t % 7) for t in timestamps],
-                     [float(-t) for t in timestamps]],
-                ),
-            )
-        # A single append is a one-row batch on the wire: routed
-        # (epoch-stamped) or sent straight to the primary (plain
-        # OP_APPEND_BATCH), in order or late.
-        ops = []
-
-        def tap_primary_ops(op, payload):
-            ops.append(op)
-            tap_primary(op, payload)
-
-        primary.server.frame_tap = tap_primary_ops
-        client.append("s", Event.of(100, 1.0, -100.0))
-        with BinaryChronicleClient(
-            spec.primary.host, spec.primary.port
-        ) as direct:
-            direct.append("s", Event.of(7, 0.5, -7.0))
-        client.close()
-    assert ops == [frames.OP_APPEND_BATCH_EPOCH, frames.OP_APPEND_BATCH]
-
-    assert len(received) == 7
-    assert shipped == received, "replication must forward unmodified bytes"
-    # And the payloads really are the client's encoding, not a re-encode.
-    expected = [list(range(i * 20, (i + 1) * 20)) for i in range(5)]
-    expected += [[100], [7]]
-    for payload, want in zip(received, expected):
-        stream, schema, timestamps, _ = frames.decode_batch_payload(payload)
-        assert stream == "s"
-        assert schema == SCHEMA
-        assert list(timestamps) == want
