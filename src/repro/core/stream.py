@@ -80,19 +80,17 @@ class EventStream:
 
         The raw split for such a range is gone: `_route` would drop the
         event into a split whose bounds exclude it or duplicate history
-        that was already rolled up.  A straggler older than every hot
-        split and than the warm tier's end would sort ``splits[0]`` ahead
-        of that warm history, so it is refused too.
+        that was already rolled up.  While a warm tier exists, any event
+        below the frontier is refused: hot splits start at or after it,
+        so such a straggler would sort ``splits[0]`` ahead of that warm
+        history.
         """
         tiers = self.tiers
         frontier = tiers.frontier
         if frontier is None:
             return
-        floor = -_HUGE
-        if tiers.warm and self.splits and self.splits[0].t_start is not None:
-            floor = min(self.splits[0].t_start, frontier)
         for t in ts:
-            if t < floor or (t < frontier and tiers.blocks(t)):
+            if t < frontier and (tiers.warm or tiers.blocks(t)):
                 raise StorageError(
                     f"event at t={t} falls in a tiered (warm/cold/expired) "
                     "range; the hot split for it no longer exists"

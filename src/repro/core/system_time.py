@@ -99,7 +99,7 @@ class SystemTimeStream:
         """
         hits = [
             self._to_user(e)
-            for e in self.stream.filter(
+            for e in self.stream.time_travel(
                 -_HUGE, _HUGE, [AttributeRange(_APP_TIME, t_start, t_end)]
             )
         ]
@@ -130,7 +130,7 @@ class SystemTimeStream:
         ]
         hits = [
             self._to_user(e)
-            for e in self.stream.filter(-_HUGE, _HUGE, internal_ranges)
+            for e in self.stream.time_travel(-_HUGE, _HUGE, internal_ranges)
         ]
         hits.sort(key=lambda e: e.t)
         return iter(hits)

@@ -11,7 +11,8 @@ Access paths per query class (Section 5.6): pure time predicates run as
 time-travel scans (``EventStream.time_travel`` → ``TabTree.time_travel``,
 the sibling-chain walk); aggregate selects use the TAB+-tree statistics
 through ``EventStream.aggregate``; attribute predicates go through
-Algorithm-2 pruning (``EventStream.filter`` → ``TabTree.filter_scan``).
+Algorithm-2 pruning (``EventStream.time_travel`` with ranges →
+``TabTree.filter_scan``).
 Each walks the stream's one read view (``EventStream._splits``), every
 split's queued late events merged in, as the planner's reads do.  Those
 tree walks are kept in ``src/repro`` as the references the columnar
@@ -54,10 +55,9 @@ def _passes_strict(query: Query, stream, event) -> bool:
 
 
 def _execute_select_star(stream, query: Query):
-    if query.ranges:
-        iterator = stream.filter(query.t_start, query.t_end, query.ranges)
-    else:
-        iterator = stream.time_travel(query.t_start, query.t_end)
+    iterator = stream.time_travel(
+        query.t_start, query.t_end, query.ranges or None
+    )
     results = []
     for event in iterator:
         if not _passes_strict(query, stream, event):
@@ -108,7 +108,7 @@ def _execute_grouped(stream, query: Query):
     if filtered:
         events = [
             e
-            for e in stream.filter(t_start, t_end, query.ranges)
+            for e in stream.time_travel(t_start, t_end, query.ranges)
             if _passes_strict(query, stream, e)
         ]
         by_bucket: dict[int, list] = {}
@@ -145,7 +145,7 @@ def _aggregate_with_filter(stream, query: Query):
     """Aggregates over a filtered event set (no stored statistics apply)."""
     events = [
         e
-        for e in stream.filter(query.t_start, query.t_end, query.ranges)
+        for e in stream.time_travel(query.t_start, query.t_end, query.ranges)
         if _passes_strict(query, stream, e)
     ]
     if not events:
