@@ -56,15 +56,14 @@ def rows(events):
 def check_select(db, sql, want, limit):
     """*sql* returns *want* in time order, through both paths alike.
 
-    Among equal timestamps the order is the store's own (the planner and
-    the oracle agree on it row for row), so those rows are compared as a
-    set; ``LIMIT`` keeps a prefix of the unlimited result.
+    Among equal timestamps storage order is arrival order, so the rows
+    match the model's stable sort exactly; ``LIMIT`` keeps a prefix of
+    the unlimited result.
     """
     full = both(db, sql)
     assert full[0] == full[1]
     got = rows(full[0])
-    assert [t for t, _ in got] == [t for t, _ in want]
-    assert sorted(got) == sorted(want)
+    assert got == want
     for limited in both(db, f"{sql} LIMIT {limit}"):
         assert limited == full[0][:limit]
 

@@ -146,3 +146,37 @@ def test_crash_exactly_at_duplicate_timestamp_boundary():
             srv.hub.fault_injector = EveryNthPush(stride=2, budget=10)
             events = collect_with_reconnects(srv.host, srv.port, 256, batch=4)
         assert [e.values[0] for e in events] == [float(t) for t in range(256)]
+
+
+@pytest.mark.parametrize("stride", _STRIDES)
+def test_late_event_at_the_cursor_timestamp_is_delivered_once(stride):
+    # A run of equal timestamps spanning many leaves, a subscriber whose
+    # cursor sits inside it, then one late event at that timestamp: it
+    # is stored behind every row already at t, so the cursor's k still
+    # counts the same rows and the late row arrives exactly once.
+    config = ChronicleConfig(lblock_size=512, macro_size=2048, queue_capacity=1)
+    with ChronicleServer(ChronicleDB(config=config)) as srv:
+        with BinaryChronicleClient(srv.host, srv.port) as writer:
+            writer.create_stream("s", SCHEMA)
+            writer.append_batch(
+                "s", [Event.of(1000, float(i), 0.0) for i in range(200)]
+            )
+            writer.append_batch(
+                "s", [Event.of(1001 + i, float(200 + i), 0.0) for i in range(200)]
+            )
+            injector = EveryNthPush(stride, budget=12)
+            srv.hub.fault_injector = injector
+            late = Event.of(1000, -1.0, 1.0)
+
+            def feed_late():
+                writer.append_batch("s", [late])
+
+            events = collect_with_reconnects(
+                srv.host, srv.port, 401, at_tail=(64, feed_late)
+            )
+            assert injector.crashes > 0, "matrix never fired"
+            oracle = list(srv.db.get_stream("s").time_travel(0, 2**62))
+        got = [(e.t, e.values) for e in events]
+        assert got == [(e.t, e.values) for e in oracle]
+        assert len(set(got)) == 401
+        assert got[200] == (late.t, late.values)
