@@ -22,6 +22,7 @@ from repro.errors import ChronicleError, ConfigError, QueryError, RecoveryError
 from repro.events.schema import EventSchema
 from repro.lifecycle.manager import LifecycleManager
 from repro.simdisk import SimulatedClock
+from repro.storage.constants import FORMAT_VERSION, format_name, parse_format
 
 _MANIFEST = "manifest.json"
 
@@ -65,6 +66,8 @@ class ChronicleDB:
         self.streams.on_activated(self._on_stream_activated)
         self._stream_configs: dict[str, ChronicleConfig] = {}
         self._lifecycles: dict[str, LifecycleManager] = {}
+        #: The manifest's format: a reopened store keeps its own.
+        self.format_version = FORMAT_VERSION
         self._closed = False
 
     # ------------------------------------------------------------ lifecycle
@@ -90,6 +93,7 @@ class ChronicleDB:
                     manifest = json.load(fh)
             except (OSError, ValueError) as exc:
                 raise RecoveryError(f"unreadable manifest: {exc}") from exc
+            db.format_version = parse_format(manifest.get("format"))
             for name, state in manifest.get("streams", {}).items():
                 if db.config.max_active_streams is not None:
                     # Multi-tenant mode: park every stream as passive
@@ -153,7 +157,7 @@ class ChronicleDB:
             for name, stream in self.streams.items()
         )
         manifest = {
-            "format": "chronicledb-repro-v1",
+            "format": format_name(self.format_version),
             "streams": entries,
         }
         path = os.path.join(self.directory, _MANIFEST)

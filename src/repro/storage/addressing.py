@@ -17,7 +17,10 @@ from repro.errors import StorageError
 NULL_ADDR = (1 << 64) - 1
 
 _INDEX_BITS = 16
-_MAX_OFFSET = 1 << 48
+#: Top byte of a reserved slot (format v2): the id belongs to an open
+#: flank node, not written yet.  Real addresses stay below it.
+_RESERVED_TAG = 0xFE
+_MAX_OFFSET = _RESERVED_TAG << 40
 _MAX_INDEX = 1 << _INDEX_BITS
 
 
@@ -35,3 +38,23 @@ def decode_addr(addr: int) -> tuple[int, int]:
     if addr == NULL_ADDR or addr < 0:
         raise StorageError(f"cannot decode null/invalid address: {addr}")
     return addr >> _INDEX_BITS, addr & (_MAX_INDEX - 1)
+
+
+def encode_reserved(level: int, prev_id: int) -> int:
+    """The TLB entry of a reserved id (format v2): the level of the flank
+    node that will be written there and the id of the node it follows
+    (``-1``: none)."""
+    return (_RESERVED_TAG << 56) | (level << 48) | (prev_id + 1)
+
+
+def decode_reserved(addr: int) -> tuple[int, int] | None:
+    """``(level, prev_id)`` of a reserved entry; ``None`` for anything else."""
+    if addr >> 56 != _RESERVED_TAG:
+        return None
+    return (addr >> 48) & 0xFF, (addr & ((1 << 48) - 1)) - 1
+
+
+def is_stored(addr: int) -> bool:
+    """Whether a TLB entry addresses a written C-block (not the null
+    sentinel, not a reserved slot)."""
+    return addr >> 56 < _RESERVED_TAG

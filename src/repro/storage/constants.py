@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from repro.errors import StorageError
+
 #: Default L-block size: the paper's standard setting (Section 7.1).
 DEFAULT_LBLOCK_SIZE = 8192
 #: Default macro block size: the paper's standard setting (Section 7.1).
@@ -41,3 +43,26 @@ MACRO_HEADER_SIZE = 16
 #: TLB-block header: magic, crc, level, flags, count, number, prev,
 #: prev_parent (see :mod:`repro.storage.tlb`).
 TLB_HEADER_SIZE = 36
+
+#: On-disk format versions, named by the ``"format"`` string of the
+#: superblock and of the store manifest (DESIGN.md, "File format
+#: versions").  v1 files predate the check and open forever; v2 TLB
+#: slots of reserved flank nodes name the node's level and predecessor.
+FORMATS = {"chronicledb-repro-v1": 1, "chronicledb-repro-v2": 2}
+FORMAT_VERSION = 2
+
+#: Leading bytes of each tail L-block that TLB recovery hands to tree
+#: recovery: one TAB+-tree node header.
+TAIL_PREFIX_SIZE = 40
+
+
+def format_name(version: int) -> str:
+    return f"chronicledb-repro-v{version}"
+
+
+def parse_format(name) -> int:
+    """The version a ``"format"`` string names; unknown ones are refused."""
+    version = FORMATS.get(name)
+    if version is None:
+        raise StorageError(f"unknown file format {name!r}")
+    return version

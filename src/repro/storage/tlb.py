@@ -232,6 +232,13 @@ class TlbTree:
         while len(self._leaf_cache) > self._leaf_cache_size:
             self._leaf_cache.popitem(last=False)
 
+    def is_flushed(self, block_id: int) -> bool:
+        """Whether *block_id*'s entry lives in a TLB leaf on disk."""
+        return (
+            0 <= block_id < self.next_slot
+            and block_id // self.b != self.levels[0].number
+        )
+
     # --------------------------------------------------------------- update
 
     def update(self, block_id: int, addr: int) -> None:

@@ -16,7 +16,8 @@ from repro import ChronicleConfig, ChronicleDB, EventSchema
 N_EVENTS = 32_000
 PINNED_SHA1 = {
     ".b.idx": "bc0fb92feb6ca75810109f2ab9a47e665cd04de0",
-    ".cdb": "7a11dcd0864b67c99d30f5a9bc9d4aca9d73e57d",
+    # A format-v2 data file (placeholders name level and predecessor).
+    ".cdb": "ffa8144da16c8c3f662b57e4120a545a2a80b932",
 }
 
 

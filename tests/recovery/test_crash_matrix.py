@@ -47,7 +47,7 @@ def ooo_workload(n=700, fraction=0.12, seed=0xC0FFEE):
     return events
 
 
-def _run(events, batch_size=None, torn_bytes=0):
+def _run(name, events, batch_size=None, torn_bytes=0):
     total, _ = crashkit.count_device_writes(
         SCHEMA, CONFIG, events, batch_size=batch_size
     )
@@ -63,24 +63,26 @@ def _run(events, batch_size=None, torn_bytes=0):
     report.assert_clean()
     # Every enumerated point below the write count must actually crash.
     assert all(o.crashed for o in report.outcomes)
+    # assert_clean includes "the walk and the scan recover the same trees".
+    crashkit.record_paths(name, report)
     return report
 
 
 def test_in_order_matrix():
-    _run(in_order_workload())
+    _run("in-order", in_order_workload())
 
 
 def test_out_of_order_matrix():
-    _run(ooo_workload())
+    _run("out-of-order", ooo_workload())
 
 
 def test_batch_matrix():
-    _run(in_order_workload(), batch_size=33)
+    _run("batch", in_order_workload(), batch_size=33)
 
 
 def test_torn_write_matrix():
     """Every crash additionally tears the failing append mid-write."""
-    _run(ooo_workload(400), torn_bytes="half")
+    _run("torn", ooo_workload(400), torn_bytes="half")
 
 
 def test_matrix_covers_300_plus_crash_points():

@@ -67,7 +67,7 @@ def ooo_workload(n=700, fraction=0.1, seed=0x51EE9):
     return events
 
 
-def _run(events, torn_bytes=0, stride=STRIDE):
+def _run(name, events, torn_bytes=0, stride=STRIDE):
     total = crashkit.count_lifecycle_writes(
         SCHEMA, CONFIG, events, POLICY, TICK_EVERY
     )
@@ -83,6 +83,8 @@ def _run(events, torn_bytes=0, stride=STRIDE):
     assert report.total_writes == total
     report.assert_clean()
     assert all(o.crashed for o in report.outcomes)
+    # assert_clean includes "the walk and the scan recover the same trees".
+    crashkit.record_paths(name, report)
     return report
 
 
@@ -119,12 +121,13 @@ def test_lifecycle_workload_tiers_without_crashing():
 
 
 def test_lifecycle_in_order_matrix():
-    _run(in_order_workload())
+    _run("lifecycle in-order", in_order_workload())
 
 
 def test_lifecycle_out_of_order_matrix():
-    _run(ooo_workload())
+    _run("lifecycle out-of-order", ooo_workload())
 
 
 def test_lifecycle_torn_write_matrix():
-    _run(in_order_workload(), torn_bytes="half", stride=max(2, STRIDE))
+    _run("lifecycle torn", in_order_workload(), torn_bytes="half",
+         stride=max(2, STRIDE))

@@ -63,6 +63,9 @@ def _recover(data: bytes, scan_nodes):
     layout = ChronicleLayout.open(device, cost=CONFIG.cost_model)
     if layout.sealed_metadata is not None:
         return None
+    # Without what TLB recovery handed over, tree recovery scans: the
+    # classifiers compared here are the scan's.
+    layout.recovered_tail = None
     seen = {}
 
     def recording_scan(tree):
