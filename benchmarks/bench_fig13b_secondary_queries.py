@@ -69,7 +69,7 @@ def run_figure13b():
         tab_clock.reset()
         tab_hits = sum(
             1
-            for _ in tab_stream.filter(
+            for _ in tab_stream.time_travel(
                 -(2**62), 2**62, [AttributeRange("velocity", low, high)]
             )
         )

@@ -46,7 +46,7 @@ def main() -> None:
 
         # Filtered scan (Algorithm 2): prune subtrees via min/max stats.
         warm = list(
-            sensors.filter(0, 3_599_000, [AttributeRange("temperature", 23.5, 24.0)])
+            sensors.time_travel(0, 3_599_000, [AttributeRange("temperature", 23.5, 24.0)])
         )
         print(f"{len(warm)} readings between 23.5 and 24.0 °C")
 

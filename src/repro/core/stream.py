@@ -581,10 +581,6 @@ class EventStream:
             )
         return accumulator.result(function)
 
-    def filter(self, t_start: int, t_end: int, ranges: list[AttributeRange]):
-        """Algorithm-2 filtered scan: :meth:`time_travel` with *ranges*."""
-        return self.time_travel(t_start, t_end, ranges)
-
     # ------------------------------------------------------- planner surface
 
     def charge_cpu(self, seconds: float) -> None:

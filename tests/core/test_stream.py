@@ -118,7 +118,7 @@ def test_filter_across_splits():
     stream = make_stream(time_split_interval=250)
     events = events_for(1000)
     stream.append_many(events)
-    result = list(stream.filter(0, 10**9, [AttributeRange("y", 2.0, 3.0)]))
+    result = list(stream.time_travel(0, 10**9, [AttributeRange("y", 2.0, 3.0)]))
     assert result == [e for e in events if 2.0 <= e.values[1] <= 3.0]
 
 

@@ -70,12 +70,12 @@ def test_warm_migration_drops_hot_devices_and_logs_done():
 def test_aggregates_and_filters_cover_the_warm_tier():
     stream, log = _stream_with_sealed_split()
     want_sum = stream.aggregate(0, 259, "x", "sum")
-    want_hits = sorted(e.t for e in stream.filter(
+    want_hits = sorted(e.t for e in stream.time_travel(
         0, 259, [AttributeRange("y", 2.0, 2.0)]
     ))
     _migrate_first(stream, log)
     assert stream.aggregate(0, 259, "x", "sum") == want_sum
-    got_hits = sorted(e.t for e in stream.filter(
+    got_hits = sorted(e.t for e in stream.time_travel(
         0, 259, [AttributeRange("y", 2.0, 2.0)]
     ))
     assert got_hits == want_hits
