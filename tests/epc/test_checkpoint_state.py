@@ -163,10 +163,8 @@ def test_checkpointed_tumbling_matches_planner_oracle(
     stream = db.create_stream("s", SCHEMA)
     for event in events:
         stream.append(event)
-    # Aggregates answer from the trees: drain the ooo queues first, or
-    # duplicate-timestamp plateaus that spilled to the queue would be
-    # dropped by the batch oracle (its documented semantics) while the
-    # pipeline, fed every event, still counts them.
+    # Aggregates include queued late events (every read sees them), so
+    # the counts match with or without this flush.
     db.flush()
     rows = db.execute(f"SELECT {function}(x) FROM s GROUP BY time({width})")
     db.close()
