@@ -39,10 +39,8 @@ def run_application_time(fraction):
 
 def run_system_time(fraction):
     dataset = CdsDataset(seed=0)
-    clock = SimulatedClock()
-    config = ChronicleConfig(
-        data_disk="hdd", log_disk="ssd", cost_model=CpuCostModel()
-    )
+    clock = SimulatedClock(CpuCostModel())
+    config = ChronicleConfig(data_disk="hdd", log_disk="ssd")
     devices = DeviceProvider(data_model="hdd", log_model="ssd", clock=clock)
     stream = SystemTimeStream("bench", dataset.schema, config, devices)
     workload = make_out_of_order(

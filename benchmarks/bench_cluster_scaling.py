@@ -62,15 +62,13 @@ def make_events(n=None, seed=42):
 
 def measure(events, num_shards):
     """(simulated seconds, wall seconds, per-node sim seconds)."""
-    config = ChronicleConfig(
-        data_disk="hdd", log_disk="ssd", cost_model=CpuCostModel()
-    )
+    config = ChronicleConfig(data_disk="hdd", log_disk="ssd")
     with Cluster(
         num_shards=num_shards,
         replication_factor=0,
         policy=TimeWindowPlacement(WINDOW),
         config=config,
-        clock_factory=SimulatedClock,
+        clock_factory=lambda: SimulatedClock(CpuCostModel()),
     ) as cluster:
         client = cluster.client()
         client.create_stream("bench", SCHEMA)

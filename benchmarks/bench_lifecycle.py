@@ -90,16 +90,15 @@ def run_lifecycle():
     base_settings = dict(
         data_disk="hdd",
         log_disk="ssd",
-        cost_model=CpuCostModel(),
         time_split_interval=SPLIT_INTERVAL,
         lblock_size=LBLOCK_SIZE,
         macro_size=MACRO_SIZE,
     )
-    flat_clock = SimulatedClock()
+    flat_clock = SimulatedClock(CpuCostModel())
     flat_db, flat_stream = _build(
         ChronicleConfig(**base_settings), flat_clock, tick=False
     )
-    tier_clock = SimulatedClock()
+    tier_clock = SimulatedClock(CpuCostModel())
     tier_db, tier_stream = _build(
         ChronicleConfig(**base_settings, lifecycle=POLICY), tier_clock,
         tick=True,

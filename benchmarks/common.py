@@ -23,8 +23,8 @@ RESULT_SCHEMA = "chronicledb-bench-result-v1"
 
 def make_chronicle(schema, clock: SimulatedClock | None = None, **overrides):
     """A ChronicleDB + stream wired to the simulated HDD/SSD cost model."""
-    clock = clock if clock is not None else SimulatedClock()
-    settings = dict(data_disk="hdd", log_disk="ssd", cost_model=CpuCostModel())
+    clock = clock if clock is not None else SimulatedClock(CpuCostModel())
+    settings = dict(data_disk="hdd", log_disk="ssd")
     settings.update(overrides)
     config = ChronicleConfig(**settings)
     db = ChronicleDB(config=config, clock=clock)

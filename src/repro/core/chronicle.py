@@ -39,7 +39,8 @@ class ChronicleDB:
         Default :class:`ChronicleConfig` for new streams.
     clock:
         Optional shared :class:`SimulatedClock` for simulated-time
-        benchmarking.
+        benchmarking; build it with a ``CpuCostModel`` to price the
+        counted CPU work as well as device I/O.
     """
 
     def __init__(
@@ -274,9 +275,9 @@ class ChronicleDB:
         """Database-wide observability snapshot.
 
         Always includes per-stream ingestion state, per-device I/O
-        accounting and the simulated clock; the ``obs`` section carries
-        the process-global metrics/spans and is empty unless
-        :func:`repro.obs.enable` was called.
+        accounting and the simulated clock with its work counters; the
+        ``obs`` section carries the process-global metrics/spans and is
+        empty unless :func:`repro.obs.enable` was called.
         """
         clock = self.devices.clock
         table = (
@@ -302,6 +303,7 @@ class ChronicleDB:
                 "now": clock.now,
                 "io_seconds": clock.io_seconds,
                 "cpu_seconds": clock.cpu_seconds,
+                "work": clock.work(),
             },
             "obs": obs.snapshot() if obs.enabled() else {},
         }

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 from repro.lifecycle.policy import LifecyclePolicy
-from repro.simdisk.cost import CpuCostModel
 from repro.storage.constants import DEFAULT_LBLOCK_SIZE, DEFAULT_MACRO_SIZE
 
 
@@ -44,8 +43,6 @@ class ChronicleConfig:
     #: Disk model names for the device provider: "instant", "hdd", "ssd".
     data_disk: str = "instant"
     log_disk: str = "instant"
-    #: CPU cost model for simulated-time benchmarks (None = wall clock only).
-    cost_model: CpuCostModel | None = None
     #: Validate event values against the schema on every append.
     validate_events: bool = False
     #: Temporal-correlation threshold for partial indexing (Section 5.4):

@@ -62,10 +62,9 @@ class TimeSplit:
             macro_size=config.macro_size,
             compressor=config.codec,
             macro_spare=config.macro_spare,
-            cost=config.cost_model,
         )
         if _open_existing:
-            self.layout = ChronicleLayout.open(device, cost=config.cost_model)
+            self.layout = ChronicleLayout.open(device)
             self.tree, applied = self._restore_tree()
         else:
             self.layout = ChronicleLayout.create(device, **layout_kwargs)
@@ -116,14 +115,9 @@ class TimeSplit:
                 device,
                 memtable_capacity=self.config.memtable_capacity,
                 fanout=self.config.lsm_fanout,
-                cost=self.config.cost_model,
             )
         else:
-            index = ColaIndex(
-                device,
-                base_capacity=self.config.memtable_capacity,
-                cost=self.config.cost_model,
-            )
+            index = ColaIndex(device, base_capacity=self.config.memtable_capacity)
         self.secondaries[attribute] = index
         self.secondary_attributes.append(attribute)
 

@@ -583,22 +583,6 @@ class EventStream:
 
     # ------------------------------------------------------- planner surface
 
-    def charge_cpu(self, seconds: float) -> None:
-        """Charge simulated CPU time against this stream's clock.
-
-        The vectorized executor does work outside any one tree (late
-        materialization, selection-vector checks); it books that work
-        here so plans stay comparable under the simulated cost model.
-        """
-        if seconds <= 0.0:
-            return
-        for split in self.splits:
-            split.tree._charge_cpu(seconds)
-            return
-        for warm in self.tiers.warm.values():
-            warm.tree._charge_cpu(seconds)
-            return
-
     def estimate_rows(self, t_start: int, t_end: int) -> int:
         """Upper-bound event count the range can touch (planner costing)."""
         return sum(

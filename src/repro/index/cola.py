@@ -24,10 +24,8 @@ class ColaIndex(SecondaryIndex):
         device,
         base_capacity: int = 1024,
         bloom_fpr: float = 0.01,
-        clock=None,
-        cost=None,
     ):
-        super().__init__(device, base_capacity, bloom_fpr, clock, cost)
+        super().__init__(device, base_capacity, bloom_fpr)
         self.levels: list[Run | None] = []
 
     def _place(self, postings: np.ndarray) -> None:

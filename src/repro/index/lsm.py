@@ -26,12 +26,10 @@ class LsmIndex(SecondaryIndex):
         memtable_capacity: int = 4096,
         fanout: int = 4,
         bloom_fpr: float = 0.01,
-        clock=None,
-        cost=None,
     ):
         if fanout < 2:
             raise ConfigError("fanout must be >= 2")
-        super().__init__(device, memtable_capacity, bloom_fpr, clock, cost)
+        super().__init__(device, memtable_capacity, bloom_fpr)
         self.fanout = fanout
         #: tier -> runs; tier i holds runs of roughly capacity * fanout^i.
         self.tiers: dict[int, list[Run]] = {}

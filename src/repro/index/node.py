@@ -79,8 +79,8 @@ class LeafView:
     columns at all.
 
     ``on_decode(n)`` is called with the number of values decoded by each
-    column slice, letting the tree charge the CPU cost model and the
-    planner count decoded columns.
+    column slice, letting the tree count values decoded on the clock and
+    the planner count decoded columns.
     """
 
     __slots__ = ("node_id", "prev_id", "next_id", "lsn", "flags", "count",

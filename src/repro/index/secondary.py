@@ -89,15 +89,12 @@ class SecondaryIndex(ABC):
     the subclass's merge schedule (:meth:`_place`).
     """
 
-    def __init__(self, device, memtable_capacity: int, bloom_fpr: float,
-                 clock=None, cost=None):
+    def __init__(self, device, memtable_capacity: int, bloom_fpr: float):
         if memtable_capacity < 2:
             raise ConfigError("memtable capacity must be >= 2")
         self.device = device
         self.memtable_capacity = memtable_capacity
         self.bloom_fpr = bloom_fpr
-        self.clock = clock if clock is not None else getattr(device, "clock", None)
-        self.cost = cost
         self._memtable = np.empty(memtable_capacity, dtype=POSTING)
         self._fill = 0
         self.posting_count = 0
@@ -113,8 +110,7 @@ class SecondaryIndex(ABC):
         """Add the postings of one leaf: parallel value/timestamp columns
         that share *block_id*."""
         total = len(values)
-        if self.cost is not None and self.clock is not None:
-            self.clock.charge_cpu(self.cost.sorted_insert * total)
+        self.device.clock.sorted_inserts += total
         if OBS.enabled:
             _POSTINGS.inc(total)
         self.posting_count += total

@@ -87,6 +87,8 @@ class TabTree:
         if not 0.0 <= lblock_spare < 0.9:
             raise StorageError(f"leaf spare fraction out of range: {lblock_spare}")
         self.layout = layout
+        #: The shared clock; the tree counts its CPU work there.
+        self.clock = layout.clock
         self.schema = schema
         self.codec = NodeCodec(schema, layout.lblock_size, indexed_attributes,
                                extended_aggregates)
@@ -138,15 +140,9 @@ class TabTree:
             columns=[[] for _ in range(self.schema.arity)],
         )
 
-    def _charge_cpu(self, seconds: float) -> None:
-        clock = self.layout.clock
-        if clock is not None and self.layout.cost is not None:
-            clock.charge_cpu(seconds)
-
     def _load_node(self, node_id: int):
         node = self.codec.decode(self.layout.read_block(node_id))
-        if self.layout.cost is not None:
-            self._charge_cpu(self.layout.cost.node_visit)
+        self.clock.node_visits += 1
         return node
 
     def _store_node(self, node, is_new: bool) -> None:
@@ -185,10 +181,10 @@ class TabTree:
         """Insert a chronological run (non-decreasing timestamps) at the flank.
 
         The run's columns are bulk-extended into the open leaf, split at
-        leaf-flush boundaries, with the CPU cost model charged once per
-        chunk at the per-event rate.  A prefix that sorts below the open
-        leaf's tail (the "right flank buffer" of Algorithm 3) is inserted
-        row by row at its sorted position, column by column.
+        leaf-flush boundaries, with serialized events counted once per
+        chunk.  A prefix that sorts below the open leaf's tail (the
+        "right flank buffer" of Algorithm 3) is inserted row by row at
+        its sorted position, column by column.
         """
         n = len(run)
         if n == 0:
@@ -196,13 +192,12 @@ class TabTree:
         timestamps, columns = run.timestamps, run.columns
         if self.min_t is None or timestamps[0] < self.min_t:
             self.min_t = timestamps[0]
-        cost = self.layout.cost
+        clock = self.clock
         i = 0
         leaf = self.leaf
         while i < n and leaf.timestamps and timestamps[i] < leaf.timestamps[-1]:
-            if cost is not None:
-                self._charge_cpu(cost.serialize_event)
-                self._charge_cpu(cost.sorted_insert)
+            clock.events_serialized += 1
+            clock.sorted_inserts += 1
             t = timestamps[i]
             position = bisect_right(leaf.timestamps, t)
             leaf.timestamps.insert(position, t)
@@ -217,8 +212,7 @@ class TabTree:
             leaf = self.leaf
             take = min(self.leaf_write_capacity - leaf.count, n - i)
             end = i + take
-            if cost is not None:
-                self._charge_cpu(cost.serialize_event * take)
+            clock.events_serialized += take
             if i == 0 and end == n:
                 # Whole run fits: extend from the sequences directly
                 # instead of slicing out copies.
@@ -340,13 +334,11 @@ class TabTree:
         if cached is not None:
             return cached
         node = self.codec.decode(reader.get(node_id))
-        if self.layout.cost is not None:
-            self._charge_cpu(self.layout.cost.node_visit)
+        self.clock.node_visits += 1
         return node
 
     def _event_at(self, leaf: LeafNode, row: int) -> Event:
-        if self.layout.cost is not None:
-            self._charge_cpu(self.layout.cost.deserialize_event)
+        self.clock.events_deserialized += 1
         return Event(
             leaf.timestamps[row],
             tuple(column[row] for column in leaf.columns),
@@ -460,8 +452,7 @@ class TabTree:
                 add_bucketed(buckets, timestamps, node.column(position),
                              lo, hi, width)
             return
-        if self.layout.cost is not None:
-            self._charge_cpu(self.layout.cost.node_visit)
+        self.clock.node_visits += 1
         for entry, child_id in self._children(node):
             if entry is None:
                 self._grouped_node(self._get_node(child_id), t_start, t_end,
@@ -518,8 +509,7 @@ class TabTree:
                 ):
                     yield self._event_at(node, row)
             return
-        if self.layout.cost is not None:
-            self._charge_cpu(self.layout.cost.node_visit)
+        self.clock.node_visits += 1
         fetch_leaves_sequentially = node.level == 1 and reader is not None
         for entry, child_id in self._children(node):
             if entry is not None:
@@ -564,7 +554,7 @@ class TabTree:
             if position in self.codec.indexed_positions:
                 prunable.append((self.codec.indexed_positions.index(position), r))
         reader = SequentialBlockReader(self.layout, restart_gap=64)
-        on_decode = self._decode_charger(stats)
+        on_decode = self._decode_counter(stats)
         try:
             yield from self._leaf_slice_node(self.root, t_start, t_end,
                                              prunable, reader, stats, on_decode)
@@ -577,13 +567,11 @@ class TabTree:
                     stats.get("blocks_inflated", 0) + reader.inflated
                 )
 
-    def _decode_charger(self, stats: dict | None):
-        cost = self.layout.cost
-        decode_cost = cost.decode_value if cost is not None else 0.0
+    def _decode_counter(self, stats: dict | None):
+        clock = self.clock
 
         def on_decode(n: int) -> None:
-            if decode_cost:
-                self._charge_cpu(decode_cost * n)
+            clock.values_decoded += n
             if stats is not None:
                 stats["values_decoded"] = stats.get("values_decoded", 0) + n
 
@@ -601,8 +589,7 @@ class TabTree:
                     stats["leaves_scanned"] = stats.get("leaves_scanned", 0) + 1
                 yield node, lo, hi
             return
-        if self.layout.cost is not None:
-            self._charge_cpu(self.layout.cost.node_visit)
+        self.clock.node_visits += 1
         fetch_lazy = node.level == 1
         for entry, child_id in self._children(node):
             if entry is not None:
@@ -640,8 +627,7 @@ class TabTree:
         if cached is not None:
             return cached
         data = reader.get(node_id)
-        if self.layout.cost is not None:
-            self._charge_cpu(self.layout.cost.node_visit)
+        self.clock.node_visits += 1
         return self.codec.leaf_view(data, on_decode)
 
     def full_scan(self):
@@ -680,8 +666,7 @@ class TabTree:
                 node.lsn = max(node.lsn, lsn)
                 if not self._is_flank(node):
                     self.buffer.mark_dirty(node.node_id)
-        if self.layout.cost is not None:
-            self._charge_cpu(self.layout.cost.sorted_insert)
+        self.clock.sorted_inserts += 1
         position = bisect_right(leaf.timestamps, t)
         leaf.timestamps.insert(position, t)
         for column, value in zip(leaf.columns, values):

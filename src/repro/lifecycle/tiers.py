@@ -42,7 +42,7 @@ class WarmSplit:
         self.stream_name = stream_name
         self.index = index
         device = devices.warm_device(stream_name, index)
-        self.layout = ChronicleLayout.open(device, cost=config.cost_model)
+        self.layout = ChronicleLayout.open(device)
         meta = self.layout.sealed_metadata
         if not meta or "tree" not in meta:
             raise StorageError(

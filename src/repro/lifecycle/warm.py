@@ -109,7 +109,6 @@ def migrate_split_to_warm(stream, split, log, policy) -> WarmSplit:
         macro_size=macro,
         compressor=policy.warm_codec,
         macro_spare=0.0,  # warm data is immutable; no update slack needed
-        cost=config.cost_model,
     )
     tree = copy_tree(split.tree, layout, stream.schema, config)
     verify_copy(split.tree, tree)

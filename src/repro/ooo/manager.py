@@ -97,8 +97,7 @@ class OutOfOrderManager:
             # The late segment [i, split_at) belongs in the queue; the
             # boundary cannot move while we only queue events.
             split_at = bisect_right(timestamps, boundary, i)
-            cost = self.tree.layout.cost
-            clock = self.tree.layout.clock
+            clock = self.tree.clock
             while i < split_at:
                 room = self.queue.capacity - len(self.queue)
                 if room == 0:
@@ -107,8 +106,7 @@ class OutOfOrderManager:
                 take = min(room, split_at - i)
                 # A copy: the queue outlives the caller's batch.
                 chunk = run[i : i + take]
-                if cost is not None and clock is not None:
-                    clock.charge_cpu(cost.sorted_insert * take)
+                clock.sorted_inserts += take
                 self.queue.add_run(chunk)
                 self.mirror.append_many(chunk)
                 self.queued_inserts += take

@@ -8,9 +8,9 @@ exploit that with *late materialization*:
   selection vector of qualifying row indices;
 * only the columns the query projects or aggregates are then gathered
   through that selection;
-* :class:`~repro.events.event.Event` objects are built — and their
-  per-row deserialization cost charged — only at the API boundary, and
-  only for ``SELECT *``.  Aggregates never materialize events at all.
+* :class:`~repro.events.event.Event` objects are built — and counted
+  as events deserialized — only at the API boundary, and only for
+  ``SELECT *``.  Aggregates never materialize events at all.
 
 The unfiltered ``SELECT *`` scan is also the one read by which events
 leave a server: :func:`read_events` runs it without a plan for catch-up
@@ -45,7 +45,7 @@ def _selection(stream, query, leaf, lo, hi, served=None):
     residues, then the ownership predicate *served* on the timestamp
     column, narrowing the selection vector predicate by predicate.
     Returns ``(rows, examined)`` where *examined* counts the column
-    values actually compared (the work the cost model charges for).
+    values actually compared (counted as values decoded on the clock).
     """
     schema = stream.schema
     rows = None
@@ -85,15 +85,6 @@ def _selection(stream, query, leaf, lo, hi, served=None):
     return rows, examined
 
 
-def _charge(stream, examined: int, materialized: int) -> None:
-    cost = stream.config.cost_model
-    if cost is None:
-        return
-    stream.charge_cpu(
-        cost.decode_value * examined + cost.deserialize_event * materialized
-    )
-
-
 def scan_events(stream, query, stats: dict, served=None):
     """``SELECT *`` through the columnar path.
 
@@ -123,7 +114,9 @@ def scan_events(stream, query, stats: dict, served=None):
     if limit is not None and len(out) > limit:
         out = out[:limit]
     stats["rows_materialized"] = stats.get("rows_materialized", 0) + len(out)
-    _charge(stream, examined, len(out))
+    clock = stream.devices.clock
+    clock.values_decoded += examined
+    clock.events_deserialized += len(out)
     return out
 
 
@@ -169,7 +162,7 @@ def _gather(stream, query, stats: dict, served, t_start: int, t_end: int,
                 if slot is None:
                     slot = by_bucket[bucket] = {name: [] for name in positions}
                 slot[name].extend(column[i] for i in picked)
-    _charge(stream, examined, 0)
+    stream.devices.clock.values_decoded += examined
     return by_bucket
 
 

@@ -32,8 +32,8 @@ class Plan:
     segments: list = field(default_factory=list)
     #: Upper bound on raw events the range can touch.
     estimated_rows: int = 0
-    #: Estimated simulated CPU seconds per candidate kind (may be empty
-    #: when the stream has no cost model attached).
+    #: Estimated simulated CPU seconds per candidate kind (empty when
+    #: the stream's clock has no cost model).
     estimated_cost: dict = field(default_factory=dict)
     #: Ownership predicate ``t -> bool`` the plan was built under (a
     #: split's source still stores ranges it handed off), or None when

@@ -105,8 +105,9 @@ def validate(stream, query: Query) -> None:
 
 
 def _estimate_costs(stream, query, estimated_rows: int) -> dict:
-    """Rough simulated-CPU estimates per candidate kind (explain only)."""
-    cost = stream.config.cost_model
+    """Rough simulated-CPU estimates per candidate kind (explain only),
+    priced by the cost model of the stream's clock."""
+    cost = stream.devices.clock.cost_model
     if cost is None:
         return {}
     predicates = len(query.ranges) + len(getattr(query, "strict_checks", []))

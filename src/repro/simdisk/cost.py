@@ -2,8 +2,10 @@
 
 The paper's ingestion is CPU-bound at high compression throughput
 ("the system is CPU-bound due to overheads for compression and
-serialization", Section 7.5).  This model charges simulated CPU time per
-event and per byte; defaults are calibrated so that single-worker
+serialization", Section 7.5).  This model prices the work the engine's
+layers count on the :class:`~repro.simdisk.clock.SimulatedClock`, per
+event and per byte; a clock built with a model reports the priced sum
+as its CPU time.  Defaults are calibrated so that single-worker
 ChronicleDB ingestion of the CDS-like data set lands near the paper's
 ~1.2 M events/s (Figures 11 and 14).
 """
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class CpuCostModel:
-    """Per-operation simulated CPU costs, in seconds.
+    """Per-unit simulated CPU costs, in seconds: one field per work
+    counter of the clock (:data:`repro.simdisk.clock.WORK_UNITS`).
 
     The defaults model the paper's 3.4 GHz quad-core desktop running a
     single ingestion worker.
@@ -38,8 +41,3 @@ class CpuCostModel:
     #: decode.  Far below :attr:`deserialize_event`: a column unpacks as
     #: one bulk operation instead of one object construction per row.
     decode_value: float = 1.0e-8
-
-    #: A model that charges nothing; used when only byte accounting matters.
-    @classmethod
-    def free(cls) -> "CpuCostModel":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)

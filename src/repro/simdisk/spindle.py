@@ -47,6 +47,10 @@ class SpindleFile:
     def truncate(self, size: int) -> None:
         self._backend.truncate(size)
 
+    @property
+    def clock(self) -> SimulatedClock:
+        return self._spindle.clock
+
 
 class Spindle:
     """A disk arm shared by several files."""

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from repro.compression import Compressor, get_compressor
 from repro.errors import CorruptBlockError, StorageError
 from repro.obs import OBS
-from repro.simdisk.cost import CpuCostModel
 from repro.storage.addressing import (
     NULL_ADDR,
     decode_addr,
@@ -73,8 +72,6 @@ class _MacroEmitter:
         macro_size: int = DEFAULT_MACRO_SIZE,
         compressor: Compressor | str = "zlib",
         macro_spare: float = 0.0,
-        cost: CpuCostModel | None = None,
-        clock=None,
     ):
         if macro_size % lblock_size != 0:
             raise StorageError(
@@ -90,8 +87,7 @@ class _MacroEmitter:
             compressor if isinstance(compressor, Compressor) else get_compressor(compressor)
         )
         self.macro_spare_bytes = int(macro_size * macro_spare)
-        self.cost = cost
-        self.clock = clock if clock is not None else getattr(device, "clock", None)
+        self.clock = device.clock
         self._macro: _OpenMacro | None = None
         self._macro_cache: OrderedDict[int, tuple[list[MacroEntry], int, int]] = (
             OrderedDict()
@@ -185,16 +181,14 @@ class _MacroEmitter:
     # -------------------------------------------------------------- internals
 
     def _compress(self, data: bytes) -> bytes:
-        if self.cost is not None and self.clock is not None:
-            self.clock.charge_cpu(len(data) * self.cost.compress_byte)
+        self.clock.bytes_compressed += len(data)
         compressed = self.codec.compress(data)
         if OBS.enabled and data:
             self._m_compress_ratio.observe(len(compressed) / len(data))
         return compressed
 
     def _decompress(self, payload: bytes, original_len: int) -> bytes:
-        if self.cost is not None and self.clock is not None:
-            self.clock.charge_cpu(len(payload) * self.cost.decompress_byte)
+        self.clock.bytes_decompressed += len(payload)
         return self.codec.decompress(payload, original_len)
 
     def _open_macro(self, cont_first: bool) -> None:
@@ -337,7 +331,7 @@ class ChronicleLayout(_MacroEmitter):
         return layout
 
     @classmethod
-    def open(cls, device, compressor: Compressor | str | None = None, cost=None, clock=None) -> "ChronicleLayout":
+    def open(cls, device, compressor: Compressor | str | None = None) -> "ChronicleLayout":
         """Open an existing database, recovering after a crash if needed.
 
         Layout parameters come from the superblock; *compressor* may
@@ -353,8 +347,6 @@ class ChronicleLayout(_MacroEmitter):
             macro_size=params["macro_size"],
             compressor=codec,
             macro_spare=params["macro_spare"],
-            cost=cost,
-            clock=clock,
         )
         layout.format_version = params["format_version"]
         if layout.codec.name != params["codec"]:

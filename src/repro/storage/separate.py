@@ -35,7 +35,7 @@ class SeparateLayout(_MacroEmitter):
         **kwargs,
     ):
         data_file = spindle.open_file("data")
-        super().__init__(data_file, clock=spindle.clock, **kwargs)
+        super().__init__(data_file, **kwargs)
         self.spindle = spindle
         self.mapping_file = spindle.open_file("mapping")
         self.mapping_page_bytes = mapping_page_bytes

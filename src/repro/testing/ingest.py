@@ -30,9 +30,7 @@ def append_one(stream, event: Event) -> None:
         tree.append_run(row)
         manager.flank_inserts += 1
     else:
-        cost, clock = tree.layout.cost, tree.layout.clock
-        if cost is not None and clock is not None:
-            clock.charge_cpu(cost.sorted_insert)
+        tree.clock.sorted_inserts += 1
         manager.queue.add_run(row)
         manager.mirror.append_many(row)
         manager.queued_inserts += 1

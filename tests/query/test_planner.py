@@ -108,7 +108,8 @@ def test_explain_lists_tier_segments(db):
 def test_explain_estimates_costs_under_cost_model():
     from repro.simdisk.cost import CpuCostModel
 
-    db = make_db(cost_model=CpuCostModel())
+    db = make_db()
+    db.devices.clock.cost_model = CpuCostModel()
     plan = db.explain("SELECT * FROM sensors WHERE temp >= 12")
     assert plan["estimated_cost"].keys() == {"columnar"}
     assert plan["estimated_cost"]["columnar"] > 0

@@ -60,7 +60,7 @@ def _recover(data: bytes, scan_nodes):
     """
     device = DeviceProvider().data_device(crashkit.STREAM, 0)
     device.append(data)
-    layout = ChronicleLayout.open(device, cost=CONFIG.cost_model)
+    layout = ChronicleLayout.open(device)
     if layout.sealed_metadata is not None:
         return None
     # Without what TLB recovery handed over, tree recovery scans: the
