@@ -1,7 +1,7 @@
 """The ChronicleDB network server (standalone mode).
 
-Serves one :class:`ChronicleDB` over TCP on an asyncio event loop
-(:mod:`repro.net.aio`) speaking one protocol, binary frames
+Serves one :class:`ChronicleDB` over TCP with a thread pair per
+connection (:mod:`repro.net.aio`) speaking one protocol, binary frames
 (:mod:`repro.net.frames`): length-prefixed and pipelined via
 correlation ids.  Events cross the socket only as columnar batch
 payloads — an append (one event or many) is decoded once into
@@ -25,7 +25,7 @@ from repro.errors import ChronicleError, ProtocolError, StaleRouteError
 from repro.events.schema import EventSchema
 from repro.events.serializer import PaxCodec
 from repro.net import frames
-from repro.net.aio import AioServerCore
+from repro.net.aio import ServerCore
 from repro.obs import OBS
 from repro.query.ast import SelectStar
 from repro.query.columnar import read_events
@@ -61,7 +61,7 @@ class _EventRows:
 
 
 class ChronicleServer:
-    """Serves one :class:`ChronicleDB` over TCP (asyncio event loop).
+    """Serves one :class:`ChronicleDB` over TCP (:mod:`repro.net.aio`).
 
     Locking is two-level: database-level operations (stream creation,
     flush, whole-database stats) hold a global lock, while per-stream
@@ -130,7 +130,7 @@ class ChronicleServer:
         # handlers hold (eviction skips contended victims).
         if hasattr(db.streams, "lock_for"):
             db.streams.lock_for = self._lock_for
-        self._core = AioServerCore(self, host, port)
+        self._core = ServerCore(self, host, port)
         self.host, self.port = self._core.host, self._core.port
         # A restarted node recovers its route state (epoch fencing and
         # ownership filtering) before serving anything; a missing or

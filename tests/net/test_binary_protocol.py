@@ -8,6 +8,7 @@ connection desynchronizes fails over cleanly through the pool.
 """
 
 import socket
+import sys
 import threading
 
 import pytest
@@ -187,6 +188,62 @@ def test_many_in_flight_frames(client):
     ]
     assert sum(f.result(timeout=10) for f in futures) == 500
     assert client.stats()["streams"]["s"]["appended"] == 500
+
+
+def test_pipelined_appends_apply_in_receipt_order(client):
+    """Dependent ops on one connection apply in receipt order, pings
+    interleaved or not: 64 one-row appends at one timestamp, sent
+    without waiting, read back in send order."""
+    client.create_stream("s", SCHEMA)
+    ping = frames.encode_json_payload({"op": "ping"})
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches per request
+    try:
+        futures = []
+        for value in range(64):
+            row = [Event.of(7, float(value), 0.0)]
+            futures.append(client.append_batch_async("s", row))
+            futures.append(client._submit(frames.OP_JSON, ping))
+        results = [future.result(timeout=10) for future in futures]
+    finally:
+        sys.setswitchinterval(previous)
+    assert results == [1, "pong"] * 64
+    rows = client.query("SELECT * FROM s")
+    assert [event.values[0] for event in rows] == [float(v) for v in range(64)]
+
+
+def test_frames_before_half_close_are_answered(server, client):
+    """A peer that sends its requests and then shuts down its write side
+    still gets every response, then EOF."""
+    client.create_stream("s", SCHEMA)
+    codec, schema_bytes = PaxCodec(SCHEMA), frames.schema_bytes_of(SCHEMA)
+    with socket.create_connection((server.host, server.port), timeout=5) as s:
+        for corr in (1, 2, 3):
+            batch = ColumnarEvents.of(
+                [Event.of(corr * 10 + j, 1.0, 2.0) for j in range(5)], 2
+            )
+            s.sendall(frames.encode_frame(
+                frames.OP_APPEND_BATCH, corr,
+                frames.encode_batch_payload("s", schema_bytes, codec, batch),
+            ))
+        s.sendall(frames.encode_frame(frames.OP_JSON, 4, b'{"op": "ping"}'))
+        s.shutdown(socket.SHUT_WR)
+        reader = s.makefile("rb")
+        answers = {}
+        for _ in range(4):
+            op, corr_id, length = frames.decode_header(
+                reader.read(frames.HEADER_SIZE)
+            )
+            body = frames.decode_json_payload(reader.read(length))
+            answers[corr_id] = (op, body["result"])
+        assert reader.read() == b""  # then the server hung up
+    assert answers == {
+        1: (frames.OP_OK, 5),
+        2: (frames.OP_OK, 5),
+        3: (frames.OP_OK, 5),
+        4: (frames.OP_OK, "pong"),
+    }
+    assert client.stats()["streams"]["s"]["appended"] == 15
 
 
 # ------------------------------------------------- desync and reconnect

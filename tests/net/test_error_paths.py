@@ -79,15 +79,101 @@ def test_mid_request_disconnect_leaves_server_healthy(server):
         assert client.ping()
 
 
-def test_client_threads_are_pruned(server):
-    for _ in range(8):
+#: Name prefixes of the threads a server starts.
+SERVER_THREADS = ("chronicle-conn-", "chronicle-accept", "chronicle-sub-hub")
+
+
+def new_threads(before, prefixes=SERVER_THREADS):
+    return [
+        thread.name
+        for thread in threading.enumerate()
+        if thread not in before and thread.name.startswith(prefixes)
+    ]
+
+
+def test_client_threads_are_pruned():
+    before = set(threading.enumerate())
+    server = ChronicleServer(ChronicleDB())
+    server.start()
+    try:
+        for _ in range(8):
+            with BinaryChronicleClient(server.host, server.port) as client:
+                client.ping()
+        deadline = time.time() + 5
+        while (
+            server.live_connections or new_threads(before, "chronicle-conn-")
+        ) and time.time() < deadline:
+            time.sleep(0.01)
+        # Closed connections must not accumulate in the server core,
+        # nor their threads in the process.
+        assert server.live_connections == 0
+        assert new_threads(before, "chronicle-conn-") == []
         with BinaryChronicleClient(server.host, server.port) as client:
-            client.ping()
-    deadline = time.time() + 5
-    while server.live_connections and time.time() < deadline:
-        time.sleep(0.01)
-    # Closed connections must not accumulate in the server core.
-    assert server.live_connections == 0
+            client.create_stream("s", SCHEMA)
+            handle = client.subscribe("s")  # starts the hub thread
+            client.append("s", Event.of(1, 1.0))
+            handle.take(1, timeout=5)  # ... and this connection's push writer
+            assert any(name.endswith("-push") for name in new_threads(before))
+    finally:
+        server.stop()
+    assert new_threads(before) == []
+
+
+def test_slow_reader_stalls_only_its_own_connection():
+    """A subscriber that never reads fills its socket and blocks its
+    connection's push writer; appends and a second subscriber on other
+    connections carry on, and ``stop`` still returns promptly."""
+    schema = EventSchema.of("a", "b", "c", "d")
+    rows, batches = 1000, 200  # 8 MB of pushes: more than the socket buffers
+    server = ChronicleServer(ChronicleDB())
+    server.start()
+    peer = socket.socket()
+    received, errors = [], []
+
+    def drive():
+        try:
+            with BinaryChronicleClient(server.host, server.port) as writer, \
+                    BinaryChronicleClient(server.host, server.port) as reader:
+                handle = reader.subscribe("s", from_t=0, batch=rows)
+                for i in range(batches):
+                    writer.append_batch("s", [
+                        Event.of(i * rows + j, 1.0, 2.0, 3.0, 4.0)
+                        for j in range(rows)
+                    ])
+                for batch in handle.batches(timeout=10):
+                    received.append(len(batch))
+                    if sum(received) == rows * batches:
+                        break
+                handle.close()
+        except Exception as error:
+            errors.append(error)
+
+    try:
+        with BinaryChronicleClient(server.host, server.port) as admin:
+            admin.create_stream("s", schema)
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        peer.settimeout(5)
+        peer.connect((server.host, server.port))
+        request = {"stream": "s", "from_t": 0, "credits": 1000, "batch": rows}
+        peer.sendall(frames.encode_frame(
+            frames.OP_SUBSCRIBE, 1, frames.encode_json_payload(request)
+        ))
+        driver = threading.Thread(target=drive, daemon=True)
+        driver.start()
+        driver.join(timeout=60)
+        assert not driver.is_alive(), "other connections stalled"
+        assert not errors
+        assert sum(received) == rows * batches
+    finally:
+        # ``stop`` runs on its own thread so a wedged one fails the test
+        # instead of hanging it.
+        started = time.monotonic()
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=10)
+        peer.close()
+    assert not stopper.is_alive(), "stop() wedged behind the slow reader"
+    assert time.monotonic() - started < 5.0
 
 
 def test_streams_do_not_serialize_behind_each_other(server):
