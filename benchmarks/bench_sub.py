@@ -5,9 +5,12 @@ Two measurements, both beyond the paper (the live-subscription layer):
 
 * **Delivery lag** — a live subscriber follows a stream over the binary
   wire protocol while batches are appended; the hub's
-  ``sub.delivery_lag_seconds`` histogram (``hub.notify`` ring → wire
-  push of the cursor scan that answered it) yields the p99.  Wall-clock, so CI gates it against a deliberately
-  slack committed baseline; the throughput rides along ungated.
+  ``sub.delivery_lag_seconds`` histogram yields the p99.  It measures
+  from the first ``hub.notify`` ring a scan has not yet answered to the
+  moment that scan's encoded frame is handed to the socket write — the
+  write itself is not included.  Wall-clock, so CI gates it against a
+  deliberately slack committed baseline; the throughput rides along
+  ungated.
 
 * **Multi-tenant ingest retention** — ``NUM_STREAMS`` (≥10k) streams
   behind ``max_active_streams=MAX_ACTIVE`` take Zipf-distributed batch

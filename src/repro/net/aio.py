@@ -6,9 +6,9 @@ An accept thread hands each socket to a :class:`_Connection`.  Its
 **reader** reads frames, answers the read-only "independent" ops itself
 (so they may overtake in-flight writes) and queues every other request
 for its **worker**, which runs them in receipt order and writes each
-response under the request's correlation id.  A **push writer**,
-started by the first push, writes what :class:`PushChannel` queues, so
-the subscription hub never blocks on a socket.
+response under the request's correlation id.  A **push** thread,
+started by the connection's first subscription, runs the hub's pumps
+for that connection's subscriptions and writes their frames itself.
 :class:`repro.net.server.ChronicleServer` supplies the handlers.
 """
 
@@ -50,15 +50,20 @@ _M_BYTES_OUT = OBS.histogram("net.frame_bytes_out", smallest=1.0)
 _M_HANDLE_S = OBS.histogram("net.frame_handle_seconds")
 _M_DEPTH = OBS.gauge("net.pipeline_depth")
 
+#: What ``PushChannel.send`` returns for a frame it wrote inline.
+_WRITTEN = Future()
+_WRITTEN.set_result(None)
+
 
 class PushChannel:
     """Thread-safe push side of one server connection.
 
     Handlers that register long-lived state against a connection (the
-    subscription hub) hold one of these: ``send`` queues a frame for the
-    push writer from any thread, ``on_close`` registers cleanup for when
-    the peer disconnects, and ``close`` severs the connection.  Pushed
-    frames use ``corr_id`` 0 — they answer no request.
+    subscription hub) hold one of these: ``run`` queues work for the
+    connection's push thread, ``send`` writes a frame, ``on_close``
+    registers cleanup for when the peer disconnects, and ``close``
+    severs the connection.  Pushed frames use ``corr_id`` 0 — they
+    answer no request.
     """
 
     def __init__(self, connection: "_Connection"):
@@ -66,31 +71,47 @@ class PushChannel:
         self._callbacks: list = []
         self._closed = False
         self._lock = threading.Lock()
-        self._pushes: queue.SimpleQueue | None = None  # made by 1st send
+        self._tasks: queue.SimpleQueue | None = None  # made by 1st run
         self._writer: threading.Thread | None = None
 
     @property
     def closed(self) -> bool:
         return self._closed
 
-    def send(self, op: int, payload: bytes, corr_id: int = 0):
-        """Queue a frame; returns a Future that resolves once it is
-        written, or ``None`` if the channel is already closed."""
-        future = Future()
+    def run(self, task) -> bool:
+        """Queue ``task()`` for the push thread, starting it on first
+        use; ``False`` if the channel is already closed."""
         with self._lock:
             if self._closed:
-                return None
-            if self._pushes is None:
-                self._pushes = queue.SimpleQueue()
+                return False
+            if self._tasks is None:
+                self._tasks = queue.SimpleQueue()
+                # Bound before the first task is queued, so the thread
+                # always recognises itself in ``send``.
                 self._writer = self._connection.spawn("push", self._push_loop)
-            self._pushes.put((op, corr_id, payload, future))
-        return future
+            self._tasks.put(task)
+        return True
 
-    def _push_loop(self) -> None:
-        while (item := self._pushes.get()) is not None:
-            op, corr_id, payload, future = item
+    def send(self, op: int, payload: bytes, corr_id: int = 0):
+        """Write a frame: at once on the push thread, else queued for
+        it.  Returns a Future that resolves once it is written, or
+        ``None`` if the channel is already closed."""
+        if threading.current_thread() is self._writer:
+            if self._closed:
+                return None
+            self._connection.write(op, corr_id, payload)
+            return _WRITTEN
+        future = Future()
+
+        def write():
             self._connection.write(op, corr_id, payload)
             future.set_result(None)
+
+        return future if self.run(write) else None
+
+    def _push_loop(self) -> None:
+        while (task := self._tasks.get()) is not None:
+            task()
 
     def on_close(self, callback) -> None:
         """Run ``callback()`` once when the connection goes away.  Fires
@@ -112,8 +133,8 @@ class PushChannel:
                 return
             self._closed = True
             callbacks, self._callbacks = self._callbacks, []
-            if self._pushes is not None:
-                self._pushes.put(None)  # after every queued frame
+            if self._tasks is not None:
+                self._tasks.put(None)  # after every queued task
         for callback in callbacks:
             try:
                 callback()
@@ -122,7 +143,7 @@ class PushChannel:
 
 
 class _Connection:
-    """One accepted socket and its reader, worker and push writer."""
+    """One accepted socket and its reader, worker and push thread."""
 
     def __init__(self, core: "ServerCore", sock: socket.socket, number: int):
         self.core, self.sock = core, sock
@@ -244,7 +265,7 @@ class _Connection:
     def _close(self) -> None:
         """The worker's last step, once the reader is done."""
         self.sever()
-        # Ends the hub's subscriptions here, then the push writer, whose
+        # Ends the hub's subscriptions here, then the push thread, whose
         # writes now fail fast.
         self.channel._mark_closed()
         if self.channel._writer is not None:

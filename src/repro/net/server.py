@@ -80,8 +80,8 @@ class ChronicleServer:
     Subscriptions are cursors over the log (:mod:`repro.sub.hub`): the
     two batch-append handlers ring ``hub.notify(stream, count)`` once per
     applied batch, under the stream lock, and that is all the append
-    path does for subscribers — the hub's dispatcher reads what to push
-    from storage under the same lock.
+    path does for subscribers — the subscriber connection's push thread
+    reads what to push from storage under the same lock.
 
     ``frame_tap``, when given, is called as ``frame_tap(op, payload)``
     for every received binary frame — a test hook used to assert the

@@ -10,13 +10,14 @@ handler holds), read from the cursor what an unfiltered ``SELECT *``
 reads (:func:`repro.query.columnar.read_events`: one columnar batch
 straight from the leaf windows, never an event object), advance the
 cursor, encode that batch and push it outside the lock.  The append
-path only rings
-a doorbell (:meth:`SubscriptionHub.notify`, once per batch): it adds
-the batch's size to the subscription's backlog count and flags it for
-the dispatcher.  No wake-up is lost: the dispatcher clears the flag
-before it scans, and scans and appends serialise on the stream lock, so
-an append either precedes the scan and is read by it, or follows it and
-rings again.
+path only rings a doorbell (:meth:`SubscriptionHub.notify`, once per
+batch): it adds the batch's size to the subscription's backlog count
+and, unless one is already queued (``dirty``), queues a pump on the
+push thread of the subscriber's connection — the one thread that moves
+that subscription's cursor.  No wake-up is lost: the pump clears
+``dirty`` before it scans, and scans and appends serialise on the
+stream lock, so an append either precedes the scan and is read by it,
+or follows it and rings again.
 
 **Cursors, exactly once.**  A cursor is ``(t, k)``: every event strictly
 before timestamp ``t`` has been delivered, plus the first ``k`` events
@@ -37,8 +38,10 @@ policy runs: ``"spill"`` only counts the excursion (the events are
 durable, the next credited scan reads them), ``"disconnect"`` pushes a
 typed ``slow_consumer`` end notice and severs the connection.
 
-All pushes happen on the hub's dispatcher thread, never on the append
-path, so ingest latency never waits on a subscriber's socket.
+Every scan and push runs on the subscriber connection's push thread
+(:meth:`repro.net.aio.PushChannel.run`), never on the append path, so
+ingest latency never waits on a subscriber's socket, and a subscriber
+that stops reading stalls only its own connection.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from __future__ import annotations
 import threading
 import time
 from bisect import bisect_left, bisect_right
-from collections import deque
 
 from repro.errors import ChronicleError, SubscriptionError
 from repro.events.serializer import PaxCodec
@@ -163,12 +165,13 @@ class _Subscription:
 
 
 class SubscriptionHub:
-    """Registry + dispatcher for one server's subscriptions.
+    """Registry of one server's subscriptions; each one is pumped on
+    its connection's push thread.
 
     ``lock_for(stream)`` must return the same lock object the server's
     append handlers hold while mutating that stream — scans and appends
     serialise on it, which is what makes the doorbell lossless.
-    ``served_filter(stream)`` (optional) returns an ownership predicate
+    ``served_filter(stream)`` returns an ownership predicate
     ``t -> bool`` or ``None``; every scan honors it so a subscriber of
     a split shard never sees the dead (moved-away) range twice.
 
@@ -178,11 +181,9 @@ class SubscriptionHub:
     write.
     """
 
-    def __init__(self, db, lock_for=None, served_filter=None):
+    def __init__(self, db, lock_for, served_filter):
         self._db = db
-        self._locks: dict[str, threading.Lock] = {}
-        self._locks_guard = threading.Lock()
-        self._lock_for = lock_for if lock_for is not None else self._own_lock_for
+        self._lock_for = lock_for
         self._served_filter = served_filter
         self.fault_injector = None
         self._lock = threading.Lock()
@@ -191,23 +192,12 @@ class SubscriptionHub:
         #: mutated) under ``_lock`` so ``notify`` reads them lock-free.
         self._by_stream: dict[str, tuple[_Subscription, ...]] = {}
         self._next_id = 1
-        self._dirty: "deque[_Subscription]" = deque()
-        self._wake = threading.Condition(threading.Lock())
-        self._thread: threading.Thread | None = None
-        self._stopping = False
 
     def rebind(self, db) -> None:
         """Follow a database swap (replica promotion reopens the store):
         every scan resolves its stream through ``self._db``, so cursors
         simply continue over the replacement database."""
         self._db = db
-
-    def _own_lock_for(self, stream: str) -> threading.Lock:
-        with self._locks_guard:
-            lock = self._locks.get(stream)
-            if lock is None:
-                lock = self._locks[stream] = threading.Lock()
-            return lock
 
     # ------------------------------------------------------------- requests
 
@@ -231,6 +221,16 @@ class SubscriptionHub:
         queue_max = int(request.get("queue_max", 8 * batch))
         if queue_max < batch:
             raise SubscriptionError("queue_max must be >= batch size")
+        cursor = request.get("cursor")
+        if cursor is not None and not (
+            isinstance(cursor, (list, tuple))
+            and len(cursor) == 2
+            and all(type(v) is int for v in cursor)
+            and cursor[1] >= 0
+        ):
+            raise SubscriptionError(
+                f"bad cursor {cursor!r}: want [t, k], two ints with k >= 0"
+            )
 
         with self._lock:
             sub_id = self._next_id
@@ -245,9 +245,8 @@ class SubscriptionHub:
             stream = self._db.get_stream(stream_name)
             sub.schema_bytes = frames.schema_bytes_of(stream.schema)
             sub.codec = PaxCodec(stream.schema)
-            cursor = request.get("cursor")
             if cursor is not None:
-                sub.cursor_t, sub.cursor_k = int(cursor[0]), int(cursor[1])
+                sub.cursor_t, sub.cursor_k = cursor
             elif request.get("from_t") is not None:
                 sub.cursor_t, sub.cursor_k = int(request["from_t"]), 0
             else:
@@ -263,7 +262,6 @@ class SubscriptionHub:
             if OBS.enabled:
                 _M_SUBS.inc()
                 _M_ACTIVE.set(len(self._subs))
-        self._ensure_thread()
         channel.on_close(lambda: self._drop_channel_sub(sub))
         with sub.lock:
             self._mark_dirty_locked(sub)
@@ -361,7 +359,6 @@ class SubscriptionHub:
                 future.result(timeout=remaining)
             except Exception:
                 pass
-        self._stop_thread()
 
     def on_routes_changed(self, stream_affected) -> None:
         """A new shard-map epoch was installed.  End subscriptions on
@@ -388,49 +385,19 @@ class SubscriptionHub:
 
     # ------------------------------------------------------------- internal
 
-    def _ensure_thread(self) -> None:
-        with self._lock:
-            if self._thread is None or not self._thread.is_alive():
-                self._stopping = False
-                self._thread = threading.Thread(
-                    target=self._dispatch_loop,
-                    daemon=True,
-                    name="chronicle-sub-hub",
-                )
-                self._thread.start()
-
-    def _stop_thread(self) -> None:
-        with self._wake:
-            self._stopping = True
-            self._wake.notify_all()
-        thread = self._thread
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=2)
-
     def _mark_dirty_locked(self, sub: _Subscription) -> None:
         """Caller holds ``sub.lock``."""
-        if sub.dirty:
-            return
-        sub.dirty = True
-        with self._wake:
-            self._dirty.append(sub)
-            self._wake.notify()
+        if not sub.dirty:
+            sub.dirty = sub.channel.run(lambda: self._run_pump(sub))
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._wake:
-                while not self._dirty and not self._stopping:
-                    self._wake.wait(timeout=0.5)
-                if self._stopping:
-                    return
-                sub = self._dirty.popleft()
+    def _run_pump(self, sub: _Subscription) -> None:
+        try:
+            self._pump(sub)
+        except Exception as error:  # never kill the push thread
             try:
-                self._pump(sub)
-            except Exception as error:  # never kill the dispatcher
-                try:
-                    self._finish(sub, "error", f"subscription failed: {error}")
-                except Exception:
-                    pass
+                self._finish(sub, "error", f"subscription failed: {error}")
+            except Exception:
+                pass
 
     def _pump(self, sub: _Subscription) -> None:
         """Push batches for one subscription until it can't progress
@@ -464,12 +431,8 @@ class SubscriptionHub:
             except ChronicleError:
                 self._finish(sub, "stream_dropped", "stream no longer exists")
                 return False
-            served = (
-                self._served_filter(sub.stream)
-                if self._served_filter is not None
-                else None
-            )
-            # Only this (the dispatcher) thread moves the cursor.  The
+            served = self._served_filter(sub.stream)
+            # Only the connection's push thread moves the cursor.  The
             # cursor's k events at t lead the read (fewer if a client
             # cursor claims more than exist); one row past the batch
             # tells whether this scan reached the tail.
@@ -535,15 +498,16 @@ class SubscriptionHub:
             sub.channel.close()
             return
         # Counted before the wire write: a subscriber that has the batch
-        # in hand must never read stats that do not include it yet.
+        # in hand must never read stats that do not include it yet.  The
+        # lag ends where the encoded frame is handed to the write.
         sub.pushed_batches += 1
         sub.pushed_events += len(batch)
-        sub.channel.send(frames.OP_SUB_EVENTS, payload)
         if OBS.enabled:
             _M_BATCHES.inc()
             _M_EVENTS.inc(len(batch))
             if rung_at is not None:
                 _M_LAG.observe(time.monotonic() - rung_at)
+        sub.channel.send(frames.OP_SUB_EVENTS, payload)
 
     def _finish(self, sub, reason, message, sever=False, notify=True):
         """Idempotently end a subscription: typed END push (when the

@@ -80,7 +80,7 @@ def test_mid_request_disconnect_leaves_server_healthy(server):
 
 
 #: Name prefixes of the threads a server starts.
-SERVER_THREADS = ("chronicle-conn-", "chronicle-accept", "chronicle-sub-hub")
+SERVER_THREADS = ("chronicle-conn-", "chronicle-accept")
 
 
 def new_threads(before, prefixes=SERVER_THREADS):
@@ -110,10 +110,18 @@ def test_client_threads_are_pruned():
         assert new_threads(before, "chronicle-conn-") == []
         with BinaryChronicleClient(server.host, server.port) as client:
             client.create_stream("s", SCHEMA)
-            handle = client.subscribe("s")  # starts the hub thread
+            (reader,) = [
+                name for name in new_threads(before) if name.endswith("-reader")
+            ]
+            connected = set(threading.enumerate())
+            # Starts this connection's push thread, which runs the pumps.
+            handle = client.subscribe("s")
             client.append("s", Event.of(1, 1.0))
-            handle.take(1, timeout=5)  # ... and this connection's push writer
-            assert any(name.endswith("-push") for name in new_threads(before))
+            handle.take(1, timeout=5)
+            # ... and no other thread.
+            assert new_threads(connected, "chronicle-") == [
+                reader.removesuffix("-reader") + "-push"
+            ]
     finally:
         server.stop()
     assert new_threads(before) == []
@@ -121,7 +129,7 @@ def test_client_threads_are_pruned():
 
 def test_slow_reader_stalls_only_its_own_connection():
     """A subscriber that never reads fills its socket and blocks its
-    connection's push writer; appends and a second subscriber on other
+    connection's push thread; appends and a second subscriber on other
     connections carry on, and ``stop`` still returns promptly."""
     schema = EventSchema.of("a", "b", "c", "d")
     rows, batches = 1000, 200  # 8 MB of pushes: more than the socket buffers

@@ -20,7 +20,6 @@ from repro.sub.hub import SubscriptionHub
 
 SCHEMA = EventSchema.of("x", "y")
 CONFIG = ChronicleConfig(lblock_size=512, macro_size=2048, queue_capacity=8)
-DISPATCHER = "chronicle-sub-hub"
 
 
 @pytest.fixture
@@ -37,25 +36,23 @@ def client(server):
 
 
 def _settle(server, sub_id, predicate=lambda sub: True):
-    """Wait until the dispatcher has nothing left to do for the sub."""
+    """Wait until no pump is queued for the sub."""
     sub = server.hub._subs[sub_id]
     deadline = time.monotonic() + 5
     while time.monotonic() < deadline:
-        with server.hub._wake:
-            idle = not sub.dirty and not server.hub._dirty
-        if idle and predicate(sub):
+        if not sub.dirty and predicate(sub):
             return sub
         time.sleep(0.01)
     pytest.fail(f"subscription never settled: {sub.describe()}")
 
 
 def _count_hub_calls(monkeypatch):
-    """Count every hub method call made off the dispatcher thread."""
+    """Count every hub method call made off a connection's push thread."""
     calls = Counter()
 
     def counting(name, method):
         def wrapper(*args, **kwargs):
-            if threading.current_thread().name != DISPATCHER:
+            if not threading.current_thread().name.endswith("-push"):
                 calls[name] += 1
             return method(*args, **kwargs)
 
@@ -70,9 +67,17 @@ def _count_hub_calls(monkeypatch):
 def test_append_path_rings_once_per_batch(server, client, monkeypatch):
     batches, size = 6, 32
     with client.subscribe("s", from_t=0, batch=size) as handle:
-        _settle(server, handle.sub_id, lambda sub: sub.mode == "live")
+        sub = _settle(server, handle.sub_id, lambda sub: sub.mode == "live")
         assert server.db.get_stream("s").subscribers == []
         calls = _count_hub_calls(monkeypatch)
+        scanned_on = []
+        real = columnar.read_events
+
+        def recorded(*args, **kwargs):
+            scanned_on.append(threading.current_thread().name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(columnar, "read_events", recorded)
         for b in range(batches):
             lo = b * size
             # Arrival order != storage order, all ahead of the cursor.
@@ -88,6 +93,9 @@ def test_append_path_rings_once_per_batch(server, client, monkeypatch):
     )}
     assert set(per_batch) <= {"notify", "_mark_dirty_locked"}
     assert calls["_mark_dirty_locked"] <= batches + calls["ack"]
+    # Every scan runs on the subscriber connection's push thread.
+    assert scanned_on
+    assert set(scanned_on) == {sub.channel._writer.name}
     oracle = list(server.db.get_stream("s").time_travel(0, 2**62))
     assert [(e.t, e.values) for e in got] == [(e.t, e.values) for e in oracle]
 
@@ -121,7 +129,7 @@ def test_acks_on_caught_up_unrung_subscription_never_wake_the_dispatcher(
     server, client, monkeypatch
 ):
     """An ack only grants credits; with nothing rung and the cursor at
-    the tail there is nothing to push, so the dispatcher stays asleep."""
+    the tail there is nothing to push, so no pump is queued."""
     client.append_batch("s", [Event.of(t, float(t), 0.0) for t in range(10)])
     with client.subscribe("s", from_t=0) as handle:
         assert len(handle.take(10, timeout=5)) == 10

@@ -183,6 +183,8 @@ def test_unknown_stream_and_bad_params_are_typed_errors(server, client):
         client.subscribe("s", credits=0)
     with pytest.raises(RemoteError):
         client.subscribe("s", policy="wat")
+    with pytest.raises(RemoteError):
+        client.subscribe("s", cursor=(0, -5))
 
 
 def test_subscribe_tunnelled_as_a_control_op_is_refused(client):
