@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from heapq import merge
-from itertools import islice
-from operator import attrgetter, itemgetter, le
+from operator import attrgetter, itemgetter
+
+import numpy as np
 
 from repro import obs
 from repro.core.config import ChronicleConfig
@@ -22,6 +23,7 @@ from repro.core.split import IRREGULAR, REGULAR, TimeSplit
 from repro.errors import QueryError, SchemaError, StorageError
 from repro.events.event import ColumnarEvents, Event
 from repro.events.schema import EventSchema
+from repro.events.serializer import PaxCodec
 from repro.index.node import NO_NODE, LeafNode
 from repro.index.queries import (
     AggregateAccumulator,
@@ -49,6 +51,7 @@ class EventStream:
     ):
         self.name = name
         self.schema = schema
+        self._codec = PaxCodec(schema)
         self.config = config
         self.devices = devices
         self.scheduler = scheduler if scheduler is not None else LoadScheduler(
@@ -114,19 +117,19 @@ class EventStream:
     def append_columns(self, timestamps, columns) -> int:
         """Append a decoded wire batch (:mod:`repro.net.frames`) as one
         :class:`ColumnarEvents`.  Schema *type* validation is skipped —
-        the wire structs can only produce the schema's value types."""
-        ts = timestamps if isinstance(timestamps, list) else list(timestamps)
-        return self._ingest(ColumnarEvents(ts, columns), False)
+        the wire decode already yields arrays of the schema's typecodes,
+        which reach the leaf as they are."""
+        return self._ingest(ColumnarEvents(timestamps, columns), False)
 
     def _ingest(self, batch: ColumnarEvents, validate: bool) -> int:
         """The one ingest path.  The batch's shape (and, with *validate*,
-        its value types) is checked before any side effect; then each
+        its value types) is checked and its columns become arrays of the
+        schema's typecodes before any side effect; then each
         *chronological run* — a maximal stretch of non-decreasing
         timestamps that route to the same split — reaches its split as
         one slice of *batch*, with one `_route` call per run.
         Subscribers see every event, in order, after the batch."""
-        ts = batch.timestamps
-        n = len(ts)
+        n = len(batch.timestamps)
         if len(batch.columns) != self.schema.arity:
             raise SchemaError(
                 f"expected {self.schema.arity} columns, got {len(batch.columns)}"
@@ -137,44 +140,35 @@ class EventStream:
             return 0
         if validate:
             self.schema.validate_batch(batch)
+        # A no-op for wire batches; a value the typecode cannot hold
+        # raises SchemaError here, before anything is appended.
+        batch = ColumnarEvents(*self._codec.typed(batch.timestamps, batch.columns))
+        ts = batch.timestamps
         if self.tiers.tiered_count or self.tiers.expired:
             self._reject_tiered(ts)
-        # One C-level pass decides whether the whole batch is already
-        # chronological — the overwhelmingly common case, where run ends
-        # are found by bisection instead of a per-event Python loop.
-        monotone = all(map(le, ts, islice(ts, 1, None)))
+        # One vectorized pass finds every descent.  Between two of them
+        # the batch is chronological (in the common case: all of it), so
+        # a run's end is found by bisection, not a per-event loop.
+        ends = []
+        if n > 1:
+            stamps = np.frombuffer(ts, np.int64)
+            ends = ((stamps[1:] < stamps[:-1]).nonzero()[0] + 1).tolist()
+        ends.append(n)
+        e = 0
         i = 0
         while i < n:
             split = self._route(ts[i])
+            while ends[e] <= i:
+                e += 1
             j = i + 1
-            if monotone and split is self.active:
+            if split is self.active:
                 # Everything from i up to the split's end boundary routes
                 # to the active split; the first timestamp at or past
                 # t_end seals it and opens the next (exactly `_route`).
                 hi = split.t_end
-                j = n if hi is None else bisect_left(ts, hi, j)
-            elif split is self.active:
-                # While the active split covers a timestamp, `_route`
-                # returns it — no peek call needed per event.
-                lo, hi = split.t_start, split.t_end
-                prev_t = ts[i]
-                while j < n:
-                    t = ts[j]
-                    if (
-                        t < prev_t
-                        or (lo is not None and t < lo)
-                        or (hi is not None and t >= hi)
-                    ):
-                        break
-                    prev_t = t
-                    j += 1
+                j = ends[e] if hi is None else bisect_left(ts, hi, j, ends[e])
             else:
-                prev_t = ts[i]
-                while j < n:
-                    t = ts[j]
-                    if t < prev_t or self._route_peek(t) is not split:
-                        break
-                    prev_t = t
+                while j < ends[e] and self._route_peek(ts[j]) is split:
                     j += 1
             split.ingest_run(batch if j - i == n else batch[i:j])
             i = j

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.errors import SchemaError
 
@@ -48,6 +49,11 @@ class ColumnarEvents:
     and subscription pushes.  A list of :class:`Event` becomes one only
     at the API boundary (:meth:`of`); on ingest, only the embedded
     subscriber tap still iterates a batch into events.
+
+    Columns are any sequences at the API boundary (lists, tuples).  A
+    decoded wire batch holds ``array.array`` columns of the schema's
+    typecodes, and below ``EventStream._ingest`` every column is one:
+    that is what the open leaf extends and serializes without boxing.
     """
 
     __slots__ = ("timestamps", "columns")
@@ -105,12 +111,11 @@ class ColumnarEvents:
 
         The columnar scan executor collects qualifying rows leaf by leaf
         without building per-event objects; ``rows`` is the selection
-        (sorted row indices) produced by the filter columns.
+        (row indices) produced by the filter columns.
         """
-        own_ts = self.timestamps
-        own_ts.extend(timestamps[row] for row in rows)
+        self.timestamps.extend(pick(timestamps, rows))
         for own, column in zip(self.columns, columns):
-            own.extend(column[row] for row in rows)
+            own.extend(pick(column, rows))
 
     def take(self, rows) -> "ColumnarEvents":
         """The batch of the given *rows* (indices), in that order."""
@@ -129,3 +134,15 @@ class ColumnarEvents:
             Event(t, values)
             for t, values in zip(self.timestamps, zip(*self.columns))
         ]
+
+
+def pick(column, rows):
+    """The values of *column* at *rows*, in order: one slice when *rows*
+    is a ``range``, one ``itemgetter`` call otherwise — C loops, not a
+    Python-level lookup per value (which an array pays twice: the lookup
+    and boxing the value)."""
+    if type(rows) is range and rows.step == 1:
+        return column[rows.start : rows.stop]
+    if len(rows) > 1:
+        return itemgetter(*rows)(column)
+    return [column[row] for row in rows]

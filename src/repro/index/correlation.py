@@ -70,13 +70,16 @@ class RunningCorrelation:
         """Feed a run of values in one call — the batched form of
         :meth:`add`, bit-identical to calling it per value.
 
+        *values* is viewed, not copied, when it is a typed array.
         Consecutive distances are computed vectorized (subtraction and
         ``abs`` are exact, so each distance matches the per-event float
-        bit for bit) and summed left-to-right by ``sum`` — the same
-        additions, in the same order, as the per-event updates.  Min/max
-        are pure comparisons, exact under any evaluation order; the two
-        cases where order could leak (signed-zero ties, NaN) fall back
-        to the per-value update loop.
+        bit for bit) and summed by ``np.add.accumulate`` seeded with the
+        running sum — strictly sequential, so the same additions in the
+        same order as the per-event updates.  (Builtin ``sum`` is not:
+        from Python 3.12 it compensates float sums.)  Min/max are pure
+        comparisons, exact under any evaluation order; the two cases
+        where order could leak (signed-zero ties, NaN) fall back to the
+        per-value update loop.
         """
         n = len(values)
         if n == 0:
@@ -91,7 +94,9 @@ class RunningCorrelation:
         with np.errstate(over="ignore", invalid="ignore"):
             # Python float arithmetic overflows to inf silently; keep
             # the vectorized form equally silent.
-            distance_sum = sum(np.abs(np.diff(array)).tolist(), distance_sum)
+            distances = np.abs(np.diff(array))
+            distances[0] += distance_sum
+            distance_sum = np.add.accumulate(distances)[-1].item()
         low = array.min().item()
         high = array.max().item()
         if distance_sum != distance_sum or (

@@ -37,7 +37,12 @@ NODE_HEADER = struct.Struct("<IHBBQqqq")
 
 @dataclass
 class LeafNode:
-    """A decoded leaf: events in columnar form."""
+    """A decoded leaf: events in columnar form.
+
+    The tree's leaves hold one typed ``array`` per column (the schema's
+    typecodes, :meth:`PaxCodec.typed`), so bulk appends extend them with a
+    ``memcpy`` and the L-block serializes with ``tobytes``.
+    """
 
     node_id: int
     prev_id: int = NO_NODE
@@ -174,7 +179,7 @@ class NodeCodec:
         self.indexed_names = tuple(names)
         self.extended_aggregates = extended_aggregates
         self._agg_width = 4 if extended_aggregates else 3
-        self._pax = PaxCodec(schema)
+        self.pax = PaxCodec(schema)
         self._slicer = ColumnSlicer(
             NODE_HEADER_SIZE, [f.kind.struct_char for f in schema.fields]
         )
@@ -203,7 +208,7 @@ class NodeCodec:
             out, 0, MAGIC_LEAF, leaf.count, 0, leaf.flags, leaf.lsn,
             leaf.node_id, leaf.prev_id, leaf.next_id,
         )
-        payload = self._pax.encode_columns(leaf.timestamps, leaf.columns)
+        payload = self.pax.encode_columns(leaf.timestamps, leaf.columns)
         out[NODE_HEADER_SIZE : NODE_HEADER_SIZE + len(payload)] = payload
         return bytes(out)
 
@@ -243,8 +248,8 @@ class NodeCodec:
             NODE_HEADER.unpack_from(data)
         )
         if magic == MAGIC_LEAF:
-            timestamps, columns = self._pax.decode_columns(
-                data[NODE_HEADER_SIZE:], count
+            timestamps, columns = self.pax.decode_columns(
+                memoryview(data)[NODE_HEADER_SIZE:], count
             )
             return LeafNode(node_id, prev_id, next_id, lsn, flags,
                             timestamps, columns)

@@ -67,6 +67,8 @@ class AggregateAccumulator:
         """
         if not values:
             return
+        if not isinstance(values, list):
+            values = list(values)  # box a typed column once, not per pass
         self.count += len(values)
         self.total += sum(values)
         self.sum_squares += sum(v * v for v in values)

@@ -133,12 +133,11 @@ class TabTree:
 
     # ------------------------------------------------------------- plumbing
 
-    def _new_leaf(self, node_id: int, prev_id: int) -> LeafNode:
-        return LeafNode(
-            node_id=node_id,
-            prev_id=prev_id,
-            columns=[[] for _ in range(self.schema.arity)],
-        )
+    def _new_leaf(self, node_id: int, prev_id: int = NO_NODE) -> LeafNode:
+        """An empty open leaf with typed (array) columns."""
+        timestamps, columns = self.codec.pax.typed((), ((),) * self.schema.arity)
+        return LeafNode(node_id=node_id, prev_id=prev_id,
+                        timestamps=timestamps, columns=columns)
 
     def _load_node(self, node_id: int):
         node = self.codec.decode(self.layout.read_block(node_id))
@@ -896,8 +895,8 @@ class TabTree:
                 "id": self.leaf.node_id,
                 "prev": self.leaf.prev_id,
                 "lsn": self.leaf.lsn,
-                "timestamps": self.leaf.timestamps,
-                "columns": self.leaf.columns,
+                "timestamps": self.leaf.timestamps.tolist(),
+                "columns": [column.tolist() for column in self.leaf.columns],
             },
             "flank": [
                 {
@@ -922,12 +921,15 @@ class TabTree:
         flushed = state["last_flushed_leaf"]
         self.last_flushed_leaf = tuple(flushed) if flushed else None
         leaf_state = state["leaf"]
+        timestamps, columns = self.codec.pax.typed(
+            leaf_state["timestamps"], leaf_state["columns"]
+        )
         self.leaf = LeafNode(
             node_id=leaf_state["id"],
             prev_id=leaf_state["prev"],
             lsn=leaf_state["lsn"],
-            timestamps=list(leaf_state["timestamps"]),
-            columns=[list(c) for c in leaf_state["columns"]],
+            timestamps=timestamps,
+            columns=columns,
         )
         self.flank = []
         for level, node_state in enumerate(state["flank"], start=1):

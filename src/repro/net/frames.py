@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import struct
 
-from repro.errors import ProtocolError, SchemaError
+from repro.errors import ProtocolError
 from repro.events.event import ColumnarEvents
 from repro.events.schema import VALUE_SIZE, EventSchema
 from repro.events.serializer import PaxCodec
@@ -224,10 +224,7 @@ def encode_batch_payload(
     :class:`SchemaError`: the request is wrong, the connection is fine.
     """
     name = stream.encode()
-    try:
-        body = codec.encode_columns(batch.timestamps, batch.columns)
-    except struct.error as error:
-        raise SchemaError(f"unencodable batch: {error}") from error
+    body = codec.encode_columns(batch.timestamps, batch.columns)
     return b"".join(
         (
             _BATCH_HEAD.pack(len(name)),
@@ -257,8 +254,9 @@ def decode_batch_payload(payload: bytes):
     """Decode a batch payload once into arrays.
 
     Returns ``(stream, schema, timestamps, columns)`` — the timestamps
-    and attribute columns are flat sequences straight out of
-    ``struct.unpack``; no per-event objects are built here.
+    and attribute columns are ``array.array`` objects of the schema's
+    typecodes, one ``frombytes`` each (:meth:`PaxCodec.decode_columns`);
+    no per-event or per-value objects are built here.
     """
     view = memoryview(payload)
     try:

@@ -29,7 +29,7 @@ row order, and the collected value lists are folded by the
 from __future__ import annotations
 
 from repro.errors import QueryError
-from repro.events.event import ColumnarEvents
+from repro.events.event import ColumnarEvents, pick
 from repro.index.queries import fold
 from repro.query.ast import Query, SelectStar
 from repro.query.partials import components_of_values
@@ -53,9 +53,15 @@ def _selection(stream, query, leaf, lo, hi, served=None):
     for attr_range in query.ranges:
         column = leaf.column(schema.index_of(attr_range.name))
         low, high = attr_range.low, attr_range.high
-        source = range(lo, hi) if rows is None else rows
-        examined += len(source)
-        rows = [i for i in source if low <= column[i] <= high]
+        if rows is None:
+            examined += hi - lo
+            rows = [
+                i for i, value in enumerate(column[lo:hi], lo)
+                if low <= value <= high
+            ]
+        else:
+            examined += len(rows)
+            rows = [i for i in rows if low <= column[i] <= high]
         if not rows:
             return rows, examined
     for name, low, high, open_low, open_high in getattr(
@@ -81,7 +87,7 @@ def _selection(stream, query, leaf, lo, hi, served=None):
         examined += len(source)
         rows = [i for i in source if served(timestamps[i])]
     elif rows is None:
-        rows = list(range(lo, hi))
+        rows = range(lo, hi)
     return rows, examined
 
 
@@ -161,7 +167,7 @@ def _gather(stream, query, stats: dict, served, t_start: int, t_end: int,
                 slot = by_bucket.get(bucket)
                 if slot is None:
                     slot = by_bucket[bucket] = {name: [] for name in positions}
-                slot[name].extend(column[i] for i in picked)
+                slot[name].extend(pick(column, picked))
     stream.devices.clock.values_decoded += examined
     return by_bucket
 

@@ -679,17 +679,10 @@ def _rebuild(tree, plan: _Plan, levels) -> None:
     # --- open leaf -------------------------------------------------------
     if 0 in dangling:
         leaf_id, last_leaf = dangling.pop(0)
-        tree.leaf = LeafNode(
-            node_id=leaf_id,
-            prev_id=last_leaf.node_id,
-            columns=[[] for _ in range(tree.schema.arity)],
-        )
+        tree.leaf = tree._new_leaf(leaf_id, last_leaf.node_id)
         tree.last_flushed_leaf = (last_leaf.node_id, _content(tree, last_leaf).t_max)
     else:
-        tree.leaf = LeafNode(
-            node_id=fresh_id(),
-            columns=[[] for _ in range(tree.schema.arity)],
-        )
+        tree.leaf = tree._new_leaf(fresh_id())
         tree.last_flushed_leaf = None
 
     # --- index flank, bottom-up -----------------------------------------

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro import ChronicleConfig, ChronicleDB, ColumnarEvents, Event, EventSchema
+from repro.events import Field, FieldKind
 from repro.errors import SchemaError
 
 SCHEMA = EventSchema.of("a", "b")
@@ -94,6 +95,30 @@ def test_ragged_batch_is_refused_before_any_side_effect():
     assert stream.splits == []
     rows = [(t, float(t), -float(t)) for t in range(1, 400)]
     stream.append_columns([r[0] for r in rows], [[r[1] for r in rows], [r[2] for r in rows]])
+    assert [(e.t, *e.values) for e in db.execute("SELECT * FROM s")] == rows
+    db.close()
+
+
+@pytest.mark.parametrize(
+    "bad_column",
+    [(0, [1.0, "x"]), (1, [1, 2.5]), (1, [1, 2**63])],
+    ids=["str-in-f64", "float-in-i64", "overflow-in-i64"],
+)
+def test_unholdable_value_is_refused_before_any_side_effect(bad_column):
+    """Without ``validate_events`` a value its column's type cannot hold
+    used to be acked, and then every leaf flush raised ``struct.error``
+    for the rest of the stream's life."""
+    db = ChronicleDB(config=CONFIG)
+    stream = db.create_stream("s", EventSchema([Field("x"), Field("n", FieldKind.I64)]))
+    columns = [[1.0, 2.0], [1, 2]]
+    position, column = bad_column
+    columns[position] = column
+    with pytest.raises(SchemaError):
+        stream.append_batch(ColumnarEvents([1, 2], columns))
+    assert stream.appended == 0
+    rows = [(t, t / 4, t * 3) for t in range(1, 401)]
+    for row in rows:
+        stream.append(Event(row[0], row[1:]))
     assert [(e.t, *e.values) for e in db.execute("SELECT * FROM s")] == rows
     db.close()
 

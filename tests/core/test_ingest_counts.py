@@ -5,12 +5,20 @@ A late-heavy load arrives through the two batch lanes
 the API boundary to the devices nothing becomes an ``Event``: late
 segments are queued as column slices, mirror-logged with one write per
 queued chunk, and each queue flush is one WAL write of the drained batch.
+An in-order wire batch is not even unpacked value by value: it decodes
+into typed arrays that the open leaf extends and serializes whole.
 """
+
+import struct
+import types
+from array import array
 
 import numpy as np
 
+import repro.events.serializer as serializer
 from repro import ChronicleConfig, ChronicleDB, EventSchema
-from repro.events import ColumnarEvents, Event
+from repro.events import ColumnarEvents, Event, Field, FieldKind
+from repro.net import frames
 from repro.ooo.queue import SortedQueue
 
 N_EVENTS = 20_000
@@ -80,3 +88,35 @@ def test_late_heavy_ingest_builds_no_events(monkeypatch):
     assert len(events) == len(iterations) == len(row_lookups) == 0
     assert device_writes(db, ".mirror") == len(chunks_queued)
     assert device_writes(db, ".wal") == flushes
+
+
+def test_wire_batches_reach_the_leaf_without_per_value_packs(monkeypatch):
+    schema = EventSchema([Field("x"), Field("n", FieldKind.I64)])
+    codec = serializer.PaxCodec(schema)
+    schema_bytes = frames.schema_bytes_of(schema)
+    payloads = [
+        frames.encode_batch_payload("s", schema_bytes, codec, ColumnarEvents(
+            list(range(k * 256, (k + 1) * 256)),
+            [[t / 8 for t in range(k * 256, (k + 1) * 256)],
+             list(range(k * 256, (k + 1) * 256))],
+        ))
+        for k in range(20)
+    ]
+    db = ChronicleDB(config=ChronicleConfig(lblock_size=4096))
+    stream = db.create_stream("s", schema)
+    fake = types.SimpleNamespace(**vars(struct))
+    packs = count_calls(monkeypatch, fake, "pack")
+    unpacks = count_calls(monkeypatch, fake, "unpack_from")
+    monkeypatch.setattr(serializer, "struct", fake)
+    for payload in payloads:
+        _, _, timestamps, columns = frames.decode_batch_payload(payload)
+        stream.append_columns(timestamps, columns)
+
+    tree = stream.splits[0].tree
+    assert tree.event_count - tree.leaf.count >= 5 * tree.leaf_write_capacity
+    assert len(packs) == len(unpacks) == 0
+    leaf = tree.leaf
+    assert [(type(c), c.typecode) for c in (leaf.timestamps, *leaf.columns)] == [
+        (array, "q"), (array, "d"), (array, "q")
+    ]
+    db.close()

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import QueryError
 from repro.index import average_distance, temporal_correlation
-from repro.index.correlation import minimum_correlation
+from repro.index.correlation import RunningCorrelation, minimum_correlation
 
 
 def test_average_distance_simple():
@@ -66,3 +66,26 @@ def test_minimum_correlation_empty():
 def test_tc_in_unit_interval(values):
     tc = temporal_correlation(values)
     assert -1e-9 <= tc <= 1.0 + 1e-9
+
+
+# Cancellation-heavy values: from Python 3.12 builtin `sum` compensates
+# float sums, so `sum([1e16, 1.0, -1e16])` is 1.0 there and 0.0 here.
+TRACKED = st.one_of(
+    st.sampled_from([1e16, -1e16, 1.0, -1.0, 0.5, 0.0, -0.0, float("nan")]),
+    st.floats(),
+)
+
+
+@given(
+    st.lists(TRACKED, max_size=40),
+    st.lists(st.integers(min_value=0, max_value=40), max_size=5),
+)
+def test_add_run_over_any_split_equals_per_value_add(values, cuts):
+    per_value, batched = RunningCorrelation(), RunningCorrelation()
+    for value in values:
+        per_value.add(value)
+    bounds = [0, *sorted(min(cut, len(values)) for cut in cuts), len(values)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        batched.add_run(values[lo:hi])
+    # repr keeps NaN == NaN and tells 0.0 from -0.0.
+    assert repr(batched.to_dict()) == repr(per_value.to_dict())

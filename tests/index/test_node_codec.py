@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 
 from repro.errors import CorruptBlockError, SchemaError
@@ -41,7 +43,13 @@ def test_leaf_roundtrip():
     )
     out = codec.decode(codec.encode_leaf(leaf))
     assert isinstance(out, LeafNode)
-    assert out == leaf
+    assert isinstance(out.timestamps, array) and out.timestamps.typecode == "q"
+    assert all(isinstance(c, array) and c.typecode == "d" for c in out.columns)
+    assert (out.node_id, out.prev_id, out.next_id, out.lsn, out.flags) == (
+        5, 4, 6, 9, FLAG_SPLIT
+    )
+    assert out.timestamps.tolist() == leaf.timestamps
+    assert [c.tolist() for c in out.columns] == leaf.columns
     assert out.t_min == 1 and out.t_max == 3
 
 

@@ -10,6 +10,7 @@ plain events.
 """
 
 import socket
+from array import array
 
 import pytest
 
@@ -55,8 +56,10 @@ def test_select_reply_frame_is_a_columnar_batch(server):
     assert (op, corr_id) == (frames.OP_OK_BATCH, 3)
     stream, schema, timestamps, columns = frames.decode_batch_payload(payload)
     assert (stream, schema) == ("s", SCHEMA)
-    assert timestamps == list(range(100, 200))
-    assert columns[1] == [float(t // 50) for t in range(100, 200)]
+    assert isinstance(timestamps, array) and timestamps.typecode == "q"
+    assert all(isinstance(c, array) and c.typecode == "d" for c in columns)
+    assert timestamps.tolist() == list(range(100, 200))
+    assert columns[1].tolist() == [float(t // 50) for t in range(100, 200)]
     # 8 bytes per value, nothing per row beyond the columns.
     assert length - 100 * 8 * 3 < 120
 
