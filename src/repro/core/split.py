@@ -6,6 +6,11 @@ make retention trivial (drop whole files), enable constant-time
 aggregation over predefined time ranges via a per-split summary, and give
 partial indexing a natural granularity — a split records which secondary
 indexes were maintained and the temporal correlation of every attribute.
+
+A split's statistics come from one pass per written leaf
+(:meth:`TabTree.leaf_statistics`): the leaf's index entry, and its part of
+every attribute's tc, folded in flush order and frozen at seal with the
+open leaf's.  Ingestion itself computes no statistic.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from repro.errors import StorageError
 from repro.events.event import ColumnarEvents, Event
 from repro.events.schema import EventSchema
 from repro.index.cola import ColaIndex
-from repro.index.correlation import RunningCorrelation
+from repro.index.correlation import SplitCorrelation
 from repro.index.lsm import LsmIndex
 from repro.index.secondary import resolve_refs
 from repro.index.tab_tree import TabTree
@@ -52,9 +57,9 @@ class TimeSplit:
         self.config = config
         self.devices = devices
         self.sealed = False
-        self.summary = None
+        self._summary = None
         self.tc_scores: dict[str, float] = {}
-        self._trackers = {name: RunningCorrelation() for name in schema.names}
+        self._correlation = SplitCorrelation(schema.arity)
 
         device = devices.data_device(stream_name, index)
         layout_kwargs = dict(
@@ -90,8 +95,7 @@ class TimeSplit:
             # the footer stays at the device tail while inserts remain
             # buffered), and those live only in the logs.  Replay is
             # LSN-guarded and a no-op when the logs are empty.
-            if self.manager.recover() and self.sealed:
-                self.summary = self.tree.summary()
+            self.manager.recover()
         self.secondaries: dict[str, object] = {}
         self.secondary_attributes: list[str] = []
         for attribute in secondary_attributes:
@@ -128,7 +132,9 @@ class TimeSplit:
                 self._attach_secondary(attribute)
         self.secondary_attributes = list(dict.fromkeys(attributes))
 
-    def _on_leaf_flush(self, leaf) -> None:
+    def _on_leaf_flush(self, leaf, stats) -> None:
+        if self._correlation is not None:
+            self._correlation.fold(stats)
         for attribute in self.secondary_attributes:
             self.secondaries[attribute].insert_run(
                 leaf.column(self.schema.index_of(attribute)),
@@ -142,12 +148,7 @@ class TimeSplit:
             self.secondaries[attribute].insert(
                 float(values[position]), t, leaf_id
             )
-        if self.sealed:
-            # A late event reached a sealed split (its queue drained into
-            # the tree); the cached whole-split summary must follow, or
-            # fully-covered aggregate queries keep answering from the
-            # count at seal time.
-            self.summary = self.tree.summary()
+        self._summary = None  # a sealed split's summary must follow
 
     # ------------------------------------------------------------- ingestion
 
@@ -161,19 +162,20 @@ class TimeSplit:
     def ingest_run(self, run: ColumnarEvents) -> None:
         """Ingest a chronological run (non-decreasing timestamps).
 
-        Correlation trackers are fed column-wise — each tracker sees the
-        exact per-event sequence — and the run reaches the tree through
-        :meth:`OutOfOrderManager.insert_run`, which slices the same
-        columns for its leaf extends and its queued late segments.
+        The run reaches the tree through
+        :meth:`OutOfOrderManager.insert_run`, which slices its columns for
+        the leaf extends and the queued late segments.
         """
-        index_of = self.schema.index_of
-        for name, tracker in self._trackers.items():
-            tracker.add_run(run.columns[index_of(name)])
         self.manager.insert_run(run)
-        if self.sealed:
-            # A late arrival changed a sealed split's tree (flank insert
-            # or queue-triggered flush); keep the cached summary honest.
-            self.summary = self.tree.summary()
+        self._summary = None  # a sealed split's tree may have changed
+
+    @property
+    def summary(self):
+        """The sealed split's whole-tree :class:`IndexEntry` (None while
+        open), recomputed on the first read after a late event."""
+        if self._summary is None and self.sealed:
+            self._summary = self.tree.summary()
+        return self._summary
 
     #: The per-event name, kept for the frozen tracer table (ROADMAP 10(d)).
     ingest = ingest_run
@@ -218,13 +220,18 @@ class TimeSplit:
         self.manager.close()
         for index in self.secondaries.values():
             index.flush()
-        self.tc_scores = {name: tr.tc for name, tr in self._trackers.items()}
-        self.summary = self.tree.summary()
+        leaf = self.tree.leaf
+        open_leaf = self.tree.leaf_statistics(leaf) if leaf.count else None
+        if self._correlation is not None:  # tc is taken once, at first seal
+            if open_leaf is not None:
+                self._correlation.fold(open_leaf)
+            self.tc_scores = self._correlation.scores(self.schema.names)
+            self._correlation = None
+        self._summary = self.tree.summary(open_leaf)
         self.layout.seal(
             {
                 "tree": self.tree.state_dict(),
                 "tc_scores": self.tc_scores,
-                "trackers": {n: t.to_dict() for n, t in self._trackers.items()},
                 "kind": self.kind,
                 "t_start": self.t_start,
                 "t_end": self.t_end,
@@ -245,11 +252,9 @@ class TimeSplit:
                 extended_aggregates=self.config.extended_aggregates,
             )
             self.tc_scores = meta.get("tc_scores", {})
+            self._correlation = None
             self.kind = meta.get("kind", self.kind)
-            for name, state in meta.get("trackers", {}).items():
-                self._trackers[name] = RunningCorrelation.from_dict(state)
             self.sealed = True
-            self.summary = tree.summary()
             return tree, 0
         return TabTree.recover(
             self.layout,

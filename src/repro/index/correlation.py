@@ -13,6 +13,8 @@ to decide which secondary indexes are worth maintaining (Section 5.4).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import QueryError
@@ -41,12 +43,21 @@ def temporal_correlation(values) -> float:
     return 1.0 - average_distance(array) / value_range
 
 
+def _tc(count: int, distance_sum: float, minimum: float, maximum: float) -> float:
+    if count < 2:
+        return 1.0
+    value_range = maximum - minimum
+    if value_range == 0.0:
+        return 1.0
+    average = distance_sum / (count - 1)
+    return 1.0 - average / value_range
+
+
 class RunningCorrelation:
     """Streaming estimator of ``tc`` for one attribute.
 
-    ChronicleDB keeps local statistics per time split (Section 5.4); this
-    tracker maintains them in O(1) per event so sealing a split can record
-    each attribute's temporal correlation without buffering values.
+    The per-value definition: :class:`SplitCorrelation`, which the
+    store runs, must match it bit for bit.
     """
 
     def __init__(self) -> None:
@@ -66,88 +77,56 @@ class RunningCorrelation:
         if value > self.maximum:
             self.maximum = value
 
-    def add_run(self, values) -> None:
-        """Feed a run of values in one call — the batched form of
-        :meth:`add`, bit-identical to calling it per value.
-
-        *values* is viewed, not copied, when it is a typed array.
-        Consecutive distances are computed vectorized (subtraction and
-        ``abs`` are exact, so each distance matches the per-event float
-        bit for bit) and summed by ``np.add.accumulate`` seeded with the
-        running sum — strictly sequential, so the same additions in the
-        same order as the per-event updates.  (Builtin ``sum`` is not:
-        from Python 3.12 it compensates float sums.)  Min/max are pure
-        comparisons, exact under any evaluation order; the two cases
-        where order could leak (signed-zero ties, NaN) fall back to the
-        per-value update loop.
-        """
-        n = len(values)
-        if n == 0:
-            return
-        if n == 1:
-            self.add(float(values[0]))
-            return
-        array = np.asarray(values, dtype=np.float64)
-        distance_sum = self._distance_sum
-        if self._previous is not None:
-            distance_sum += abs(float(values[0]) - self._previous)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # Python float arithmetic overflows to inf silently; keep
-            # the vectorized form equally silent.
-            distances = np.abs(np.diff(array))
-            distances[0] += distance_sum
-            distance_sum = np.add.accumulate(distances)[-1].item()
-        low = array.min().item()
-        high = array.max().item()
-        if distance_sum != distance_sum or (
-            (low == 0.0 or high == 0.0) and bool(np.signbit(array).any())
-        ):
-            # NaN anywhere poisons the distance sum; a 0.0 extreme next
-            # to a -0.0 may be a signed-zero tie whose winner depends on
-            # scan order.  Replay per value — `add` is the defining
-            # semantics.
-            for value in values:
-                self.add(float(value))
-            return
-        self._distance_sum = distance_sum
-        self._previous = float(values[-1])
-        self.count += n
-        if low < self.minimum:
-            self.minimum = low
-        if high > self.maximum:
-            self.maximum = high
-
     @property
     def tc(self) -> float:
         """Current temporal correlation (1.0 until two values are seen)."""
-        if self.count < 2:
-            return 1.0
-        value_range = self.maximum - self.minimum
-        if value_range == 0.0:
-            return 1.0
-        average = self._distance_sum / (self.count - 1)
-        return 1.0 - average / value_range
+        return _tc(self.count, self._distance_sum, self.minimum, self.maximum)
 
-    def to_dict(self) -> dict:
-        """Snapshot for the split's commit metadata."""
+
+class SplitCorrelation:
+    """Every attribute's tc over one split, folded leaf by leaf.
+
+    The split feeds it each written leaf's :class:`LeafStatistics` in
+    flush order and the open leaf's at seal — no per-event work.  The
+    result is bit-identical to :meth:`RunningCorrelation.add` per value
+    over those rows: each fold adds the step across the leaf boundary to
+    the running distance sum and then the leaf's steps, one by one
+    (``np.add.accumulate`` is strictly sequential; subtraction and
+    ``abs`` are exact), and the leaf's extremes are the per-value fold's.
+    """
+
+    def __init__(self, arity: int) -> None:
+        self.count = 0
+        self._last = None
+        self._distance_sum = np.zeros(arity)
+        self.minimum = [math.inf] * arity
+        self.maximum = [-math.inf] * arity
+
+    def fold(self, leaf) -> None:
+        values = leaf.values
+        steps = np.empty_like(values)
+        with np.errstate(all="ignore"):  # as Python floats: inf - inf is NaN
+            # One pass over the flat matrix: each row's steps, and across
+            # each row boundary a junk step in column 0, overwritten next.
+            np.subtract(values.ravel()[1:], values.ravel()[:-1],
+                        out=steps.ravel()[1:])
+            np.absolute(steps, out=steps)
+            steps[:, 0] = self._distance_sum
+            if self.count:
+                steps[:, 0] += np.absolute(values[:, 0] - self._last)
+            self._distance_sum = np.add.accumulate(steps, axis=1, out=steps)[:, -1]
+        self._last = values[:, -1]
+        self.count += values.shape[1]
+        self.minimum = [v if v < m else m for v, m in zip(leaf.low, self.minimum)]
+        self.maximum = [v if v > m else m for v, m in zip(leaf.high, self.maximum)]
+
+    def scores(self, names) -> dict[str, float]:
         return {
-            "count": self.count,
-            "previous": self._previous,
-            "distance_sum": self._distance_sum,
-            "minimum": None if self.count == 0 else self.minimum,
-            "maximum": None if self.count == 0 else self.maximum,
+            name: _tc(self.count, distance, low, high)
+            for name, distance, low, high in zip(
+                names, self._distance_sum.tolist(), self.minimum, self.maximum
+            )
         }
-
-    @classmethod
-    def from_dict(cls, state: dict) -> "RunningCorrelation":
-        tracker = cls()
-        tracker.count = state["count"]
-        tracker._previous = state["previous"]
-        tracker._distance_sum = state["distance_sum"]
-        if state["minimum"] is not None:
-            tracker.minimum = state["minimum"]
-            tracker.maximum = state["maximum"]
-        return tracker
 
 
 def minimum_correlation(columns: dict[str, list]) -> tuple[str, float]:

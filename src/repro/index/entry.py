@@ -13,6 +13,39 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
+
+def ordered_sum(values):
+    """``Σ v``, added left to right from 0.
+
+    The one summation order for every stored and queried sum: builtin
+    ``sum``'s order up to Python 3.11.  From 3.12 the builtin compensates
+    float sums (``sum([1e16, 1.0, -1e16])`` is ``1.0`` there, ``0.0``
+    here), and those sums are persisted in index entries.  Integers add
+    exactly, so an ``I64`` column's sums are exact integers.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+def ordered_sums(values) -> tuple:
+    """``(Σ v, Σ v·v)`` in :func:`ordered_sum`'s order, in one pass."""
+    total = squares = 0
+    for value in values:
+        total += value
+        squares += value * value
+    return total, squares
+
+
+def _ordered(rows: np.ndarray) -> list[float]:
+    """:func:`ordered_sum`'s order per row: ``accumulate`` is sequential
+    (``np.sum`` is pairwise), and ``+ 0.0`` is all a 0 seed changes (an
+    all ``-0.0`` row sums to ``0.0``)."""
+    return (np.add.accumulate(rows, axis=1)[:, -1] + 0.0).tolist()
+
 
 @dataclass
 class IndexEntry:
@@ -69,49 +102,55 @@ class IndexEntry:
             merged.merge(entry)
         return merged
 
-    @classmethod
-    def summarize_leaf(
-        cls,
-        child_id: int,
-        timestamps: list[int],
-        indexed_columns: list[list],
-        extended: bool = False,
-    ) -> "IndexEntry":
-        """Summarize a leaf's events into one entry."""
-        if extended:
-            aggs = [
-                (
-                    float(min(col)),
-                    float(max(col)),
-                    float(sum(col)),
-                    float(sum(v * v for v in col)),
-                )
-                for col in indexed_columns
-            ]
-        else:
-            aggs = [
-                (float(min(col)), float(max(col)), float(sum(col)))
-                for col in indexed_columns
-            ]
-        return cls(
-            child_id=child_id,
-            t_min=timestamps[0],
-            t_max=timestamps[-1],
-            count=len(timestamps),
-            aggs=aggs,
-        )
+
+@dataclass
+class LeafStatistics:
+    """Everything one pass over a leaf yields (paper, Sections 5.1-5.2).
+
+    *entry* is the leaf's index entry; *values* (a float64 row per
+    attribute, every attribute) and *low* / *high* are the leaf's part of
+    each attribute's temporal correlation, folded per split by
+    :class:`repro.index.correlation.SplitCorrelation`.  *low* / *high*
+    are the extremes a per-value fold from ``±inf`` finds, so NaN never
+    wins — unlike the entry's, which follow builtin ``min`` / ``max``.
+    """
+
+    entry: IndexEntry
+    values: np.ndarray
+    low: list[float]
+    high: list[float]
 
     @classmethod
-    def empty(cls, child_id: int, n_indexed: int,
-              extended: bool = False) -> "IndexEntry":
-        """A neutral element for incremental accumulation."""
-        neutral = (math.inf, -math.inf, 0.0, 0.0) if extended else (
-            math.inf, -math.inf, 0.0
-        )
-        return cls(
-            child_id=child_id,
-            t_min=2**62,
-            t_max=-(2**62),
-            count=0,
-            aggs=[neutral] * n_indexed,
-        )
+    def of(cls, child_id: int, timestamps, columns, indexed_positions,
+           extended: bool = False) -> "LeafStatistics":
+        """The kernel: every leaf statistic the store keeps comes from here.
+
+        Min/max are comparisons, exact in any evaluation order, except a
+        NaN or a ``0.0`` / ``-0.0`` tie at an extreme: such a column takes
+        the per-value fold instead.
+        """
+        values = np.array(columns, dtype=np.float64)
+        with np.errstate(all="ignore"):  # Python floats overflow silently too
+            sums = _ordered(values)
+            squares = _ordered(values * values) if extended else None
+        low, high = values.min(axis=1).tolist(), values.max(axis=1).tolist()
+        entry_low, entry_high = list(low), list(high)
+        for i, column in enumerate(columns):
+            if getattr(column, "typecode", None) != "d":  # exact, rounded once
+                total, total_squares = ordered_sums(column)
+                sums[i] = float(total)
+                if extended:
+                    squares[i] = float(total_squares)
+            if sums[i] != sums[i] or 0.0 in (low[i], high[i]):
+                entry_low[i], entry_high[i] = float(min(column)), float(max(column))
+                real = [value for value in values[i].tolist() if value == value]
+                low[i] = min(real, default=math.inf)
+                high[i] = max(real, default=-math.inf)
+        aggs = [
+            (entry_low[i], entry_high[i], sums[i]) + ((squares[i],) if extended else ())
+            for i in indexed_positions
+        ]
+        entry = IndexEntry(child_id=child_id, t_min=timestamps[0],
+                           t_max=timestamps[-1], count=len(timestamps),
+                           aggs=aggs)
+        return cls(entry, values, low, high)

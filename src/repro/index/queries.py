@@ -7,6 +7,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.errors import QueryError
+from repro.index.entry import ordered_sum, ordered_sums
 
 #: Aggregation functions answerable from stored (min, max, sum, count)
 #: statistics in logarithmic time (paper, Section 5.6.2).
@@ -49,29 +50,16 @@ class AggregateAccumulator:
         #: `stdev` may be answered from statistics.
         self.squares_exact = True
 
-    def add_value(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.sum_squares += value * value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
     def add_values(self, values) -> None:
-        """Vectorized :meth:`add_value` over a column slice.
-
-        Folds a whole sequence with builtins (`sum`/`min`/`max`) instead
-        of per-value Python bookkeeping — the columnar executor's inner
-        loop for range-cutting flank leaves.
-        """
+        """Fold a column slice in at once (:func:`ordered_sums`, builtin
+        `min`/`max`) — the columnar executor's inner loop for
+        range-cutting flank leaves."""
         if not values:
             return
-        if not isinstance(values, list):
-            values = list(values)  # box a typed column once, not per pass
+        total, squares = ordered_sums(values)
         self.count += len(values)
-        self.total += sum(values)
-        self.sum_squares += sum(v * v for v in values)
+        self.total += total
+        self.sum_squares += squares
         low = min(values)
         high = max(values)
         if low < self.minimum:
@@ -140,13 +128,14 @@ def fold(function: str, values: list) -> float:
     The value-level counterpart of :meth:`AggregateAccumulator.result`,
     shared by every path that scans values instead of reading index
     statistics (and by the test oracle), so both sides of an equivalence
-    check run the same arithmetic.  ``stdev`` is two-pass: the
-    accumulator's sum-of-squares form cancels when |mean| >> sigma.
+    check run the same arithmetic, in :func:`ordered_sum`'s order.
+    ``stdev`` is two-pass: the accumulator's sum-of-squares form cancels
+    when |mean| >> sigma.
     """
     if not values:
         raise QueryError("aggregate over empty range")
     if function == "sum":
-        return float(sum(values))
+        return float(ordered_sum(values))
     if function == "count":
         return float(len(values))
     if function == "min":
@@ -154,10 +143,10 @@ def fold(function: str, values: list) -> float:
     if function == "max":
         return float(max(values))
     if function == "avg":
-        return float(sum(values) / len(values))
+        return float(ordered_sum(values) / len(values))
     if function == "stdev":
-        mean = sum(values) / len(values)
+        mean = ordered_sum(values) / len(values)
         return float(
-            (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
+            (ordered_sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
         )
     raise QueryError(f"unknown aggregate function {function!r}")

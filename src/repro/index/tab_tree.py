@@ -23,7 +23,7 @@ from repro.events.event import ColumnarEvents, Event
 from repro.events.schema import EventSchema
 from repro.index.buffer import NodeBuffer
 from repro.obs import OBS
-from repro.index.entry import IndexEntry
+from repro.index.entry import IndexEntry, LeafStatistics
 from repro.index.node import (
     FLAG_SPLIT,
     IndexNode,
@@ -107,9 +107,10 @@ class TabTree:
         #: boundary between flank inserts and true out-of-order events.
         self.last_flushed_leaf: tuple[int, int] | None = None
         self.splits_performed = 0
-        #: Called with the LeafNode just written by an in-order flush; the
-        #: stream layer uses it to feed secondary indexes (block ids of
-        #: events are only known once their leaf is durable).
+        #: Called with the LeafNode just written by an in-order flush and
+        #: its LeafStatistics; the split feeds its secondary indexes (block
+        #: ids of events are only known once their leaf is durable) and
+        #: folds the leaf into its temporal correlation.
         self.leaf_flush_hook = None
         #: Called with (t, values, leaf_id) after an out-of-order insert.
         self.ooo_insert_hook = None
@@ -236,12 +237,7 @@ class TabTree:
         leaf.next_id = next_id
         leaf.lsn = self.lsn
         self.layout.write_block(leaf.node_id, self.codec.encode_leaf(leaf))
-        entry = IndexEntry.summarize_leaf(
-            leaf.node_id,
-            leaf.timestamps,
-            [leaf.columns[i] for i in self.codec.indexed_positions],
-            extended=self.codec.extended_aggregates,
-        )
+        stats = self.leaf_statistics(leaf)
         self.last_flushed_leaf = (leaf.node_id, leaf.t_max)
         # The flushed leaf stays buffered (clean): late arrivals have
         # temporal locality and usually target this recent region.
@@ -249,9 +245,16 @@ class TabTree:
         self.leaf = self._new_leaf(next_id, leaf.node_id)
         if OBS.enabled:
             self._m_leaf_flushes.inc()
-        self._insert_flank_entry(1, entry)
+        self._insert_flank_entry(1, stats.entry)
         if self.leaf_flush_hook is not None:
-            self.leaf_flush_hook(leaf)
+            self.leaf_flush_hook(leaf, stats)
+
+    def leaf_statistics(self, leaf: LeafNode) -> LeafStatistics:
+        """One statistics pass over *leaf* (:meth:`LeafStatistics.of`)."""
+        return LeafStatistics.of(
+            leaf.node_id, leaf.timestamps, leaf.columns,
+            self.codec.indexed_positions, self.codec.extended_aggregates,
+        )
 
     def _allocate_flank_id(self, level: int, prev_id: int) -> int:
         """Allocate and *reserve* an id for a newly opened flank node.
@@ -775,19 +778,8 @@ class TabTree:
         self.buffer.write_through(leaf.node_id)
         self.layout.flush()
         self._fix_prev_link(right.next_id, new_id)
-        left_entry = IndexEntry.summarize_leaf(
-            leaf.node_id,
-            leaf.timestamps,
-            [leaf.columns[i] for i in self.codec.indexed_positions],
-            extended=self.codec.extended_aggregates,
-        )
-        right_entry = IndexEntry.summarize_leaf(
-            new_id,
-            right.timestamps,
-            [right.columns[i] for i in self.codec.indexed_positions],
-            extended=self.codec.extended_aggregates,
-        )
-        self._replace_parent_entry(path, left_entry, right_entry)
+        self._replace_parent_entry(path, self.leaf_statistics(leaf).entry,
+                                   self.leaf_statistics(right).entry)
 
     def _fix_prev_link(self, node_id: int, new_prev: int) -> None:
         if node_id == NO_NODE:
@@ -858,11 +850,12 @@ class TabTree:
         self.buffer.mark_dirty(node_id)
         self.buffer.write_through(node_id)
 
-    def summary(self) -> IndexEntry | None:
+    def summary(self, open_leaf: LeafStatistics | None = None) -> IndexEntry | None:
         """One entry summarizing the whole tree (count, time span, aggs).
 
         Used by time splits: sealed splits keep this summary so whole-split
-        aggregation queries run in constant time (Section 5.4).
+        aggregation queries run in constant time (Section 5.4).  Pass
+        *open_leaf* when the open leaf's statistics are already at hand.
         """
         if self.event_count == 0:
             return None
@@ -870,14 +863,7 @@ class TabTree:
             entry for node in self.flank for entry in node.entries
         ]
         if self.leaf.count:
-            parts.append(
-                IndexEntry.summarize_leaf(
-                    self.leaf.node_id,
-                    self.leaf.timestamps,
-                    [self.leaf.columns[i] for i in self.codec.indexed_positions],
-                    extended=self.codec.extended_aggregates,
-                )
-            )
+            parts.append((open_leaf or self.leaf_statistics(self.leaf)).entry)
         if not parts:
             return None
         return IndexEntry.combine(NO_NODE, parts)

@@ -401,12 +401,7 @@ def _find_dangling_links(
 def _summarize(tree, node) -> IndexEntry:
     node = _content(tree, node)
     if isinstance(node, LeafNode):
-        return IndexEntry.summarize_leaf(
-            node.node_id,
-            node.timestamps,
-            [node.columns[i] for i in tree.codec.indexed_positions],
-            extended=tree.codec.extended_aggregates,
-        )
+        return tree.leaf_statistics(node).entry
     return IndexEntry.combine(node.node_id, node.entries)
 
 

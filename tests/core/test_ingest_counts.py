@@ -7,6 +7,8 @@ segments are queued as column slices, mirror-logged with one write per
 queued chunk, and each queue flush is one WAL write of the drained batch.
 An in-order wire batch is not even unpacked value by value: it decodes
 into typed arrays that the open leaf extends and serializes whole.
+Ingestion computes no statistic per batch: one statistics pass per
+written leaf, and one per seal for the open leaf.
 """
 
 import struct
@@ -17,7 +19,11 @@ import numpy as np
 
 import repro.events.serializer as serializer
 from repro import ChronicleConfig, ChronicleDB, EventSchema
+from repro.core.split import TimeSplit
 from repro.events import ColumnarEvents, Event, Field, FieldKind
+from repro.index.correlation import RunningCorrelation
+from repro.index.entry import LeafStatistics
+from repro.index.tab_tree import TabTree
 from repro.net import frames
 from repro.ooo.queue import SortedQueue
 
@@ -71,6 +77,14 @@ def test_late_heavy_ingest_builds_no_events(monkeypatch):
         when=lambda batch, index: not isinstance(index, slice),
     )
     chunks_queued = count_calls(monkeypatch, SortedQueue, "add_run")
+    kernel = count_calls(monkeypatch, LeafStatistics, "of")
+    leaf_flushes = count_calls(monkeypatch, TabTree, "_flush_leaf")
+    seals = count_calls(monkeypatch, TimeSplit, "seal",
+                        when=lambda split: not split.sealed)
+    trackers = [
+        count_calls(monkeypatch, RunningCorrelation, name)
+        for name in ("__init__", "add")
+    ]
     for k, i in enumerate(range(0, N_EVENTS, 128)):
         pick = order[i : i + 128]
         columns = [a[pick].tolist(), b[pick].tolist()]
@@ -88,6 +102,9 @@ def test_late_heavy_ingest_builds_no_events(monkeypatch):
     assert len(events) == len(iterations) == len(row_lookups) == 0
     assert device_writes(db, ".mirror") == len(chunks_queued)
     assert device_writes(db, ".wal") == flushes
+    assert len(seals) >= 1 and len(leaf_flushes) >= 50
+    assert len(kernel) == len(leaf_flushes) + len(seals)
+    assert [len(calls) for calls in trackers] == [0, 0]
 
 
 def test_wire_batches_reach_the_leaf_without_per_value_packs(monkeypatch):

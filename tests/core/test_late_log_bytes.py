@@ -18,8 +18,9 @@ from repro import ChronicleConfig, ChronicleDB, EventSchema
 
 N_EVENTS = 32_000
 PINNED_SHA1 = {
-    # A format-v2 data file (placeholders name level and predecessor).
-    ".cdb": "e77bef18dc909ec574178c2c5d4b8afdfce1cdf2",
+    # A format-v2 data file (placeholders name level and predecessor);
+    # sealed footers carry tc in leaf-flush order and no "trackers" key.
+    ".cdb": "daaf3380a01325079728dc7080ffcc06b5c7057e",
     ".b.idx": "4c52ce9b6bf19edb9ded7bed82536176bf7060fd",
     ".wal": "373dbd559f3f4d6989d618b379cc93f2f504058c",
     ".mirror": "659f37caf3d52f6c8d69681f80cb836eb99d546b",

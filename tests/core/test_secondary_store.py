@@ -16,8 +16,9 @@ from repro import ChronicleConfig, ChronicleDB, EventSchema
 N_EVENTS = 32_000
 PINNED_SHA1 = {
     ".b.idx": "bc0fb92feb6ca75810109f2ab9a47e665cd04de0",
-    # A format-v2 data file (placeholders name level and predecessor).
-    ".cdb": "ffa8144da16c8c3f662b57e4120a545a2a80b932",
+    # A format-v2 data file (placeholders name level and predecessor);
+    # sealed footers carry tc in leaf-flush order and no "trackers" key.
+    ".cdb": "b930677cc0606108bbb34483fa19daf976da8db6",
 }
 
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro import ChronicleConfig, ChronicleDB, EventSchema
+from repro.core.split import TimeSplit
 from repro.errors import QueryError
+from repro.events import Field, FieldKind
 from repro.index import average_distance, temporal_correlation
 from repro.index.correlation import RunningCorrelation, minimum_correlation
 
@@ -76,16 +79,85 @@ TRACKED = st.one_of(
 )
 
 
-@given(
-    st.lists(TRACKED, max_size=40),
-    st.lists(st.integers(min_value=0, max_value=40), max_size=5),
-)
-def test_add_run_over_any_split_equals_per_value_add(values, cuts):
-    per_value, batched = RunningCorrelation(), RunningCorrelation()
-    for value in values:
-        per_value.add(value)
-    bounds = [0, *sorted(min(cut, len(values)) for cut in cuts), len(values)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        batched.add_run(values[lo:hi])
+@st.composite
+def rows_with_specials(draw):
+    """(x, n) rows: random floats (sums that round) and random I64 values
+    near 2**62, with a few TRACKED values written over x."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(min_value=1, max_value=300))
+    xs = [rng.uniform(-1e3, 1e3) for _ in range(n)]
+    for i, value in draw(st.lists(st.tuples(st.integers(0, n - 1), TRACKED),
+                                  max_size=6)):
+        xs[i] = value
+    return [(x, rng.randrange(-(2**62), 2**62)) for x in xs]
+
+
+def ingest_recording(rows, timestamps):
+    """Ingest *rows* in batches of 7 (``lblock_size=512``: a leaf holds
+    about 20 rows) and record, per split, what its tc is defined over:
+    each leaf's rows as they are written, in flush order, then the open
+    leaf's at its seal."""
+    fed = {}
+    flush, seal = TimeSplit._on_leaf_flush, TimeSplit.seal
+
+    def recording_flush(split, leaf, stats):
+        if not split.sealed:
+            fed.setdefault(split.index, []).extend(zip(*leaf.columns))
+        flush(split, leaf, stats)
+
+    def recording_seal(split):
+        was_sealed = split.sealed
+        seal(split)
+        if not was_sealed:
+            fed.setdefault(split.index, []).extend(zip(*split.tree.leaf.columns))
+
+    schema = EventSchema([Field("x"), Field("n", FieldKind.I64)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TimeSplit, "_on_leaf_flush", recording_flush)
+        patch.setattr(TimeSplit, "seal", recording_seal)
+        db = ChronicleDB(config=ChronicleConfig(
+            lblock_size=512, macro_size=2048, queue_capacity=8,
+            time_split_interval=300,
+        ))
+        stream = db.create_stream("s", schema)
+        for i in range(0, len(rows), 7):
+            chunk = rows[i:i + 7]
+            stream.append_columns(timestamps[i:i + 7],
+                                  [[x for x, _ in chunk], [n for _, n in chunk]])
+        for split in stream.splits:
+            split.seal()
+    return stream, fed
+
+
+def per_value_tc(rows) -> str:
+    trackers = {"x": RunningCorrelation(), "n": RunningCorrelation()}
+    for x, n in rows:
+        trackers["x"].add(float(x))
+        trackers["n"].add(float(n))
     # repr keeps NaN == NaN and tells 0.0 from -0.0.
-    assert repr(batched.to_dict()) == repr(per_value.to_dict())
+    return repr({name: tracker.tc for name, tracker in trackers.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows_with_specials(), st.randoms(use_true_random=False),
+       st.floats(0.0, 0.5))
+def test_split_tc_is_the_per_value_fold_over_its_leaves(rows, rng, late_share):
+    """Late rows land in written leaves (not fed) or in a leaf still to
+    be written (fed at their storage position)."""
+    timestamps = list(range(0, 3 * len(rows), 3))
+    for i in range(len(timestamps)):
+        if rng.random() < late_share:
+            timestamps[i] = rng.randrange(0, timestamps[i] + 1)
+    stream, fed = ingest_recording(rows, timestamps)
+    for split in stream.splits:
+        assert repr(split.tc_scores) == per_value_tc(fed.get(split.index, []))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows_with_specials())
+def test_in_order_tc_is_the_arrival_order_fold(rows):
+    timestamps = list(range(0, 3 * len(rows), 3))
+    stream, _ = ingest_recording(rows, timestamps)
+    for split in stream.splits:
+        arrived = [row for row, t in zip(rows, timestamps) if split.covers(t)]
+        assert repr(split.tc_scores) == per_value_tc(arrived)

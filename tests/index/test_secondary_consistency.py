@@ -30,7 +30,7 @@ def make_tree(spare=0.0):
 def build_with_secondary(n=600, spare=0.0):
     tree = make_tree(spare)
     index = LsmIndex(SimulatedDisk(), memtable_capacity=256)
-    def flush_hook(leaf):
+    def flush_hook(leaf, stats):
         for row in range(leaf.count):
             index.insert(float(leaf.columns[1][row]), leaf.timestamps[row],
                          leaf.node_id)
