@@ -26,6 +26,13 @@ class Compressor(ABC):
     def decompress(self, blob: bytes, original_size: int) -> bytes:
         """Restore the original bytes; *original_size* is ``len(data)``."""
 
+    def set_leaf_columns(self, arity: int) -> None:
+        """Leaf L-blocks hold *arity* attribute columns (format v3).
+
+        Codecs that lay leaves out column by column override this; the
+        rest compress every block whole.
+        """
+
     def decompress_prefix(self, blob: bytes, original_size: int, size: int) -> bytes:
         """The first *size* bytes of the original (fewer if it is shorter).
 

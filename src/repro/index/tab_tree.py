@@ -92,6 +92,7 @@ class TabTree:
         self.schema = schema
         self.codec = NodeCodec(schema, layout.lblock_size, indexed_attributes,
                                extended_aggregates)
+        layout.set_leaf_columns(schema.arity)
         self.lblock_spare = lblock_spare
         self.leaf_write_capacity = max(
             2, int(self.codec.leaf_capacity * (1.0 - lblock_spare))

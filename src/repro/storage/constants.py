@@ -47,9 +47,14 @@ TLB_HEADER_SIZE = 36
 #: On-disk format versions, named by the ``"format"`` string of the
 #: superblock and of the store manifest (DESIGN.md, "File format
 #: versions").  v1 files predate the check and open forever; v2 TLB
-#: slots of reserved flank nodes name the node's level and predecessor.
-FORMATS = {"chronicledb-repro-v1": 1, "chronicledb-repro-v2": 2}
-FORMAT_VERSION = 2
+#: slots of reserved flank nodes name the node's level and predecessor;
+#: v3 leaf C-blocks are column-aware (:mod:`repro.compression.zlibc`).
+FORMATS = {
+    "chronicledb-repro-v1": 1,
+    "chronicledb-repro-v2": 2,
+    "chronicledb-repro-v3": 3,
+}
+FORMAT_VERSION = 3
 
 #: Leading bytes of each tail L-block that TLB recovery hands to tree
 #: recovery: one TAB+-tree node header.

@@ -87,6 +87,9 @@ class _MacroEmitter:
             compressor if isinstance(compressor, Compressor) else get_compressor(compressor)
         )
         self.macro_spare_bytes = int(macro_size * macro_spare)
+        #: The file's format (DESIGN.md, "File format versions"): new
+        #: files get the current one, a reopened file keeps its own.
+        self.format_version = FORMAT_VERSION
         self.clock = device.clock
         self._macro: _OpenMacro | None = None
         self._macro_cache: OrderedDict[int, tuple[list[MacroEntry], int, int]] = (
@@ -115,6 +118,15 @@ class _MacroEmitter:
     @property
     def next_id(self) -> int:
         return self._next_id
+
+    def set_leaf_columns(self, arity: int) -> None:
+        """Leaf L-blocks of this file hold *arity* attribute columns.
+
+        A v3 file's codec then writes leaf C-blocks column-aware; v1 and
+        v2 files keep whole-block C-blocks after any number of writes.
+        """
+        if self.format_version >= 3:
+            self.codec.set_leaf_columns(arity)
 
     def append_block(self, data: bytes) -> int:
         """Compress and store an L-block; returns its logical id."""
@@ -301,9 +313,6 @@ class ChronicleLayout(_MacroEmitter):
                 "use ChronicleLayout.create(...) or ChronicleLayout.open(...)"
             )
         super().__init__(device, **kwargs)
-        #: The file's format (DESIGN.md, "File format versions"): new
-        #: files get the current one, a reopened file keeps its own.
-        self.format_version = FORMAT_VERSION
         self._m_tlb_writes = OBS.counter("storage.tlb.block_writes")
         self.tlb = TlbTree(
             self.lblock_size,
@@ -504,11 +513,18 @@ class ChronicleLayout(_MacroEmitter):
         block is relocated to the end of the database and a reference entry
         replaces it.  Returns ``True`` when the block was relocated.
         """
+        return self._update_framed(block_id, self._frame(block_id, data))
+
+    def _frame(self, block_id: int, data: bytes) -> bytes:
+        """The C-block of an updated L-block: compressed once, whatever
+        path its rewrite takes."""
         if len(data) != self.lblock_size:
             raise StorageError(
                 f"L-block must be exactly {self.lblock_size} bytes, got {len(data)}"
             )
-        framed = encode_cblock(block_id, len(data), self._compress(data))
+        return encode_cblock(block_id, len(data), self._compress(data))
+
+    def _update_framed(self, block_id: int, framed: bytes) -> bool:
         addr = self._resolve(block_id)
         offset, index = decode_addr(addr)
         # Blocks still sitting in the open macro are rewritten in memory.
@@ -520,7 +536,7 @@ class ChronicleLayout(_MacroEmitter):
             # Follow the reference and retry against the relocated copy.
             new_addr = struct.unpack_from("<Q", entry.payload)[0]
             self._update_mapping(block_id, new_addr)
-            return self.update_block(block_id, data)
+            return self._update_framed(block_id, framed)
         if not entry.continues_next and not entry.continues_prev:
             new_entries = list(entries)
             new_entries[index] = MacroEntry(0, framed)
@@ -574,30 +590,30 @@ class ChronicleLayout(_MacroEmitter):
         (relocated, split-spanning, or no longer fitting).  Returns True
         if any block had to be relocated.
         """
-        groups: dict[int, list[tuple[int, int, bytes]]] = {}
+        framed = {
+            block_id: self._frame(block_id, updates[block_id])
+            for block_id in sorted(updates)
+        }
+        groups: dict[int, list[tuple[int, int]]] = {}
         singles: list[int] = []
-        for block_id in sorted(updates):
-            addr = self._resolve(block_id)
-            offset, index = decode_addr(addr)
+        for block_id in framed:
+            offset, index = decode_addr(self._resolve(block_id))
             if self._macro is not None and offset == self._macro.offset:
                 singles.append(block_id)
             else:
-                groups.setdefault(offset, []).append(
-                    (block_id, index, updates[block_id])
-                )
+                groups.setdefault(offset, []).append((block_id, index))
         relocated = False
         for offset in sorted(groups):
             group = groups[offset]
             entries, flags, spare = self._read_macro(offset)
             new_entries = list(entries)
             simple = True
-            for block_id, index, data in group:
+            for block_id, index in group:
                 entry = entries[index]
                 if entry.is_ref or entry.continues_next or entry.continues_prev:
                     simple = False
                     break
-                framed = encode_cblock(block_id, len(data), self._compress(data))
-                new_entries[index] = MacroEntry(0, framed)
+                new_entries[index] = MacroEntry(0, framed[block_id])
             if simple:
                 try:
                     encoded = encode_macro(new_entries, self.macro_size, flags,
@@ -609,9 +625,9 @@ class ChronicleLayout(_MacroEmitter):
                 self._invalidate_macro(offset)
                 self._macro_cache[offset] = (new_entries, flags, spare)
             else:
-                singles.extend(block_id for block_id, _, _ in group)
+                singles.extend(block_id for block_id, _ in group)
         for block_id in singles:
-            relocated |= self.update_block(block_id, updates[block_id])
+            relocated |= self._update_framed(block_id, framed[block_id])
         return relocated
 
     def write_tombstone(self, block_id: int) -> None:

@@ -8,9 +8,13 @@ queued chunk, and each queue flush is one WAL write of the drained batch.
 An in-order wire batch is not even unpacked value by value: it decodes
 into typed arrays that the open leaf extends and serializes whole.
 Ingestion computes no statistic per batch: one statistics pass per
-written leaf, and one per seal for the open leaf.
+written leaf, and one per seal for the open leaf.  Nor does it choose a
+leaf encoding per block: each split's column trial runs on its first
+leaf and then once per ``TRIAL_INTERVAL`` leaves it compresses.
 """
 
+import dataclasses
+import math
 import struct
 import types
 from array import array
@@ -19,6 +23,7 @@ import numpy as np
 
 import repro.events.serializer as serializer
 from repro import ChronicleConfig, ChronicleDB, EventSchema
+from repro.compression.zlibc import LEAF_MAGIC, TRIAL_INTERVAL, ZlibCompressor
 from repro.core.split import TimeSplit
 from repro.events import ColumnarEvents, Event, Field, FieldKind
 from repro.index.correlation import RunningCorrelation
@@ -58,8 +63,9 @@ def device_writes(db, suffix):
     )
 
 
-def test_late_heavy_ingest_builds_no_events(monkeypatch):
-    rng = np.random.default_rng(28)
+def late_heavy_load(seed):
+    """``(t, a, b, order)``: arrival order with 5 % late in bulks."""
+    rng = np.random.default_rng(seed)
     t = np.arange(1, N_EVENTS + 1, dtype=np.int64) * 10
     a, b = (np.floor(rng.random(N_EVENTS) * 1000) / 10 for _ in range(2))
     order = []
@@ -67,6 +73,11 @@ def test_late_heavy_ingest_builds_no_events(monkeypatch):
         window = np.arange(start, start + 2_000)
         late = rng.random(len(window)) < 0.05
         order += window[~late].tolist() + window[late].tolist()
+    return t, a, b, order
+
+
+def test_late_heavy_ingest_builds_no_events(monkeypatch):
+    t, a, b, order = late_heavy_load(28)
     db = ChronicleDB(config=CONFIG)
     stream = db.create_stream("s", EventSchema.of("a", "b"))
 
@@ -137,3 +148,39 @@ def test_wire_batches_reach_the_leaf_without_per_value_packs(monkeypatch):
         (array, "q"), (array, "d"), (array, "q")
     ]
     db.close()
+
+
+def test_column_trials_run_once_per_interval(monkeypatch):
+    """The late-heavy load with small leaves (several trial intervals per
+    split): per split, at most ``ceil(leaves / TRIAL_INTERVAL) + 1``
+    trials for the leaf C-blocks its codec compressed, updates included."""
+    t, a, b, order = late_heavy_load(29)
+    leaves, trials = {}, {}
+
+    def tally(counts, name, when):
+        original = getattr(ZlibCompressor, name)
+
+        def counted(self, data, *args):
+            if when(data):
+                counts[id(self)] = counts.get(id(self), 0) + 1
+            return original(self, data, *args)
+
+        monkeypatch.setattr(ZlibCompressor, name, counted)
+
+    tally(leaves, "compress", lambda data: data[:4] == LEAF_MAGIC)
+    tally(trials, "_trial", lambda view: True)
+    db = ChronicleDB(
+        config=dataclasses.replace(CONFIG, lblock_size=1024, macro_size=4096)
+    )
+    stream = db.create_stream("s", EventSchema.of("a", "b"))
+    for i in range(0, N_EVENTS, 128):
+        pick = order[i : i + 128]
+        stream.append_columns(t[pick].tolist(), [a[pick].tolist(), b[pick].tolist()])
+    db.flush()
+
+    assert sum(split.manager.checkpoints for split in stream.splits) >= 1
+    codecs = {id(split.layout.codec) for split in stream.splits}
+    assert len(leaves) >= 2 and set(leaves) <= codecs
+    assert min(leaves.values()) > 2 * TRIAL_INTERVAL
+    for codec, count in leaves.items():
+        assert 1 <= trials.get(codec, 0) <= math.ceil(count / TRIAL_INTERVAL) + 1

@@ -18,9 +18,10 @@ from repro import ChronicleConfig, ChronicleDB, EventSchema
 
 N_EVENTS = 32_000
 PINNED_SHA1 = {
-    # A format-v2 data file (placeholders name level and predecessor);
-    # sealed footers carry tc in leaf-flush order and no "trackers" key.
-    ".cdb": "daaf3380a01325079728dc7080ffcc06b5c7057e",
+    # A format-v3 data file: column-aware leaf C-blocks, placeholders that
+    # name level and predecessor, and sealed footers with tc in leaf-flush
+    # order and no "trackers" key.
+    ".cdb": "244afdaf9b9bd0e8f87ec8e58d1b491440c91dc0",
     ".b.idx": "4c52ce9b6bf19edb9ded7bed82536176bf7060fd",
     ".wal": "373dbd559f3f4d6989d618b379cc93f2f504058c",
     ".mirror": "659f37caf3d52f6c8d69681f80cb836eb99d546b",

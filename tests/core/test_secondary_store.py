@@ -16,9 +16,10 @@ from repro import ChronicleConfig, ChronicleDB, EventSchema
 N_EVENTS = 32_000
 PINNED_SHA1 = {
     ".b.idx": "bc0fb92feb6ca75810109f2ab9a47e665cd04de0",
-    # A format-v2 data file (placeholders name level and predecessor);
-    # sealed footers carry tc in leaf-flush order and no "trackers" key.
-    ".cdb": "b930677cc0606108bbb34483fa19daf976da8db6",
+    # A format-v3 data file: column-aware leaf C-blocks, placeholders that
+    # name level and predecessor, and sealed footers with tc in leaf-flush
+    # order and no "trackers" key.
+    ".cdb": "42081440c676f3b7b58af167ce7f1dd6810651b5",
 }
 
 

@@ -7,6 +7,10 @@ index_capacity × height + 1`` full decodes, and the number of fully
 inflated *leaves* does not grow with the store: doubling the complete
 level-1 nodes leaves it as it was.
 
+On a v3 store a leaf's node header is stored raw in front of its
+deflated columns: whether the flank walk or the scan classifies the
+leaves, reading their headers inflates nothing.
+
 On a v2 store the flank walk reads no header beyond those TLB recovery
 handed over: its block reads are at most ``height × (index_capacity +
 2)`` — each flank node's children, its predecessor and the node that
@@ -15,9 +19,13 @@ child count grows with it, as a B+-tree's does); every other read, and
 every leaf read, stays the same when the complete level-1 nodes double.
 """
 
+import zlib
+
 import pytest
 
 from repro import obs
+from repro.compression import zlibc
+from repro.compression.zlibc import ZlibCompressor
 from repro.core.devices import DeviceProvider
 from repro.events import ColumnarEvents, EventSchema
 from repro.index.node import LeafNode
@@ -61,9 +69,10 @@ def _crashed_store(full_parents: int, extra_leaves: int, version: int = 1):
     return device, leaves, counters.get("index.flank_flushes", 0)
 
 
-def _recover(device, monkeypatch):
+def _recover(device, monkeypatch, scan=False):
     """Recover the tree; returns it with the recovery counters, the
-    number of leaves decoded in full and the number of block reads."""
+    number of leaves decoded in full and the number of block reads.
+    *scan* drops what TLB recovery handed over, forcing the header scan."""
     leaf_decodes = []
     read_node = tree_recovery._read_node
 
@@ -83,6 +92,8 @@ def _recover(device, monkeypatch):
         return read_framed(block_id)
 
     layout.read_framed = counted_read
+    if scan:
+        layout.recovered_tail = None
     obs.reset()
     obs.enable()
     try:
@@ -135,3 +146,57 @@ def test_v2_recovery_reads_are_flat(monkeypatch, extra_leaves):
     # flank's children, the same leaves read.
     assert beyond_children[0] == beyond_children[1]
     assert leaf_reads[0] == leaf_reads[1]
+
+
+class _InflatedBytes:
+    """``zlib`` as the codec sees it, adding up the bytes it inflates."""
+
+    def __init__(self):
+        self.total = 0
+
+    def __getattr__(self, name):
+        return getattr(zlib, name)
+
+    def decompress(self, data, *args):
+        out = zlib.decompress(data, *args)
+        self.total += len(out)
+        return out
+
+    def decompressobj(self, *args):
+        inner, owner = zlib.decompressobj(*args), self
+
+        class _Counted:
+            def decompress(self, data, *rest):
+                out = inner.decompress(data, *rest)
+                owner.total += len(out)
+                return out
+
+        return _Counted()
+
+
+@pytest.mark.parametrize("scan", [False, True])
+def test_v3_leaf_headers_inflate_nothing(monkeypatch, scan):
+    device, leaves, _ = _crashed_store(6, 3, version=3)
+    inflated = _InflatedBytes()
+    monkeypatch.setattr(zlibc, "zlib", inflated)
+    header_reads = []
+    prefix = ZlibCompressor.decompress_prefix
+
+    def counted(self, blob, original_size, size):
+        before = inflated.total
+        header = prefix(self, blob, original_size, size)
+        if header[:4] == zlibc.LEAF_MAGIC:
+            header_reads.append(inflated.total - before)
+        return header
+
+    monkeypatch.setattr(ZlibCompressor, "decompress_prefix", counted)
+    tree, counters, _, _ = _recover(device, monkeypatch, scan=scan)
+    assert tree.layout.format_version == 3
+    assert tree.event_count == leaves * tree.leaf_write_capacity
+    if scan:
+        assert counters["recovery.flank_scan_fallback"] == 1
+        assert counters["recovery.nodes_header_only"] == leaves
+    else:
+        assert counters["recovery.flank_walk"] == 1
+    assert len(header_reads) >= (leaves if scan else 1)
+    assert sum(header_reads) == 0

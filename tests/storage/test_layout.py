@@ -221,3 +221,35 @@ def test_tombstone_fills_gap():
     assert layout.read_block(c) == block_bytes(c)
     with pytest.raises(StorageError):
         layout.read_block(gap)
+
+
+def test_each_updated_block_is_compressed_once(monkeypatch):
+    """Count guard: an update that follows a REF entry, and a group of
+    updates that overflows its macro block and falls back to single
+    rewrites, compress each updated L-block exactly once."""
+    layout, _ = make_layout(macro_spare=0.0)
+    ids = [layout.append_block(block_bytes(i)) for i in range(40)]
+    layout.flush()
+    original_addr = layout._resolve(ids[0])
+    assert layout.update_block(ids[0], block_bytes(500, compressible=False))
+    # A TLB that still names the original spot finds the REF entry there.
+    layout.tlb.update(ids[0], original_addr)
+    calls = []
+    compress = ZlibCompressor.compress
+
+    def counted(self, data):
+        calls.append(len(data))
+        return compress(self, data)
+
+    monkeypatch.setattr(ZlibCompressor, "compress", counted)
+    final = block_bytes(501, compressible=False)
+    layout.update_block(ids[0], final)
+    assert len(calls) == 1
+    assert layout._resolve(ids[0]) != original_addr
+    # Incompressible rewrites of one macro's blocks no longer fit it.
+    updates = {i: block_bytes(600 + i, compressible=False) for i in ids[4:8]}
+    assert layout.update_blocks(updates)
+    assert len(calls) == 1 + len(updates)
+    assert layout.read_block(ids[0]) == final
+    for block_id, data in updates.items():
+        assert layout.read_block(block_id) == data
