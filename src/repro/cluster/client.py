@@ -23,20 +23,14 @@ from repro.cluster.pool import (
 from repro.errors import StaleRouteError
 from repro.events.event import ColumnarEvents, Event
 from repro.events.schema import EventSchema
-from repro.obs import OBS
+from repro.obs import tally
 from repro.query.parser import parse as parse_query
 from repro.query.partials import finalize_result, merge_partials
 from repro.query.planner import plan_scatter
 
-_FORWARDED_BATCHES = OBS.counter("cluster.forwarded_batches")
-_FORWARDED_EVENTS = OBS.counter("cluster.forwarded_events")
-_SCATTER_QUERIES = OBS.counter("cluster.scatter_queries")
-_PLAN_PUSHDOWNS = OBS.counter("cluster.plan_pushdowns")
-_EVENT_SCATTERS = OBS.counter("cluster.event_scatters")
-_STALE_RETRIES = OBS.counter("cluster.stale_retries")
-
-#: How many shard-map refreshes one logical write will chase before
-#: giving up — bounds the retry loop if epochs churn pathologically.
+#: How many routing rounds one logical write runs before giving up —
+#: each round re-partitions what a stale map epoch rejected, so this
+#: bounds the loop if epochs churn pathologically.
 _ROUTE_ATTEMPTS = 4
 
 
@@ -72,13 +66,18 @@ class ClusterClient:
         """Run against the shard primary, failing over once if the
         in-process cluster can elect a replacement."""
         try:
-            return self.pool.run(spec.primary, lambda c: operation(c))
+            return self.pool.run(spec.primary, operation)
         except TRANSPORT_ERRORS as error:
             if not is_connection_error(error) or self.cluster is None:
                 raise
-            self.pool.invalidate(spec.primary)
-            self.cluster.ensure_primary(spec.shard_id)
-            return self.pool.run(spec.primary, lambda c: operation(c))
+            self.pool.fail_over(spec.primary, spec.shard_id, self.cluster)
+            return self.pool.run(spec.primary, operation)
+
+    def _on_primaries(self, operation, specs=None) -> list:
+        """:meth:`_on_primary` on each shard in turn (default: all)."""
+        if specs is None:
+            specs = self.shard_map.shards
+        return [self._on_primary(spec, operation) for spec in specs]
 
     def _adopt_map(self, stale: StaleRouteError, spec: ShardSpec) -> None:
         """Refresh the router's shard map after a stale-route
@@ -95,9 +94,7 @@ class ClusterClient:
         ):
             synced = self.pool.run(spec.primary, lambda c: c.map_sync())
             self.shard_map.install_wire(synced.get("map"))
-        self.counters["stale_retries"] += 1
-        if OBS.enabled:
-            _STALE_RETRIES.inc()
+        tally(self.counters, "cluster", stale_retries=1)
 
     # -------------------------------------------------------------- appends
 
@@ -105,18 +102,13 @@ class ClusterClient:
         """Created on every shard: striped streams live everywhere, and a
         uniform namespace keeps rerouting after membership changes
         trivial."""
-        for spec in self.shard_map.shards:
-            self._on_primary(
-                spec, lambda c: c.create_stream(name, schema)
-            )
+        self._on_primaries(lambda c: c.create_stream(name, schema))
 
     def append(self, stream: str, event: Event) -> None:
         """One event is a one-row batch, routed like any other."""
         self.append_batch(stream, [event])
 
-    def append_batch(
-        self, stream: str, events, _route_attempts: int = _ROUTE_ATTEMPTS
-    ) -> int:
+    def append_batch(self, stream: str, events) -> int:
         """Append a batch, split per owning shard — **pipelined**: every
         shard's sub-batch is submitted before any response is awaited,
         so shard primaries ingest concurrently instead of serializing
@@ -124,22 +116,44 @@ class ClusterClient:
         with a connection error falls back to the synchronous
         reconnect/failover path (:meth:`_on_primary`); application
         errors propagate immediately.  Sub-batches rejected for a stale
-        map epoch are re-partitioned under the refreshed map and
-        retried (transparent live-split handoff).
+        map epoch are re-partitioned under the refreshed map in the
+        next routing round (transparent live-split handoff).
 
         *events* is transposed into one :class:`ColumnarEvents` batch
-        (with the stream's arity) before routing.  The epoch is
-        snapshotted *before* routing: if the map advances in between,
-        the stamped epoch is the older one and the worst case is a
+        (with the stream's arity) before routing.  Each round snapshots
+        the epoch *before* routing: if the map advances in between, the
+        stamped epoch is the older one and the worst case is a
         conservative rejection-and-retry, never a misrouted write
         accepted under the new epoch.
         """
-        batch = ColumnarEvents.of(events, self._arity(stream))
+        pending = [ColumnarEvents.of(events, self._arity(stream))]
+        total = forwarded_events = forwarded_batches = 0
+        for _ in range(_ROUTE_ATTEMPTS):
+            stale: list = []
+            for batch in pending:
+                acked, sub_batches = self._route(stream, batch, stale)
+                total += acked
+                forwarded_events += len(batch)
+                forwarded_batches += sub_batches
+            if not stale:
+                tally(
+                    self.counters, "cluster",
+                    forwarded_batches=forwarded_batches,
+                    forwarded_events=forwarded_events,
+                )
+                return total
+            pending = [sub_batch for _, sub_batch in stale]
+        raise stale[-1][0]
+
+    def _route(self, stream: str, batch: ColumnarEvents, stale: list):
+        """One routing round of *batch*: submit every shard's sub-batch,
+        then settle each.  A sub-batch rejected for a stale map epoch
+        goes on *stale* as ``(error, sub_batch)`` once the fresher map
+        is adopted.  Returns ``(events acked, sub-batches sent)``."""
         epoch = self.shard_map.version
         by_shard = self.shard_map.partition_batch(stream, batch)
-        ordered = sorted(by_shard)
         in_flight: dict[int, object] = {}
-        for shard_id in ordered:
+        for shard_id in sorted(by_shard):
             spec = self.shard_map.shards[shard_id]
             try:
                 in_flight[shard_id] = self.pool.client(
@@ -149,58 +163,40 @@ class ClusterClient:
                 )
             except TRANSPORT_ERRORS as error:  # submit failed: retry sync
                 in_flight[shard_id] = error
-        total = 0
-        stale_batches: list = []
-        stale: StaleRouteError | None = None
-        for shard_id in ordered:
+        acked = 0
+        for shard_id, outcome in in_flight.items():
             spec = self.shard_map.shards[shard_id]
             sub_batch = by_shard[shard_id]
-            outcome = in_flight[shard_id]
             try:
-                if isinstance(outcome, Exception):
-                    raise outcome
-                total += outcome.result(timeout=self.pool.timeout)
-            except StaleRouteError as error:
-                stale = error
-                self._adopt_map(error, spec)
-                stale_batches.append(sub_batch)
-            except TRANSPORT_ERRORS as error:
-                if not is_connection_error(error):
-                    raise
-                self.pool.invalidate(spec.primary)
-                try:
-                    total += self._on_primary(
-                        spec,
-                        lambda c: c.append_batch(
-                            stream, sub_batch, epoch=epoch
-                        ),
-                    )
-                except StaleRouteError as error:
-                    stale = error
-                    self._adopt_map(error, spec)
-                    stale_batches.append(sub_batch)
-        if stale_batches:
-            if _route_attempts <= 1:
-                raise stale
-            for sub_batch in stale_batches:
-                total += self.append_batch(
-                    stream, sub_batch, _route_attempts - 1
+                acked += self._settle(
+                    spec,
+                    outcome,
+                    lambda c: c.append_batch(stream, sub_batch, epoch=epoch),
                 )
-        self._count(len(batch), batches=len(by_shard))
-        return total
+            except StaleRouteError as error:
+                self._adopt_map(error, spec)
+                stale.append((error, sub_batch))
+        return acked, len(by_shard)
+
+    def _settle(self, spec: ShardSpec, outcome, resend) -> int:
+        """An in-flight append's ack.  A connection failure, at submit
+        or while waiting, drops the dead client and re-sends through
+        :meth:`_on_primary`, the reconnect/failover path."""
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome.result(timeout=self.pool.timeout)
+        except TRANSPORT_ERRORS as error:
+            if not is_connection_error(error):
+                raise
+            self.pool.invalidate(spec.primary)
+            return self._on_primary(spec, resend)
 
     def _arity(self, stream: str) -> int:
         """The stream's attribute count (the shard client caches the
         schema after asking once)."""
         spec = self.shard_map.shards_for_stream(stream)[0]
         return self._on_primary(spec, lambda c: c.schema(stream)).arity
-
-    def _count(self, events: int, batches: int = 1) -> None:
-        self.counters["forwarded_batches"] += batches
-        self.counters["forwarded_events"] += events
-        if OBS.enabled:
-            _FORWARDED_BATCHES.inc(batches)
-            _FORWARDED_EVENTS.inc(events)
 
     # -------------------------------------------------------------- queries
 
@@ -219,63 +215,37 @@ class ClusterClient:
         specs = self.shard_map.shards_for_stream(query.stream)
         if len(specs) == 1:
             return self._on_primary(specs[0], lambda c: c.query(sql))
-        scatter = plan_scatter(query)
-        self.counters["scatter_queries"] += 1
-        if OBS.enabled:
-            _SCATTER_QUERIES.inc()
-        if scatter["mode"] == "events":
-            self.counters["event_scatters"] += 1
-            if OBS.enabled:
-                _EVENT_SCATTERS.inc()
-            return self._scatter_events(sql, specs, query)
-        self.counters["plan_pushdowns"] += 1
-        if OBS.enabled:
-            _PLAN_PUSHDOWNS.inc()
-        return self._scatter_partials(sql, specs, query)
+        if plan_scatter(query)["mode"] == "events":
+            tally(self.counters, "cluster", scatter_queries=1,
+                  event_scatters=1)
+            shard_results = self._on_primaries(lambda c: c.query(sql), specs)
+            merged = list(heap_merge(*shard_results, key=lambda e: e.t))
+            return merged if query.limit is None else merged[: query.limit]
+        tally(self.counters, "cluster", scatter_queries=1, plan_pushdowns=1)
+        partials = self._on_primaries(lambda c: c.query_partials(sql), specs)
+        return finalize_result(merge_partials(partials, query), query)
 
     execute = query
-
-    def _scatter_events(self, sql: str, specs, query):
-        shard_results = [
-            self._on_primary(spec, lambda c: c.query(sql))
-            for spec in specs
-        ]
-        merged = list(heap_merge(*shard_results, key=lambda e: e.t))
-        if query.limit is not None:
-            merged = merged[: query.limit]
-        return merged
-
-    def _scatter_partials(self, sql: str, specs, query):
-        partials = [
-            self._on_primary(spec, lambda c: c.query_partials(sql))
-            for spec in specs
-        ]
-        return finalize_result(merge_partials(partials, query), query)
 
     # ---------------------------------------------------------------- admin
 
     def flush(self) -> None:
-        for spec in self.shard_map.shards:
-            self._on_primary(spec, lambda c: c.flush())
+        self._on_primaries(lambda c: c.flush())
 
     def list_streams(self) -> list[str]:
-        streams: set[str] = set()
-        for spec in self.shard_map.shards:
-            streams.update(
-                self._on_primary(spec, lambda c: c.list_streams())
-            )
-        return sorted(streams)
+        return sorted(
+            set().union(*self._on_primaries(lambda c: c.list_streams()))
+        )
 
     def stats(self) -> dict:
         """Per-shard primary stats plus the router's own counters."""
         out = {
             "router": dict(self.counters),
-            "shards": {},
+            "shards": {
+                spec.shard_id: self._on_primary(spec, lambda c: c.stats())
+                for spec in self.shard_map.shards
+            },
         }
-        for spec in self.shard_map.shards:
-            out["shards"][spec.shard_id] = self._on_primary(
-                spec, lambda c: c.stats()
-            )
         if self.cluster is not None:
             out["cluster"] = self.cluster.stats()
         return out

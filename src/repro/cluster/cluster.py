@@ -40,10 +40,7 @@ from repro.cluster.replication import Replicator, reconcile_stream
 from repro.core.config import ChronicleConfig
 from repro.core.devices import RetryPolicy
 from repro.errors import ChronicleError, ClusterError
-from repro.obs import OBS
-
-_FAILOVERS = OBS.counter("cluster.failovers")
-_RECONCILED = OBS.counter("cluster.reconciled_events")
+from repro.obs import tally
 
 
 class Cluster:
@@ -366,11 +363,8 @@ class Cluster:
         # still routing to the old primary's shard layout (and so a
         # recovered node regains its in-memory route state).
         self.push_map()
-        self.counters["failovers"] += 1
-        self.counters["reconciled_events"] += reconciled
-        if OBS.enabled:
-            _FAILOVERS.inc()
-            _RECONCILED.inc(reconciled)
+        tally(self.counters, "cluster", failovers=1,
+              reconciled_events=reconciled)
         return chosen
 
     def _most_caught_up(self, candidates: list[Endpoint]) -> Endpoint:

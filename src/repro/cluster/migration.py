@@ -47,12 +47,9 @@ from repro.cluster.placement import RangeAssignment, ShardSpec
 from repro.cluster.replication import missing_in_range
 from repro.errors import ClusterError, ProtocolError
 from repro.net.client import RemoteError
-from repro.obs import OBS
+from repro.obs import tally
 
 _HUGE = 2**62
-
-_SPLITS = OBS.counter("cluster.splits")
-_MIGRATED = OBS.counter("cluster.migrated_events")
 
 #: Bounds the copy/tail-sync loop: a source ingesting faster than the
 #: migrator copies would otherwise never converge.
@@ -144,11 +141,8 @@ def run_split(
         record["wire_ops"] = ops.count
         raise
     record["wire_ops"] = ops.count
-    cluster.counters["splits"] += 1
-    cluster.counters["migrated_events"] += record["copied_events"]
-    if OBS.enabled:
-        _SPLITS.inc()
-        _MIGRATED.inc(record["copied_events"])
+    tally(cluster.counters, "cluster", splits=1,
+          migrated_events=record["copied_events"])
     return record
 
 

@@ -1,11 +1,14 @@
-"""A thread-safe pool of client connections, one per endpoint.
+"""A thread-safe pool of client connections, one per endpoint — and
+the client stack's one retry and one failover step.
 
 One cached :class:`~repro.net.client.BinaryChronicleClient` per
 endpoint, created on demand.  ``run`` retries connection-level failures
-with the same bounded exponential backoff shape as
-:class:`repro.core.devices.RetryPolicy` (the device-retry analogue at
-the network layer); application-level errors from the server propagate
-immediately — they are deterministic and retrying cannot help.
+through :meth:`repro.core.devices.RetryPolicy.run`, the engine's one
+bounded-backoff loop, waiting wall time; application-level errors from
+the server propagate immediately — they are deterministic and retrying
+cannot help.  ``fail_over`` is the one failover step the router
+(:class:`~repro.cluster.client.ClusterClient`) and the routed subscriber
+(:class:`~repro.sub.cluster.ClusterSubscriber`) share.
 
 A :class:`~repro.errors.ProtocolError` counts as a connection failure:
 it means the byte stream desynchronized (e.g. a reconnect happened
@@ -77,21 +80,34 @@ class ClientPool:
         """``operation(client)`` with reconnect-and-retry on connection
         failures; the last connection error propagates when the retry
         budget is exhausted."""
-        delay = self.retry.backoff_seconds
-        last_error: Exception | None = None
-        for attempt in range(self.retry.max_attempts):
-            if attempt:
-                self.retries += 1
-                time.sleep(delay)
-                delay *= self.retry.multiplier
-            try:
-                return operation(self.client(endpoint))
-            except TRANSPORT_ERRORS as error:
-                if not is_connection_error(error):
-                    raise
-                last_error = error
+        return self.retry.run(
+            self._attempt, is_connection_error, self._backoff,
+            endpoint, operation,
+        )
+
+    def _attempt(self, endpoint: Endpoint, operation):
+        try:
+            return operation(self.client(endpoint))
+        except TRANSPORT_ERRORS as error:
+            if is_connection_error(error):
                 self.invalidate(endpoint)
-        raise last_error
+            raise
+
+    def _backoff(self, delay: float) -> None:
+        self.retries += 1
+        time.sleep(delay)
+
+    def fail_over(self, endpoint: Endpoint, shard_id: int, cluster) -> bool:
+        """The failover step after a connection failure on *endpoint*,
+        shard *shard_id*'s primary as the caller last saw it: drop the
+        cached client and, with an in-process *cluster* attached, make
+        sure the shard has a live primary (promoting a replica if the
+        old one is dead).  Returns whether a cluster was there to act."""
+        self.invalidate(endpoint)
+        if cluster is None:
+            return False
+        cluster.ensure_primary(shard_id)
+        return True
 
     def close(self) -> None:
         with self._lock:

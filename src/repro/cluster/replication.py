@@ -7,8 +7,8 @@ here; the replicator ships the *batch payload bytes the primary
 received*, unmodified, to every replica synchronously and acknowledges
 the client only once a majority of the replica group (primary included)
 holds the events.  Replica sends absorb transient connection failures
-with the device-layer retry/backoff shape
-(:class:`~repro.core.devices.RetryPolicy` via the client pool).
+through the client pool, whose retries run
+:meth:`~repro.core.devices.RetryPolicy.run`.
 
 Because the primary applies before shipping, a failed quorum leaves the
 primary ahead of its acknowledgement — the classic primary-backup

@@ -15,7 +15,6 @@ import os
 from repro import obs
 from repro.core.config import ChronicleConfig
 from repro.core.devices import DeviceProvider
-from repro.core.scheduler import LoadScheduler
 from repro.core.stream import EventStream
 from repro.core.streamtable import StreamTable
 from repro.errors import ChronicleError, ConfigError, QueryError, RecoveryError
@@ -120,10 +119,7 @@ class ChronicleDB:
             state, tiers, index_floor = recover_stream_tiers(
                 name, state, config, self.devices
             )
-            stream = EventStream.restore(
-                name, state, config, self.devices,
-                LoadScheduler(tc_threshold=config.tc_threshold),
-            )
+            stream = EventStream.restore(name, state, config, self.devices)
             stream.tiers = tiers
             stream._next_split_index = max(
                 stream._next_split_index, index_floor
@@ -197,13 +193,7 @@ class ChronicleDB:
         if not name or "/" in name:
             raise ConfigError(f"invalid stream name {name!r}")
         stream_config = config if config is not None else self.config
-        stream = EventStream(
-            name,
-            schema,
-            stream_config,
-            self.devices,
-            LoadScheduler(tc_threshold=stream_config.tc_threshold),
-        )
+        stream = EventStream(name, schema, stream_config, self.devices)
         self.streams[name] = stream
         self._stream_configs[name] = stream_config
         self._attach_lifecycle(name)

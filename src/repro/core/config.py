@@ -51,7 +51,6 @@ class ChronicleConfig:
     tc_threshold: float = 0.9
     #: LSM/COLA tuning.
     memtable_capacity: int = 4096
-    lsm_fanout: int = 4
     #: Age-based tiering of closed time ranges (None = never tier).
     lifecycle: LifecyclePolicy | None = None
     #: Upper bound on resident (activated) streams; the rest are parked

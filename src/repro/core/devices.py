@@ -28,11 +28,13 @@ _MODELS = {"instant": INSTANT, "hdd": HDD_2017, "ssd": SSD_2017}
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retry/backoff for transient device errors.
+    """Bounded exponential backoff: the one retry loop of the engine.
 
-    Each retry waits ``backoff_seconds * multiplier**attempt`` of
-    *simulated* time (charged to the shared clock, so backoff shows up
-    in benchmark critical paths without slowing real tests down).
+    Retry *k* (from 0) waits ``backoff_seconds * multiplier**k``; the
+    caller decides what a wait is.  :class:`RetryingDisk` charges it to
+    the shared simulated clock (backoff shows up in benchmark critical
+    paths without slowing real tests down), and
+    :class:`repro.cluster.pool.ClientPool` sleeps wall time.
     """
 
     max_attempts: int = 4
@@ -44,6 +46,28 @@ class RetryPolicy:
             raise ConfigError("max_attempts must be >= 1")
         if self.backoff_seconds < 0 or self.multiplier < 1:
             raise ConfigError("invalid backoff parameters")
+
+    def run(self, operation, retryable, wait, *args):
+        """``operation(*args)``, tried up to ``max_attempts`` times.
+
+        An error for which ``retryable(error)`` is false propagates at
+        once; a retryable one is retried after ``wait(delay)``, and the
+        last one is re-raised when the budget runs out.
+        """
+        delay = self.backoff_seconds
+        for attempt in range(self.max_attempts):
+            if attempt:
+                wait(delay)
+                delay *= self.multiplier
+            try:
+                return operation(*args)
+            except Exception as error:
+                if not retryable(error) or attempt + 1 == self.max_attempts:
+                    raise
+
+
+def _transient(error: Exception) -> bool:
+    return isinstance(error, TransientDiskError)
 
 
 class RetryingDisk:
@@ -61,19 +85,12 @@ class RetryingDisk:
         self.policy = policy
         self.retries = 0
 
+    def _backoff(self, delay: float) -> None:
+        self.retries += 1
+        self.inner.clock.charge_io(delay)
+
     def _run(self, operation, *args):
-        delay = self.policy.backoff_seconds
-        last_error = None
-        for attempt in range(self.policy.max_attempts):
-            if attempt:
-                self.retries += 1
-                self.inner.clock.charge_io(delay)
-                delay *= self.policy.multiplier
-            try:
-                return operation(*args)
-            except TransientDiskError as error:
-                last_error = error
-        raise last_error
+        return self.policy.run(operation, _transient, self._backoff, *args)
 
     def write(self, offset: int, data: bytes) -> None:
         self._run(self.inner.write, offset, data)

@@ -116,9 +116,7 @@ class TimeSplit:
         device.truncate(0)
         if kind == "lsm":
             index = LsmIndex(
-                device,
-                memtable_capacity=self.config.memtable_capacity,
-                fanout=self.config.lsm_fanout,
+                device, memtable_capacity=self.config.memtable_capacity
             )
         else:
             index = ColaIndex(device, base_capacity=self.config.memtable_capacity)

@@ -47,16 +47,13 @@ class EventStream:
         schema: EventSchema,
         config: ChronicleConfig,
         devices: DeviceProvider,
-        scheduler: LoadScheduler | None = None,
     ):
         self.name = name
         self.schema = schema
         self._codec = PaxCodec(schema)
         self.config = config
         self.devices = devices
-        self.scheduler = scheduler if scheduler is not None else LoadScheduler(
-            tc_threshold=config.tc_threshold
-        )
+        self.scheduler = LoadScheduler(tc_threshold=config.tc_threshold)
         self.scheduler.on_transition = self._on_pressure_change
         self.splits: list[TimeSplit] = []
         #: Warm splits, cold rollups and expired ranges (repro.lifecycle).
@@ -822,11 +819,10 @@ class EventStream:
         state: dict,
         config: ChronicleConfig,
         devices: DeviceProvider,
-        scheduler: LoadScheduler | None = None,
     ) -> "EventStream":
         """Reopen a stream from its manifest (clean or post-crash)."""
         stream = cls(name, EventSchema.from_dict(state["schema"]), config,
-                     devices, scheduler)
+                     devices)
         stream.appended = state.get("appended", 0)
         stream.retired_summaries = list(state.get("retired_summaries", []))
         for split_state in state["splits"]:

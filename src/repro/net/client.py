@@ -72,8 +72,9 @@ class BinaryChronicleClient:
         self._push_handlers: dict[int, object] = {}
         #: Pushes that raced ahead of their subscribe response (the hub
         #: may write the first batch before the OP_OK frame); drained to
-        #: the handle when it registers.  Bounded by the subscription's
-        #: credit window.
+        #: the handle when it registers.  The hub pushes at most the
+        #: initial credits before the first ack, and refuses more than
+        #: ``frames.MAX_CREDITS``; one end notice may follow.
         self._orphan_pushes: dict[int, list] = {}
         self._send_lock = threading.Lock()
         self._pending_lock = threading.Lock()
@@ -119,7 +120,7 @@ class BinaryChronicleClient:
                     # (stash, bounded) or in flight past an unsubscribe
                     # (stash is cleared when the handle unregisters).
                     stash = self._orphan_pushes.setdefault(sub_id, [])
-                    if len(stash) < 256:
+                    if len(stash) <= frames.MAX_CREDITS:
                         stash.append((op, payload))
                     return
             handler._on_push(op, payload)

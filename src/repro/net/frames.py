@@ -85,6 +85,11 @@ _RESPONSE_OPS = frozenset({OP_OK, OP_ERR, OP_OK_BATCH, OP_SUB_EVENTS, OP_SUB_END
 
 #: Pushed frames a client may receive without a matching pending request.
 PUSH_OPS = frozenset({OP_SUB_EVENTS, OP_SUB_END})
+#: Most credits a subscription may open with (one credit = one pushed
+#: batch).  Pushes that race ahead of the subscribe response wait in the
+#: client until its handle registers, so that stash never holds more
+#: than this many batches plus the end notice.
+MAX_CREDITS = 256
 
 _BATCH_HEAD = struct.Struct("<H")  # length prefixes for stream / schema
 _BATCH_COUNT = struct.Struct("<I")

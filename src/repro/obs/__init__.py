@@ -63,6 +63,15 @@ def snapshot() -> dict:
     return merged
 
 
+def tally(counters: dict, prefix: str, **facts: int) -> None:
+    """Add each fact to ``counters[name]`` and, when observation is on,
+    to its twin counter ``<prefix>.<name>``: one bump for both views."""
+    for name, n in facts.items():
+        counters[name] += n
+        if OBS.enabled:
+            OBS.counter(f"{prefix}.{name}").inc(n)
+
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -78,4 +87,5 @@ __all__ = [
     "reset",
     "snapshot",
     "span",
+    "tally",
 ]

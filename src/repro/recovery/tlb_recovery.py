@@ -19,7 +19,7 @@ per level) are gone; everything flushed to disk is intact.  Recovery:
 Because the TAB+-tree writes node ids slightly out of order (eager id
 allocation for stable sibling links), a not-yet-mapped id may sit a few
 macro blocks *before* the last flushed TLB leaf.  The tail rescan
-therefore starts ``scan_margin`` leaves back (following ``prev`` links),
+therefore starts ``_SCAN_MARGIN`` leaves back (following ``prev`` links),
 which keeps recovery time proportional to the tail — not the database —
 exactly the property Figure 10 demonstrates.
 
@@ -55,6 +55,8 @@ from repro.storage.walker import iter_cblocks
 #: Bytes a compressed C-block may exceed its L-block by: the C-block
 #: header plus what a codec adds to incompressible input.
 CBLOCK_SLACK = 64
+#: TLB leaves the tail rescan starts back from the last flushed one.
+_SCAN_MARGIN = 8
 
 
 @dataclass
@@ -80,7 +82,7 @@ class RecoveredTail:
     doubtful: list[int] = field(default_factory=list)
 
 
-def recover_tlb(layout, scan_margin: int = 8) -> None:
+def recover_tlb(layout) -> None:
     """Rebuild *layout*'s TLB in place after a crash."""
     device = layout.device
     lblock = layout.lblock_size
@@ -94,7 +96,7 @@ def recover_tlb(layout, scan_margin: int = 8) -> None:
             offset, block = last
             with obs.span("recovery.tlb.rebuild_flanks"):
                 _rebuild_flanks(layout, offset, block)
-            scan_start = _scan_start_offset(layout, scan_margin)
+            scan_start = _scan_start_offset(layout, _SCAN_MARGIN)
             header_start = _scan_start_offset(layout, 1)
             if tail is not None:
                 tail.fresh_from = layout.tlb.levels[0].number * layout.tlb.b - 1

@@ -34,6 +34,8 @@ from repro.storage.addressing import NULL_ADDR
 from repro.storage.constants import MAGIC_TLB, TLB_HEADER_SIZE
 
 _HEADER = struct.Struct("<IIBBHQQQ")
+#: TLB leaf blocks kept in the LRU cache.
+_LEAF_CACHE_SIZE = 128
 
 
 def entries_per_tlb_block(lblock_size: int) -> int:
@@ -125,7 +127,6 @@ class TlbTree:
         write_unit: Callable[[bytes], int],
         read_unit: Callable[[int], bytes],
         rewrite_unit: Callable[[int, bytes], None] | None = None,
-        leaf_cache_size: int = 128,
     ):
         self.lblock_size = lblock_size
         self.b = entries_per_tlb_block(lblock_size)
@@ -139,7 +140,6 @@ class TlbTree:
         # through a small LRU cache (paper, Section 4.2.3).
         self._index_cache: dict[int, list[int]] = {}
         self._leaf_cache: OrderedDict[int, list[int]] = OrderedDict()
-        self._leaf_cache_size = leaf_cache_size
 
     # ------------------------------------------------------------------ put
 
@@ -229,7 +229,7 @@ class TlbTree:
     def _cache_leaf(self, offset: int, entries: list[int]) -> None:
         self._leaf_cache[offset] = entries
         self._leaf_cache.move_to_end(offset)
-        while len(self._leaf_cache) > self._leaf_cache_size:
+        while len(self._leaf_cache) > _LEAF_CACHE_SIZE:
             self._leaf_cache.popitem(last=False)
 
     def is_flushed(self, block_id: int) -> bool:

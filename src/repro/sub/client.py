@@ -22,7 +22,32 @@ from repro.net import frames
 from repro.sub.hub import next_cursor
 
 
-class SubscriptionHandle:
+class BatchConsumer:
+    """``events``, ``take`` and the ``with`` block over a subclass's
+    ``batches`` and ``close``."""
+
+    def events(self, timeout: float | None = None):
+        """Flattened :meth:`batches` — yield one event at a time."""
+        for batch in self.batches(timeout=timeout):
+            yield from batch
+
+    def take(self, n: int, timeout: float | None = None) -> list:
+        """Collect exactly *n* events (or raise on close/timeout)."""
+        out: list = []
+        for event in self.events(timeout=timeout):
+            out.append(event)
+            if len(out) >= n:
+                break
+        return out
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class SubscriptionHandle(BatchConsumer):
     """Iterate pushed event batches; resumable via :attr:`cursor`."""
 
     def __init__(
@@ -124,20 +149,6 @@ class SubscriptionHandle:
             if self.auto_ack and self._closed is None:
                 self.ack(seq)
 
-    def events(self, timeout: float | None = None):
-        """Flattened :meth:`batches` — yield one event at a time."""
-        for batch in self.batches(timeout=timeout):
-            yield from batch
-
-    def take(self, n: int, timeout: float | None = None) -> list:
-        """Collect exactly *n* events (or raise on close/timeout)."""
-        out: list = []
-        for event in self.events(timeout=timeout):
-            out.append(event)
-            if len(out) >= n:
-                break
-        return out
-
     def ack(self, seq: int | None = None, credits: int = 1) -> None:
         """Grant the server *credits* more batches (fire-and-forget)."""
         try:
@@ -162,12 +173,6 @@ class SubscriptionHandle:
     def _close_with(self, error: SubscriptionClosed) -> None:
         self._closed = error
         self.client._unregister_push_handler(self.sub_id)
-
-    def __enter__(self) -> "SubscriptionHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __iter__(self):
         return self.events()

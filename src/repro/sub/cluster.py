@@ -12,10 +12,15 @@ subscription endings into routing decisions:
 * ``ownership_boundary`` — the node drained every event it owns and
   the live tail belongs elsewhere.  Advance to the owner of the next
   assignment segment after the cursor and resubscribe there.
-* ``server_closing`` / transport errors — the node went away.  With a
-  :class:`~repro.cluster.cluster.Cluster` attached, ``ensure_primary``
-  promotes a replica first; either way the connection is invalidated
-  and the subscription resumes from the cursor on the new primary.
+* ``server_closing`` / transport errors — the node went away.  The
+  subscriber takes the router's failover step
+  (:meth:`~repro.cluster.pool.ClientPool.fail_over`): the connection is
+  invalidated and, with a :class:`~repro.cluster.cluster.Cluster`
+  attached, ``ensure_primary`` promotes a replica; then the
+  subscription resumes from the cursor on the new primary.
+
+Every hop that delivers nothing counts against one stall budget
+(``_MAX_STALLS``), checked in one place; a batch resets it.
 
 Windowed striping (:class:`TimeWindowPlacement`) interleaves one
 stream's *live* tail across every shard at window granularity; a single
@@ -31,13 +36,18 @@ import time
 from repro.cluster.placement import TimeWindowPlacement
 from repro.cluster.pool import ClientPool, TRANSPORT_ERRORS
 from repro.errors import ClusterError, SubscriptionClosed
+from repro.sub.client import BatchConsumer
 
 _HUGE = 2**62
 #: Consecutive resubscribe attempts that deliver nothing before giving up.
 _MAX_STALLS = 25
+#: Endings that mean the node went away: fail over, then resubscribe.
+#: "error" covers a dying node racing its own shutdown — the push fails
+#: server-side a moment before the socket drops.
+_FAILOVER_ENDS = ("server_closing", "transport", "error")
 
 
-class ClusterSubscriber:
+class ClusterSubscriber(BatchConsumer):
     """A resumable push subscription routed through a shard map."""
 
     def __init__(
@@ -109,13 +119,10 @@ class ClusterSubscriber:
         return spec, spec.primary
 
     def _recover(self, spec, endpoint) -> None:
-        """Connection-level failure: drop the cached client and, when an
-        orchestrator is attached, fail the shard over to a replica."""
-        self.pool.invalidate(endpoint)
+        """Connection-level failure: the router's failover step, or a
+        short pause when no orchestrator is attached."""
         self.failovers += 1
-        if self.cluster is not None:
-            self.cluster.ensure_primary(spec.shard_id)
-        else:
+        if not self.pool.fail_over(endpoint, spec.shard_id, self.cluster):
             time.sleep(0.05)
 
     # ----------------------------------------------------------- consumption
@@ -133,8 +140,7 @@ class ClusterSubscriber:
             spec, endpoint = self._resolve()
             handle = None
             try:
-                client = self.pool.client(endpoint)
-                handle = client.subscribe(
+                opened = self.pool.client(endpoint).subscribe(
                     self.stream,
                     cursor=self.cursor,
                     credits=self.credits,
@@ -142,76 +148,44 @@ class ClusterSubscriber:
                     policy=self.policy,
                     queue_max=self.queue_max,
                 )
-            except TRANSPORT_ERRORS:
-                stalls += 1
-                if stalls > _MAX_STALLS:
-                    raise ClusterError(
-                        f"subscription to {self.stream!r} cannot reach "
-                        f"shard {spec.shard_id} at {endpoint}"
-                    )
-                self._recover(spec, endpoint)
-                continue
-            with self._lock:
-                if self._closed:
-                    handle.close()
-                    return
-                self._handle = handle
-            try:
+                with self._lock:
+                    if self._closed:
+                        opened.close()
+                        return
+                    self._handle = handle = opened
                 for events in handle.batches(timeout=timeout):
                     if events:
                         stalls = 0
                         self.cursor = handle.cursor
                         yield events
+                continue
             except SubscriptionClosed as end:
-                self.cursor = handle.cursor
-                reason = end.reason
-                if reason == "unsubscribed" or self._closed:
+                if end.reason == "unsubscribed" or self._closed:
                     return
-                stalls += 1
-                if stalls > _MAX_STALLS:
-                    raise ClusterError(
-                        f"subscription to {self.stream!r} made no "
-                        f"progress over {stalls} hops "
-                        f"(last end: {reason})"
-                    ) from end
-                if reason == "ownership_boundary":
-                    self._advance_segment = True
-                    self.reroutes += 1
-                elif reason == "ownership_changed":
-                    self.reroutes += 1
-                elif reason in ("server_closing", "transport", "error"):
-                    # "error" covers a dying node racing its own
-                    # shutdown: the push fails server-side a moment
-                    # before the socket drops.  Same recovery, and the
-                    # stall backstop still bounds a genuinely broken
-                    # subscription.
-                    self._recover(spec, endpoint)
-                else:
-                    raise
+                cause, reason = end, end.reason
             except TRANSPORT_ERRORS as error:
-                self.cursor = handle.cursor
-                stalls += 1
-                if stalls > _MAX_STALLS:
-                    raise ClusterError(
-                        f"subscription to {self.stream!r} made no "
-                        f"progress over {stalls} hops"
-                    ) from error
-                self._recover(spec, endpoint)
+                cause, reason = error, "transport"
             finally:
+                if handle is not None:
+                    self.cursor = handle.cursor
                 with self._lock:
                     self._handle = None
-
-    def events(self, timeout: float | None = None):
-        for events in self.batches(timeout=timeout):
-            yield from events
-
-    def take(self, n: int, timeout: float | None = None) -> list:
-        out: list = []
-        for event in self.events(timeout=timeout):
-            out.append(event)
-            if len(out) >= n:
-                break
-        return out
+            stalls += 1
+            if stalls > _MAX_STALLS:
+                raise ClusterError(
+                    f"subscription to {self.stream!r} on shard "
+                    f"{spec.shard_id} at {endpoint} made no progress "
+                    f"over {stalls} hops (last end: {reason})"
+                ) from cause
+            if reason == "ownership_boundary":
+                self._advance_segment = True
+                self.reroutes += 1
+            elif reason == "ownership_changed":
+                self.reroutes += 1
+            elif reason in _FAILOVER_ENDS:
+                self._recover(spec, endpoint)
+            else:
+                raise cause
 
     def close(self) -> None:
         with self._lock:
@@ -225,9 +199,3 @@ class ClusterSubscriber:
                 pass
         if self._own_pool:
             self.pool.close()
-
-    def __enter__(self) -> "ClusterSubscriber":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

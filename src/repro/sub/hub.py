@@ -216,8 +216,10 @@ class SubscriptionHub:
         if not 1 <= batch <= 65536:
             raise SubscriptionError(f"batch size {batch} out of range [1, 65536]")
         credits = int(request.get("credits", 4))
-        if credits < 1:
-            raise SubscriptionError("initial credits must be >= 1")
+        if not 1 <= credits <= frames.MAX_CREDITS:
+            raise SubscriptionError(
+                f"initial credits {credits} out of range [1, {frames.MAX_CREDITS}]"
+            )
         queue_max = int(request.get("queue_max", 8 * batch))
         if queue_max < batch:
             raise SubscriptionError("queue_max must be >= batch size")

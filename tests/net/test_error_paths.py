@@ -184,6 +184,55 @@ def test_slow_reader_stalls_only_its_own_connection():
     assert time.monotonic() - started < 5.0
 
 
+def test_slow_reader_at_the_credit_bound_stalls_only_its_own_connection():
+    """As above, with the largest window the hub accepts: the silent
+    peer's subscription is live, fills its socket and blocks its push
+    thread, and no other connection notices."""
+    schema = EventSchema.of("a", "b", "c", "d")
+    rows, batches = 1000, 200  # 8 MB of pushes: more than the socket buffers
+    server = ChronicleServer(ChronicleDB())
+    server.start()
+    peer = socket.socket()
+    received = []
+    try:
+        with BinaryChronicleClient(server.host, server.port) as admin:
+            admin.create_stream("s", schema)
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        peer.settimeout(5)
+        peer.connect((server.host, server.port))
+        request = {"stream": "s", "from_t": 0, "batch": rows,
+                   "credits": frames.MAX_CREDITS}
+        peer.sendall(frames.encode_frame(
+            frames.OP_SUBSCRIBE, 1, frames.encode_json_payload(request)
+        ))
+        deadline = time.monotonic() + 5
+        while not server.hub._subs and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.hub._subs, "the peer's subscription was refused"
+        with BinaryChronicleClient(server.host, server.port) as writer, \
+                BinaryChronicleClient(server.host, server.port) as reader:
+            handle = reader.subscribe("s", from_t=0, batch=rows)
+            for i in range(batches):
+                writer.append_batch("s", [
+                    Event.of(i * rows + j, 1.0, 2.0, 3.0, 4.0)
+                    for j in range(rows)
+                ])
+            for batch in handle.batches(timeout=10):
+                received.append(len(batch))
+                if sum(received) == rows * batches:
+                    break
+            handle.close()
+        assert sum(received) == rows * batches
+    finally:
+        started = time.monotonic()
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=10)
+        peer.close()
+    assert not stopper.is_alive(), "stop() wedged behind the slow reader"
+    assert time.monotonic() - started < 5.0
+
+
 def test_streams_do_not_serialize_behind_each_other(server):
     """Appends to one stream proceed while another stream's lock is held."""
     with BinaryChronicleClient(server.host, server.port) as client:

@@ -200,3 +200,23 @@ def test_checkpointed_query_survives_restart_failover_and_split(base_dir):
         got = [sink.outputs[i] for i in sorted(sink.outputs)]
         assert got == want
         assert len(sink.outputs) == total // width - 1  # last window open
+
+
+def test_unreachable_shard_exhausts_the_stall_budget(monkeypatch):
+    """Without an orchestrator nothing can promote a replica: every hop
+    takes the failover step (a short pause), and the subscription gives
+    up with a typed error once the stall budget is spent."""
+    import repro.sub.cluster as sub_cluster
+
+    monkeypatch.setattr(sub_cluster, "_MAX_STALLS", 3)
+    with Cluster(num_shards=1, config=CONFIG) as cluster:
+        client = cluster.client()
+        client.create_stream("s", SCHEMA)
+        client.close()
+        cluster.node_at(cluster.shard_map.shards[0].primary).kill()
+        sub = ClusterSubscriber("s", shard_map=cluster.shard_map, from_t=0)
+        with pytest.raises(ClusterError, match="subscription to 's'"):
+            sub.take(1, timeout=5)
+        assert sub.failovers == 3
+        assert sub.reroutes == 0
+        sub.close()

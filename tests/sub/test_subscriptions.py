@@ -11,7 +11,7 @@ import pytest
 
 from repro import ChronicleConfig, ChronicleDB, Event, EventSchema
 from repro.errors import SubscriptionClosed
-from repro.net import BinaryChronicleClient, ChronicleServer
+from repro.net import BinaryChronicleClient, ChronicleServer, frames
 from repro.net.client import RemoteError
 
 SCHEMA = EventSchema.of("x", "y")
@@ -272,3 +272,42 @@ def test_subscription_stats_surface(server, client):
         assert entry["stream"] == "s"
         assert entry["pushed_events"] == 10
         assert entry["mode"] == "live"
+
+
+def test_initial_credits_above_the_stash_bound_are_refused(client):
+    """The client keeps at most ``MAX_CREDITS`` pushes that race ahead of
+    its handle; the hub refuses a larger window rather than push events
+    the client would have to drop."""
+    client.create_stream("s", SCHEMA)
+    with pytest.raises(RemoteError, match="credits"):
+        client.subscribe("s", credits=frames.MAX_CREDITS + 1)
+
+
+def test_a_full_window_raced_ahead_of_the_handle_arrives_once(
+    client, monkeypatch
+):
+    """At the credit bound, with the handle registering only after the
+    whole window was pushed and stashed, every event arrives exactly
+    once and in order."""
+    client.create_stream("s", SCHEMA)
+    client.append_batch("s", make_events(0, 2000))
+    register = BinaryChronicleClient._register_push_handler
+
+    def late_register(self, sub_id, handler):
+        deadline = time.monotonic() + 10
+        while (
+            len(self._orphan_pushes.get(sub_id, ())) < frames.MAX_CREDITS
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
+        register(self, sub_id, handler)
+
+    monkeypatch.setattr(
+        BinaryChronicleClient, "_register_push_handler", late_register
+    )
+    with client.subscribe(
+        "s", from_t=0, batch=1, credits=frames.MAX_CREDITS
+    ) as handle:
+        assert handle._incoming.qsize() == frames.MAX_CREDITS
+        got = handle.take(2000, timeout=10)
+    assert [e.t for e in got] == list(range(2000))
