@@ -21,7 +21,6 @@ Quickstart::
 
 from repro.core.chronicle import ChronicleDB
 from repro.core.config import ChronicleConfig
-from repro.core.engine import StorageEngine
 from repro.core.scheduler import LoadScheduler, Pressure
 from repro.core.stream import EventStream
 from repro.core.system_time import SystemTimeStream
@@ -48,7 +47,6 @@ __all__ = [
     "LoadScheduler",
     "Pressure",
     "SimulatedClock",
-    "StorageEngine",
     "SystemTimeStream",
     "__version__",
 ]

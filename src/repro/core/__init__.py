@@ -3,13 +3,14 @@
 `ChronicleDB` is the facade (serverless-library mode, Section 1); an
 `EventStream` manages time splits (Section 5.4), each pairing a TAB+-tree
 with optional secondary indexes and an out-of-order manager; the
-`LoadScheduler` implements partial indexing under overload (Section 5.5);
-the `StorageEngine` provides the queue/worker/disk topology of Figure 2.
+`LoadScheduler` implements partial indexing under overload (Section 5.5).
+The queue/worker topology of Figure 2 lives in the server
+(`repro.net.server`): per-connection reader and worker threads in front
+of per-stream locks.
 """
 
 from repro.core.chronicle import ChronicleDB
 from repro.core.config import ChronicleConfig
-from repro.core.engine import StorageEngine
 from repro.core.scheduler import LoadScheduler
 from repro.core.stream import EventStream
 
@@ -18,5 +19,4 @@ __all__ = [
     "ChronicleDB",
     "EventStream",
     "LoadScheduler",
-    "StorageEngine",
 ]

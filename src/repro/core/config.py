@@ -45,10 +45,6 @@ class ChronicleConfig:
     log_disk: str = "instant"
     #: Validate event values against the schema on every append.
     validate_events: bool = False
-    #: Temporal-correlation threshold for partial indexing (Section 5.4):
-    #: attributes at or above it are served by lightweight indexing alone
-    #: when the scheduler needs to shed load.
-    tc_threshold: float = 0.9
     #: LSM/COLA tuning.
     memtable_capacity: int = 4096
     #: Age-based tiering of closed time ranges (None = never tier).

@@ -16,6 +16,12 @@ from typing import Callable
 from repro.errors import ConfigError
 
 
+#: Temporal-correlation threshold for partial indexing (Section 5.4):
+#: attributes at or above it are served by lightweight indexing alone
+#: when the scheduler needs to shed load.
+TC_THRESHOLD = 0.9
+
+
 class Pressure(enum.IntEnum):
     """Ingestion pressure levels derived from queue depths."""
 
@@ -32,7 +38,7 @@ class LoadScheduler:
         high_watermark: int = 10_000,
         overload_watermark: int = 50_000,
         low_watermark: int = 1_000,
-        tc_threshold: float = 0.9,
+        tc_threshold: float = TC_THRESHOLD,
     ):
         if not low_watermark <= high_watermark <= overload_watermark:
             raise ConfigError("watermarks must satisfy low <= high <= overload")

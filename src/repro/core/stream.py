@@ -53,7 +53,7 @@ class EventStream:
         self._codec = PaxCodec(schema)
         self.config = config
         self.devices = devices
-        self.scheduler = LoadScheduler(tc_threshold=config.tc_threshold)
+        self.scheduler = LoadScheduler()
         self.scheduler.on_transition = self._on_pressure_change
         self.splits: list[TimeSplit] = []
         #: Warm splits, cold rollups and expired ranges (repro.lifecycle).
@@ -749,7 +749,7 @@ class EventStream:
     def stats(self) -> dict:
         """Structured snapshot of this stream's ingestion and index state.
 
-        Invariant (synchronous mode, no retention): ``appended`` equals
+        Invariant (between appends, no retention): ``appended`` equals
         ``events_indexed + ooo_pending`` — every acknowledged event is
         either in a tree or still waiting in an out-of-order queue.
         """

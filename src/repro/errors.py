@@ -46,10 +46,6 @@ class TransientDiskError(DiskFaultError):
     """
 
 
-class IngestError(ChronicleError):
-    """An asynchronous append failed inside a storage-engine worker."""
-
-
 class CompressionError(ChronicleError):
     """A codec failed to round-trip a block."""
 

@@ -123,8 +123,19 @@ class PushChannel:
         callback()
 
     def close(self) -> None:
-        """Sever the connection from any thread (slow-consumer policy)."""
+        """Sever the connection from any thread."""
         self._connection.sever()
+        self._mark_closed()
+
+    def close_after_answers(self) -> None:
+        """Sever the connection once the requests it already received
+        are answered (slow-consumer policy): only the read side shuts
+        now, so the reader ends and the worker severs the rest when it
+        has replied to what was queued."""
+        try:
+            self._connection.sock.shutdown(socket.SHUT_RD)
+        except OSError:
+            pass
         self._mark_closed()
 
     def _mark_closed(self) -> None:

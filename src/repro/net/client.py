@@ -76,6 +76,10 @@ class BinaryChronicleClient:
         #: initial credits before the first ack, and refuses more than
         #: ``frames.MAX_CREDITS``; one end notice may follow.
         self._orphan_pushes: dict[int, list] = {}
+        #: Unregistered sub_ids whose END notice has not arrived yet:
+        #: their in-flight pushes are dropped, not stashed (hub ids are
+        #: never reused).
+        self._unsubscribed: set[int] = set()
         self._send_lock = threading.Lock()
         self._pending_lock = threading.Lock()
         self._dead: Exception | None = None
@@ -116,9 +120,13 @@ class BinaryChronicleClient:
             with self._pending_lock:
                 handler = self._push_handlers.get(sub_id)
                 if handler is None:
-                    # Either raced ahead of the subscribe response
-                    # (stash, bounded) or in flight past an unsubscribe
-                    # (stash is cleared when the handle unregisters).
+                    if sub_id in self._unsubscribed:
+                        # In flight past an unsubscribe: drop it; the
+                        # END notice is the last frame for this id.
+                        if op == frames.OP_SUB_END:
+                            self._unsubscribed.discard(sub_id)
+                        return
+                    # Raced ahead of the subscribe response (bounded).
                     stash = self._orphan_pushes.setdefault(sub_id, [])
                     if len(stash) <= frames.MAX_CREDITS:
                         stash.append((op, payload))
@@ -152,6 +160,7 @@ class BinaryChronicleClient:
             handlers = list(self._push_handlers.values())
             self._push_handlers.clear()
             self._orphan_pushes.clear()
+            self._unsubscribed.clear()
         for future in pending:
             if not future.done():
                 future.set_exception(error)
@@ -398,10 +407,16 @@ class BinaryChronicleClient:
         for op, payload in stashed:
             handler._on_push(op, payload)
 
-    def _unregister_push_handler(self, sub_id: int) -> None:
+    def _unregister_push_handler(self, sub_id: int, ended: bool) -> None:
+        """Detach a handle; *ended* says its END notice has already
+        arrived, so no further frame for *sub_id* can follow."""
         with self._pending_lock:
             self._push_handlers.pop(sub_id, None)
             self._orphan_pushes.pop(sub_id, None)
+            if ended:
+                self._unsubscribed.discard(sub_id)
+            else:
+                self._unsubscribed.add(sub_id)
 
     def sub_ack_async(self, sub_id: int, seq: int, credits: int = 1) -> Future:
         """Acknowledge progress and grant *credits* more batches."""

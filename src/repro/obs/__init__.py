@@ -16,8 +16,8 @@ Usage::
     obs.disable()
 
 ``snapshot()`` merges metrics and trace totals into one JSON-friendly
-dict; ``StorageEngine.stats()`` / ``ChronicleDB.stats()`` and the net
-protocol's ``stats`` op embed it next to engine-level state.  See
+dict; ``ChronicleDB.stats()`` and the net protocol's ``stats`` op embed
+it next to engine-level state.  See
 DESIGN.md, "Observability", for the metric name and span taxonomy.
 """
 

@@ -132,7 +132,7 @@ class SubscriptionHandle(BatchConsumer):
                 error = SubscriptionClosed(
                     message or f"subscription ended: {reason}", reason=reason
                 )
-                self._close_with(error)
+                self._close_with(error, ended=True)
                 if reason == "unsubscribed":
                     return
                 raise error
@@ -168,11 +168,12 @@ class SubscriptionHandle(BatchConsumer):
                 self.client.unsubscribe(self.sub_id)
             except Exception:
                 pass
-        self.client._unregister_push_handler(self.sub_id)
 
-    def _close_with(self, error: SubscriptionClosed) -> None:
+    def _close_with(
+        self, error: SubscriptionClosed, ended: bool = False
+    ) -> None:
         self._closed = error
-        self.client._unregister_push_handler(self.sub_id)
+        self.client._unregister_push_handler(self.sub_id, ended)
 
     def __iter__(self):
         return self.events()

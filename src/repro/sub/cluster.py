@@ -165,6 +165,13 @@ class ClusterSubscriber(BatchConsumer):
                 cause, reason = end, end.reason
             except TRANSPORT_ERRORS as error:
                 cause, reason = error, "transport"
+            except GeneratorExit:
+                # The consumer stopped early (``take``, ``break``): end
+                # the subscription, or a shared pool's connection keeps
+                # it live on the node.
+                if handle is not None:
+                    handle.close()
+                raise
             finally:
                 if handle is not None:
                     self.cursor = handle.cursor

@@ -36,7 +36,8 @@ is the only buffer; ``queue_max`` is how many events behind the tail a
 consumer may fall.  When the backlog crosses it the slow-consumer
 policy runs: ``"spill"`` only counts the excursion (the events are
 durable, the next credited scan reads them), ``"disconnect"`` pushes a
-typed ``slow_consumer`` end notice and severs the connection.
+typed ``slow_consumer`` end notice and severs the connection once the
+requests it already sent are answered.
 
 Every scan and push runs on the subscriber connection's push thread
 (:meth:`repro.net.aio.PushChannel.run`), never on the append path, so
@@ -532,7 +533,7 @@ class SubscriptionHub:
                     future.result(timeout=1.0)
                 except Exception:
                     pass
-            sub.channel.close()
+            sub.channel.close_after_answers()
         self._remove(sub)
         return future
 

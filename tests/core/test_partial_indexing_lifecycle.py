@@ -85,7 +85,6 @@ def test_elevated_pressure_drops_high_tc_attributes_only():
         secondary_indexes={"x": "lsm", "y": "lsm"},
         time_split_interval=1000,
         memtable_capacity=64,
-        tc_threshold=0.9,
     )
     stream = EventStream("s", SCHEMA, config, DeviceProvider())
     # x is a smooth ramp (high tc); y cycles 0..4 (lower tc).

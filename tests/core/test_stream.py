@@ -1,14 +1,17 @@
-"""Tests for EventStream: splits, routing, queries, retention."""
+"""Tests for EventStream: splits, routing, queries, retention, faults."""
+
+import random
 
 import pytest
 
 from repro.core.config import ChronicleConfig
-from repro.core.devices import DeviceProvider
+from repro.core.devices import DeviceProvider, RetryPolicy
 from repro.core.scheduler import Pressure
 from repro.core.stream import EventStream
-from repro.errors import QueryError
+from repro.errors import DiskCrashed, QueryError, TransientDiskError
 from repro.events import Event, EventSchema
 from repro.index import AttributeRange
+from repro.simdisk import FaultPlan
 
 SCHEMA = EventSchema.of("x", "y")
 
@@ -237,3 +240,70 @@ def test_wrong_arity_is_refused_before_any_side_effect(values):
     reference.seal()
     assert repr(split.tc_scores) == repr(reference.tc_scores)
     assert split.tree.summary() == reference.tree.summary()
+
+
+def test_stream_stats_invariant_with_out_of_order_events():
+    stream = EventStream(
+        "s", SCHEMA, ChronicleConfig(lblock_size=512, macro_size=2048),
+        DeviceProvider(),
+    )
+    rng = random.Random(7)
+    timestamps = list(range(2000))
+    # Displace a tenth of the events so some sit in the OOO queue.
+    for i in range(0, len(timestamps) - 20, 10):
+        j = i + rng.randrange(1, 20)
+        timestamps[i], timestamps[j] = timestamps[j], timestamps[i]
+    for t in timestamps:
+        stream.append(Event.of(t, float(t), 0.0))
+    stats = stream.stats()
+    assert stats["appended"] == 2000
+    assert stats["events_indexed"] + stats["ooo_pending"] == 2000
+    stream.flush()
+    stats = stream.stats()
+    assert stats["ooo_pending"] == 0
+    assert stats["events_indexed"] == 2000
+
+
+# Device faults under one-event-at-a-time appends: transient errors are
+# absorbed below the stream by the retrying device layer; an exhausted
+# retry budget or a power failure surfaces in the caller.
+
+FAULT_CONFIG = ChronicleConfig(
+    lblock_size=256, macro_size=512, lblock_spare=0.2, queue_capacity=8
+)
+
+
+def _faulty_stream(plan, retry=None):
+    devices = DeviceProvider(fault_plan=plan, retry=retry)
+    return EventStream("s", SCHEMA, FAULT_CONFIG, devices)
+
+
+def _fault_events(n):
+    return [Event.of(i * 5, float(i), float(i % 3)) for i in range(n)]
+
+
+def test_transient_faults_are_invisible_to_ingestion():
+    plan = FaultPlan(transient_writes={3: 2, 17: 1, 40: 3})
+    stream = _faulty_stream(plan)
+    events = _fault_events(300)
+    for event in events:
+        stream.append(event)
+    assert plan.transient_faults == 6
+    assert stream.appended == 300
+    assert list(stream.scan()) == events
+
+
+def test_exhausted_retry_budget_raises_in_the_caller():
+    plan = FaultPlan(transient_writes={0: 50})
+    stream = _faulty_stream(plan, retry=RetryPolicy(max_attempts=2))
+    with pytest.raises(TransientDiskError):
+        for event in _fault_events(300):
+            stream.append(event)
+
+
+def test_crash_raises_in_the_caller():
+    plan = FaultPlan(crash_at_write=4)
+    stream = _faulty_stream(plan)
+    with pytest.raises(DiskCrashed):
+        for event in _fault_events(300):
+            stream.append(event)

@@ -13,7 +13,7 @@ import tempfile
 import pytest
 
 from repro import ChronicleConfig, Event, EventSchema
-from repro.cluster import Cluster
+from repro.cluster import Cluster, ClientPool
 from repro.epc.operators import Pipeline, TumblingAggregate
 from repro.errors import ClusterError
 from repro.sub import CheckpointedQueryRunner, ClusterSubscriber
@@ -220,3 +220,24 @@ def test_unreachable_shard_exhausts_the_stall_budget(monkeypatch):
         assert sub.failovers == 3
         assert sub.reroutes == 0
         sub.close()
+
+
+def test_stopping_early_unsubscribes_on_a_shared_pool(base_dir):
+    """``take`` closes the batch generator mid-feed; the subscription
+    must end on the node, not only when the pool's connection does."""
+    with Cluster(num_shards=1, base_dir=base_dir, config=CONFIG) as cluster:
+        client = cluster.client()
+        client.create_stream("s", SCHEMA)
+        client.append_batch("s", make_events(0, 100))
+        client.close()
+        node = cluster.node_at(cluster.shard_map.shards[0].primary)
+        pool = ClientPool()
+        try:
+            sub = ClusterSubscriber(
+                "s", cluster=cluster, pool=pool, from_t=0, batch=8
+            )
+            assert [e.t for e in sub.take(5, timeout=10)] == list(range(5))
+            sub.close()
+            assert node.server.hub._subs == {}
+        finally:
+            pool.close()

@@ -283,6 +283,23 @@ def test_initial_credits_above_the_stash_bound_are_refused(client):
         client.subscribe("s", credits=frames.MAX_CREDITS + 1)
 
 
+def test_pushes_in_flight_past_an_unsubscribe_are_dropped(client):
+    """Batches and END notices that arrive after a handle closed leave
+    nothing behind on the client."""
+    client.create_stream("s", SCHEMA)
+    client.append_batch("s", make_events(0, 2000))
+    for _ in range(20):
+        handle = client.subscribe("s", from_t=0, batch=16)
+        handle.take(1, timeout=5)
+        handle.close()
+    # One connection's pushes leave in order: once a fresh
+    # subscription's first batch is in, every earlier frame has arrived.
+    with client.subscribe("s", from_t=0, batch=16) as handle:
+        handle.take(1, timeout=5)
+        assert client._orphan_pushes == {}
+        assert client._unsubscribed == set()
+
+
 def test_a_full_window_raced_ahead_of_the_handle_arrives_once(
     client, monkeypatch
 ):
