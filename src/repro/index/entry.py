@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -64,17 +66,6 @@ class IndexEntry:
     count: int
     aggs: list[tuple] = field(default_factory=list)
 
-    def merge(self, other: "IndexEntry") -> None:
-        """Fold *other* (a later sibling summary) into this entry."""
-        self.t_min = min(self.t_min, other.t_min)
-        self.t_max = max(self.t_max, other.t_max)
-        self.count += other.count
-        self.aggs = [
-            (min(a[0], b[0]), max(a[1], b[1]))
-            + tuple(x + y for x, y in zip(a[2:], b[2:]))
-            for a, b in zip(self.aggs, other.aggs)
-        ]
-
     def add_value(self, t: int, indexed_values: list[float]) -> None:
         """Extend the summary with a single event (out-of-order insert)."""
         self.t_min = min(self.t_min, t)
@@ -90,17 +81,18 @@ class IndexEntry:
 
     @classmethod
     def combine(cls, child_id: int, entries: list["IndexEntry"]) -> "IndexEntry":
-        """Summarize a whole index node (list of entries) into one entry."""
-        merged = cls(
-            child_id=child_id,
-            t_min=entries[0].t_min,
-            t_max=entries[0].t_max,
-            count=entries[0].count,
-            aggs=list(entries[0].aggs),
-        )
-        for entry in entries[1:]:
-            merged.merge(entry)
-        return merged
+        """Summarize a whole index node (list of entries) into one entry:
+        per attribute, builtin ``min`` / ``max`` over the entries and a left
+        fold of each sum from entry 0's value (``0 + -0.0`` is ``0.0``)."""
+        aggs = [
+            (min(lows), max(highs)) + tuple(reduce(add, sums) for sums in totals)
+            for lows, highs, *totals in (
+                zip(*fields) for fields in zip(*(entry.aggs for entry in entries))
+            )
+        ]
+        return cls(child_id, min(entry.t_min for entry in entries),
+                   max(entry.t_max for entry in entries),
+                   sum(entry.count for entry in entries), aggs)
 
 
 @dataclass
@@ -125,9 +117,10 @@ class LeafStatistics:
            extended: bool = False) -> "LeafStatistics":
         """The kernel: every leaf statistic the store keeps comes from here.
 
-        Min/max are comparisons, exact in any evaluation order, except a
-        NaN or a ``0.0`` / ``-0.0`` tie at an extreme: such a column takes
-        the per-value fold instead.
+        Min/max are numpy reductions with builtin ``min`` / ``max``'s pick
+        among equal extremes: a ``0.0`` extreme is the row's first zero.
+        Only a column whose sum is NaN (it holds a NaN, or ``+inf`` and
+        ``-inf``) takes the per-value fold.
         """
         values = np.array(columns, dtype=np.float64)
         with np.errstate(all="ignore"):  # Python floats overflow silently too
@@ -141,11 +134,15 @@ class LeafStatistics:
                 sums[i] = float(total)
                 if extended:
                     squares[i] = float(total_squares)
-            if sums[i] != sums[i] or 0.0 in (low[i], high[i]):
+            if sums[i] != sums[i]:
                 entry_low[i], entry_high[i] = float(min(column)), float(max(column))
                 real = [value for value in values[i].tolist() if value == value]
                 low[i] = min(real, default=math.inf)
                 high[i] = max(real, default=-math.inf)
+            elif 0.0 in (low[i], high[i]):  # NaN-free: the first zero is the pick
+                zero = float(values[i][(values[i] == 0.0).argmax()])
+                low[i] = entry_low[i] = zero if low[i] == 0.0 else low[i]
+                high[i] = entry_high[i] = zero if high[i] == 0.0 else high[i]
         aggs = [
             (entry_low[i], entry_high[i], sums[i]) + ((squares[i],) if extended else ())
             for i in indexed_positions

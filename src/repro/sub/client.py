@@ -21,6 +21,8 @@ from repro.events.event import ColumnarEvents
 from repro.net import frames
 from repro.sub.hub import next_cursor
 
+_WAKE = object()  # queued by close(): the consumer re-checks ``_closed``
+
 
 class BatchConsumer:
     """``events``, ``take`` and the ``with`` block over a subclass's
@@ -124,6 +126,8 @@ class SubscriptionHandle(BatchConsumer):
                 raise TimeoutError(
                     f"no pushed batch within {timeout}s"
                 ) from None
+            if op is _WAKE:
+                continue  # close() ran: the loop's top returns
             if op is None:  # transport error sentinel
                 self._close_with(payload)
                 raise payload
@@ -159,11 +163,12 @@ class SubscriptionHandle(BatchConsumer):
             pass  # a dead connection surfaces via the push path
 
     def close(self) -> None:
-        """Unsubscribe and release the handle (idempotent)."""
+        """Unsubscribe (idempotent); a consumer blocked in batches() returns."""
         if self._closed is None:
             self._close_with(
                 SubscriptionClosed("closed by client", reason="unsubscribed")
             )
+            self._incoming.put((_WAKE, None))
             try:
                 self.client.unsubscribe(self.sub_id)
             except Exception:

@@ -22,6 +22,7 @@ from array import array
 import numpy as np
 
 import repro.events.serializer as serializer
+import repro.index.entry as entry_module
 from repro import ChronicleConfig, ChronicleDB, EventSchema
 from repro.compression.zlibc import LEAF_MAGIC, TRIAL_INTERVAL, ZlibCompressor
 from repro.core.split import TimeSplit
@@ -184,3 +185,56 @@ def test_column_trials_run_once_per_interval(monkeypatch):
     assert min(leaves.values()) > 2 * TRIAL_INTERVAL
     for codec, count in leaves.items():
         assert 1 <= trials.get(codec, 0) <= math.ceil(count / TRIAL_INTERVAL) + 1
+
+
+def test_leaf_flushes_fold_no_column_in_python(monkeypatch):
+    """Wire batches shaped like the benchmark's data, whose column
+    ``c = t % 13`` has a ``0.0`` minimum in every leaf: no leaf flush
+    iterates a leaf column in Python (builtin ``min`` / ``max`` or an
+    exact-sum loop over it).  A leaf with one NaN column takes exactly
+    one per-value pass, over that column."""
+    schema = EventSchema.of("a", "b", "c", "d")
+    codec = serializer.PaxCodec(schema)
+    schema_bytes = frames.schema_bytes_of(schema)
+    rng = np.random.default_rng(40)
+    db = ChronicleDB(config=ChronicleConfig(lblock_size=4096))
+    stream = db.create_stream("s", schema)
+    folded = []
+
+    def per_value(fold):
+        def counted(values, *args, **kwargs):
+            if isinstance(values, array):  # a leaf column
+                folded.append(values)
+            return fold(values, *args, **kwargs)
+        return counted
+
+    for name, fold in (("min", min), ("max", max),
+                       ("ordered_sums", entry_module.ordered_sums)):
+        monkeypatch.setattr(entry_module, name, per_value(fold), raising=False)
+    flushes = count_calls(monkeypatch, TabTree, "_flush_leaf")
+
+    def send(k, nan=False):
+        t = (np.arange(k * 256, (k + 1) * 256, dtype=np.int64) + 1) * 10
+        columns = [rng.normal(size=256), rng.random(256),
+                   (t % 13).astype(np.float64), rng.normal(size=256)]
+        if nan:  # row 0 goes into the open leaf
+            columns[1][0] = math.nan
+        payload = frames.encode_batch_payload(
+            "s", schema_bytes, codec,
+            ColumnarEvents(t.tolist(), [column.tolist() for column in columns]),
+        )
+        _, _, timestamps, decoded = frames.decode_batch_payload(payload)
+        stream.append_columns(timestamps, decoded)
+
+    k = 0
+    while len(flushes) < 5:
+        send(k)
+        k += 1
+    assert folded == []
+
+    send(k, nan=True)
+    send(k + 1)
+    send(k + 2)
+    assert len({id(column) for column in folded}) == 1
+    assert math.isnan(entry_module.ordered_sum(folded[0]))
+    db.close()

@@ -175,6 +175,30 @@ def test_unsubscribe_ends_iteration_silently(server, client):
     assert client.stats()["subscriptions"]["active"] == 0
 
 
+def test_close_wakes_a_consumer_blocked_on_another_thread(server, client):
+    """A consumer waiting in ``batches()`` with no timeout returns when
+    another thread closes the handle."""
+    client.create_stream("s", SCHEMA)
+    client.append_batch("s", make_events(0, 10))
+    handle = client.subscribe("s", from_t=0)
+    events, consumed = [], threading.Event()
+
+    def consume():
+        for batch in handle.batches():
+            events.extend(batch)
+            if len(events) >= 10:
+                consumed.set()
+
+    consumer = threading.Thread(target=consume, daemon=True)
+    consumer.start()
+    assert consumed.wait(timeout=5)
+    time.sleep(0.05)  # the consumer is back in the blocking get
+    handle.close()
+    consumer.join(timeout=1)
+    assert not consumer.is_alive()
+    assert [e.t for e in events] == list(range(10))
+
+
 def test_unknown_stream_and_bad_params_are_typed_errors(server, client):
     with pytest.raises(RemoteError):
         client.subscribe("nope")
