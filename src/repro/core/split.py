@@ -7,10 +7,11 @@ aggregation over predefined time ranges via a per-split summary, and give
 partial indexing a natural granularity — a split records which secondary
 indexes were maintained and the temporal correlation of every attribute.
 
-A split's statistics come from one pass per written leaf
-(:meth:`TabTree.leaf_statistics`): the leaf's index entry, and its part of
-every attribute's tc, folded in flush order and frozen at seal with the
-open leaf's.  Ingestion itself computes no statistic.
+A split's statistics come from one kernel call per run that fills a leaf
+(:class:`repro.index.entry.RunStatistics`): each written leaf's index
+entry, and the run's part of every attribute's tc, folded in flush order
+and frozen at seal with the open leaf's.  Ingestion itself computes no
+statistic.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ class TimeSplit:
         for attribute in secondary_attributes:
             self._attach_secondary(attribute)
         self.tree.leaf_flush_hook = self._on_leaf_flush
+        self.tree.run_flush_hook = self._on_run_flush
         self.tree.ooo_insert_hook = self._on_ooo_insert
 
     # ------------------------------------------------------------ secondary
@@ -130,9 +132,11 @@ class TimeSplit:
                 self._attach_secondary(attribute)
         self.secondary_attributes = list(dict.fromkeys(attributes))
 
-    def _on_leaf_flush(self, leaf, stats) -> None:
+    def _on_run_flush(self, run, written: int) -> None:
         if self._correlation is not None:
-            self._correlation.fold(stats)
+            self._correlation.fold(run.values[:, :written], run.low, run.high)
+
+    def _on_leaf_flush(self, leaf, stats) -> None:
         for attribute in self.secondary_attributes:
             self.secondaries[attribute].insert_run(
                 leaf.column(self.schema.index_of(attribute)),
@@ -222,7 +226,8 @@ class TimeSplit:
         open_leaf = self.tree.leaf_statistics(leaf) if leaf.count else None
         if self._correlation is not None:  # tc is taken once, at first seal
             if open_leaf is not None:
-                self._correlation.fold(open_leaf)
+                self._correlation.fold(open_leaf.values, open_leaf.low,
+                                       open_leaf.high)
             self.tc_scores = self._correlation.scores(self.schema.names)
             self._correlation = None
         self._summary = self.tree.summary(open_leaf)

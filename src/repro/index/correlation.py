@@ -84,15 +84,17 @@ class RunningCorrelation:
 
 
 class SplitCorrelation:
-    """Every attribute's tc over one split, folded leaf by leaf.
+    """Every attribute's tc over one split, folded run by run.
 
-    The split feeds it each written leaf's :class:`LeafStatistics` in
-    flush order and the open leaf's at seal — no per-event work.  The
-    result is bit-identical to :meth:`RunningCorrelation.add` per value
-    over those rows: each fold adds the step across the leaf boundary to
-    the running distance sum and then the leaf's steps, one by one
-    (``np.add.accumulate`` is strictly sequential; subtraction and
-    ``abs`` are exact), and the leaf's extremes are the per-value fold's.
+    The split feeds it the statistics block of each run's written leaves
+    (:class:`repro.index.entry.RunStatistics`) in flush order, and the
+    open leaf's at seal — no per-event work.  The result is
+    bit-identical to :meth:`RunningCorrelation.add` per value over those
+    rows: each fold adds the step across the boundary to the previous
+    fold to the running distance sum and then the block's steps, one by
+    one (``np.add.accumulate`` is strictly sequential; subtraction and
+    ``abs`` are exact), and the extremes are folded leaf by leaf in flush
+    order, as the per-value fold finds them.
     """
 
     def __init__(self, arity: int) -> None:
@@ -102,14 +104,23 @@ class SplitCorrelation:
         self.minimum = [math.inf] * arity
         self.maximum = [-math.inf] * arity
 
-    def fold(self, leaf) -> None:
-        values = leaf.values
+    def fold(self, values, low, high) -> None:
+        """Fold leaves in flush order: *values* holds their rows, an
+        ``(arity, leaves, rows)`` or, for one leaf, ``(arity, rows)``
+        float64 block.  *low* / *high* hold each leaf's extremes
+        attribute-major, as :class:`repro.index.entry.RunStatistics`
+        lists them: attribute *i*'s leaves from ``i * len(low) // arity``
+        on, of which the first ``leaves`` fold."""
+        arity, leaves = len(values), 1
+        if values.ndim == 3:
+            leaves = values.shape[1]
+            values = values.reshape(arity, -1)
         steps = np.empty_like(values)
+        flat = values.ravel()
         with np.errstate(all="ignore"):  # as Python floats: inf - inf is NaN
             # One pass over the flat matrix: each row's steps, and across
             # each row boundary a junk step in column 0, overwritten next.
-            np.subtract(values.ravel()[1:], values.ravel()[:-1],
-                        out=steps.ravel()[1:])
+            np.subtract(flat[1:], flat[:-1], out=steps.ravel()[1:])
             np.absolute(steps, out=steps)
             steps[:, 0] = self._distance_sum
             if self.count:
@@ -117,8 +128,12 @@ class SplitCorrelation:
             self._distance_sum = np.add.accumulate(steps, axis=1, out=steps)[:, -1]
         self._last = values[:, -1]
         self.count += values.shape[1]
-        self.minimum = [v if v < m else m for v, m in zip(leaf.low, self.minimum)]
-        self.maximum = [v if v > m else m for v, m in zip(leaf.high, self.maximum)]
+        minimum, maximum = self.minimum, self.maximum
+        stride = len(low) // arity
+        for leaf in range(leaves):
+            minimum = [v if v < m else m for v, m in zip(low[leaf::stride], minimum)]
+            maximum = [v if v > m else m for v, m in zip(high[leaf::stride], maximum)]
+        self.minimum, self.maximum = minimum, maximum
 
     def scores(self, names) -> dict[str, float]:
         return {

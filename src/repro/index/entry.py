@@ -42,13 +42,6 @@ def ordered_sums(values) -> tuple:
     return total, squares
 
 
-def _ordered(rows: np.ndarray) -> list[float]:
-    """:func:`ordered_sum`'s order per row: ``accumulate`` is sequential
-    (``np.sum`` is pairwise), and ``+ 0.0`` is all a 0 seed changes (an
-    all ``-0.0`` row sums to ``0.0``)."""
-    return (np.add.accumulate(rows, axis=1)[:, -1] + 0.0).tolist()
-
-
 @dataclass
 class IndexEntry:
     """Summary of one child node of a TAB+-tree index node.
@@ -115,39 +108,100 @@ class LeafStatistics:
     @classmethod
     def of(cls, child_id: int, timestamps, columns, indexed_positions,
            extended: bool = False) -> "LeafStatistics":
-        """The kernel: every leaf statistic the store keeps comes from here.
+        """One leaf's statistics: :class:`RunStatistics` over one leaf."""
+        run = RunStatistics.of(columns, (), 0, 1, indexed_positions, extended)
+        return run.leaf(0, child_id, timestamps, columns)
 
-        Min/max are numpy reductions with builtin ``min`` / ``max``'s pick
-        among equal extremes: a ``0.0`` extreme is the row's first zero.
-        Only a column whose sum is NaN (it holds a NaN, or ``+inf`` and
-        ``-inf``) takes the per-value fold.
-        """
-        values = np.array(columns, dtype=np.float64)
+
+class RunStatistics:
+    """The kernel: every leaf statistic the store keeps comes from here,
+    one call for all the full leaves a chronological run writes.
+
+    *values* is an ``(arity, leaves, rows)`` float64 block.  Sums are
+    ``np.add.accumulate`` along the last axis (strictly sequential;
+    ``np.add.reduce`` over a strided axis sums pairwise).  Min/max are
+    the values at ``argmin`` / ``argmax``, which return the first of
+    equal extremes, as builtin ``min`` / ``max`` keep it: a ``0.0``
+    extreme is the row's first zero, ``-0.0`` or not.  *sums*, *low*
+    and *high* list one value per (attribute, leaf) cell, attribute-major:
+    attribute *i* of leaf *k* at ``i * leaves + k``.  What needs the
+    leaf's own column — exact sums of an ``I64`` column, and the
+    per-value fold of a column whose sum is NaN (it holds a NaN, or
+    ``+inf`` and ``-inf``) — is done by :meth:`leaf` as each leaf is
+    written.
+    """
+
+    def __init__(self, values: np.ndarray, exact, indexed_positions,
+                 extended: bool) -> None:
+        self.values = values
+        self.leaves = values.shape[1]
+        self.indexed_positions = indexed_positions
+        self.extended = extended
+        #: Attributes summed exactly from the leaf column (not ``'d'``).
+        self.exact = exact
+        cells = values.reshape(-1, values.shape[2])
         with np.errstate(all="ignore"):  # Python floats overflow silently too
-            sums = _ordered(values)
-            squares = _ordered(values * values) if extended else None
-        low, high = values.min(axis=1).tolist(), values.max(axis=1).tolist()
-        entry_low, entry_high = list(low), list(high)
-        for i, column in enumerate(columns):
-            if getattr(column, "typecode", None) != "d":  # exact, rounded once
-                total, total_squares = ordered_sums(column)
-                sums[i] = float(total)
-                if extended:
-                    squares[i] = float(total_squares)
-            if sums[i] != sums[i]:
+            self.sums = (np.add.accumulate(cells, axis=1)[:, -1] + 0.0).tolist()
+            if extended:
+                self.squares = (np.add.accumulate(cells * cells, axis=1)[:, -1]
+                                + 0.0).tolist()
+        # The first of equal extremes, as builtin min / max keep it: a
+        # 0.0 extreme is the row's first zero, -0.0 or not.
+        every = np.arange(len(cells))
+        self.low = cells[every, cells.argmin(axis=1)].tolist()
+        self.high = cells[every, cells.argmax(axis=1)].tolist()
+
+    @classmethod
+    def of(cls, first, columns, start: int, leaves: int, indexed_positions,
+           extended: bool = False) -> "RunStatistics":
+        """Statistics of *leaves* full leaves: the first holds *first* (a
+        leaf's columns), each next one the following ``len(first[0])``
+        rows of the run's *columns* from *start*."""
+        if leaves == 1:
+            values = np.array(first, dtype=np.float64)[:, None, :]
+        else:
+            rows = len(first[0])
+            values = np.empty((len(first), leaves, rows))
+            stop = start + (leaves - 1) * rows
+            for block, head, column in zip(values, first, columns):
+                block[0] = head
+                block[1:].reshape(-1)[:] = column[start:stop]
+        exact = [i for i, column in enumerate(first)
+                 if getattr(column, "typecode", None) != "d"]
+        return cls(values, exact, indexed_positions, extended)
+
+    def leaf(self, index: int, child_id: int, timestamps,
+             columns) -> LeafStatistics:
+        """Leaf *index*'s statistics, given its id and its own columns."""
+        leaves, extended = self.leaves, self.extended
+        sums, low, high = self.sums, self.low, self.high
+        squares = self.squares if extended else None
+        if leaves > 1:
+            sums, low, high = sums[index::leaves], low[index::leaves], high[index::leaves]
+            squares = squares[index::leaves] if extended else None
+        for i in self.exact:  # exact, rounded once
+            total, total_squares = ordered_sums(columns[i])
+            sums[i] = float(total)
+            if extended:
+                squares[i] = float(total_squares)
+        entry_low, entry_high = low, high
+        for i, total in enumerate(sums):
+            if total != total:  # a NaN, or +inf and -inf: per value
+                if entry_low is low:
+                    entry_low, entry_high = list(low), list(high)
+                column = columns[i]
                 entry_low[i], entry_high[i] = float(min(column)), float(max(column))
-                real = [value for value in values[i].tolist() if value == value]
-                low[i] = min(real, default=math.inf)
-                high[i] = max(real, default=-math.inf)
-            elif 0.0 in (low[i], high[i]):  # NaN-free: the first zero is the pick
-                zero = float(values[i][(values[i] == 0.0).argmax()])
-                low[i] = entry_low[i] = zero if low[i] == 0.0 else low[i]
-                high[i] = entry_high[i] = zero if high[i] == 0.0 else high[i]
-        aggs = [
-            (entry_low[i], entry_high[i], sums[i]) + ((squares[i],) if extended else ())
-            for i in indexed_positions
-        ]
-        entry = IndexEntry(child_id=child_id, t_min=timestamps[0],
-                           t_max=timestamps[-1], count=len(timestamps),
-                           aggs=aggs)
-        return cls(entry, values, low, high)
+                real = [value for value in self.values[i, index].tolist()
+                        if value == value]
+                cell = i * leaves + index
+                low[i] = self.low[cell] = min(real, default=math.inf)
+                high[i] = self.high[cell] = max(real, default=-math.inf)
+        if extended:
+            aggs = [(entry_low[i], entry_high[i], sums[i], squares[i])
+                    for i in self.indexed_positions]
+        else:
+            aggs = [(entry_low[i], entry_high[i], sums[i])
+                    for i in self.indexed_positions]
+        entry = IndexEntry(child_id, timestamps[0], timestamps[-1],
+                           len(timestamps), aggs)
+        return LeafStatistics(entry, self.values[:, index], low, high)

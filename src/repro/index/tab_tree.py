@@ -23,7 +23,7 @@ from repro.events.event import ColumnarEvents, Event
 from repro.events.schema import EventSchema
 from repro.index.buffer import NodeBuffer
 from repro.obs import OBS
-from repro.index.entry import IndexEntry, LeafStatistics
+from repro.index.entry import IndexEntry, LeafStatistics, RunStatistics
 from repro.index.node import (
     FLAG_SPLIT,
     IndexNode,
@@ -110,9 +110,13 @@ class TabTree:
         self.splits_performed = 0
         #: Called with the LeafNode just written by an in-order flush and
         #: its LeafStatistics; the split feeds its secondary indexes (block
-        #: ids of events are only known once their leaf is durable) and
-        #: folds the leaf into its temporal correlation.
+        #: ids of events are only known once their leaf is durable).
         self.leaf_flush_hook = None
+        #: Called with the RunStatistics of in-order flushes and how many
+        #: of its leaves were written: once per run that fills a leaf, once
+        #: per leaf flushed on its own.  The split folds them into its
+        #: temporal correlation.
+        self.run_flush_hook = None
         #: Called with (t, values, leaf_id) after an out-of-order insert.
         self.ooo_insert_hook = None
         self._m_leaf_flushes = OBS.counter("index.leaf_flushes")
@@ -183,9 +187,10 @@ class TabTree:
 
         The run's columns are bulk-extended into the open leaf, split at
         leaf-flush boundaries, with serialized events counted once per
-        chunk.  A prefix that sorts below the open leaf's tail (the
-        "right flank buffer" of Algorithm 3) is inserted row by row at
-        its sorted position, column by column.
+        chunk.  Every leaf the run fills gets its statistics from one
+        :class:`RunStatistics` call over the run.  A prefix that sorts
+        below the open leaf's tail (the "right flank buffer" of Algorithm
+        3) is inserted row by row at its sorted position, column by column.
         """
         n = len(run)
         if n == 0:
@@ -194,6 +199,7 @@ class TabTree:
         if self.min_t is None or timestamps[0] < self.min_t:
             self.min_t = timestamps[0]
         clock = self.clock
+        capacity = self.leaf_write_capacity
         i = 0
         leaf = self.leaf
         while i < n and leaf.timestamps and timestamps[i] < leaf.timestamps[-1]:
@@ -206,39 +212,68 @@ class TabTree:
                 column.insert(position, values[i])
             self.event_count += 1
             i += 1
-            if leaf.count >= self.leaf_write_capacity:
+            if leaf.count >= capacity:
                 self._flush_leaf()
                 leaf = self.leaf
-        while i < n:
+        if leaf.count >= capacity:
+            # Only a failed flush leaves the open leaf full: retry it.
+            self._flush_leaf()
             leaf = self.leaf
-            take = min(self.leaf_write_capacity - leaf.count, n - i)
-            end = i + take
-            clock.events_serialized += take
-            if i == 0 and end == n:
-                # Whole run fits: extend from the sequences directly
-                # instead of slicing out copies.
-                leaf.timestamps.extend(timestamps)
-                for column, values in zip(leaf.columns, columns):
-                    column.extend(values)
-            else:
-                leaf.timestamps.extend(timestamps[i:end])
-                for column, values in zip(leaf.columns, columns):
-                    column.extend(values[i:end])
-            self.event_count += take
-            i = end
-            if leaf.count >= self.leaf_write_capacity:
-                self._flush_leaf()
+        full = (leaf.count + n - i) // capacity
+        if full:
+            i = self._extend(i, i + capacity - leaf.count, timestamps, columns)
+            stats = RunStatistics.of(
+                self.leaf.columns, columns, i, full,
+                self.codec.indexed_positions, self.codec.extended_aggregates,
+            )
+            written = 0
+            try:
+                for index in range(full):
+                    if index:
+                        i = self._extend(i, i + capacity, timestamps, columns)
+                    self._flush_leaf(stats, index)
+                    written += 1
+            finally:
+                if written and self.run_flush_hook is not None:
+                    self.run_flush_hook(stats, written)
+        if i < n:
+            self._extend(i, n, timestamps, columns)
+
+    def _extend(self, i: int, end: int, timestamps, columns) -> int:
+        """Extend the open leaf with the run's rows ``[i, end)``."""
+        leaf = self.leaf
+        if i == 0 and end == len(timestamps):
+            # Whole run fits: extend from the sequences directly
+            # instead of slicing out copies.
+            leaf.timestamps.extend(timestamps)
+            for column, values in zip(leaf.columns, columns):
+                column.extend(values)
+        else:
+            leaf.timestamps.extend(timestamps[i:end])
+            for column, values in zip(leaf.columns, columns):
+                column.extend(values[i:end])
+        self.clock.events_serialized += end - i
+        self.event_count += end - i
+        return end
 
     #: The per-event name, kept for the frozen tracer table (ROADMAP 10(d)).
     append = append_run
 
-    def _flush_leaf(self) -> None:
+    def _flush_leaf(self, run: RunStatistics | None = None,
+                    index: int = 0) -> None:
+        """Write the full open leaf; its statistics are leaf *index* of
+        *run*, or one kernel call of its own."""
         leaf = self.leaf
         next_id = self._allocate_flank_id(0, leaf.node_id)
         leaf.next_id = next_id
         leaf.lsn = self.lsn
         self.layout.write_block(leaf.node_id, self.codec.encode_leaf(leaf))
-        stats = self.leaf_statistics(leaf)
+        alone = run is None
+        if alone:
+            run = RunStatistics.of(leaf.columns, (), 0, 1,
+                                   self.codec.indexed_positions,
+                                   self.codec.extended_aggregates)
+        stats = run.leaf(index, leaf.node_id, leaf.timestamps, leaf.columns)
         self.last_flushed_leaf = (leaf.node_id, leaf.t_max)
         # The flushed leaf stays buffered (clean): late arrivals have
         # temporal locality and usually target this recent region.
@@ -249,6 +284,8 @@ class TabTree:
         self._insert_flank_entry(1, stats.entry)
         if self.leaf_flush_hook is not None:
             self.leaf_flush_hook(leaf, stats)
+        if alone and self.run_flush_hook is not None:
+            self.run_flush_hook(run, 1)
 
     def leaf_statistics(self, leaf: LeafNode) -> LeafStatistics:
         """One statistics pass over *leaf* (:meth:`LeafStatistics.of`)."""

@@ -69,35 +69,43 @@ class OutOfOrderManager:
         The flank boundary is checked once per segment: everything above
         it goes to the tree as one
         :meth:`~repro.index.tab_tree.TabTree.append_run` of a slice of
-        *run*; a late segment is queued as column slices with one
-        mirror-log write per chunk, flushing at exactly the queue-capacity
-        points one event at a time would (so on-disk state is the same).
+        *run*, cut only where a leaf flush would leave the next event at
+        or below the new boundary; a late segment is queued as column
+        slices with one mirror-log write per chunk, flushing at exactly the
+        queue-capacity points one event at a time would (so on-disk state
+        is the same).
         """
         timestamps = run.timestamps
+        tree = self.tree
         i, n = 0, len(run)
         while i < n:
-            boundary = self.tree.flank_boundary_t
+            boundary = tree.flank_boundary_t
             if boundary is None or timestamps[i] > boundary:
-                # The boundary is fixed until the open leaf flushes, and
-                # every event up to that flush is above it (non-decreasing
-                # run).  Chunk to the flush point, then re-read the
-                # boundary: an event *equal* to the freshly flushed leaf's
-                # t_max must divert to the queue.
-                room = self.tree.leaf_write_capacity - self.tree.leaf.count
+                room = tree.leaf_write_capacity - tree.leaf.count
                 if room <= 0:
                     # Only a failed flush leaves the open leaf full: retry
                     # it (a dead device raises again), then re-route.
-                    self.tree._flush_leaf()
+                    tree._flush_leaf()
                     continue
-                end = i + min(room, n - i)
-                self.tree.append_run(run if i == 0 and end == n else run[i:end])
+                # Every event up to the next leaf flush is above the
+                # boundary (non-decreasing run).  A flush moves it to the
+                # flushed leaf's t_max, max(open-leaf tail, row before the
+                # cut): cut the segment only where the next row is not
+                # above that, since an event *equal* to it must divert to
+                # the queue.  The tree writes the rest as one run.
+                tail = tree.leaf.timestamps[-1] if tree.leaf.count else timestamps[i]
+                end = i + room
+                while end < n and timestamps[end] > max(tail, timestamps[end - 1]):
+                    end += tree.leaf_write_capacity
+                end = min(end, n)
+                tree.append_run(run if i == 0 and end == n else run[i:end])
                 self.flank_inserts += end - i
                 i = end
                 continue
             # The late segment [i, split_at) belongs in the queue; the
             # boundary cannot move while we only queue events.
             split_at = bisect_right(timestamps, boundary, i)
-            clock = self.tree.clock
+            clock = tree.clock
             while i < split_at:
                 room = self.queue.capacity - len(self.queue)
                 if room == 0:

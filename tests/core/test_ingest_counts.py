@@ -7,8 +7,10 @@ segments are queued as column slices, mirror-logged with one write per
 queued chunk, and each queue flush is one WAL write of the drained batch.
 An in-order wire batch is not even unpacked value by value: it decodes
 into typed arrays that the open leaf extends and serializes whole.
-Ingestion computes no statistic per batch: one statistics pass per
-written leaf, and one per seal for the open leaf.  Nor does it choose a
+Ingestion computes no statistic per event, nor one per leaf: one kernel
+call per run that fills a leaf (one per in-order batch), one per leaf
+flushed outside such a run, one per seal for the open leaf, and one tc
+fold for each of those.  Nor does it choose a
 leaf encoding per block: each split's column trial runs on its first
 leaf and then once per ``TRIAL_INTERVAL`` leaves it compresses.
 """
@@ -27,8 +29,8 @@ from repro import ChronicleConfig, ChronicleDB, EventSchema
 from repro.compression.zlibc import LEAF_MAGIC, TRIAL_INTERVAL, ZlibCompressor
 from repro.core.split import TimeSplit
 from repro.events import ColumnarEvents, Event, Field, FieldKind
-from repro.index.correlation import RunningCorrelation
-from repro.index.entry import LeafStatistics
+from repro.index.correlation import RunningCorrelation, SplitCorrelation
+from repro.index.entry import RunStatistics
 from repro.index.tab_tree import TabTree
 from repro.net import frames
 from repro.ooo.queue import SortedQueue
@@ -64,6 +66,20 @@ def device_writes(db, suffix):
     )
 
 
+def flushes_by_run(monkeypatch):
+    """The RunStatistics each leaf flush takes its statistics from (None:
+    the flush computes its own); kept alive, so ids stay distinct."""
+    runs = []
+    original = TabTree._flush_leaf
+
+    def flush(tree, run=None, index=0):
+        runs.append(run)
+        return original(tree, run, index)
+
+    monkeypatch.setattr(TabTree, "_flush_leaf", flush)
+    return runs
+
+
 def late_heavy_load(seed):
     """``(t, a, b, order)``: arrival order with 5 % late in bulks."""
     rng = np.random.default_rng(seed)
@@ -89,8 +105,8 @@ def test_late_heavy_ingest_builds_no_events(monkeypatch):
         when=lambda batch, index: not isinstance(index, slice),
     )
     chunks_queued = count_calls(monkeypatch, SortedQueue, "add_run")
-    kernel = count_calls(monkeypatch, LeafStatistics, "of")
-    leaf_flushes = count_calls(monkeypatch, TabTree, "_flush_leaf")
+    kernel = count_calls(monkeypatch, RunStatistics, "of")
+    leaf_flushes = flushes_by_run(monkeypatch)
     seals = count_calls(monkeypatch, TimeSplit, "seal",
                         when=lambda split: not split.sealed)
     trackers = [
@@ -115,7 +131,11 @@ def test_late_heavy_ingest_builds_no_events(monkeypatch):
     assert device_writes(db, ".mirror") == len(chunks_queued)
     assert device_writes(db, ".wal") == flushes
     assert len(seals) >= 1 and len(leaf_flushes) >= 50
-    assert len(kernel) == len(leaf_flushes) + len(seals)
+    # One kernel call per run that fills a leaf, per leaf flushed on its
+    # own (no run's statistics at hand), and per seal.
+    runs = {id(run) for run in leaf_flushes if run is not None}
+    alone = [run for run in leaf_flushes if run is None]
+    assert len(kernel) == len(runs) + len(alone) + len(seals)
     assert [len(calls) for calls in trackers] == [0, 0]
 
 
@@ -148,6 +168,35 @@ def test_wire_batches_reach_the_leaf_without_per_value_packs(monkeypatch):
     assert [(type(c), c.typecode) for c in (leaf.timestamps, *leaf.columns)] == [
         (array, "q"), (array, "d"), (array, "q")
     ]
+    db.close()
+
+
+def test_in_order_wire_batches_take_one_kernel_call_and_one_fold_each(monkeypatch):
+    """20 in-order 1 024-row wire batches of the benchmark's shape fill
+    about 112 leaves: 20 kernel calls and 20 tc folds, one per batch."""
+    schema = EventSchema.of("a", "b", "c", "d")
+    codec = serializer.PaxCodec(schema)
+    schema_bytes = frames.schema_bytes_of(schema)
+    rng = np.random.default_rng(41)
+    db = ChronicleDB(config=ChronicleConfig())
+    stream = db.create_stream("s", schema)
+    kernel = count_calls(monkeypatch, RunStatistics, "of")
+    folds = count_calls(monkeypatch, SplitCorrelation, "fold")
+    leaf_flushes = count_calls(monkeypatch, TabTree, "_flush_leaf")
+    for k in range(20):
+        t = (np.arange(k * 1024, (k + 1) * 1024, dtype=np.int64) + 1) * 10
+        columns = [np.round(np.cumsum(rng.normal(size=1024)), 1),
+                   rng.random(1024), (t % 13).astype(np.float64),
+                   rng.normal(size=1024)]
+        payload = frames.encode_batch_payload(
+            "s", schema_bytes, codec,
+            ColumnarEvents(t.tolist(), [column.tolist() for column in columns]),
+        )
+        _, _, timestamps, decoded = frames.decode_batch_payload(payload)
+        stream.append_columns(timestamps, decoded)
+
+    assert len(leaf_flushes) >= 100
+    assert len(kernel) == len(folds) == 20
     db.close()
 
 
