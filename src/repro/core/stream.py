@@ -10,8 +10,7 @@ implements retention by dropping entire splits (paper, Sections 5.4–5.5).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from heapq import merge
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from repro.index.queries import (
     SCAN_AGGREGATES,
     add_bucketed,
     fold,
+    window_events,
 )
 from repro.lifecycle.tiers import StreamTiers
 
@@ -320,34 +320,15 @@ class EventStream:
         """All raw events in [t_start, t_end], in time order, across tiers
         — with *ranges*, only those whose attributes fall in every range.
 
-        The row-at-a-time reference walk: each split's tree
-        (:meth:`TabTree.time_travel`, or Algorithm 2's
-        :meth:`TabTree.filter_scan` with *ranges*) merged with its
-        still-queued late events, a tree row first on equal ``t``, so
-        reads reflect every acknowledged event.  Warm splits are read
-        like hot ones (they hold the same raw events, re-compressed);
-        cold and expired ranges no longer have raw events and contribute
-        nothing — only :meth:`aggregate` reaches into them.
+        The rows of :meth:`leaf_slices`' windows, each split's queued late
+        events spliced in, with the ranges checked per row, so reads
+        reflect every acknowledged event.  Warm splits are read like hot
+        ones (they hold the same raw events, re-compressed); cold and
+        expired ranges no longer have raw events and contribute nothing
+        — only :meth:`aggregate` reaches into them.
         """
-        for split in self._splits(t_start, t_end):
-            yield from self._split_rows(split, t_start, t_end, ranges)
-
-    def _split_rows(self, split, t_start: int, t_end: int, ranges):
-        """One split's part of :meth:`time_travel`."""
-        tree = split.tree
-        if ranges is None:
-            rows = tree.time_travel(t_start, t_end)
-        else:
-            rows = tree.filter_scan(t_start, t_end, ranges)
-        queued = split.manager.queue.window(t_start, t_end)
-        if queued and ranges:
-            index_of = self.schema.index_of
-            queued = [e for e in queued if all(
-                r.contains(e.values[index_of(r.name)]) for r in ranges
-            )]
-        if queued:
-            return merge(rows, queued, key=attrgetter("t"))
-        return rows
+        return window_events(self.leaf_slices(t_start, t_end, ranges),
+                             self.schema, ranges, self.devices.clock)
 
     def scan(self):
         """Replay the entire stream."""
@@ -604,18 +585,22 @@ class EventStream:
 
         Fans :meth:`TabTree.leaf_slices` over :meth:`_splits`, each
         split's queued late events in range spliced in as one more
-        (in-memory) leaf by :func:`_splice_queued` — so a columnar scan
-        sees exactly the rows of :meth:`time_travel`, in its order.  The
-        queued leaf is not pruned by *ranges*; callers select rows.
+        (in-memory) leaf by :func:`_splice_queued`.  Every read of the
+        stream is these windows.  *ranges* only prune; callers select
+        rows.
         """
         # ``time_order`` selects nothing (every read is in time order);
         # it stays only for the frozen e2e scenario's caller, ROADMAP 10(d).
         for split in self._splits(t_start, t_end):
-            windows = split.tree.leaf_slices(t_start, t_end, ranges, stats)
-            queued = split.manager.queue.window(t_start, t_end)
-            if queued:
-                windows = _splice_queued(windows, queued)
-            yield from windows
+            yield from self._split_windows(split, t_start, t_end, ranges, stats)
+
+    @staticmethod
+    def _split_windows(split, t_start: int, t_end: int, ranges,
+                       stats: dict | None = None):
+        """One split's part of :meth:`leaf_slices`."""
+        windows = split.tree.leaf_slices(t_start, t_end, ranges, stats)
+        queued = split.manager.queue.window(t_start, t_end)
+        return _splice_queued(windows, queued) if queued else windows
 
     def grouped_components(self, t_start: int, t_end: int, attribute: str,
                            width: int):
@@ -679,7 +664,10 @@ class EventStream:
                 hits = split.search_secondary(attribute, low, high)
                 results.extend(e for e in hits if t_start <= e.t <= t_end)
             else:
-                results.extend(self._split_rows(split, t_start, t_end, ranges))
+                results.extend(window_events(
+                    self._split_windows(split, t_start, t_end, ranges),
+                    self.schema, ranges, self.devices.clock,
+                ))
         return results
 
     # ------------------------------------------------------------ maintenance
@@ -889,12 +877,12 @@ class EventStream:
 def _splice_queued(windows, queued):
     """Merge one split's tree leaf windows with its queued late events.
 
-    *windows* are ``(leaf, lo, hi)`` in time order, *queued* the
-    non-empty, time-sorted queue content in range as one batch.  It
-    becomes an in-memory :class:`LeafNode` whose rows are yielded, as
-    windows of their own, between the tree rows they fall between — a
-    tree row before a queued row of equal ``t``, the order of
-    :meth:`EventStream.time_travel`'s merge.
+    The one merge of late events into a read.  *windows* are ``(leaf,
+    lo, hi)`` in time order, *queued* the non-empty, time-sorted queue
+    content in range as one batch.  It becomes an in-memory
+    :class:`LeafNode` whose rows are yielded, as windows of their own,
+    between the tree rows they fall between — a tree row before a
+    queued row of equal ``t``.
     """
     queue_ts = queued.timestamps
     queue_leaf = LeafNode(NO_NODE, timestamps=queue_ts, columns=queued.columns)

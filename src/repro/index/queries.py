@@ -7,6 +7,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.errors import QueryError
+from repro.events.event import Event
 from repro.index.entry import ordered_sum, ordered_sums
 
 #: Aggregation functions answerable from stored (min, max, sum, count)
@@ -150,3 +151,29 @@ def fold(function: str, values: list) -> float:
             (ordered_sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
         )
     raise QueryError(f"unknown aggregate function {function!r}")
+
+
+def window_events(windows, schema, ranges, clock):
+    """The rows of ``(leaf, lo, hi)`` read windows as :class:`Event`
+    objects, in window order — with *ranges*, only the rows whose
+    attributes fall in every range.
+
+    Every read of events row by row ends here; each event built counts
+    as one event deserialized on *clock*.  Range columns are read
+    first, so a window none of whose rows pass decodes no other column.
+    """
+    checks = [(schema.index_of(r.name), r) for r in ranges or ()]
+    positions = range(schema.arity)
+    for leaf, lo, hi in windows:
+        rows = range(lo, hi)
+        for position, r in checks:
+            column = leaf.column(position)
+            rows = [row for row in rows if r.contains(column[row])]
+        if not rows:
+            continue
+        timestamps = leaf.timestamps
+        columns = [leaf.column(position) for position in positions]
+        for row in rows:
+            clock.events_deserialized += 1
+            yield Event(timestamps[row],
+                        tuple([column[row] for column in columns]))

@@ -16,6 +16,7 @@ leaf splits are written through immediately (see DESIGN.md).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 
 from repro.errors import QueryError, StorageError
@@ -38,6 +39,7 @@ from repro.index.queries import (
     SCAN_AGGREGATES,
     add_bucketed,
     fold,
+    window_events,
 )
 from repro.storage.prefetch import SequentialBlockReader
 
@@ -93,6 +95,8 @@ class TabTree:
         self.codec = NodeCodec(schema, layout.lblock_size, indexed_attributes,
                                extended_aggregates)
         layout.set_leaf_columns(schema.arity)
+        #: The PAX typecode of each attribute column.
+        self._column_chars = [f.kind.struct_char for f in schema.fields]
         self.lblock_spare = lblock_spare
         self.leaf_write_capacity = max(
             2, int(self.codec.leaf_capacity * (1.0 - lblock_spare))
@@ -141,9 +145,9 @@ class TabTree:
 
     def _new_leaf(self, node_id: int, prev_id: int = NO_NODE) -> LeafNode:
         """An empty open leaf with typed (array) columns."""
-        timestamps, columns = self.codec.pax.typed((), ((),) * self.schema.arity)
         return LeafNode(node_id=node_id, prev_id=prev_id,
-                        timestamps=timestamps, columns=columns)
+                        timestamps=array("q"),
+                        columns=[array(char) for char in self._column_chars])
 
     def _load_node(self, node_id: int):
         node = self.codec.decode(self.layout.read_block(node_id))
@@ -338,44 +342,13 @@ class TabTree:
 
     # --------------------------------------------------------------- queries
 
-    def time_travel(self, t_start: int, t_end: int):
-        """Yield events with ``t_start <= t <= t_end`` in time order.
-
-        Descends to the first qualifying leaf, then follows the forward
-        sibling chain with a sequential prefetcher (Section 5.6.1).
-        """
-        if t_end < t_start:
-            raise QueryError(f"empty time interval [{t_start}, {t_end}]")
-        if self.event_count == 0:
-            return
-        leaf = self._descend_to_leaf(t_start)
-        reader = SequentialBlockReader(self.layout, restart_gap=64)
-        while leaf is not None:
-            if leaf.count:
-                if leaf.t_min > t_end:
-                    return
-                lo = bisect_left(leaf.timestamps, t_start)
-                hi = bisect_right(leaf.timestamps, t_end)
-                for row in range(lo, hi):
-                    yield self._event_at(leaf, row)
-                if hi < leaf.count:
-                    return  # passed t_end inside this leaf
-            if leaf is self.leaf:
-                return
-            next_id = leaf.next_id
-            if next_id == NO_NODE:
-                return
-            leaf = self._fetch_leaf_sequential(next_id, reader)
-
-    def _fetch_leaf_sequential(self, node_id: int, reader):
-        if node_id == self.leaf.node_id:
-            return self.leaf
-        cached = self.buffer.cached(node_id)
-        if cached is not None:
-            return cached
-        node = self.codec.decode(reader.get(node_id))
-        self.clock.node_visits += 1
-        return node
+    def time_travel(self, t_start: int, t_end: int,
+                    ranges: list[AttributeRange] | None = None):
+        """Yield events with ``t_start <= t <= t_end`` in time order —
+        with *ranges*, only those whose attributes fall in every range:
+        the rows of :meth:`leaf_slices`' windows."""
+        return window_events(self.leaf_slices(t_start, t_end, ranges),
+                             self.schema, ranges, self.clock)
 
     def _event_at(self, leaf: LeafNode, row: int) -> Event:
         self.clock.events_deserialized += 1
@@ -384,15 +357,16 @@ class TabTree:
             tuple(column[row] for column in leaf.columns),
         )
 
-    def _descend_to_leaf(self, t: int) -> LeafNode:
+    def _descend_to_leaf(self, t: int, fetch_leaf=None):
         """The leftmost leaf that may contain timestamp *t*.
 
         Reads stay leftmost (``t_max >= t``) so a scan from *t* starts
         at the first stored row at *t*; inserts descend with
-        :meth:`_descend_with_path`, which goes past them.
+        :meth:`_descend_with_path`, which goes past them.  *fetch_leaf*
+        reads a flushed leaf by id (default: through the node buffer).
         """
         node = self.root
-        while not isinstance(node, LeafNode):
+        while node.level:
             chosen = None
             for entry in node.entries:
                 if entry.t_max >= t:
@@ -401,6 +375,8 @@ class TabTree:
             if chosen is None:
                 # All flushed children end before t: descend the open spine.
                 node = self._open_child(node)
+            elif node.level == 1 and fetch_leaf is not None:
+                return fetch_leaf(chosen)
             else:
                 node = self._get_node(chosen)
         return node
@@ -439,9 +415,10 @@ class TabTree:
             function in SCAN_AGGREGATES and not self.codec.extended_aggregates
         )
         if needs_scan:
-            return fold(function, [
-                e.values[position] for e in self.time_travel(t_start, t_end)
-            ])
+            values: list = []
+            for leaf, lo, hi in self.leaf_slices(t_start, t_end):
+                values += leaf.column(position)[lo:hi]
+            return fold(function, values)
         return self.aggregate_components(t_start, t_end, attribute).result(function)
 
     def aggregate_components(
@@ -514,75 +491,22 @@ class TabTree:
                 self._grouped_node(self._get_node(child_id), t_start, t_end,
                                    position, agg_index, width, buckets)
 
-    # ................................................... filtered scans (Alg 2)
-
-    def filter_scan(self, t_start: int, t_end: int, ranges: list[AttributeRange]):
-        """Algorithm 2: prune subtrees via stored min/max statistics.
-
-        Yields qualifying events in time order.  Pruning applies to
-        indexed attributes; ranges on non-indexed attributes are checked
-        per event at the leaves.
-        """
-        if t_end < t_start:
-            raise QueryError(f"empty time interval [{t_start}, {t_end}]")
-        positions = [self.schema.index_of(r.name) for r in ranges]
-        prunable = []  # (agg_index, range) for indexed attributes
-        for r, position in zip(ranges, positions):
-            if position in self.codec.indexed_positions:
-                prunable.append((self.codec.indexed_positions.index(position), r))
-        # Leaves are visited strictly left-to-right (ascending ids), so a
-        # sequential prefetcher keeps weak-pruning filters at scan speed
-        # while restarting past pruned gaps with a single seek.
-        reader = SequentialBlockReader(self.layout, restart_gap=64)
-        yield from self._filter_node(self.root, t_start, t_end, ranges,
-                                     positions, prunable, reader)
-
-    def _filter_node(self, node, t_start, t_end, ranges, positions, prunable,
-                     reader=None):
-        if isinstance(node, LeafNode):
-            lo = bisect_left(node.timestamps, t_start)
-            hi = bisect_right(node.timestamps, t_end)
-            for row in range(lo, hi):
-                if all(
-                    r.contains(node.columns[p][row])
-                    for r, p in zip(ranges, positions)
-                ):
-                    yield self._event_at(node, row)
-            return
-        self.clock.node_visits += 1
-        fetch_leaves_sequentially = node.level == 1 and reader is not None
-        for entry, child_id in self._children(node):
-            if entry is not None:
-                if entry.t_max < t_start:
-                    continue
-                if entry.t_min > t_end:
-                    return  # later entries are even further right
-                if any(
-                    not r.overlaps(entry.aggs[i][0], entry.aggs[i][1])
-                    for i, r in prunable
-                ):
-                    continue
-            if fetch_leaves_sequentially:
-                child = self._fetch_leaf_sequential(child_id, reader)
-            else:
-                child = self._get_node(child_id)
-            yield from self._filter_node(child, t_start, t_end, ranges,
-                                         positions, prunable, reader)
-
-    # ................................................ columnar leaf windows
+    # ................................................ leaf windows (one walk)
 
     def leaf_slices(self, t_start: int, t_end: int,
                     ranges: list[AttributeRange] | None = None,
                     stats: dict | None = None):
         """Yield ``(leaf, lo, hi)`` windows of qualifying leaves in order.
 
-        The columnar executor's access path: leaves arrive as lazy
+        The one walk that reaches a leaf.  Without a range on an indexed
+        attribute it descends once and follows the forward sibling chain
+        (Section 5.6.1); otherwise Algorithm-2 min/max statistics of the
+        indexed *ranges* prune subtrees.  Callers select rows.  Flushed
+        leaves come through one sequential prefetcher as lazy
         :class:`~repro.index.node.LeafView` objects (timestamps decoded,
-        attribute columns on demand), Algorithm-2 min/max statistics
-        prune subtrees for indexed *ranges*, and ``[lo, hi)`` is the row
-        window cut by the time range.  *stats* (optional dict) collects
-        ``leaves_scanned`` / ``leaves_skipped`` / ``values_decoded``
-        counts for the planner's observability counters.
+        attribute columns on demand); ``[lo, hi)`` is the row window cut
+        by the time range.  *stats* (optional dict) collects the
+        planner's ``leaves_*`` / ``values_decoded`` / ``blocks_*`` counts.
         """
         if t_end < t_start:
             raise QueryError(f"empty time interval [{t_start}, {t_end}]")
@@ -593,11 +517,24 @@ class TabTree:
             position = self.schema.index_of(r.name)
             if position in self.codec.indexed_positions:
                 prunable.append((self.codec.indexed_positions.index(position), r))
+        # Leaves are requested left to right, so the prefetcher streams
+        # them and restarts past a pruned gap with a single seek.
         reader = SequentialBlockReader(self.layout, restart_gap=64)
         on_decode = self._decode_counter(stats)
+
+        def fetch(node_id: int):
+            return self._fetch_leaf_view(node_id, reader, on_decode)
+
+        if prunable:
+            walk = self._leaf_slice_node(self.root, t_start, t_end, prunable,
+                                         fetch, stats)
+        else:
+            walk = self._leaf_chain(t_start, t_end, fetch)
         try:
-            yield from self._leaf_slice_node(self.root, t_start, t_end,
-                                             prunable, reader, stats, on_decode)
+            for window in walk:
+                if stats is not None:
+                    stats["leaves_scanned"] = stats.get("leaves_scanned", 0) + 1
+                yield window
         finally:
             if stats is not None:
                 stats["blocks_requested"] = (
@@ -617,20 +554,33 @@ class TabTree:
 
         return on_decode
 
-    def _leaf_slice_node(self, node, t_start, t_end, prunable, reader, stats,
-                         on_decode):
-        if node.level == 0:
-            if node.count == 0:
+    def _leaf_chain(self, t_start, t_end, fetch):
+        """Windows along the sibling chain from the descent to *t_start*."""
+        leaf = self._descend_to_leaf(t_start, fetch)
+        while True:
+            if leaf.count:
+                if leaf.t_min > t_end:
+                    return
+                lo = bisect_left(leaf.timestamps, t_start)
+                hi = bisect_right(leaf.timestamps, t_end)
+                if lo < hi:
+                    yield leaf, lo, hi
+                if hi < leaf.count:
+                    return  # passed t_end inside this leaf
+            if leaf is self.leaf or leaf.next_id == NO_NODE:
                 return
-            lo = bisect_left(node.timestamps, t_start)
-            hi = bisect_right(node.timestamps, t_end)
-            if lo < hi:
-                if stats is not None:
-                    stats["leaves_scanned"] = stats.get("leaves_scanned", 0) + 1
-                yield node, lo, hi
+            leaf = fetch(leaf.next_id)
+
+    def _leaf_slice_node(self, node, t_start, t_end, prunable, fetch, stats):
+        """Algorithm 2: windows under *node*, pruned by entry statistics."""
+        if node.level == 0:
+            if node.count:
+                lo = bisect_left(node.timestamps, t_start)
+                hi = bisect_right(node.timestamps, t_end)
+                if lo < hi:
+                    yield node, lo, hi
             return
         self.clock.node_visits += 1
-        fetch_lazy = node.level == 1
         for entry, child_id in self._children(node):
             if entry is not None:
                 if entry.t_max < t_start:
@@ -652,14 +602,14 @@ class TabTree:
                             stats.get("leaves_skipped", 0) + skipped
                         )
                     continue
-            if fetch_lazy:
-                child = self._fetch_leaf_view(child_id, reader, on_decode)
+            if node.level == 1:
+                child = fetch(child_id)
             else:
                 child = self._get_node(child_id)
             yield from self._leaf_slice_node(child, t_start, t_end, prunable,
-                                             reader, stats, on_decode)
+                                             fetch, stats)
 
-    def _fetch_leaf_view(self, node_id: int, reader, on_decode=None):
+    def _fetch_leaf_view(self, node_id: int, reader, on_decode):
         """A leaf as a lazy view; flank/buffered leaves come back eager."""
         if node_id == self.leaf.node_id:
             return self.leaf
@@ -672,8 +622,6 @@ class TabTree:
 
     def full_scan(self):
         """Replay the whole stream in time order (Figure 15's read test)."""
-        if self.event_count == 0:
-            return iter(())
         return self.time_travel(-(2**62), 2**62)
 
     # ------------------------------------------------ out-of-order insertion

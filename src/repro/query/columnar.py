@@ -19,8 +19,8 @@ replies and subscription pushes, and its
 is.
 
 Results are bit-identical to the row-at-a-time oracle
-(``repro.testing.oracle``) by construction: leaves arrive in the order
-of its scans (:meth:`EventStream.leaf_slices` — time order, each split's
+(``repro.testing.oracle``) by construction: both read the same leaf
+windows (:meth:`EventStream.leaf_slices` — time order, each split's
 queued late events spliced in as one more leaf), selections preserve
 row order, and the collected value lists are folded by the
 :func:`~repro.index.queries.fold` the oracle uses.

@@ -7,16 +7,16 @@ lives under :mod:`repro.testing` because nothing on a serving node runs
 it — ``tests/test_import_boundary.py`` keeps it off ``import
 repro.net.server``.
 
-Access paths per query class (Section 5.6): pure time predicates run as
-time-travel scans (``EventStream.time_travel`` → ``TabTree.time_travel``,
-the sibling-chain walk); aggregate selects use the TAB+-tree statistics
-through ``EventStream.aggregate``; attribute predicates go through
-Algorithm-2 pruning (``EventStream.time_travel`` with ranges →
-``TabTree.filter_scan``).
-Each walks the stream's one read view (``EventStream._splits``), every
-split's queued late events merged in, as the planner's reads do.  Those
-tree walks are kept in ``src/repro`` as the references the columnar
-leaf-window scans are checked against.
+Access paths per query class (Section 5.6): ``SELECT *`` and filtered
+aggregates read events through ``EventStream.time_travel`` (with the
+query's ranges, which prune through Algorithm 2 when an attribute is
+indexed); unfiltered aggregates use the TAB+-tree statistics through
+``EventStream.aggregate``.  Both walk the stream's one read view (``EventStream._splits``), every
+split's queued late events spliced in, and reach the leaves through the
+one tree walk the planner's plans use, ``TabTree.leaf_slices``.  The
+oracle is therefore the reference for executor semantics, not for the
+walk: the walk is checked against list models
+(``tests/core/test_read_view.py``, ``tests/index/test_leaf_walk.py``).
 """
 
 from __future__ import annotations

@@ -107,7 +107,7 @@ def test_filter_scan_matches_oracle(rows, lo, hi):
     )
     result = sorted(
         (e.t, e.values[0])
-        for e in tree.filter_scan(-1, 10**9, [AttributeRange("x", low, high)])
+        for e in tree.time_travel(-1, 10**9, [AttributeRange("x", low, high)])
     )
     assert result == expected
 

@@ -151,7 +151,7 @@ def test_filter_scan_matches_naive():
     events = events_for(1200)
     fill(tree, events)
     ranges = [AttributeRange("y", 10.0, 20.0)]
-    result = list(tree.filter_scan(0, 10**9, ranges))
+    result = list(tree.time_travel(0, 10**9, ranges))
     expected = [e for e in events if 10.0 <= e.values[1] <= 20.0]
     assert result == expected
 
@@ -162,7 +162,7 @@ def test_filter_scan_prunes_subtrees():
     fill(tree, events_for(2000))
     tree.flush_all()
     reads_before = disk.stats.bytes_read
-    result = list(tree.filter_scan(0, 10**9, [AttributeRange("x", 1e9, 2e9)]))
+    result = list(tree.time_travel(0, 10**9, [AttributeRange("x", 1e9, 2e9)]))
     assert result == []
     assert disk.stats.bytes_read - reads_before < 20 * LBLOCK
 
@@ -174,7 +174,7 @@ def test_filter_scan_on_temporally_correlated_attribute():
     fill(tree, events)
     tree.flush_all()
     reads_before = disk.stats.bytes_read
-    result = list(tree.filter_scan(0, 10**9, [AttributeRange("x", 100.0, 110.0)]))
+    result = list(tree.time_travel(0, 10**9, [AttributeRange("x", 100.0, 110.0)]))
     assert [e.values[0] for e in result] == [float(i) for i in range(100, 111)]
     assert disk.stats.bytes_read - reads_before < 30 * LBLOCK
 
@@ -183,7 +183,7 @@ def test_filter_with_time_and_attribute():
     tree, _, _ = make_tree()
     events = events_for(800)
     fill(tree, events)
-    result = list(tree.filter_scan(200, 900, [AttributeRange("y", 0.0, 5.0)]))
+    result = list(tree.time_travel(200, 900, [AttributeRange("y", 0.0, 5.0)]))
     expected = [
         e for e in events if 200 <= e.t <= 900 and 0.0 <= e.values[1] <= 5.0
     ]
@@ -194,7 +194,7 @@ def test_non_indexed_attribute_filter_still_correct():
     tree, _, _ = make_tree(indexed_attributes=["x"])
     events = events_for(600)
     fill(tree, events)
-    result = list(tree.filter_scan(0, 10**9, [AttributeRange("y", 10.0, 12.0)]))
+    result = list(tree.time_travel(0, 10**9, [AttributeRange("y", 10.0, 12.0)]))
     expected = [e for e in events if 10.0 <= e.values[1] <= 12.0]
     assert result == expected
 
