@@ -37,7 +37,12 @@ for entry in (REPO_ROOT, os.path.join(REPO_ROOT, "src")):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
+from benchmarks import common  # noqa: E402
+
 CORE_SCHEMA = "chronicledb-bench-core-v1"
+#: Per-bench tables of the scaled-down suites (untracked): the committed
+#: ``benchmarks/results/`` hold native-scale (``--suite full``) runs.
+SCALED_RESULTS = os.path.join(REPO_ROOT, "benchmarks", "results", "scaled")
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_core.json")
 
 
@@ -346,20 +351,27 @@ SUITES["sub"] = [
 # ---------------------------------------------------------------- runner
 
 
-def run_entry(entry):
-    """Run one bench with its overrides applied; restore them after."""
+def run_entry(entry, results_dir):
+    """Run one bench with its overrides applied, its tables written to
+    *results_dir*; restore them after."""
     module = importlib.import_module(entry["module"])
-    saved = {}
-    for name, value in entry["overrides"].items():
-        saved[name] = getattr(module, name)
-        setattr(module, name, value)
+    patches = [(module, name, value) for name, value in entry["overrides"].items()]
+    patches += [
+        (owner, "RESULTS_DIR", results_dir)
+        for owner in (common, module)
+        if hasattr(owner, "RESULTS_DIR")
+    ]
+    saved = []
+    for owner, name, value in patches:
+        saved.append((owner, name, getattr(owner, name)))
+        setattr(owner, name, value)
     try:
         started = time.perf_counter()
         result = getattr(module, entry["fn"])()
         wall = time.perf_counter() - started
     finally:
-        for name, value in saved.items():
-            setattr(module, name, value)
+        for owner, name, value in reversed(saved):
+            setattr(owner, name, value)
     return entry["extract"](result), wall
 
 
@@ -367,6 +379,8 @@ def run_suite(suite_name):
     from repro import obs
 
     entries = SUITES[suite_name]
+    # Only the native-scale suite rewrites the committed per-bench tables.
+    results_dir = common.RESULTS_DIR if suite_name == "full" else SCALED_RESULTS
     metrics = {}
     benches = {}
     obs.reset()
@@ -374,7 +388,7 @@ def run_suite(suite_name):
     try:
         for entry in entries:
             print(f"[run.py] running {entry['name']} ...", flush=True)
-            extracted, wall = run_entry(entry)
+            extracted, wall = run_entry(entry, results_dir)
             overlap = set(extracted) & set(metrics)
             if overlap:
                 raise SystemExit(f"duplicate metric names: {sorted(overlap)}")

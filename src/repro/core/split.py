@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.core.config import ChronicleConfig
 from repro.core.devices import DeviceProvider
 from repro.errors import StorageError
-from repro.events.event import ColumnarEvents, Event
+from repro.events.event import ColumnarEvents, Event, pick
 from repro.events.schema import EventSchema
 from repro.index.cola import ColaIndex
 from repro.index.correlation import SplitCorrelation
@@ -206,11 +206,12 @@ class TimeSplit:
             if not rows.timestamps:
                 continue
             column = rows.columns[position]
-            events.extend(
-                Event(rows.timestamps[row], tuple(c[row] for c in rows.columns))
-                for row in range(len(column))
-                if low <= column[row] <= high
-            )
+            hits = [row for row, value in enumerate(column)
+                    if low <= value <= high]
+            events.extend(Event.from_columns(
+                pick(rows.timestamps, hits),
+                [pick(c, hits) for c in rows.columns],
+            ))
         return sorted(events, key=lambda e: e.t)
 
     # ---------------------------------------------------------------- sealing

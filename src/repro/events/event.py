@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import partial
 from operator import itemgetter
 
 from repro.errors import SchemaError
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(namedtuple("Event", "t values")):
     """A single temporal-relational event.
+
+    A tuple-backed record, so a batch of them is built in one C-level
+    pass (:meth:`from_columns`), without a Python call per row.  It keeps
+    the semantics of a frozen record of two fields: it equals only an
+    ``Event`` (never a plain ``(t, values)`` tuple), hashes as
+    ``hash((t, values))``, orders by ``t`` alone (``<``; ``>`` reflects
+    to it, ``<=`` and ``>=`` are unsupported), and is immutable.
 
     Attributes
     ----------
@@ -21,12 +28,33 @@ class Event:
         The non-temporal attribute values, in schema order.
     """
 
-    t: int
-    values: tuple
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        return _unequal(other)
+
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__ne__(self, other)
+        equal = _unequal(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
 
     def __lt__(self, other: "Event") -> bool:
         # Events order by application time (``sorted(events)``).
         return self.t < other.t
+
+    def __gt__(self, other):
+        return _unordered(self, other, ">")
+
+    def __le__(self, other):
+        return _unordered(self, other, "<=")
+
+    def __ge__(self, other):
+        return _unordered(self, other, ">=")
 
     def value(self, index: int):
         """The attribute at schema position *index*."""
@@ -36,6 +64,34 @@ class Event:
     def of(cls, t: int, *values) -> "Event":
         """Convenience constructor: ``Event.of(10, 1.5, 2.5)``."""
         return cls(t, tuple(values))
+
+    @classmethod
+    def from_columns(cls, timestamps, columns):
+        """The events of a column set, in row order, as an iterator.
+
+        The one column→event constructor: rows are zipped and wrapped by
+        ``tuple.__new__`` in C, one pass, no Python call per row.
+        """
+        return map(partial(tuple.__new__, cls), zip(timestamps, zip(*columns)))
+
+
+def _unequal(other):
+    # A plain tuple (or any other tuple subclass) is never equal; tuple's
+    # own ``__eq__`` must not get to compare it field by field.
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _unordered(event, other, op):
+    """``>``, ``<=`` and ``>=`` of an :class:`Event`: unsupported, except
+    that ``>`` between events reflects to ``__lt__``.  Returning
+    ``NotImplemented`` against a plain tuple would let tuple's ordering
+    answer it, so that raises here."""
+    if isinstance(other, tuple) and not isinstance(other, Event):
+        raise TypeError(
+            f"'{op}' not supported between instances of "
+            f"{type(event).__name__!r} and {type(other).__name__!r}"
+        )
+    return NotImplemented
 
 
 class ColumnarEvents:
@@ -47,13 +103,16 @@ class ColumnarEvents:
     TAB+-tree's flank append (which bulk-extends leaf columns from it),
     and back out through the scan that answers ``SELECT *``, catch-up
     and subscription pushes.  A list of :class:`Event` becomes one only
-    at the API boundary (:meth:`of`); on ingest, only the embedded
-    subscriber tap still iterates a batch into events.
+    at the API boundary (:meth:`of`), and one becomes events there too,
+    in one C-level pass (:meth:`materialize`, iteration); on ingest,
+    only the embedded subscriber tap still iterates a batch into events.
 
     Columns are any sequences at the API boundary (lists, tuples).  A
     decoded wire batch holds ``array.array`` columns of the schema's
     typecodes, and below ``EventStream._ingest`` every column is one:
     that is what the open leaf extends and serializes without boxing.
+    The scan that reads events out of a node collects into such arrays
+    too, so its batch reaches the wire encoder without boxing a value.
     """
 
     __slots__ = ("timestamps", "columns")
@@ -96,14 +155,13 @@ class ColumnarEvents:
         )
 
     def __iter__(self):
-        for t, values in zip(self.timestamps, zip(*self.columns)):
-            yield Event(t, values)
+        return Event.from_columns(self.timestamps, self.columns)
 
     # ------------------------------------------------- lazy materialization
 
     @classmethod
     def empty(cls, arity: int) -> "ColumnarEvents":
-        """An empty, growable batch (also the scan's result sink)."""
+        """An empty, growable batch of list columns."""
         return cls([], [[] for _ in range(arity)])
 
     def append_rows(self, timestamps, columns, rows) -> None:
@@ -128,12 +186,10 @@ class ColumnarEvents:
 
         Everything upstream of this call works on column arrays; only
         results actually handed to the application pay per-row object
-        construction.
+        construction, and that is one C-level pass
+        (:meth:`Event.from_columns`).
         """
-        return [
-            Event(t, values)
-            for t, values in zip(self.timestamps, zip(*self.columns))
-        ]
+        return list(Event.from_columns(self.timestamps, self.columns))
 
 
 def pick(column, rows):

@@ -64,9 +64,9 @@ class PaxCodec:
             raise SchemaError(f"buffer too small: {len(data)} < {need}")
         view = memoryview(data)
         width = count * VALUE_SIZE
-        timestamps = _unpack("q", view[:width])
+        timestamps = unpack_column("q", view[:width])
         columns = [
-            _unpack(char, view[k * width : (k + 1) * width])
+            unpack_column(char, view[k * width : (k + 1) * width])
             for k, char in enumerate(self._column_chars, start=1)
         ]
         return timestamps, columns
@@ -90,11 +90,7 @@ class PaxCodec:
 
     def decode_events(self, data: bytes, count: int) -> list[Event]:
         """Deserialize a batch back to row-form events."""
-        timestamps, columns = self.decode_columns(data, count)
-        return [
-            Event(timestamps[row], tuple(column[row] for column in columns))
-            for row in range(count)
-        ]
+        return list(Event.from_columns(*self.decode_columns(data, count)))
 
     def encode_rows(self, events: list[Event]) -> bytes:
         """Row-major (NSM) serialization of a batch.
@@ -115,7 +111,8 @@ def _pack(char: str, count: int, column) -> bytes:
         raise SchemaError(f"unencodable batch: {error}") from error
 
 
-def _unpack(char: str, data: memoryview) -> array:
+def unpack_column(char: str, data: memoryview) -> array:
+    """Little-endian column bytes as an ``array`` of typecode *char*."""
     # Not ``array(char, data)``: that iterates the bytes one by one.
     column = array(char)
     column.frombytes(data)

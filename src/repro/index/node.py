@@ -15,6 +15,7 @@ Node header (40 bytes)::
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass, field
 
 from repro.errors import CorruptBlockError, SchemaError
@@ -81,7 +82,8 @@ class LeafView:
     attribute column is sliced out of the PAX payload only on first
     access (:class:`~repro.storage.columns.ColumnSlicer`), so a leaf
     whose rows are all filtered away never decodes its projection
-    columns at all.
+    columns at all.  Like a :class:`LeafNode`'s, its columns are typed
+    ``array`` objects.
 
     ``on_decode(n)`` is called with the number of values decoded by each
     column slice, letting the tree count values decoded on the clock and
@@ -106,7 +108,7 @@ class LeafView:
         self.count = count
         self._data = data
         self._slicer = slicer
-        self._cache: dict[int, list] = {}
+        self._cache: dict[int, array] = {}
         self.on_decode = on_decode
         self.columns_decoded = 0
         self.timestamps = slicer.timestamps(data, count)
@@ -121,7 +123,7 @@ class LeafView:
     def t_max(self) -> int:
         return self.timestamps[-1]
 
-    def column(self, position: int) -> list:
+    def column(self, position: int) -> array:
         cached = self._cache.get(position)
         if cached is None:
             cached = self._slicer.column(self._data, self.count, position)

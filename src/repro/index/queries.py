@@ -7,7 +7,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.errors import QueryError
-from repro.events.event import Event
+from repro.events.event import Event, pick
 from repro.index.entry import ordered_sum, ordered_sums
 
 #: Aggregation functions answerable from stored (min, max, sum, count)
@@ -158,9 +158,11 @@ def window_events(windows, schema, ranges, clock):
     objects, in window order — with *ranges*, only the rows whose
     attributes fall in every range.
 
-    Every read of events row by row ends here; each event built counts
-    as one event deserialized on *clock*.  Range columns are read
-    first, so a window none of whose rows pass decodes no other column.
+    Every read of events row by row ends here: a window's selected rows
+    become events in one :meth:`Event.from_columns` pass, and each event
+    yielded counts as one event deserialized on *clock*.  Range columns
+    are read first, so a window none of whose rows pass decodes no other
+    column.
     """
     checks = [(schema.index_of(r.name), r) for r in ranges or ()]
     positions = range(schema.arity)
@@ -171,9 +173,7 @@ def window_events(windows, schema, ranges, clock):
             rows = [row for row in rows if r.contains(column[row])]
         if not rows:
             continue
-        timestamps = leaf.timestamps
-        columns = [leaf.column(position) for position in positions]
-        for row in rows:
+        columns = [pick(leaf.column(position), rows) for position in positions]
+        for event in Event.from_columns(pick(leaf.timestamps, rows), columns):
             clock.events_deserialized += 1
-            yield Event(timestamps[row],
-                        tuple([column[row] for column in columns]))
+            yield event

@@ -28,6 +28,8 @@ row order, and the collected value lists are folded by the
 
 from __future__ import annotations
 
+from array import array
+
 from repro.errors import QueryError
 from repro.events.event import ColumnarEvents, pick
 from repro.index.queries import fold
@@ -94,13 +96,17 @@ def _selection(stream, query, leaf, lo, hi, served=None):
 def scan_events(stream, query, stats: dict, served=None):
     """``SELECT *`` through the columnar path.
 
-    Qualifying rows accumulate column-wise and come back as one
-    :class:`ColumnarEvents` batch; the caller turns it into
-    :class:`Event` objects (or wire columns) at the API boundary — the
-    only point that pays per-row deserialization.  ``LIMIT`` counts
+    Qualifying rows accumulate column-wise, into arrays of the schema's
+    typecodes, and come back as one :class:`ColumnarEvents` batch: a
+    window of a leaf's typed columns is one ``memcpy`` into it, and the
+    wire encoder copies it out with ``tobytes``.  The caller turns it
+    into :class:`Event` objects (or wire columns) at the API boundary —
+    the only point that pays per-row deserialization.  ``LIMIT`` counts
     selected rows, so it applies after the *served* predicate.
     """
-    out = ColumnarEvents.empty(stream.schema.arity)
+    out = ColumnarEvents(array("q"), [
+        array(field.kind.struct_char) for field in stream.schema.fields
+    ])
     limit = query.limit
     examined = 0
     for leaf, lo, hi in stream.leaf_slices(

@@ -6,8 +6,15 @@ scans ChronicleDB instead resolves only the *first* id it is asked for,
 then reads the unit stream forward from that macro block; lookups by
 increasing id are served from the stream, keeping disk access strictly
 sequential.  Passed-over C-blocks are held *compressed* in a bounded
-look-ahead buffer and inflated only when requested, so a scan's work is
+buffer and inflated only when requested, so a scan's work is
 proportional to the blocks it returns, not to its position in the store.
+
+A scan's ids are not strictly increasing once a leaf has split: the
+right half takes a fresh, high id at the end of the log, so the scan
+asks for it and then for the lower ids after it.  The blocks passed on
+the way to it wait in the buffer; past the buffer's bound, a request
+behind the walk seeks the walk back to it, and the scan streams on
+from there.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ _PASSED = OBS.counter("storage.reader.blocks_passed")
 
 
 class SequentialBlockReader:
-    """Serves `get(id)` for *monotonically increasing* ids sequentially.
+    """Serves `get(id)` for (mostly) increasing ids sequentially.
 
     Parameters
     ----------
@@ -46,7 +53,6 @@ class SequentialBlockReader:
         self._restart_gap = restart_gap if restart_gap is not None else window_blocks
         #: id -> (compressed payload, original length) of passed-over blocks
         self._buffer: dict[int, tuple[bytes, int]] = {}
-        self._highest_requested = -1
         self._walker = None
         self._position = -1  # highest id consumed from the walker
         #: Wasted-work accounting: ``inflated == requested`` means no
@@ -68,8 +74,13 @@ class SequentialBlockReader:
         self._position = block_id
 
     def _advance_to(self, block_id: int) -> tuple[bytes, int] | None:
-        """Walk forward to *block_id*; ``None`` if the stream lacks it."""
-        if self._walker is None or block_id - self._position > self._restart_gap:
+        """Walk forward to *block_id*; ``None`` if the stream lacks it.
+
+        The walk starts afresh at *block_id* when there is none, when the
+        id lies further ahead than the restart gap, or when the walk is
+        already past it (the block was passed and not buffered)."""
+        gap = block_id - self._position
+        if self._walker is None or gap > self._restart_gap or gap <= 0:
             try:
                 self._seek(block_id)
             except (StorageError, CorruptBlockError):
@@ -86,10 +97,11 @@ class SequentialBlockReader:
             if found_id == block_id:
                 return payload, original_len
             self.passed += 1
-            # Ids are requested in increasing order, so only a block
-            # *ahead* of the request (interleaved or relocated) can still
-            # be asked for; it waits compressed, bounded by the window.
-            if found_id > block_id and len(self._buffer) < self._window:
+            # A block behind the request may still be asked for (the
+            # request was a split's relocated right half), and one ahead
+            # of it (interleaved or relocated) too; it waits compressed,
+            # bounded by the window.
+            if len(self._buffer) < self._window:
                 self._buffer[found_id] = (payload, original_len)
         # Not in the remaining stream (still in the open macro, or
         # relocated backwards): the next request seeks afresh.
@@ -99,14 +111,13 @@ class SequentialBlockReader:
     def get(self, block_id: int) -> bytes:
         """Return the decompressed L-block *block_id*.
 
-        Ids must be requested in increasing order for the sequential path;
-        anything else falls back to a random read through the TLB.
+        A buffered block is served from the buffer; any other is walked
+        to (:meth:`_advance_to`).  Only a block the unit stream does not
+        hold (still in the open macro block) is a random read through
+        the TLB.
         """
         passed = self.passed
-        held = None
-        if block_id > self._highest_requested:
-            self._highest_requested = block_id
-            held = self._buffer.pop(block_id, None) or self._advance_to(block_id)
+        held = self._buffer.pop(block_id, None) or self._advance_to(block_id)
         if held is None:
             data = self._layout.read_block(block_id)
         else:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.events import ColumnarEvents, EventSchema
 from repro.index import AttributeRange, TabTree
-from repro.simdisk import SimulatedDisk
+from repro.simdisk import HDD_2017, SimulatedClock, SimulatedDisk
 from repro.storage import ChronicleLayout
 from repro.storage.prefetch import SequentialBlockReader
 
@@ -88,6 +88,40 @@ def test_unfiltered_scan_descends_once_then_follows_the_chain(monkeypatch):
         assert len(index_reads) <= tree.height - 1
         rows = [t for leaf, lo, hi in windows for t in leaf.timestamps[lo:hi]]
         assert rows == [t for t in range(0, 2 * n, 2) if t_start <= t <= t_end]
+
+
+def test_split_right_halves_keep_the_scan_sequential(monkeypatch):
+    """A split's right half takes a fresh, high id at the end of the log,
+    so a scan asks for it and then for lower ids.  Those requests are
+    served from the reader's buffer or by seeking the walk back, not by
+    a random ``read_block`` each: at most one per relocated leaf plus a
+    few seeks, against one per leaf after the split."""
+    n = 6000
+    layout = ChronicleLayout.create(
+        SimulatedDisk(HDD_2017, SimulatedClock()), lblock_size=512,
+        macro_size=2048, compressor="zlib",
+    )
+    tree = TabTree(layout, SCHEMA, indexed_attributes=["x"])
+    tree.append_run(ColumnarEvents(
+        list(range(0, 10 * n, 10)),
+        [[float(i) for i in range(n)], [float(i % 7) for i in range(n)]],
+    ))
+    for _ in range(24):  # one early timestamp: its leaf splits repeatedly
+        tree.ooo_insert(105, (0.5, 0.5))
+    tree.flush_all()
+    assert tree.splits_performed >= 4
+    _make_cold(tree)
+    windows, requested, read, stats = _counted_scan(
+        tree, monkeypatch, -_HUGE, _HUGE
+    )
+    flushed = [leaf.node_id for leaf, _, _ in windows if leaf is not tree.leaf]
+    assert requested == flushed and len(flushed) > 300
+    assert flushed != sorted(flushed)  # the right halves come out of order
+    leaf_reads = [i for i in read if i in set(flushed)]
+    assert len(leaf_reads) <= tree.splits_performed + 3
+    assert stats["blocks_requested"] == stats["blocks_inflated"] == len(flushed)
+    rows = [t for leaf, lo, hi in windows for t in leaf.timestamps[lo:hi]]
+    assert rows == sorted(list(range(0, 10 * n, 10)) + [105] * 24)
 
 
 # ------------------------------------------------------------ list model
