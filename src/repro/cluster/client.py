@@ -24,9 +24,9 @@ from repro.errors import StaleRouteError
 from repro.events.event import ColumnarEvents, Event
 from repro.events.schema import EventSchema
 from repro.obs import tally
+from repro.query.ast import SelectStar
 from repro.query.parser import parse as parse_query
 from repro.query.partials import finalize_result, merge_partials
-from repro.query.planner import plan_scatter
 
 #: How many routing rounds one logical write runs before giving up —
 #: each round re-partitions what a stale map epoch rejected, so this
@@ -215,7 +215,7 @@ class ClusterClient:
         specs = self.shard_map.shards_for_stream(query.stream)
         if len(specs) == 1:
             return self._on_primary(specs[0], lambda c: c.query(sql))
-        if plan_scatter(query)["mode"] == "events":
+        if isinstance(query.select, SelectStar):
             tally(self.counters, "cluster", scatter_queries=1,
                   event_scatters=1)
             shard_results = self._on_primaries(lambda c: c.query(sql), specs)

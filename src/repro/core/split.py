@@ -71,7 +71,7 @@ class TimeSplit:
         )
         if _open_existing:
             self.layout = ChronicleLayout.open(device)
-            self.tree, applied = self._restore_tree()
+            self.tree = self._restore_tree()
         else:
             self.layout = ChronicleLayout.create(device, **layout_kwargs)
             self.tree = TabTree(
@@ -259,7 +259,7 @@ class TimeSplit:
             self._correlation = None
             self.kind = meta.get("kind", self.kind)
             self.sealed = True
-            return tree, 0
+            return tree
         return TabTree.recover(
             self.layout,
             self.schema,
@@ -267,7 +267,7 @@ class TimeSplit:
             lblock_spare=self.config.lblock_spare,
             buffer_capacity=self.config.buffer_capacity,
             extended_aggregates=self.config.extended_aggregates,
-        ), 0
+        )
 
     def close(self) -> None:
         if not self.sealed:

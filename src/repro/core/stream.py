@@ -368,7 +368,7 @@ class EventStream:
             return None
         return low, high
 
-    def _tier_guard(self, t_start: int, t_end: int, raw: bool) -> None:
+    def tier_guard(self, t_start: int, t_end: int, raw: bool) -> None:
         """Refuse queries whose range needs data a tier no longer holds.
 
         Expired ranges hold nothing at all; cold ranges hold only bucket
@@ -408,10 +408,18 @@ class EventStream:
 
         Answered from index statistics (:meth:`aggregate_accumulator`)
         unless :meth:`index_blocker` names a reason; then the attribute's
-        values are scanned and folded (:meth:`scan_values`).
+        raw values in the range's leaf windows are folded, and a range
+        touching a cold or expired range, whose raw values are gone, is
+        refused.  The planner runs aggregate queries on its own executor;
+        this is the reference the test oracle reads.
         """
         if self.index_blocker(attribute, function):
-            return fold(function, self.scan_values(t_start, t_end, attribute))
+            self.tier_guard(t_start, t_end, raw=True)
+            position = self.schema.index_of(attribute)
+            values: list = []
+            for leaf, lo, hi in self.leaf_slices(t_start, t_end):
+                values += leaf.column(position)[lo:hi]
+            return fold(function, values)
         return self.aggregate_accumulator(t_start, t_end, attribute).result(
             function
         )
@@ -444,10 +452,7 @@ class EventStream:
                     split.tree.codec.indexed_positions.index(position)
                 ]
                 part = AggregateAccumulator()
-                part.add_summary(
-                    agg[0], agg[1], agg[2], summary.count,
-                    agg[3] if len(agg) == 4 else None,
-                )
+                part.add_entry(agg, summary.count)
                 bucket = None if width is None else summary.t_min // width * width
                 parts = {bucket: part}
             else:
@@ -477,35 +482,13 @@ class EventStream:
         buckets (bucket-aligned ranges only).  Distributed queries merge
         these per shard before finalizing (:mod:`repro.query.partials`).
         """
-        self._tier_guard(t_start, t_end, raw=False)
+        self.tier_guard(t_start, t_end, raw=False)
         accumulator = self._split_components(t_start, t_end, attribute).get(
             None, AggregateAccumulator()
         )
         for rollup in self.tiers.cold_overlapping(t_start, t_end):
             rollup.accumulate(accumulator, t_start, t_end, attribute)
         return accumulator
-
-    def _scan_column(self, t_start: int, t_end: int, attribute: str,
-                     stats: dict | None = None) -> tuple[list, list]:
-        """``(timestamps, values)`` of one attribute over the raw tiers,
-        in :meth:`time_travel` order with queued late events in place:
-        one column decoded per leaf, no :class:`Event` objects."""
-        position = self.schema.index_of(attribute)
-        timestamps: list = []
-        values: list = []
-        for leaf, lo, hi in self.leaf_slices(t_start, t_end, stats=stats):
-            timestamps += leaf.timestamps[lo:hi]
-            values += leaf.column(position)[lo:hi]
-        return timestamps, values
-
-    def scan_values(self, t_start: int, t_end: int, attribute: str,
-                    stats: dict | None = None) -> list:
-        """The attribute's raw values in [t_start, t_end] — what an
-        aggregate folds when :meth:`index_blocker` rules statistics
-        out.  Cold and expired ranges hold no raw values, so a range
-        touching one is refused."""
-        self._tier_guard(t_start, t_end, raw=True)
-        return self._scan_column(t_start, t_end, attribute, stats)[1]
 
     def condensed_aggregate(self, t_start: int, t_end: int, attribute: str,
                             function: str) -> float:
@@ -546,11 +529,8 @@ class EventStream:
                     f"range [{t_start}, {t_end}] cuts through retired split "
                     f"[{lo}, {hi}]; its events were deleted"
                 )
-            agg = retired["aggs"][agg_position]
-            accumulator.add_summary(
-                agg[0], agg[1], agg[2], retired["count"],
-                agg[3] if len(agg) == 4 else None,
-            )
+            accumulator.add_entry(retired["aggs"][agg_position],
+                                  retired["count"])
         return accumulator.result(function)
 
     # ------------------------------------------------------- planner surface
@@ -624,25 +604,6 @@ class EventStream:
         for rollup in self.tiers.cold_overlapping(t_start, t_end):
             rollup.accumulate_grouped(buckets, poisoned, t_start, t_end,
                                       attribute, width)
-        return buckets, poisoned
-
-    def grouped_values(self, t_start: int, t_end: int, attribute: str,
-                       width: int, stats: dict | None = None):
-        """:meth:`grouped_components` for an attribute
-        :meth:`index_blocker` rules statistics out for: per-bucket value
-        lists from one pass over the column.  Poisoned here are the
-        buckets touching a cold or expired range, whose raw values are
-        gone."""
-        buckets: dict[int, list] = {}
-        for t, value in zip(*self._scan_column(t_start, t_end, attribute, stats)):
-            buckets.setdefault(t // width * width, []).append(value)
-        poisoned = set()
-        for bucket in buckets:
-            try:
-                self._tier_guard(max(bucket, t_start),
-                                 min(bucket + width - 1, t_end), raw=True)
-            except QueryError:
-                poisoned.add(bucket)
         return buckets, poisoned
 
     def search(self, attribute: str, low: float, high: float | None = None,

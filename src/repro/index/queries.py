@@ -81,6 +81,13 @@ class AggregateAccumulator:
         if high > self.maximum:
             self.maximum = high
 
+    def add_entry(self, agg, count: int) -> None:
+        """Add a stored aggregate tuple ``(min, max, sum[, sum_sq])`` of
+        *count* values: an index entry's, a split summary's, a rollup
+        row's.  Without the fourth slot the squares are not exact."""
+        self.add_summary(agg[0], agg[1], agg[2], count,
+                         agg[3] if len(agg) == 4 else None)
+
     def result(self, function: str) -> float:
         if self.count == 0:
             raise QueryError("aggregate over empty range")

@@ -481,12 +481,10 @@ class TabTree:
                 width is None or entry.t_min // width == entry.t_max // width
             ):
                 bucket = None if width is None else entry.t_min // width * width
-                agg = entry.aggs[agg_index]
                 acc = buckets.get(bucket)
                 if acc is None:
                     acc = buckets[bucket] = AggregateAccumulator()
-                acc.add_summary(agg[0], agg[1], agg[2], entry.count,
-                                agg[3] if len(agg) == 4 else None)
+                acc.add_entry(entry.aggs[agg_index], entry.count)
             else:
                 self._grouped_node(self._get_node(child_id), t_start, t_end,
                                    position, agg_index, width, buckets)

@@ -121,11 +121,7 @@ class ColdRollup:
                     f"bucket [{lo}, {hi}]; align to multiples of "
                     f"{self.bucket_width}"
                 )
-            agg = row["aggs"][agg_index]
-            accumulator.add_summary(
-                agg[0], agg[1], agg[2], row["count"],
-                agg[3] if len(agg) == 4 else None,
-            )
+            accumulator.add_entry(row["aggs"][agg_index], row["count"])
 
     def accumulate_grouped(self, buckets: dict, poisoned: set, t_start: int,
                            t_end: int, attribute: str, width: int) -> None:
@@ -162,10 +158,7 @@ class ColdRollup:
                     acc = buckets.get(bucket)
                     if acc is None:
                         acc = buckets[bucket] = AggregateAccumulator()
-                    acc.add_summary(
-                        agg[0], agg[1], agg[2], row["count"],
-                        agg[3] if len(agg) == 4 else None,
-                    )
+                    acc.add_entry(agg, row["count"])
                 else:
                     poisoned.add(bucket)
 

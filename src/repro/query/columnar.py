@@ -10,7 +10,9 @@ exploit that with *late materialization*:
   through that selection;
 * :class:`~repro.events.event.Event` objects are built — and counted
   as events deserialized — only at the API boundary, and only for
-  ``SELECT *``.  Aggregates never materialize events at all.
+  ``SELECT *``.  Aggregates never materialize events at all: every
+  aggregate the index statistics cannot answer gets its values from
+  one :func:`gather` pass, whatever the number of scanned attributes.
 
 The unfiltered ``SELECT *`` scan is also the one read by which events
 leave a server: :func:`read_events` runs it without a plan for catch-up
@@ -32,9 +34,7 @@ from array import array
 
 from repro.errors import QueryError
 from repro.events.event import ColumnarEvents, pick
-from repro.index.queries import fold
 from repro.query.ast import Query, SelectStar
-from repro.query.partials import components_of_values
 
 #: Most buckets one ``GROUP BY time`` may span.
 MAX_BUCKETS = 100_000
@@ -141,19 +141,17 @@ def read_events(stream, t_start: int, t_end: int, served=None,
     return scan_events(stream, query, {}, served)
 
 
-def _gather(stream, query, stats: dict, served, t_start: int, t_end: int,
-            width: int | None = None) -> dict:
-    """Per-bucket, per-attribute value lists of the selected rows.
+def gather(stream, query, stats: dict, served, t_start: int, t_end: int,
+           width: int | None, names) -> dict:
+    """Per-attribute, per-bucket value lists of the selected rows: one
+    pass over the leaf windows, decoding the predicate columns and the
+    columns of *names* only.
 
-    Returns ``{bucket_start: {name: values}}`` — one bucket keyed None
+    Returns ``{name: {bucket_start: values}}`` — one bucket keyed None
     without *width* — with every list in the oracle's scan order, so a
     single ``fold`` per aggregate reproduces its arithmetic exactly.
     """
-    schema = stream.schema
-    positions = {
-        agg.attribute: schema.index_of(agg.attribute) for agg in query.select
-    }
-    by_bucket: dict = {}
+    columns = {name: (stream.schema.index_of(name), {}) for name in names}
     examined = 0
     for leaf, lo, hi in stream.leaf_slices(
         t_start, t_end, query.ranges or None, stats
@@ -167,39 +165,15 @@ def _gather(stream, query, stats: dict, served, t_start: int, t_end: int,
             members, timestamps = {}, leaf.timestamps
             for i in rows:
                 members.setdefault(timestamps[i] // width * width, []).append(i)
-        for name, position in positions.items():
+        for position, buckets in columns.values():
             column = leaf.column(position)
             for bucket, picked in members.items():
-                slot = by_bucket.get(bucket)
-                if slot is None:
-                    slot = by_bucket[bucket] = {name: [] for name in positions}
-                slot[name].extend(pick(column, picked))
+                values = buckets.get(bucket)
+                if values is None:
+                    values = buckets[bucket] = []
+                values.extend(pick(column, picked))
     stream.devices.clock.values_decoded += examined
-    return by_bucket
-
-
-def render(agg, values: list, components: bool):
-    """One aggregate over its collected values: the oracle's fold, or
-    the mergeable components of the same values."""
-    if components:
-        return components_of_values(values)
-    return fold(agg.function, values)
-
-
-def scan_aggregates(stream, query, stats: dict, served=None,
-                    components: bool = False):
-    """Filtered, ungrouped aggregates without event materialization."""
-    values = _gather(
-        stream, query, stats, served, query.t_start, query.t_end
-    ).get(None)
-    if values is None:
-        if not components:
-            raise QueryError("aggregate over empty result set")
-        values = {agg.attribute: [] for agg in query.select}
-    return {
-        agg.label: render(agg, values[agg.attribute], components)
-        for agg in query.select
-    }
+    return {name: buckets for name, (_, buckets) in columns.items()}
 
 
 def bucket_window(stream, query):
@@ -219,21 +193,3 @@ def bucket_window(stream, query):
             f"GROUP BY time({width}) would produce {buckets} buckets"
         )
     return t_start, t_end
-
-
-def scan_grouped(stream, query, stats: dict, served=None,
-                 components: bool = False):
-    """Filtered ``GROUP BY time(width)`` through the columnar path."""
-    window = bucket_window(stream, query)
-    if window is None:
-        return []
-    width = query.group_by_time
-    by_bucket = _gather(stream, query, stats, served, *window, width)
-    out = []
-    for bucket_start in sorted(by_bucket):
-        row = {"t_start": bucket_start, "t_end": bucket_start + width}
-        slot = by_bucket[bucket_start]
-        for agg in query.select:
-            row[agg.label] = render(agg, slot[agg.attribute], components)
-        out.append(row)
-    return out[: query.limit]

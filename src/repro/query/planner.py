@@ -14,7 +14,11 @@ Two access paths compete for every query:
     column decoding with late materialization.  Chosen for filtered
     queries, for every ``SELECT *`` and for unfiltered aggregates the
     index cannot answer (unindexed attribute, ``stdev`` without extended
-    aggregates): those fold the one named column.
+    aggregates).
+
+Every aggregate plan runs one executor, :func:`_aggregates`: index
+statistics answer where they can, and every other attribute is
+collected in one :func:`columnar.gather` pass over the leaves.
 
 Both paths read one view of a stream (:meth:`EventStream._splits`): leaf
 windows in time order with each split's queued late events spliced in
@@ -37,11 +41,15 @@ as mergeable :mod:`~repro.query.partials` components, not finals).
 from __future__ import annotations
 
 from repro.errors import QueryError
+from repro.index.queries import fold
 from repro.obs import OBS
 from repro.query import columnar
 from repro.query.ast import Query, SelectStar
 from repro.query.parser import parse
-from repro.query.partials import components_from_accumulator
+from repro.query.partials import (
+    components_from_accumulator,
+    components_of_values,
+)
 from repro.query.plan import COLUMNAR, INDEX_ONLY, Plan
 
 _PLAN_COUNTERS = {
@@ -200,25 +208,12 @@ def run_plan(stream, plan: Plan, materialize: bool = True,
         raise QueryError("SELECT * has no partial-aggregate form")
     if OBS.enabled:
         _PLAN_COUNTERS[plan.kind].inc()
-    grouped = query.group_by_time is not None
     stats: dict = {}
     try:
         if select_star:
             batch = columnar.scan_events(stream, query, stats, plan.served)
             return batch.materialize() if materialize else batch
-        if _filtered(query) or plan.served is not None:
-            scan = columnar.scan_grouped if grouped else columnar.scan_aggregates
-            result = scan(stream, query, stats, plan.served, components)
-        elif grouped:
-            result = _grouped_unfiltered(stream, query, stats, components)
-        else:
-            result = {
-                agg.label: _render(
-                    agg, _unfiltered(stream, agg, query.t_start, query.t_end, stats),
-                    components,
-                )
-                for agg in query.select
-            }
+        result = _aggregates(stream, query, stats, plan.served, components)
     finally:
         plan.executed = stats
         if OBS.enabled:
@@ -227,99 +222,113 @@ def run_plan(stream, plan: Plan, materialize: bool = True,
             _VALUES_DECODED.inc(stats.get("values_decoded", 0))
             _ROWS_MATERIALIZED.inc(stats.get("rows_materialized", 0))
     if components:
+        grouped = query.group_by_time is not None
         return {"groups" if grouped else "aggregates": result}
     return result
 
 
-def _unfiltered(stream, agg, t_start: int, t_end: int, stats: dict):
-    """What one unfiltered aggregate is computed from: the index
-    accumulator or, where :meth:`EventStream.index_blocker` names a
-    reason, the scanned values of its column — the choice
-    :meth:`EventStream.aggregate` makes, with scan counters."""
-    if stream.index_blocker(agg.attribute, agg.function):
-        return stream.scan_values(t_start, t_end, agg.attribute, stats)
-    return stream.aggregate_accumulator(t_start, t_end, agg.attribute)
+def _aggregates(stream, query, stats: dict, served, components: bool):
+    """Every aggregate query, ungrouped or ``GROUP BY time``.
 
+    Each aggregate's source is the index statistics
+    (:meth:`EventStream.aggregate_accumulator` /
+    :meth:`EventStream.grouped_components`: one descent per boundary
+    split, never one read per bucket) unless the query is filtered,
+    ownership-filtered (*served*) or :meth:`EventStream.index_blocker`
+    names a reason.  Every other attribute is collected by **one**
+    :func:`columnar.gather` pass and folded.
 
-def _render(agg, source, components: bool):
-    """An accumulator or a value list, as a final or as wire components."""
-    if isinstance(source, list):
-        return columnar.render(agg, source, components)
-    if components:
-        return components_from_accumulator(source)
-    return source.result(agg.function)
-
-
-def _grouped_unfiltered(stream, query, stats: dict, components: bool):
-    """Unfiltered ``GROUP BY time``: one grouped descent per split, one
-    column pass per scanned attribute — never one read per bucket.
-
-    Matches the oracle bucket for bucket in either output format:
-    clamped to the raw time bounds, empty buckets omitted, and buckets a
-    tier cannot answer at full resolution (cut rollup rows, expired
-    history, raw values rolled up) dropped the way the oracle's
-    per-bucket ``QueryError`` handling drops them.
+    Matches the oracle in either output format.  Ungrouped, a failing
+    source raises, and a filtered query selecting no row is refused.
+    Grouped buckets are clamped to the raw time bounds; empty buckets
+    are omitted, and so are the buckets a tier cannot answer at full
+    resolution (cut rollup rows, expired history, raw values rolled
+    up), the way the oracle's per-bucket :class:`QueryError` handling
+    drops them.
     """
-    window = columnar.bucket_window(stream, query)
-    if window is None:
-        return []
-    t_start, t_end = window
     width = query.group_by_time
-    keyed = [
-        (agg, (agg.attribute,
-               bool(stream.index_blocker(agg.attribute, agg.function))))
-        for agg in query.select
-    ]
-    sources: dict[tuple, dict] = {}
+    if width is None:
+        t_start, t_end = query.t_start, query.t_end
+    else:
+        window = columnar.bucket_window(stream, query)
+        if window is None:
+            return []
+        t_start, t_end = window
+    raw_only = served is not None or _filtered(query)
+    keyed = []
+    sources: dict[tuple, dict] = {}  # (attribute, scanned) -> {bucket: source}
     poisoned: set[int] = set()
-    for key in dict.fromkeys(key for _, key in keyed):
-        attribute, scanned = key
+    for agg in query.select:
+        scanned = raw_only or bool(
+            stream.index_blocker(agg.attribute, agg.function)
+        )
+        key = (agg.attribute, scanned)
+        keyed.append((agg, key))
+        if key in sources:
+            continue
         if scanned:
-            sources[key], bad = stream.grouped_values(
-                t_start, t_end, attribute, width, stats
-            )
+            if width is None and not raw_only:
+                # Cold and expired ranges hold no raw values to fold.
+                stream.tier_guard(t_start, t_end, raw=True)
+            sources[key] = {}
+        elif width is None:
+            sources[key] = {
+                None: stream.aggregate_accumulator(t_start, t_end, agg.attribute)
+            }
         else:
             sources[key], bad = stream.grouped_components(
-                t_start, t_end, attribute, width
+                t_start, t_end, agg.attribute, width
             )
-        poisoned |= bad
-    buckets = set().union(*sources.values())
+            poisoned |= bad
+    names = [attribute for attribute, scanned in sources if scanned]
+    if names:
+        gathered = columnar.gather(stream, query, stats, served, t_start,
+                                   t_end, width, names)
+        selected = gathered[names[0]]  # every name has the same buckets
+        if width is None and not selected:
+            if raw_only and not components:
+                raise QueryError("aggregate over empty result set")
+            gathered = {name: {None: []} for name in names}
+        elif width is not None and not raw_only:
+            for bucket in selected:
+                try:
+                    stream.tier_guard(max(bucket, t_start),
+                                      min(bucket + width - 1, t_end), raw=True)
+                except QueryError:
+                    poisoned.add(bucket)
+        for name, buckets in gathered.items():
+            sources[name, True] = buckets
+    if width is None:
+        bucket_starts = [None]
+    else:
+        bucket_starts = sorted(set().union(*sources.values()) - poisoned)
     rows = []
-    for bucket_start in sorted(buckets - poisoned):
-        row = {"t_start": bucket_start, "t_end": bucket_start + width}
+    for bucket in bucket_starts:
+        row = {} if bucket is None else {"t_start": bucket,
+                                         "t_end": bucket + width}
         try:
             for agg, key in keyed:
-                source = sources[key][bucket_start]
+                source = sources[key][bucket]
                 row[agg.label] = _render(agg, source, components)
-                if components and not key[1]:
+                if components and bucket is not None and not key[1]:
                     # Finalizing decides whether the bucket survives in
                     # either format, so both drop exactly the same rows.
                     source.result(agg.function)
         except (KeyError, QueryError):
+            if bucket is None:
+                raise
             continue  # bucket empty for some aggregate, or squares lost
         rows.append(row)
-    return rows[: query.limit]
+    return rows[0] if width is None else rows[: query.limit]
 
 
-# ------------------------------------------------------------------- cluster
-
-
-def plan_scatter(query) -> dict:
-    """How the cluster router should fan a parsed query out.
-
-    Shards always execute *plans* locally (their ``query`` op is one
-    :func:`execute` call, in components mode for a ``partials``
-    request); the router's remaining decision is what to ship back:
-    merged partial-aggregate components wherever the algebra allows,
-    raw events only for ``SELECT *``.
-    """
-    if isinstance(query.select, SelectStar):
-        return {
-            "mode": "events",
-            "reason": "SELECT * has no partial-aggregate form",
-        }
-    return {
-        "mode": "partials",
-        "reason": "shards run their own plan and ship components, "
-        "not events",
-    }
+def _render(agg, source, components: bool):
+    """An accumulator or a value list, as a final or as wire components:
+    a value list folds by the oracle's :func:`fold`."""
+    if isinstance(source, list):
+        if components:
+            return components_of_values(source)
+        return fold(agg.function, source)
+    if components:
+        return components_from_accumulator(source)
+    return source.result(agg.function)

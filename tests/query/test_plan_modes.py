@@ -6,7 +6,8 @@ plans, so the ``planner.*`` counters and ``Plan.executed`` say which
 access path served each — a shard's filtered components and an
 ownership-filtered aggregate fold columns without materializing a row,
 a queued late event is one more leaf of the columnar ``SELECT *``, and
-an aggregate the index cannot answer scans its one column.
+an aggregate the index cannot answer scans its one column — in the one
+leaf pass every such attribute shares.
 """
 
 import pytest
@@ -215,3 +216,23 @@ def test_aggregates_the_index_cannot_answer_scan_one_column(
                     assert row["avg(b)"] == pytest.approx(
                         sum(values) / len(values), rel=1e-12
                     )
+
+
+@pytest.mark.parametrize("group_by", ["", " GROUP BY time(100)"])
+def test_scanned_aggregates_share_one_leaf_pass(plans, group_by):
+    """Every attribute the index cannot answer is collected by one pass
+    over the leaf windows: two scanned ``stdev`` columns read the same
+    leaves as one, grouped or not."""
+    db = ChronicleDB(config=CONFIG)  # no extended aggregates: stdev scans
+    stream = db.create_stream("s", EventSchema.of("a", "b"))
+    stream.append_batch(
+        [Event.of(t, float(t % 7), float(t % 5)) for t in range(400)]
+    )
+    stream.flush()
+    scanned = {}
+    for select in ("stdev(a)", "stdev(a), stdev(b)"):
+        planner.execute(db, f"SELECT {select} FROM s{group_by}")
+        assert plans[-1].kind == COLUMNAR
+        scanned[select] = plans[-1].executed["leaves_scanned"]
+    assert scanned["stdev(a)"] > 0
+    assert scanned["stdev(a), stdev(b)"] == scanned["stdev(a)"]

@@ -134,6 +134,9 @@ def _queries(top, attrs, data):
         f"GROUP BY time({width})",
         f"SELECT min({x}) FROM s {time_clause} AND {x} > {threshold} "
         f"GROUP BY time({width}) LIMIT 3",
+        f"SELECT stdev({x}), stdev({y}), sum({x}) FROM s {time_clause}",
+        f"SELECT stdev({x}), avg({x}), max({y}) FROM s {time_clause} "
+        f"GROUP BY time({width})",
     ]
 
 
