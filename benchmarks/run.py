@@ -4,7 +4,9 @@
 Runs a named suite of the repo's benchmark scripts (each reproducing one
 paper figure or an internal fast path), collects their machine-readable
 results plus an observability snapshot, and merges everything into one
-schema-versioned ``BENCH_core.json`` at the repo root.
+schema-versioned ``BENCH_core.json``: at the repo root for ``--suite
+full``, under the untracked ``benchmarks/results/scaled/`` for the
+scaled-down suites.
 
 The regression gate compares **simulated-clock** metrics only: given the
 pinned dataset seeds, those are bit-identical across machines, so a CI
@@ -16,7 +18,7 @@ Usage::
 
     python benchmarks/run.py --suite smoke
     python benchmarks/run.py --suite smoke --compare benchmarks/baseline_smoke.json
-    python benchmarks/run.py --input BENCH_core.json --compare BASELINE.json
+    python benchmarks/run.py --input RESULTS.json --compare BASELINE.json
 
 Exit status 1 when any gated metric regresses by more than ``--threshold``
 (relative, default 0.15) against the baseline.
@@ -40,10 +42,16 @@ for entry in (REPO_ROOT, os.path.join(REPO_ROOT, "src")):
 from benchmarks import common  # noqa: E402
 
 CORE_SCHEMA = "chronicledb-bench-core-v1"
-#: Per-bench tables of the scaled-down suites (untracked): the committed
-#: ``benchmarks/results/`` hold native-scale (``--suite full``) runs.
+#: Per-bench tables and merged results of the scaled-down suites
+#: (untracked): the committed ``benchmarks/results/`` and
+#: ``BENCH_core.json`` hold native-scale (``--suite full``) runs.
 SCALED_RESULTS = os.path.join(REPO_ROOT, "benchmarks", "results", "scaled")
-DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_core.json")
+
+
+def default_out(suite_name):
+    """Where a suite's merged results go without ``--out``."""
+    root = REPO_ROOT if suite_name == "full" else SCALED_RESULTS
+    return os.path.join(root, "BENCH_core.json")
 
 
 def metric(value, unit, higher_is_better=True, gate=True):
@@ -495,8 +503,9 @@ def main(argv=None):
     )
     parser.add_argument(
         "--out",
-        default=DEFAULT_OUT,
-        help="where to write the merged results (default: BENCH_core.json)",
+        default=None,
+        help="where to write the merged results (default: BENCH_core.json, "
+        "under benchmarks/results/scaled/ unless --suite full)",
     )
     parser.add_argument(
         "--input",
@@ -539,10 +548,12 @@ def main(argv=None):
             )
     else:
         document = run_suite(args.suite)
-        with open(args.out, "w") as fh:
+        out = args.out or default_out(args.suite)
+        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
+        with open(out, "w") as fh:
             json.dump(document, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        print(f"[run.py] wrote {args.out}")
+        print(f"[run.py] wrote {out}")
 
     if args.compare:
         with open(args.compare) as fh:

@@ -241,6 +241,30 @@ class ShardMap:
         """Does any assignment re-target part of this stream?"""
         return any(a.applies_to(stream) for a in self.assignments)
 
+    def owned_intervals(self, stream: str, shard: int, t_lo: int, t_hi: int):
+        """Yield, in time order, the merged ``(lo, hi)`` slices of
+        ``[t_lo, t_hi]`` (inclusive) that *shard* owns of *stream*: one
+        :meth:`owner_of` per constant-ownership piece, walked lazily so
+        a reader that stops early pays only for the pieces it read.  A
+        window stripe has one piece per window, so callers clip the
+        range to their stored data first.  Every policy with a wire form
+        is windowed or owns whole streams, so the pieces are exact."""
+        window = getattr(self.policy, "window", None)
+        cuts = self._assignment_cuts(stream)
+        owned = None
+        t = t_lo
+        while t <= t_hi:
+            end = self._piece_end(t, window, cuts)
+            hi = t_hi if end is None else min(end - 1, t_hi)
+            if self.owner_of(stream, t) == shard:
+                owned = (t if owned is None else owned[0], hi)
+            elif owned is not None:
+                yield owned
+                owned = None
+            t = hi + 1
+        if owned is not None:
+            yield owned
+
     def shards_for_stream(self, stream: str) -> list[ShardSpec]:
         """Every shard that may hold events of *stream*.
 
@@ -319,8 +343,7 @@ class ShardMap:
         """Piecewise split of a sorted batch via bisection.
 
         Walks the batch left to right, one constant-ownership piece per
-        step (bounded by the next window boundary and the next
-        assignment cut); the owner of each piece comes from
+        step (:meth:`_piece_end`); the owner of each piece comes from
         :meth:`owner_of` — the same delegation as the per-event slow
         path, so subclassed policies route identically on both paths.
         Slices land per shard in time order, so concatenation preserves
@@ -332,14 +355,7 @@ class ShardMap:
         i = 0
         while i < n:
             t = timestamps[i]
-            boundary = None
-            if window is not None:
-                boundary = (t // window + 1) * window
-            cut_index = bisect_right(cuts, t)
-            if cut_index < len(cuts) and (
-                boundary is None or cuts[cut_index] < boundary
-            ):
-                boundary = cuts[cut_index]
+            boundary = self._piece_end(t, window, cuts)
             shard = self.owner_of(stream, t)
             j = (
                 bisect_left(timestamps, boundary, i, n)
@@ -362,6 +378,20 @@ class ShardMap:
                         acc.extend(column[i:j])
                 out[shard] = ColumnarEvents(ts, columns)
         return out
+
+    @staticmethod
+    def _piece_end(t: int, window: int | None, cuts) -> int | None:
+        """Exclusive end of the constant-ownership piece holding *t*:
+        the next window boundary or assignment cut, whichever comes
+        first; None when ownership never changes after *t*.  The one
+        place that knows where ownership can change."""
+        boundary = None if window is None else (t // window + 1) * window
+        cut_index = bisect_right(cuts, t)
+        if cut_index < len(cuts) and (
+            boundary is None or cuts[cut_index] < boundary
+        ):
+            boundary = cuts[cut_index]
+        return boundary
 
     # ------------------------------------------------------------- mutation
 

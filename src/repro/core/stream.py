@@ -334,39 +334,30 @@ class EventStream:
         """Replay the entire stream."""
         return self.time_travel(-_HUGE, _HUGE)
 
-    def time_bounds(self) -> tuple[int, int] | None:
-        """(min, max) application time over all stored *raw* events.
-
-        Covers the hot and warm tiers exactly; cold rollups keep only
-        bucket-resolution aggregates, so they (and expired ranges) do not
-        contribute.  Returns None when no raw events are stored.
+    def time_bounds(self, tiered: bool = False) -> tuple[int, int] | None:
+        """(min, max) application time over all stored *raw* events: the
+        hot and warm tiers.  With *tiered*, cold rollups and expired
+        ranges count too — every tier a query answers from, or must be
+        refused over.  Returns None when nothing counted is stored.
         """
-        low: int | None = None
-        high: int | None = None
-
-        def consider(t):
-            nonlocal low, high
-            if t is None:
-                return
-            low = t if low is None else min(low, t)
-            high = t if high is None else max(high, t)
-
+        points = []
         for warm in self.tiers.warm.values():
             if warm.summary is not None:
-                consider(warm.summary.t_min)
-                consider(warm.summary.t_max)
+                points += (warm.summary.t_min, warm.summary.t_max)
         for split in self.splits:
-            tree = split.tree
-            consider(tree.min_t)
+            tree, queue = split.tree, split.manager.queue
+            points += (tree.min_t, queue.min_t, queue.max_t)
             if tree.leaf is not None and tree.leaf.count:
-                consider(tree.leaf.t_max)
+                points.append(tree.leaf.t_max)
             if tree.last_flushed_leaf is not None:
-                consider(tree.last_flushed_leaf[1])
-            consider(split.manager.queue.min_t)
-            consider(split.manager.queue.max_t)
-        if low is None:
-            return None
-        return low, high
+                points.append(tree.last_flushed_leaf[1])
+        if tiered:
+            for lo, hi, _ in self.tiers.expired:
+                points += (lo, hi - 1)
+            for rollup in self.tiers.cold.values():
+                points += (rollup.t_start, rollup.t_end - 1)
+        points = [t for t in points if t is not None]
+        return (min(points), max(points)) if points else None
 
     def tier_guard(self, t_start: int, t_end: int, raw: bool) -> None:
         """Refuse queries whose range needs data a tier no longer holds.
@@ -425,7 +416,8 @@ class EventStream:
         )
 
     def _split_components(self, t_start: int, t_end: int, attribute: str,
-                          width: int | None = None) -> dict:
+                          width: int | None = None,
+                          stats: dict | None = None) -> dict:
         """Index statistics of the hot and warm splits, per time bucket.
 
         Splits fully inside the range — and, when grouping, inside one
@@ -457,7 +449,7 @@ class EventStream:
                 parts = {bucket: part}
             else:
                 parts = split.tree.grouped_components(
-                    t_start, t_end, attribute, width
+                    t_start, t_end, attribute, width, stats
                 )
             queued = split.manager.queue.window(t_start, t_end)
             if queued:
@@ -474,8 +466,9 @@ class EventStream:
                     )
         return buckets
 
-    def aggregate_accumulator(self, t_start: int, t_end: int,
-                              attribute: str) -> AggregateAccumulator:
+    def aggregate_accumulator(self, t_start: int, t_end: int, attribute: str,
+                              stats: dict | None = None
+                              ) -> AggregateAccumulator:
         """Aggregate *components* of an indexed attribute over
         [t_start, t_end], from statistics alone: split summaries and
         tree descents (:meth:`_split_components`), then cold rollup
@@ -483,9 +476,9 @@ class EventStream:
         these per shard before finalizing (:mod:`repro.query.partials`).
         """
         self.tier_guard(t_start, t_end, raw=False)
-        accumulator = self._split_components(t_start, t_end, attribute).get(
-            None, AggregateAccumulator()
-        )
+        accumulator = self._split_components(
+            t_start, t_end, attribute, stats=stats
+        ).get(None, AggregateAccumulator())
         for rollup in self.tiers.cold_overlapping(t_start, t_end):
             rollup.accumulate(accumulator, t_start, t_end, attribute)
         return accumulator
@@ -583,7 +576,7 @@ class EventStream:
         return _splice_queued(windows, queued) if queued else windows
 
     def grouped_components(self, t_start: int, t_end: int, attribute: str,
-                           width: int):
+                           width: int, stats: dict | None = None):
         """Per-time-bucket components across splits and tiers.
 
         Split summaries and one descent per boundary split
@@ -600,7 +593,8 @@ class EventStream:
                 first = (max(lo, t_start) // width) * width
                 for bucket in range(first, min(hi - 1, t_end) + 1, width):
                     poisoned.add(bucket)
-        buckets = self._split_components(t_start, t_end, attribute, width)
+        buckets = self._split_components(t_start, t_end, attribute, width,
+                                         stats)
         for rollup in self.tiers.cold_overlapping(t_start, t_end):
             rollup.accumulate_grouped(buckets, poisoned, t_start, t_end,
                                       attribute, width)

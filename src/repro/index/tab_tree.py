@@ -435,7 +435,7 @@ class TabTree:
 
     def grouped_components(
         self, t_start: int, t_end: int, attribute: str,
-        width: int | None = None,
+        width: int | None = None, stats: dict | None = None,
     ) -> dict:
         """Per-time-bucket aggregate components in a single descent.
 
@@ -445,7 +445,8 @@ class TabTree:
         bucket contributes its stored statistics in O(1); only entries
         cut by the range or by a bucket boundary descend.  Returns
         ``{bucket_start: AggregateAccumulator}`` for non-empty buckets
-        only.
+        only.  *stats* (optional dict) counts the leaves read as
+        ``leaves_scanned``.
         """
         if t_end < t_start:
             raise QueryError(f"empty time interval [{t_start}, {t_end}]")
@@ -456,12 +457,14 @@ class TabTree:
         buckets: dict = {}
         if self.event_count:
             self._grouped_node(self.root, t_start, t_end, position, agg_index,
-                               width, buckets)
+                               width, buckets, stats)
         return buckets
 
     def _grouped_node(self, node, t_start, t_end, position, agg_index, width,
-                      buckets):
+                      buckets, stats):
         if node.level == 0:
+            if stats is not None:
+                stats["leaves_scanned"] = stats.get("leaves_scanned", 0) + 1
             timestamps = node.timestamps
             lo = bisect_left(timestamps, t_start)
             hi = bisect_right(timestamps, t_end)
@@ -473,7 +476,7 @@ class TabTree:
         for entry, child_id in self._children(node):
             if entry is None:
                 self._grouped_node(self._get_node(child_id), t_start, t_end,
-                                   position, agg_index, width, buckets)
+                                   position, agg_index, width, buckets, stats)
                 continue
             if entry.t_max < t_start or entry.t_min > t_end:
                 continue
@@ -487,7 +490,7 @@ class TabTree:
                 acc.add_entry(entry.aggs[agg_index], entry.count)
             else:
                 self._grouped_node(self._get_node(child_id), t_start, t_end,
-                                   position, agg_index, width, buckets)
+                                   position, agg_index, width, buckets, stats)
 
     # ................................................ leaf windows (one walk)
 

@@ -107,8 +107,8 @@ class ChronicleServer:
         # Routing state, installed by ``map_update``: the newest shard
         # map this node has seen, its epoch, and which shard this node
         # serves in it.  ``route_epoch`` gates stale-routed writes;
-        # ``_route_map``/``_self_shard`` drive ownership filtering of
-        # reads after a split left dead data behind.
+        # ``_route_map``/``_self_shard`` give the owned time slices
+        # reads keep to after a split left dead data behind.
         self.route_epoch: int | None = None
         self._route_map = None
         self._route_wire: dict | None = None
@@ -123,7 +123,7 @@ class ChronicleServer:
         from repro.sub.hub import SubscriptionHub
 
         self.hub = SubscriptionHub(
-            db, lock_for=self._lock_for, served_filter=self._served_filter
+            db, lock_for=self._lock_for, routes=self._routes
         )
         # Multi-tenant eviction must not flush a stream some handler is
         # appending to: give the table the same per-stream locks the
@@ -244,10 +244,10 @@ class ChronicleServer:
             self.hub.on_routes_changed(route_map.stream_affected)
         return {"epoch": self.route_epoch}
 
-    def _served_filter(self, stream: str):
-        """The ownership predicate for reads of *stream*, or ``None``
-        when every local event is authoritative (no assignment touches
-        the stream, or no map was ever installed)."""
+    def _routes(self, stream: str):
+        """``(route_map, self_shard)`` when an assignment touches
+        *stream* — this node may store dead copies of ranges it handed
+        off — or ``None`` when every local event is authoritative."""
         route_map, self_shard = self._route_map, self._self_shard
         if (
             route_map is None
@@ -255,7 +255,20 @@ class ChronicleServer:
             or not route_map.stream_affected(stream)
         ):
             return None
-        return lambda t: route_map.owner_of(stream, t) == self_shard
+        return route_map, self_shard
+
+    def _owned(self, stream: str, t_start: int, t_end: int):
+        """The time slices of ``[t_start, t_end]`` this node owns of
+        *stream*, clipped to what the stream stores in any tier, or
+        ``None`` when every local event is authoritative."""
+        routes = self._routes(stream)
+        if routes is None:
+            return None
+        route_map, self_shard = routes
+        lo, hi = self.db.get_stream(stream).time_bounds(tiered=True) or (0, -1)
+        return route_map.owned_intervals(
+            stream, self_shard, max(t_start, lo), min(t_end, hi)
+        )
 
     # --------------------------------------------------- protocol adapters
 
@@ -407,14 +420,15 @@ class ChronicleServer:
             return self._handle_db_op(op, request)
 
     def _handle_query(self, request: dict, query):
-        """One planner call per request: the ownership predicate (dead
-        copies a split left behind) and the reply format — finals, or
-        mergeable components for a router's ``partials`` scatter — are
-        arguments of the same plan."""
+        """One planner call per request: the owned time slices (dead
+        copies a split left behind stay unread) and the reply format —
+        finals, or mergeable components for a router's ``partials``
+        scatter — are arguments of the same plans."""
         partials = bool(request.get("partials"))
+        owned = self._owned(query.stream, query.t_start, query.t_end)
         result = execute_query(
-            self.db, query, materialize=False,
-            served=self._served_filter(query.stream), components=partials,
+            self.db, query, materialize=False, owned=owned,
+            components=partials,
         )
         if partials:
             return {"partials": result}

@@ -16,7 +16,8 @@ exploit that with *late materialization*:
 
 The unfiltered ``SELECT *`` scan is also the one read by which events
 leave a server: :func:`read_events` runs it without a plan for catch-up
-replies and subscription pushes, and its
+replies and subscription pushes (on a split stream a push runs it once
+per owned time slice, as a plan), and its
 :class:`~repro.events.event.ColumnarEvents` batch goes onto the wire as
 is.
 
@@ -40,12 +41,11 @@ from repro.query.ast import Query, SelectStar
 MAX_BUCKETS = 100_000
 
 
-def _selection(stream, query, leaf, lo, hi, served=None):
+def _selection(stream, query, leaf, lo, hi):
     """Qualifying row indices in ``[lo, hi)`` of one leaf.
 
     Applies the closed attribute ranges, then the strict (``<``/``>``)
-    residues, then the ownership predicate *served* on the timestamp
-    column, narrowing the selection vector predicate by predicate.
+    residues, narrowing the selection vector predicate by predicate.
     Returns ``(rows, examined)`` where *examined* counts the column
     values actually compared (counted as values decoded on the clock).
     """
@@ -83,17 +83,20 @@ def _selection(stream, query, leaf, lo, hi, served=None):
         rows = kept
         if not rows:
             return rows, examined
-    if served is not None:
-        timestamps = leaf.timestamps
-        source = range(lo, hi) if rows is None else rows
-        examined += len(source)
-        rows = [i for i in source if served(timestamps[i])]
-    elif rows is None:
+    if rows is None:
         rows = range(lo, hi)
     return rows, examined
 
 
-def scan_events(stream, query, stats: dict, served=None):
+def empty_batch(schema) -> ColumnarEvents:
+    """An empty batch of the schema's typed column arrays, which a
+    window of a leaf's columns extends by one ``memcpy``."""
+    return ColumnarEvents(array("q"), [
+        array(field.kind.struct_char) for field in schema.fields
+    ])
+
+
+def scan_events(stream, query, stats: dict):
     """``SELECT *`` through the columnar path.
 
     Qualifying rows accumulate column-wise, into arrays of the schema's
@@ -102,17 +105,15 @@ def scan_events(stream, query, stats: dict, served=None):
     wire encoder copies it out with ``tobytes``.  The caller turns it
     into :class:`Event` objects (or wire columns) at the API boundary —
     the only point that pays per-row deserialization.  ``LIMIT`` counts
-    selected rows, so it applies after the *served* predicate.
+    selected rows.
     """
-    out = ColumnarEvents(array("q"), [
-        array(field.kind.struct_char) for field in stream.schema.fields
-    ])
+    out = empty_batch(stream.schema)
     limit = query.limit
     examined = 0
     for leaf, lo, hi in stream.leaf_slices(
         query.t_start, query.t_end, query.ranges or None, stats
     ):
-        rows, checked = _selection(stream, query, leaf, lo, hi, served)
+        rows, checked = _selection(stream, query, leaf, lo, hi)
         examined += checked
         if not rows:
             continue
@@ -132,16 +133,16 @@ def scan_events(stream, query, stats: dict, served=None):
     return out
 
 
-def read_events(stream, t_start: int, t_end: int, served=None,
+def read_events(stream, t_start: int, t_end: int,
                 limit: int | None = None) -> ColumnarEvents:
     """The one read of events out of a node: what an unfiltered
     ``SELECT *`` plan runs (:func:`scan_events`), without building a
     plan.  Catch-up replies and subscription pushes are this batch."""
     query = Query(SelectStar(), stream.name, t_start, t_end, limit=limit)
-    return scan_events(stream, query, {}, served)
+    return scan_events(stream, query, {})
 
 
-def gather(stream, query, stats: dict, served, t_start: int, t_end: int,
+def gather(stream, query, stats: dict, t_start: int, t_end: int,
            width: int | None, names) -> dict:
     """Per-attribute, per-bucket value lists of the selected rows: one
     pass over the leaf windows, decoding the predicate columns and the
@@ -156,7 +157,7 @@ def gather(stream, query, stats: dict, served, t_start: int, t_end: int,
     for leaf, lo, hi in stream.leaf_slices(
         t_start, t_end, query.ranges or None, stats
     ):
-        rows, checked = _selection(stream, query, leaf, lo, hi, served)
+        rows, checked = _selection(stream, query, leaf, lo, hi)
         examined += checked
         if not rows:
             continue

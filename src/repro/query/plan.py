@@ -35,10 +35,6 @@ class Plan:
     #: Estimated simulated CPU seconds per candidate kind (empty when
     #: the stream's clock has no cost model).
     estimated_cost: dict = field(default_factory=dict)
-    #: Ownership predicate ``t -> bool`` the plan was built under (a
-    #: split's source still stores ranges it handed off), or None when
-    #: every stored event is authoritative.
-    served: object = None
     #: Execution counters, filled in by the planner after the run.
     executed: dict = field(default_factory=dict)
 

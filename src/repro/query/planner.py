@@ -33,12 +33,15 @@ metrics count chosen kinds and scan work when observation is enabled.
 :func:`execute` is the only way a query runs — embedded
 ``db.execute``, the server's finals, a shard's ``partials`` reply and
 ownership-filtered reads after a split are the same plans with two call
-arguments: *served* (a ``t -> bool`` ownership predicate, one more
-selection on the timestamp column) and *components* (aggregates leave
-as mergeable :mod:`~repro.query.partials` components, not finals).
+arguments: *owned* (the time slices a node owns: each runs these plans
+unchanged, and the slices combine as the router combines shards) and
+*components* (aggregates leave as mergeable
+:mod:`~repro.query.partials` components, not finals).
 """
 
 from __future__ import annotations
+
+from copy import copy
 
 from repro.errors import QueryError
 from repro.index.queries import fold
@@ -49,6 +52,8 @@ from repro.query.parser import parse
 from repro.query.partials import (
     components_from_accumulator,
     components_of_values,
+    finalize_result,
+    merge_partials,
 )
 from repro.query.plan import COLUMNAR, INDEX_ONLY, Plan
 
@@ -62,7 +67,7 @@ _VALUES_DECODED = OBS.counter("planner.values_decoded")
 _ROWS_MATERIALIZED = OBS.counter("planner.rows_materialized")
 
 
-def execute(db, query, materialize: bool = True, served=None,
+def execute(db, query, materialize: bool = True, owned=None,
             components: bool = False):
     """Plan and run *query* — the engine-wide query entry point.
 
@@ -72,13 +77,13 @@ def execute(db, query, materialize: bool = True, served=None,
     :class:`~repro.events.event.ColumnarEvents` batch the scan built,
     for callers that encode columns straight onto the wire.
 
-    *served*, when given, is a ``t -> bool`` ownership predicate: a
-    split's source shard retains dead copies of ranges it handed off,
-    and the serving node passes the predicate so those events are
-    excluded (before ``LIMIT``).  With *components* an aggregate query
-    returns ``{"aggregates": {label: components}}`` or ``{"groups":
-    [{"t_start", "t_end", label: components, ...}]}`` — what a shard
-    ships for the router to merge
+    *owned*, when given, is the sorted, merged list (or iterable) of
+    inclusive ``(t_lo, t_hi)`` slices this node owns: a split's source
+    shard retains dead copies of ranges it handed off, and the serving
+    node reads only its own slices (:func:`_run_owned`).  With
+    *components* an aggregate query returns ``{"aggregates": {label:
+    components}}`` or ``{"groups": [{"t_start", "t_end", label:
+    components, ...}]}`` — what a shard ships for the router to merge
     (:func:`repro.query.partials.finalize_result` turns either back into
     finals).
     """
@@ -86,8 +91,51 @@ def execute(db, query, materialize: bool = True, served=None,
         query = parse(query)
     stream = db.get_stream(query.stream)
     validate(stream, query)
-    plan = build_plan(stream, query, served)
-    return run_plan(stream, plan, materialize, components)
+    if owned is not None:
+        return _run_owned(stream, query, owned, materialize, components)
+    return run_plan(stream, build_plan(stream, query), materialize, components)
+
+
+def _run_owned(stream, query, owned, materialize: bool, components: bool):
+    """*query* over the owned slices, run the way
+    :meth:`~repro.cluster.client.ClusterClient.query` runs it over
+    shards: each slice is the query cut to that time range, with its own
+    plan.  ``SELECT *`` batches concatenate in time order, ``LIMIT``
+    counted across them (a reader stops at the slice that fills it);
+    aggregate slices merge as components (float sums re-associate, as
+    across shards), and one slice is the cut query."""
+    parts = _cuts(query, owned)
+    if isinstance(query.select, SelectStar):
+        if components:
+            raise QueryError("SELECT * has no partial-aggregate form")
+        out = columnar.empty_batch(stream.schema)
+        for part in parts:
+            if query.limit is not None:
+                part.limit = query.limit - len(out)
+            if part.limit == 0:
+                break
+            batch = run_plan(stream, build_plan(stream, part), False)
+            out.append_rows(batch.timestamps, batch.columns, range(len(batch)))
+        return out.materialize() if materialize else out
+    parts = list(parts)
+    if len(parts) == 1:
+        return run_plan(stream, build_plan(stream, parts[0]), materialize,
+                        components)
+    merged = merge_partials([
+        run_plan(stream, build_plan(stream, part), components=True)
+        for part in parts
+    ], query)
+    return merged if components else finalize_result(merged, query)
+
+
+def _cuts(query, owned):
+    """*query* cut to each inclusive ``(t_lo, t_hi)`` slice it overlaps."""
+    for t_lo, t_hi in owned:
+        part = copy(query)
+        part.t_start = max(t_lo, query.t_start)
+        part.t_end = min(t_hi, query.t_end)
+        if part.t_start <= part.t_end:
+            yield part
 
 
 def explain(db, sql: str) -> dict:
@@ -136,7 +184,7 @@ def _filtered(query) -> bool:
     return bool(query.ranges or getattr(query, "strict_checks", []))
 
 
-def build_plan(stream, query, served=None) -> Plan:
+def build_plan(stream, query) -> Plan:
     """Pick the cheapest access path that is exactly oracle-equivalent."""
     filtered = _filtered(query)
     segments = stream.plan_segments(query.t_start, query.t_end)
@@ -145,7 +193,7 @@ def build_plan(stream, query, served=None) -> Plan:
 
     def plan(kind, reason):
         return Plan(
-            kind, query, reason, segments=segments, served=served,
+            kind, query, reason, segments=segments,
             estimated_rows=estimated_rows, estimated_cost=costs,
         )
 
@@ -160,13 +208,6 @@ def build_plan(stream, query, served=None) -> Plan:
             COLUMNAR,
             "full scan in time order, queued late events spliced in as a "
             "leaf; events materialize only at the API boundary",
-        )
-    if served is not None:
-        return plan(
-            COLUMNAR,
-            "ownership predicate: index statistics still count the dead "
-            "copies a split left behind, so owned rows are selected on the "
-            "timestamp column",
         )
     if filtered:
         return plan(
@@ -211,9 +252,9 @@ def run_plan(stream, plan: Plan, materialize: bool = True,
     stats: dict = {}
     try:
         if select_star:
-            batch = columnar.scan_events(stream, query, stats, plan.served)
+            batch = columnar.scan_events(stream, query, stats)
             return batch.materialize() if materialize else batch
-        result = _aggregates(stream, query, stats, plan.served, components)
+        result = _aggregates(stream, query, stats, components)
     finally:
         plan.executed = stats
         if OBS.enabled:
@@ -227,15 +268,14 @@ def run_plan(stream, plan: Plan, materialize: bool = True,
     return result
 
 
-def _aggregates(stream, query, stats: dict, served, components: bool):
+def _aggregates(stream, query, stats: dict, components: bool):
     """Every aggregate query, ungrouped or ``GROUP BY time``.
 
     Each aggregate's source is the index statistics
     (:meth:`EventStream.aggregate_accumulator` /
     :meth:`EventStream.grouped_components`: one descent per boundary
-    split, never one read per bucket) unless the query is filtered,
-    ownership-filtered (*served*) or :meth:`EventStream.index_blocker`
-    names a reason.  Every other attribute is collected by **one**
+    split, never one read per bucket) unless the query is filtered or
+    :meth:`EventStream.index_blocker` names a reason.  Every other attribute is collected by **one**
     :func:`columnar.gather` pass and folded.
 
     Matches the oracle in either output format.  Ungrouped, a failing
@@ -254,7 +294,7 @@ def _aggregates(stream, query, stats: dict, served, components: bool):
         if window is None:
             return []
         t_start, t_end = window
-    raw_only = served is not None or _filtered(query)
+    raw_only = _filtered(query)
     keyed = []
     sources: dict[tuple, dict] = {}  # (attribute, scanned) -> {bucket: source}
     poisoned: set[int] = set()
@@ -273,17 +313,18 @@ def _aggregates(stream, query, stats: dict, served, components: bool):
             sources[key] = {}
         elif width is None:
             sources[key] = {
-                None: stream.aggregate_accumulator(t_start, t_end, agg.attribute)
+                None: stream.aggregate_accumulator(t_start, t_end,
+                                                   agg.attribute, stats)
             }
         else:
             sources[key], bad = stream.grouped_components(
-                t_start, t_end, agg.attribute, width
+                t_start, t_end, agg.attribute, width, stats
             )
             poisoned |= bad
     names = [attribute for attribute, scanned in sources if scanned]
     if names:
-        gathered = columnar.gather(stream, query, stats, served, t_start,
-                                   t_end, width, names)
+        gathered = columnar.gather(stream, query, stats, t_start, t_end,
+                                   width, names)
         selected = gathered[names[0]]  # every name has the same buckets
         if width is None and not selected:
             if raw_only and not components:

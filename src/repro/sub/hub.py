@@ -27,8 +27,9 @@ Delivery is in storage (time) order and monotone by construction — a
 batch that arrives out of order ahead of the cursor is pushed sorted,
 and an event that lands *behind* the cursor is not pushed, because no
 scan starts before the cursor; a resumed subscription sees exactly the
-sequence an uninterrupted one does.  The server's ownership predicate
-(``served_filter``) applies to every push.
+sequence an uninterrupted one does.  On a node that a split left with
+dead copies, every push reads the node's owned time slices only
+(``routes``), and a subscription ends where the node's ownership does.
 
 **Backpressure.**  Credits are granted by the client (one credit = one
 pushed batch) at subscribe time and topped up by ``sub_ack``.  Storage
@@ -56,6 +57,8 @@ from repro.events.serializer import PaxCodec
 from repro.net import frames
 from repro.obs import OBS
 from repro.query import columnar
+from repro.query.ast import Query, SelectStar
+from repro.query.planner import execute
 
 _HUGE = 2**62
 
@@ -172,9 +175,10 @@ class SubscriptionHub:
     ``lock_for(stream)`` must return the same lock object the server's
     append handlers hold while mutating that stream — scans and appends
     serialise on it, which is what makes the doorbell lossless.
-    ``served_filter(stream)`` returns an ownership predicate
-    ``t -> bool`` or ``None``; every scan honors it so a subscriber of
-    a split shard never sees the dead (moved-away) range twice.
+    ``routes(stream)`` returns ``(route_map, self_shard)`` or ``None``
+    (every local event is authoritative); with a map, every scan reads
+    the owned time slices only, so a subscriber of a split shard never
+    sees the dead (moved-away) range twice.
 
     ``fault_injector(sub_describe, seq) -> bool`` is a test hook: return
     True to sever the subscriber's connection *instead of* writing the
@@ -182,10 +186,10 @@ class SubscriptionHub:
     write.
     """
 
-    def __init__(self, db, lock_for, served_filter):
+    def __init__(self, db, lock_for, routes):
         self._db = db
         self._lock_for = lock_for
-        self._served_filter = served_filter
+        self._routes = routes
         self.fault_injector = None
         self._lock = threading.Lock()
         self._subs: dict[int, _Subscription] = {}
@@ -434,24 +438,34 @@ class SubscriptionHub:
             except ChronicleError:
                 self._finish(sub, "stream_dropped", "stream no longer exists")
                 return False
-            served = self._served_filter(sub.stream)
+            routes = self._routes(sub.stream)
             # Only the connection's push thread moves the cursor.  The
             # cursor's k events at t lead the read (fewer if a client
             # cursor claims more than exist); one row past the batch
             # tells whether this scan reached the tail.
             cursor = (sub.cursor_t, sub.cursor_k)
-            read = columnar.read_events(
-                stream, cursor[0], _HUGE, served,
-                limit=cursor[1] + sub.batch + 1,
-            )
+            limit = cursor[1] + sub.batch + 1
+            if routes is None:
+                read = columnar.read_events(stream, cursor[0], _HUGE,
+                                            limit=limit)
+            else:
+                route_map, self_shard = routes
+                lo, hi = stream.time_bounds(tiered=True) or (0, -1)
+                owned = route_map.owned_intervals(
+                    sub.stream, self_shard, max(cursor[0], lo), hi
+                )
+                query = Query(SelectStar(), sub.stream, cursor[0], _HUGE,
+                              limit=limit)
+                read = execute(self._db, query, materialize=False,
+                               owned=owned)
             skip = min(cursor[1], bisect_right(read.timestamps, cursor[0]))
             batch = read[skip : skip + sub.batch]
             caught_up = len(read) - skip <= sub.batch
             # This node may own a bounded slice of the stream (a split
             # moved the tail away): the end of the owned range is not a
             # tail to wait at.
-            bounded = (
-                caught_up and served is not None and not served(_HUGE - 1)
+            bounded = caught_up and routes is not None and (
+                route_map.owner_of(sub.stream, _HUGE - 1) != self_shard
             )
             with sub.lock:
                 if sub.closed:

@@ -6,7 +6,9 @@ any subclassed windowed policy silently routed differently depending on
 whether the input batch happened to be sorted.  The property test pins
 fast path ≡ slow path for built-in and subclassed policies, sorted and
 unsorted inputs, window-boundary timestamps (including equal-timestamp
-runs), and maps carrying live-split range assignments.
+runs), and maps carrying live-split range assignments.  The same maps
+pin ``owned_intervals`` — the walk over the same constant-ownership
+pieces — to ``owner_of`` at every timestamp of a range.
 """
 
 from hypothesis import given, settings
@@ -135,3 +137,20 @@ def test_partition_batch_preserves_order_within_shards(shard_map, timestamps):
     for batch in split.values():
         ts = [e.t for e in batch]
         assert ts == sorted(ts)
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    shard_map=maps(),
+    bounds=st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+    shard=st.integers(0, 4),
+)
+def test_owned_intervals_match_owner_of(shard_map, bounds, shard):
+    t_lo, t_hi = bounds
+    got = list(shard_map.owned_intervals("s", shard, t_lo, t_hi))
+    covered = [t for lo, hi in got for t in range(lo, hi + 1)]
+    assert covered == [
+        t for t in range(t_lo, t_hi + 1) if shard_map.owner_of("s", t) == shard
+    ]
+    # Sorted, and merged: no two slices touch.
+    assert all(a[1] + 1 < b[0] for a, b in zip(got, got[1:]))

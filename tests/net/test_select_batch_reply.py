@@ -143,7 +143,7 @@ def test_ownership_filtered_select_after_a_shard_split():
 def test_limit_counts_owned_rows_not_scanned_rows(server):
     # A node whose dead copies sort ahead of its owned rows: LIMIT must
     # cut the owned rows, not the scan (which then filtered down to 0).
-    server._served_filter = lambda stream: lambda t: t >= 50
+    server._owned = lambda stream, t_start, t_end: [(50, t_end)]
     got = wire_query(server.host, server.port, "SELECT * FROM s LIMIT 10")
     assert got == make_events(50, 60)
 

@@ -3,11 +3,11 @@
 Count-based (no wall clock): embedded ``execute``, a wire ``partials``
 request and a finals request on a split-affected stream are the same
 plans, so the ``planner.*`` counters and ``Plan.executed`` say which
-access path served each — a shard's filtered components and an
-ownership-filtered aggregate fold columns without materializing a row,
-a queued late event is one more leaf of the columnar ``SELECT *``, and
-an aggregate the index cannot answer scans its one column — in the one
-leaf pass every such attribute shares.
+access path served each — a shard's filtered components fold columns
+without materializing a row, an aggregate over a split's owned slices
+stays on the index, a queued late event is one more leaf of the
+columnar ``SELECT *``, and an aggregate the index cannot answer scans
+its one column — in the one leaf pass every such attribute shares.
 """
 
 import pytest
@@ -80,7 +80,7 @@ def test_wire_partials_run_the_plan_finals_would(plans):
     assert counters().get("planner.rows_materialized", 0) == 0
 
 
-def test_finals_on_a_split_affected_stream_fold_owned_columns(plans):
+def test_finals_on_a_split_affected_stream_answer_from_the_index(plans):
     with Cluster(
         num_shards=2, policy=TimeWindowPlacement(100), config=CONFIG
     ) as cluster:
@@ -89,8 +89,8 @@ def test_finals_on_a_split_affected_stream_fold_owned_columns(plans):
             client.create_stream("s", SCHEMA)
             client.append_batch("s", make_events(0, 400))
             assert cluster.split_shard(0, t_split=200)["status"] == "done"
-            # The source still stores [200, 300): its index statistics
-            # count events it no longer owns.
+            # The source still stores [200, 300): it answers from the
+            # index over its owned slice [0, 99] alone.
             source = cluster.shard_map.shards[0].primary
             sql = "SELECT sum(temp), count(temp) FROM s"
             obs.reset()
@@ -102,12 +102,14 @@ def test_finals_on_a_split_affected_stream_fold_owned_columns(plans):
                 "sum(temp)": sum(e.values[0] for e in owned),
                 "count(temp)": 100.0,
             }
-            assert counters()["planner.plans_columnar"] == 1
+            assert counters()["planner.plans_index_only"] == 1
+            assert counters().get("planner.plans_columnar", 0) == 0
             assert counters().get("planner.rows_materialized", 0) == 0
             (plan,) = plans
-            assert plan.kind == COLUMNAR
-            assert plan.executed.get("rows_materialized", 0) == 0
-            assert "ownership" in plan.explain()["reason"]
+            assert plan.kind == INDEX_ONLY
+            assert (plan.query.t_start, plan.query.t_end) == (0, 99)
+            # One interval edge cuts the index: at most two leaves.
+            assert plan.executed["leaves_scanned"] <= 2
         finally:
             client.close()
 
@@ -117,19 +119,21 @@ def test_limit_counts_owned_rows():
     stream = db.create_stream("s", SCHEMA)
     stream.append_batch(make_events(0, 600))
     sql = "SELECT * FROM s LIMIT 10"
+    owned = [(50, 2**62)]
 
-    def served(t):
-        return t >= 50
-
-    assert planner.build_plan(stream, parse(sql), served).kind == COLUMNAR
-    assert planner.execute(db, sql, served=served) == make_events(50, 60)
+    assert planner.build_plan(stream, parse(sql)).kind == COLUMNAR
+    assert planner.execute(db, sql, owned=owned) == make_events(50, 60)
     # Same with a queued late event spliced in ahead of the LIMIT.
     late = Event.of(55, 99.0, 99.0)
     stream.append(late)
     assert stream.splits[0].manager.pending == 1
-    assert planner.build_plan(stream, parse(sql), served).kind == COLUMNAR
     want = make_events(50, 56) + [late] + make_events(56, 59)
-    assert planner.execute(db, sql, served=served) == want
+    assert planner.execute(db, sql, owned=owned) == want
+    # LIMIT counts across slices, in time order.
+    split = [(0, 2), (50, 53), (300, 2**62)]
+    assert planner.execute(db, sql, owned=split) == (
+        make_events(0, 3) + make_events(50, 54) + make_events(300, 303)
+    )
 
 
 def test_queued_late_event_is_a_leaf_of_the_columnar_select(plans):
@@ -152,12 +156,11 @@ def test_queued_late_event_is_a_leaf_of_the_columnar_select(plans):
     assert db.execute(sql + " LIMIT 13") == got[:13]
     assert got[10:12] == make_events(20, 21) + late[2:]
 
-    def served(t):
-        return t % 2 == 0
-
-    owned = [e for e in got if served(e.t)]
-    assert planner.execute(db, sql, served=served) == owned
-    assert planner.execute(db, sql + " LIMIT 8", served=served) == owned[:8]
+    # One single-point slice per even t.
+    even = [(t, t) for t in range(0, 600, 2)]
+    owned = [e for e in got if e.t % 2 == 0]
+    assert planner.execute(db, sql, owned=even) == owned
+    assert planner.execute(db, sql + " LIMIT 8", owned=even) == owned[:8]
 
 
 WIDE = EventSchema.of("a", "b", "c", "d", "e")

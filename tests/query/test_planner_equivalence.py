@@ -13,9 +13,9 @@ summaries, which stays exact on integers anyway.  Tiered streams get
 their own scenario below.
 
 The same strategies then pin the planner's two call arguments: a plan
-run in *components* mode finalizes to exactly its finals, an
-always-true *served* predicate changes nothing, and any other one
-answers as the oracle does over the owned events alone.  The cluster
+run in *components* mode finalizes to exactly its finals, owning every
+time changes nothing, and any other *owned* interval list answers as
+the oracle does over the owned events alone.  The cluster
 path on top of that is covered by ``tests/cluster``.
 """
 
@@ -356,52 +356,55 @@ def _execute(stream, query, **mode):
         return "QueryError"
 
 
-def _check_modes(stream, sql, owned_stream, predicate):
+def _check_modes(stream, sql, owned_stream, owned):
     """Components and ownership change the output format and the
     selection, never the answer.
 
-    Two tier facts bound what an ownership-filtered *unfiltered
-    aggregate* can be compared with: queued out-of-order events are
-    visible to time travel only (so also to the oracle's settled copy),
-    cold rollups and expired ranges to index statistics only.
+    Owning every time is the query itself, queued late events and cold
+    or expired tiers included.  The oracle's settled copy of the owned
+    events holds raw events only, so an ownership-filtered *unfiltered
+    aggregate*, which index statistics answer from every tier, is
+    compared with it on a stream without cold or expired ranges.
     """
     query = parse(sql)
     select_star = isinstance(query.select, SelectStar)
     unfiltered = not (query.ranges or getattr(query, "strict_checks", []))
-    queue_empty = not any(split.manager.pending for split in stream.splits)
     raw_only = not (stream.tiers.cold or stream.tiers.expired)
     finals = _execute(stream, query)
     if not select_star:
         _same(_execute(stream, query, components=True), finals)
-    if select_star or not unfiltered or (queue_empty and raw_only):
-        _same(_execute(stream, query, served=lambda t: True), finals)
-    if queue_empty or (select_star and unfiltered):
+    _same(_execute(stream, query, owned=[(-(2**62), 2**62)]), finals)
+    if raw_only or select_star or not unfiltered:
         want = _run(oracle.run_naive, owned_stream, query)
-        _same(_execute(stream, query, served=predicate), want)
+        _same(_execute(stream, query, owned=owned), want)
         if not select_star:
             _same(
-                _execute(stream, query, served=predicate, components=True),
+                _execute(stream, query, owned=owned, components=True),
                 want,
             )
 
 
-def _owned_copy(stream, predicate):
+def _owned_copy(stream, owned):
     """The oracle's input: a settled stream of just the owned events."""
     copy = EventStream(
         "s", stream.schema,
         ChronicleConfig(lblock_size=512, macro_size=2048), DeviceProvider(),
     )
-    copy.append_batch([e for e in stream.scan() if predicate(e.t)])
+    copy.append_batch([
+        e for e in stream.scan() if any(lo <= e.t <= hi for lo, hi in owned)
+    ])
     copy.flush()
     return copy
 
 
-predicates = st.sampled_from(
+#: Owned interval lists, as functions of the stream's last timestamp:
+#: ``t >= 40``, ``t < 25``, even tens (``(t // 10) % 2 == 0``), nothing.
+ownerships = st.sampled_from(
     [
-        lambda t: t >= 40,
-        lambda t: t < 25,
-        lambda t: (t // 10) % 2 == 0,
-        lambda t: False,
+        lambda top: [(40, 2**62)],
+        lambda top: [(-(2**62), 24)],
+        lambda top: [(lo, lo + 9) for lo in range(0, top + 1, 20)],
+        lambda top: [],
     ]
 )
 
@@ -412,21 +415,22 @@ predicates = st.sampled_from(
     st.integers(min_value=1, max_value=3),
     st.sampled_from(CONFIGS),
     st.booleans(),
-    predicates,
+    ownerships,
     st.data(),
 )
 def test_components_and_ownership_match_finals(
-    rows, arity, overrides, flush, predicate, data
+    rows, arity, overrides, flush, ownership, data
 ):
     stream = _build(rows, arity, overrides, flush)
-    owned = _owned_copy(stream, predicate)
+    top = max(e.t for e in stream.scan())
+    owned = ownership(top)
+    copy = _owned_copy(stream, owned)
     try:
-        top = max(e.t for e in stream.scan())
         for sql in _queries(top, ATTRS[:arity], data):
-            _check_modes(stream, sql, owned, predicate)
+            _check_modes(stream, sql, copy, owned)
     finally:
         stream.close()
-        owned.close()
+        copy.close()
 
 
 TIERED_POLICY = LifecyclePolicy(
@@ -463,22 +467,23 @@ def _tiered(rows, policy=TIERED_POLICY):
 
 
 @settings(max_examples=10, deadline=None)
-@given(workloads, predicates, st.data())
+@given(workloads, ownerships, st.data())
 def test_components_and_ownership_match_finals_on_tiered_streams(
-    rows, predicate, data
+    rows, ownership, data
 ):
     stream, top = _tiered(rows)
-    owned = _owned_copy(stream, predicate)
+    owned = ownership(top)
+    copy = _owned_copy(stream, owned)
     try:
         for sql in _queries(top, ("x", "y"), data):
-            _check_modes(stream, sql, owned, predicate)
+            _check_modes(stream, sql, copy, owned)
         _check_modes(
             stream, "SELECT sum(x), count(y) FROM s GROUP BY time(60)",
-            owned, predicate,
+            copy, owned,
         )
     finally:
         stream.close()
-        owned.close()
+        copy.close()
 
 
 def test_grouped_components_drop_the_buckets_finals_drop():
