@@ -17,8 +17,9 @@ SCALES = [25_000, 50_000, 100_000, 200_000]
 
 #: The paper ingests 1..24 M events against 8 KiB TLB blocks (~1019
 #: mapping entries each).  At 1/100 of the event count we shrink the
-#: block geometry so the TLB reaches the same depth and the margin scan
-#: covers the same *fraction* of the database as in the original.
+#: block geometry so the TLB reaches the same depth and the tail behind
+#: its last leaf, all that TLB recovery rescans, is as small a *fraction*
+#: of the database as in the original.
 LBLOCK = 1024
 MACRO = 4096
 

@@ -12,16 +12,22 @@ per level) are gone; everything flushed to disk is intact.  Recovery:
    parent's predecessor).  Blocks sharing a ``prev_parent`` belong to the
    same open parent — walking the ``prev`` chain until ``prev_parent``
    changes yields exactly the parent's in-memory entries at crash time.
-3. Rescan the macro blocks of the tail (everything not yet covered by a
-   flushed TLB leaf) and re-insert their C-block ids; ids are embedded in
-   every C-block header precisely for this purpose.
+3. Rescan the macro blocks written after the last flushed TLB leaf and
+   re-insert their C-block ids; ids are embedded in every C-block header
+   precisely for this purpose.
 
-Because the TAB+-tree writes node ids slightly out of order (eager id
-allocation for stable sibling links), a not-yet-mapped id may sit a few
-macro blocks *before* the last flushed TLB leaf.  The tail rescan
-therefore starts ``_SCAN_MARGIN`` leaves back (following ``prev`` links),
-which keeps recovery time proportional to the tail — not the database —
-exactly the property Figure 10 demonstrates.
+The rescan starts right behind the last TLB leaf, and that bound is
+exact: the TLB writes its leaf flank out only when it holds whole leaves
+and no out-of-order mapping waits (:class:`~repro.storage.tlb.TlbTree`),
+so every C-block in front of a leaf on disk is mapped by a leaf on disk.
+One crash point needs more: a flush of several leaves (leaves held back
+while ids arrived out of order) cut short after its first leaves.  The
+leaves it lost map C-blocks in front of the ones it wrote, and nothing
+but TLB blocks follows the last leaf.  Recovery cannot tell that from a
+flush that completed just before the crash, so whenever no data follows
+the last leaf the rescan starts behind the flush before it instead: the
+data of one flush.  Either way recovery reads the tail, not the
+database, the property Figure 10 demonstrates.
 
 For a format-v2 file the pass also collects what tree recovery needs to
 rebuild the TAB+-tree's flank without reading every node
@@ -55,8 +61,8 @@ from repro.storage.walker import iter_cblocks
 #: Bytes a compressed C-block may exceed its L-block by: the C-block
 #: header plus what a codec adds to incompressible input.
 CBLOCK_SLACK = 64
-#: TLB leaves the tail rescan starts back from the last flushed one.
-_SCAN_MARGIN = 8
+#: C-blocks the tail rescans visited (one increment per rescan).
+_M_RESCANNED = OBS.counter("recovery.tail_blocks_rescanned")
 
 
 @dataclass
@@ -96,8 +102,8 @@ def recover_tlb(layout) -> None:
             offset, block = last
             with obs.span("recovery.tlb.rebuild_flanks"):
                 _rebuild_flanks(layout, offset, block)
-            scan_start = _scan_start_offset(layout, _SCAN_MARGIN)
-            header_start = _scan_start_offset(layout, 1)
+            header_start = layout.tlb.levels[0].prev_addr + lblock
+            scan_start = _scan_start_offset(layout)
             if tail is not None:
                 tail.fresh_from = layout.tlb.levels[0].number * layout.tlb.b - 1
         with obs.span("recovery.tlb.rescan_tail"):
@@ -135,17 +141,23 @@ def _truncate_torn_tail(device, lblock: int) -> None:
 
 
 def _find_last_tlb_block(device, lblock: int) -> tuple[int, TlbBlock] | None:
-    """Backward scan for the last valid TLB block (step 1 of Algorithm 4)."""
+    """Backward scan for the last valid TLB block (step 1 of Algorithm 4).
+
+    Each L-block is probed by its magic alone; only a match is read whole.
+    """
     offset = device.size - lblock
     while offset >= SUPERBLOCK_SIZE:
-        data = device.read(offset, lblock)
-        if struct.unpack_from("<I", data)[0] == MAGIC_TLB:
+        if _magic(device, offset) == MAGIC_TLB:
             try:
-                return offset, decode_tlb_block(data)
+                return offset, decode_tlb_block(device.read(offset, lblock))
             except CorruptBlockError:
                 pass  # payload bytes that merely look like a TLB block
         offset -= lblock
     return None
+
+
+def _magic(device, offset: int) -> int:
+    return struct.unpack("<I", device.read(offset, 4))[0]
 
 
 def _read_tlb(layout, offset: int) -> TlbBlock:
@@ -176,13 +188,18 @@ def _rebuild_flanks(layout, last_offset: int, last: TlbBlock) -> None:
         )
 
     # Climb: at each level, blocks sharing the last block's `prev_parent`
-    # form the parent's open flank.
+    # form the parent's open flank.  The leaves read on the way are cached
+    # for the phantom-mapping pass, which reads every leaf.
+    if last.level == 0:
+        tlb._cache_leaf(last_offset, last.entries)
     current, current_offset, level = last, last_offset, last.level
     while True:
         group = [current_offset]
         prev = current.prev
         while prev != NULL_ADDR:
             candidate = _read_tlb(layout, prev)
+            if level == 0:
+                tlb._cache_leaf(prev, candidate.entries)
             if candidate.prev_parent != current.prev_parent:
                 break
             group.append(prev)
@@ -208,19 +225,28 @@ def _rebuild_flanks(layout, last_offset: int, last: TlbBlock) -> None:
     tlb.next_slot = states[0].number * tlb.b
 
 
-def _scan_start_offset(layout, scan_margin: int) -> int:
-    """File offset to start the tail rescan: `scan_margin` leaves back."""
-    tlb = layout.tlb
-    offset = tlb.levels[0].prev_addr
-    if offset == NULL_ADDR:
-        return SUPERBLOCK_SIZE
-    for _ in range(scan_margin - 1):
-        block = _read_tlb(layout, offset)
-        if block.prev == NULL_ADDR:
-            # Fewer than `scan_margin` leaves exist: scan all data.
+def _scan_start_offset(layout) -> int:
+    """File offset the tail rescan starts at: right behind the last TLB
+    leaf, or behind the flush before it when only TLB blocks follow."""
+    device, lblock = layout.device, layout.lblock_size
+    offset = layout.tlb.levels[0].prev_addr
+    end = device.size
+    # Leaves of one flush lie back to back, with only the index blocks of
+    # their cascades between them.
+    while _only_tlb_blocks(device, lblock, offset + lblock, end):
+        end = offset
+        offset = _read_tlb(layout, offset).prev
+        if offset == NULL_ADDR:
             return SUPERBLOCK_SIZE
-        offset = block.prev
-    return offset + layout.lblock_size  # begin right after that leaf
+    return offset + lblock
+
+
+def _only_tlb_blocks(device, lblock: int, start: int, end: int) -> bool:
+    """Whether every unit from *start* up to *end* is a TLB block."""
+    for offset in range(start, end, lblock):
+        if _magic(device, offset) != MAGIC_TLB:
+            return False
+    return True
 
 
 def _rescan_tail(layout, start_offset: int, header_start: int,
@@ -237,11 +263,11 @@ def _rescan_tail(layout, start_offset: int, header_start: int,
     tlb = layout.tlb
     max_id = tlb.next_slot - 1
     header_addr = encode_addr(header_start, 0)
+    rescanned = 0
     for addr, framed in iter_cblocks(
         layout.device, layout.lblock_size, layout.macro_size, start_offset
     ):
-        if OBS.enabled:
-            OBS.counter("recovery.tail_blocks_rescanned").inc()
+        rescanned += 1
         try:
             block_id, original_len, payload = decode_cblock(framed)
         except CorruptBlockError:
@@ -260,14 +286,17 @@ def _rescan_tail(layout, start_offset: int, header_start: int,
             tail.headers[block_id] = layout.codec.decompress_prefix(
                 payload, original_len, TAIL_PREFIX_SIZE
             )
+    if OBS.enabled:
+        _M_RESCANNED.inc(rescanned)
     layout._next_id = max(layout._next_id, max_id + 1)
     layout.block_count = tlb.mapped_count
 
 
 def _normalize_flanks(layout) -> None:
-    """Flush any flank that reached capacity mid-cascade at crash time."""
+    """Flush any index flank that reached capacity mid-cascade at crash
+    time (the leaf flank is the TLB's own to flush)."""
     tlb = layout.tlb
-    level = 0
+    level = 1
     while level < len(tlb.levels):
         if len(tlb.levels[level].flank) >= tlb.b:
             tlb._flush_level(level)
@@ -296,20 +325,22 @@ def _drop_phantom_mappings(layout, tail: RecoveredTail | None) -> None:
     # whole (see _cut_by_crash).
     reach = _max_span(layout) * layout.macro_size
     whole_below = encode_addr(max(0, size - reach), 0)
-    for block_id in range(tlb.next_slot):
-        addr = tlb.lookup(block_id)
-        if is_stored(addr):
-            if addr < whole_below or not _cut_by_crash(layout, addr, size):
+    for first, entries in tlb.leaves():
+        for block_id, addr in enumerate(entries, first):
+            if addr < whole_below:
+                continue  # stored, and whole (placeholders sort above)
+            if is_stored(addr):
+                if not _cut_by_crash(layout, addr, size):
+                    continue
+                tlb.update(block_id, NULL_ADDR)
+                addr = NULL_ADDR
+            if tail is None:
                 continue
-            tlb.update(block_id, NULL_ADDR)
-            addr = NULL_ADDR
-        if tail is None:
-            continue
-        reserved = decode_reserved(addr)
-        if reserved is None:
-            tail.doubtful.append(block_id)
-        else:
-            tail.reserved[block_id] = reserved
+            reserved = decode_reserved(addr)
+            if reserved is None:
+                tail.doubtful.append(block_id)
+            else:
+                tail.reserved[block_id] = reserved
 
 
 def _max_span(layout) -> int:

@@ -17,8 +17,17 @@ after a crash.
 
 Ids may be written slightly out of order (the TAB+-tree allocates ids for
 right-flank nodes eagerly so forward sibling links are stable; see
-DESIGN.md).  ``put`` therefore buffers entries until the id sequence is
-contiguous.
+DESIGN.md).  ``put`` therefore buffers entries in ``pending`` until the id
+sequence is contiguous.
+
+The leaf flank is written out only when it holds whole leaves and no
+mapping is pending; until then full leaves wait in memory, and the leaf
+flank spans as many leaves as it holds.  So whenever a TLB leaf lands on
+disk, every C-block written before it has its mapping on disk too, and
+crash recovery rescans only what follows the last leaf
+(:mod:`repro.recovery.tlb_recovery`).  The TAB+-tree reserves its flank
+ids in order, so a tree-written file never defers a leaf: it flushes
+each leaf the moment it fills, as the paper's TLB does.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import struct
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.errors import CorruptBlockError, StorageError
 from repro.storage.addressing import NULL_ADDR
@@ -147,18 +156,18 @@ class TlbTree:
         """Record the physical address of logical block *block_id*."""
         if block_id < self.next_slot or block_id in self.pending:
             raise StorageError(f"block id {block_id} already mapped")
-        self.pending[block_id] = addr
-        while self.next_slot in self.pending:
-            self._append(self.pending.pop(self.next_slot))
+        pending = self.pending
+        pending[block_id] = addr
+        flank = self.levels[0].flank
+        while self.next_slot in pending:
+            flank.append(pending.pop(self.next_slot))
             self.next_slot += 1
-
-    def _append(self, addr: int) -> None:
-        leaf = self.levels[0]
-        leaf.flank.append(addr)
-        if len(leaf.flank) == self.b:
-            self._flush_level(0)
+        if not pending and len(flank) % self.b == 0:
+            while flank:
+                self._flush_level(0)
 
     def _flush_level(self, level: int) -> None:
+        """Write the first block's worth of *level*'s flank out."""
         state = self.levels[level]
         if level + 1 >= len(self.levels):
             self.levels.append(_LevelState())
@@ -168,7 +177,7 @@ class TlbTree:
             number=state.number,
             prev=state.prev_addr,
             prev_parent=parent.prev_addr,
-            entries=list(state.flank),
+            entries=state.flank[: self.b],
         )
         offset = self._write_unit(encode_tlb_block(block, self.lblock_size))
         if level == 0:
@@ -177,7 +186,7 @@ class TlbTree:
             self._index_cache[offset] = block.entries
         state.prev_addr = offset
         state.number += 1
-        state.flank.clear()
+        del state.flank[: self.b]
         parent.flank.append(offset)
         if len(parent.flank) == self.b:
             self._flush_level(level + 1)
@@ -190,11 +199,11 @@ class TlbTree:
             return self.pending[block_id]
         if not 0 <= block_id < self.next_slot:
             raise StorageError(f"block id {block_id} not mapped")
+        leaf = self.levels[0]
+        if block_id >= leaf.number * self.b:
+            return leaf.flank[block_id - leaf.number * self.b]
         leaf_no, slot = divmod(block_id, self.b)
-        if leaf_no == self.levels[0].number:
-            return self.levels[0].flank[slot]
-        entries = self._leaf_entries(self._block_offset(0, leaf_no))
-        return entries[slot]
+        return self._leaf_entries(self._block_offset(0, leaf_no))[slot]
 
     def _block_offset(self, level: int, number: int) -> int:
         """File offset of flushed TLB block *number* at *level*."""
@@ -232,12 +241,25 @@ class TlbTree:
         while len(self._leaf_cache) > _LEAF_CACHE_SIZE:
             self._leaf_cache.popitem(last=False)
 
+    def leaves(self) -> Iterator[tuple[int, list[int]]]:
+        """Yield ``(first id, entries)`` of every leaf, the flank last.
+
+        A leaf outside the cache is read without entering it, so one
+        pass over more leaves than the cache holds evicts none it will
+        still visit.  Do not mutate a yielded list.
+        """
+        flushed = self.levels[0].number
+        for leaf_no in range(flushed):
+            offset = self._block_offset(0, leaf_no)
+            entries = self._leaf_cache.get(offset)
+            if entries is None:
+                entries = decode_tlb_block(self._read_unit(offset)).entries
+            yield leaf_no * self.b, entries
+        yield flushed * self.b, self.levels[0].flank
+
     def is_flushed(self, block_id: int) -> bool:
         """Whether *block_id*'s entry lives in a TLB leaf on disk."""
-        return (
-            0 <= block_id < self.next_slot
-            and block_id // self.b != self.levels[0].number
-        )
+        return 0 <= block_id < self.levels[0].number * self.b
 
     # --------------------------------------------------------------- update
 
@@ -248,10 +270,11 @@ class TlbTree:
             return
         if not 0 <= block_id < self.next_slot:
             raise StorageError(f"block id {block_id} not mapped")
-        leaf_no, slot = divmod(block_id, self.b)
-        if leaf_no == self.levels[0].number:
-            self.levels[0].flank[slot] = addr
+        leaf = self.levels[0]
+        if block_id >= leaf.number * self.b:
+            leaf.flank[block_id - leaf.number * self.b] = addr
             return
+        leaf_no, slot = divmod(block_id, self.b)
         offset = self._block_offset(0, leaf_no)
         block = decode_tlb_block(self._read_unit(offset))
         block.entries[slot] = addr

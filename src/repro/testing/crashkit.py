@@ -25,10 +25,13 @@ I3 durable floor: every event in the (trimmed) WAL or mirror log is
 I4 liveness: the recovered stream accepts a new event and serves it back.
 
 Every crash point of a matrix is recovered twice, from two copies of the
-surviving bytes: once as a reopen would (the flank walk where the file
-format allows it) and once with the walk refused, so tree recovery scans.
-Both must rebuild the same trees and leave the same data-device bytes;
-the outcome records how many trees took each path.
+surviving bytes: once as a reopen would (the TLB rescan from behind the
+last TLB leaf, the flank walk where the file format allows it) and once
+with the TLB rescan started at the superblock and the walk refused, so
+tree recovery scans.  Both must recover the same TLB (every id's mapping,
+the next id, what TLB recovery hands tree recovery), rebuild the same
+trees and leave the same data-device bytes; the outcome records how many
+trees took each path.
 
 Lifecycle workloads (tier migrations interleaved with ingest; see
 :mod:`repro.lifecycle`) run through :func:`run_lifecycle_crash_matrix`
@@ -45,6 +48,7 @@ I5 tier coherence: every warm split holds exactly the ingested events of
 
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass, field
 from unittest import mock
@@ -58,7 +62,7 @@ from repro.events.event import Event
 from repro.events.schema import EventSchema
 from repro.events.serializer import PaxCodec
 from repro.ooo.logfile import EventLog
-from repro.recovery import tree_recovery
+from repro.recovery import tlb_recovery, tree_recovery
 from repro.simdisk.faults import FaultPlan
 from repro.storage.constants import SUPERBLOCK_SIZE
 
@@ -322,11 +326,40 @@ def _refuse_walk(tree, tail):
     raise tree_recovery._Inconsistent("the scan is forced")
 
 
+def _from_superblock(layout) -> int:
+    return SUPERBLOCK_SIZE
+
+
+def recovered_tlb(layout) -> tuple:
+    """What TLB recovery left: every id's mapping (``None``: unmapped),
+    the next id and the :class:`~repro.recovery.tlb_recovery.RecoveredTail`."""
+    lookups = []
+    for block_id in range(layout.next_id):
+        try:
+            lookups.append(layout.tlb.lookup(block_id))
+        except StorageError:
+            lookups.append(None)
+    return lookups, layout.next_id, copy.deepcopy(layout.recovered_tail)
+
+
+def _recording_tlbs(into: list):
+    """Patch TLB recovery to append :func:`recovered_tlb` of each layout."""
+    recover = tlb_recovery.recover_tlb
+
+    def recorded(layout):
+        recover(layout)
+        into.append(recovered_tlb(layout))
+
+    return mock.patch.object(tlb_recovery, "recover_tlb", recorded)
+
+
 def _check_both_paths(crash_point, crashed, devices, check) -> CrashOutcome:
     """Run *check* on *devices* as a reopen would, then on a copy of the
-    surviving bytes with the flank walk refused; the two must agree."""
+    surviving bytes with the TLB rescan started at the superblock and the
+    flank walk refused; the two must agree."""
     twin = _copy_devices(devices)
     states = []
+    tlbs: tuple[list, list] = ([], [])
 
     def capture(target):
         return lambda stream: states.append(_recovered_trees(stream, target))
@@ -335,15 +368,24 @@ def _check_both_paths(crash_point, crashed, devices, check) -> CrashOutcome:
     obs.reset()
     obs.enable()
     try:
-        violations, seen = check(devices, capture(devices))
+        with _recording_tlbs(tlbs[0]):
+            violations, seen = check(devices, capture(devices))
         counters = obs.snapshot()["counters"]
     finally:
         obs.reset()
         if not was_enabled:
             obs.disable()
-    with mock.patch.object(tree_recovery, "_walk_plan", _refuse_walk):
+    with mock.patch.object(tree_recovery, "_walk_plan", _refuse_walk), \
+            mock.patch.object(tlb_recovery, "_scan_start_offset",
+                              _from_superblock), \
+            _recording_tlbs(tlbs[1]):
         scan_violations, _ = check(twin, capture(twin))
     violations += [f"scan path: {v}" for v in scan_violations]
+    if tlbs[0] != tlbs[1]:
+        violations.append(
+            "the tail rescan and a rescan from the superblock recovered"
+            " different TLBs"
+        )
     if len(states) == 2 and states[0] != states[1]:
         violations.append("flank walk and scan recovered different trees")
     return CrashOutcome(
