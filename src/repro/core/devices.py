@@ -202,6 +202,15 @@ class DeviceProvider:
             f"{stream}/split-{split_index:06d}.{attribute}.idx", self.data_model
         )
 
+    def runs_device(
+        self, stream: str, split_index: int, attribute: str
+    ) -> SimulatedDisk:
+        """The secondary index's run-directory log: small appends, a
+        log file like the WAL."""
+        return self._device(
+            f"{stream}/split-{split_index:06d}.{attribute}.runs", self.log_model
+        )
+
     # Tier devices (repro.lifecycle): warm re-compressed splits and cold
     # rollups are data files; the tier log is a log file, like the WAL.
 

@@ -24,7 +24,7 @@ from repro.events.schema import EventSchema
 from repro.index.cola import ColaIndex
 from repro.index.correlation import SplitCorrelation
 from repro.index.lsm import LsmIndex
-from repro.index.secondary import resolve_refs
+from repro.index.secondary import append_record, last_record, resolve_refs
 from repro.index.tab_tree import TabTree
 from repro.ooo.manager import OutOfOrderManager
 from repro.storage.layout import ChronicleLayout
@@ -99,6 +99,8 @@ class TimeSplit:
             self.manager.recover()
         self.secondaries: dict[str, object] = {}
         self.secondary_attributes: list[str] = []
+        #: Postings reached the sealed split since its last run records.
+        self._records_stale = False
         for attribute in secondary_attributes:
             self._attach_secondary(attribute)
         self.tree.leaf_flush_hook = self._on_leaf_flush
@@ -107,23 +109,53 @@ class TimeSplit:
 
     # ------------------------------------------------------------ secondary
 
-    def _attach_secondary(self, attribute: str) -> None:
+    def _new_secondary(self, attribute: str):
         kind = self.config.secondary_indexes.get(attribute)
         if kind is None:
             raise StorageError(f"no secondary index configured for {attribute!r}")
         device = self.devices.secondary_device(self.stream_name, self.index, attribute)
-        # Run metadata is memory-only, so a fresh index cannot reach what a
-        # previous session left on the device: start it empty instead of
-        # appending a rebuilt copy behind dead runs on every open.
-        device.truncate(0)
         if kind == "lsm":
-            index = LsmIndex(
-                device, memtable_capacity=self.config.memtable_capacity
-            )
-        else:
-            index = ColaIndex(device, base_capacity=self.config.memtable_capacity)
+            return LsmIndex(device, memtable_capacity=self.config.memtable_capacity)
+        return ColaIndex(device, base_capacity=self.config.memtable_capacity)
+
+    def _runs_device(self, attribute: str):
+        return self.devices.runs_device(self.stream_name, self.index, attribute)
+
+    def _attach_secondary(self, attribute: str) -> None:
+        index = self._new_secondary(attribute)
+        # A fresh index cannot reach what a previous session left on the
+        # device: start it (and its run records) empty instead of
+        # appending a rebuilt copy behind dead runs on every open.
+        index.device.truncate(0)
+        self._runs_device(attribute).truncate(0)
         self.secondaries[attribute] = index
         self.secondary_attributes.append(attribute)
+
+    def load_secondary(self, attribute: str) -> bool:
+        """Attach the index on *attribute* from its last run record, if
+        that record holds exactly the postings a rebuild from this tree
+        would make (``event_count`` minus the open leaf, after log
+        replay), was written at the tree's LSN, and its runs read back
+        from the device; False (nothing attached) otherwise."""
+        record = last_record(self._runs_device(attribute))
+        if record is None:
+            return False
+        index = self._new_secondary(attribute)
+        tree = self.tree
+        if not index.load(record, tree.event_count - tree.leaf.count, tree.lsn):
+            return False
+        self.secondaries[attribute] = index
+        self.secondary_attributes.append(attribute)
+        return True
+
+    def persist_secondaries(self) -> None:
+        """Append one run record per maintained index."""
+        for attribute in self.secondary_attributes:
+            append_record(
+                self._runs_device(attribute),
+                self.secondaries[attribute].record(self.tree.lsn),
+            )
+        self._records_stale = False
 
     def set_secondary_attributes(self, attributes: list[str]) -> None:
         """Adjust which secondaries this split maintains (partial indexing)."""
@@ -143,6 +175,7 @@ class TimeSplit:
                 leaf.timestamps,
                 leaf.node_id,
             )
+        self._records_stale |= self.sealed
 
     def _on_ooo_insert(self, t: int, values, leaf_id: int) -> None:
         for attribute in self.secondary_attributes:
@@ -151,6 +184,7 @@ class TimeSplit:
                 float(values[position]), t, leaf_id
             )
         self._summary = None  # a sealed split's summary must follow
+        self._records_stale |= self.sealed
 
     # ------------------------------------------------------------- ingestion
 
@@ -170,6 +204,16 @@ class TimeSplit:
         """
         self.manager.insert_run(run)
         self._summary = None  # a sealed split's tree may have changed
+        if self._records_stale:
+            self.persist_secondaries()
+
+    def flush(self) -> None:
+        """Drain the late queue into the tree and write the tree's dirty
+        nodes out."""
+        self.manager.flush_queue()
+        self.tree.flush_all()
+        if self._records_stale:
+            self.persist_secondaries()
 
     @property
     def summary(self):
@@ -242,6 +286,7 @@ class TimeSplit:
             }
         )
         self.sealed = True
+        self.persist_secondaries()
 
     def _restore_tree(self):
         meta = self.layout.sealed_metadata

@@ -34,8 +34,12 @@ from repro.index.queries import (
     window_events,
 )
 from repro.lifecycle.tiers import StreamTiers
+from repro.obs import OBS
 
 _HUGE = 2**62
+#: Secondary indexes a reopen loaded from their run records / rebuilt.
+_M_LOADED = OBS.counter("recovery.secondaries_loaded")
+_M_REBUILT = OBS.counter("recovery.secondaries_rebuilt")
 
 
 class EventStream:
@@ -676,6 +680,8 @@ class EventStream:
                 index.insert_run(leaf.column(position), leaf.timestamps,
                                  leaf.node_id)
         index.flush()
+        if split.sealed:
+            split.persist_secondaries()  # the next open loads it
 
     def subscribe(self, callback) -> None:
         """Register a live tap: *callback(event)* runs on every append.
@@ -728,8 +734,7 @@ class EventStream:
 
     def flush(self) -> None:
         for split in self.splits:
-            split.manager.flush_queue()
-            split.tree.flush_all()
+            split.flush()
 
     def close(self) -> None:
         for split in self.splits:
@@ -820,12 +825,26 @@ class EventStream:
         if stream.splits:
             # The newest split stays appendable after a reopen.
             stream.splits[-1].sealed = False
-        # Secondary-index metadata (run offsets, Blooms) lives in memory in
-        # this reproduction; rebuild the indexes the manifest declares.
+        # Each index the manifest declares loads its last run record if
+        # that still checks out against the device and the replayed tree,
+        # else it is rebuilt from the tree.  An orphan split, unknown to
+        # the manifest, gets every configured index.
+        declared = {
+            split_state["index"]: split_state.get("secondary_attributes", [])
+            for split_state in state["splits"]
+        }
         with obs.span("recovery.secondary_rebuild"):
-            for split_state, split in zip(state["splits"], stream.splits):
-                for attribute in split_state.get("secondary_attributes", []):
+            for split in stream.splits:
+                for attribute in declared.get(
+                    split.index, list(config.secondary_indexes)
+                ):
+                    if split.load_secondary(attribute):
+                        if OBS.enabled:
+                            _M_LOADED.inc()
+                        continue
                     stream.rebuild_secondary(attribute, split.index)
+                    if OBS.enabled:
+                        _M_REBUILT.inc()
         return stream
 
 

@@ -19,6 +19,8 @@ from repro.index.secondary import Run, SecondaryIndex
 class ColaIndex(SecondaryIndex):
     """A lookahead array of doubling sorted levels."""
 
+    KIND = 1
+
     def __init__(
         self,
         device,
@@ -40,8 +42,20 @@ class ColaIndex(SecondaryIndex):
             self.levels.append(None)
         self.levels[level] = self._write_run(postings)
 
-    def _runs(self) -> list[Run]:
-        return [level for level in self.levels if level is not None]
+    def _slots(self) -> tuple[int, list[tuple[int, Run]]]:
+        return len(self.levels), [
+            (level, run) for level, run in enumerate(self.levels)
+            if run is not None
+        ]
+
+    def _adopt(self, shape: int, slots: list[tuple[int, Run]]) -> bool:
+        levels: list[Run | None] = [None] * shape
+        for level, run in slots:
+            if not 0 <= level < shape or levels[level] is not None:
+                return False
+            levels[level] = run
+        self.levels = levels
+        return True
 
     @property
     def level_count(self) -> int:

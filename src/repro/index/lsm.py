@@ -20,6 +20,8 @@ from repro.index.secondary import Run, SecondaryIndex
 class LsmIndex(SecondaryIndex):
     """Size-tiered LSM tree over ``(value, t, block_id)`` postings."""
 
+    KIND = 0
+
     def __init__(
         self,
         device,
@@ -41,8 +43,21 @@ class LsmIndex(SecondaryIndex):
             del self.tiers[tier]
             self._place(self._merge(runs), tier + 1)
 
-    def _runs(self) -> list[Run]:
-        return [run for runs in self.tiers.values() for run in runs]
+    def _slots(self) -> tuple[int, list[tuple[int, Run]]]:
+        return self.fanout, [
+            (tier, run) for tier, runs in self.tiers.items() for run in runs
+        ]
+
+    def _adopt(self, shape: int, slots: list[tuple[int, Run]]) -> bool:
+        tiers: dict[int, list[Run]] = {}
+        for tier, run in slots:
+            tiers.setdefault(tier, []).append(run)
+        if shape != self.fanout or any(
+            tier < 0 or len(runs) >= self.fanout for tier, runs in tiers.items()
+        ):
+            return False
+        self.tiers = tiers  # tiers in lookup order, as the record lists them
+        return True
 
     @property
     def run_count(self) -> int:

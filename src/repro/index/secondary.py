@@ -12,11 +12,18 @@ columns (:data:`POSTING`), never a Python object: :class:`SecondaryIndex`
 is the one columnar run core — arrival-order memtable, sorted runs with
 fence pointers and a Bloom filter, lookups — and the LSM-tree and COLA
 subclasses only decide *when* runs merge.
+
+An index's run directory — which runs are live, where they sit on the
+device, and the postings still in the memtable — is persisted as a
+CRC-framed *record* in a sidecar log (:func:`append_record`,
+:func:`last_record`), so a reopen can adopt the runs instead of
+re-deriving them from the primary (:meth:`SecondaryIndex.load`).
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -35,6 +42,17 @@ ENTRY_SIZE = ENTRY.size
 POSTING = np.dtype([("value", "<f8"), ("t", "<i8"), ("block_id", "<i8")])
 #: Postings between consecutive fence pointers (one disk page's worth).
 FENCE_EVERY = 64
+
+#: Sidecar frame: magic, payload length, CRC-32 of the payload.
+RECORD_FRAME = struct.Struct("<4sII")
+RECORD_MAGIC = b"CDBR"
+#: Record head: merge schedule, memtable capacity, schedule shape
+#: (fanout / level count), the primary's LSN, posting count, ``.idx``
+#: size, runs, memtable fill.
+_RECORD_HEAD = struct.Struct("<BIIqqqII")
+#: One run: tier or level, offset, count, min and max value.  Its first
+#: and last postings follow as two ``POSTING`` rows.
+_RECORD_RUN = struct.Struct("<iqqdd")
 
 _POSTINGS = OBS.counter("index.secondary.postings")
 _RUNS_WRITTEN = OBS.counter("index.secondary.runs_written")
@@ -58,16 +76,19 @@ class Run:
     Like real SSTables, a run keeps sparse *fence pointers* (the first
     value of every page) and a Bloom filter in memory, so a lookup does
     its binary search in memory and touches disk for exactly the
-    qualifying pages.  All of it is derived from the postings and is not
-    persisted — a reopen rebuilds the index from the primary.
+    qualifying pages.  Both are derived from the postings and are not
+    persisted: a run loaded from a record gets them on the first lookup
+    that needs them, from one read of the run.
     """
 
     offset: int
     count: int
     min_value: float
     max_value: float
-    bloom: BloomFilter
-    fences: np.ndarray
+    #: The run's first and last postings, as a record names them.
+    ends: bytes
+    bloom: BloomFilter | None = None
+    fences: np.ndarray | None = None
 
 
 def sort_postings(postings: np.ndarray) -> np.ndarray:
@@ -88,6 +109,9 @@ class SecondaryIndex(ABC):
     *memtable_capacity* postings; each cut is sorted once and handed to
     the subclass's merge schedule (:meth:`_place`).
     """
+
+    #: Merge schedule tag in a record (a record of the other kind is foreign).
+    KIND = -1
 
     def __init__(self, device, memtable_capacity: int, bloom_fpr: float):
         if memtable_capacity < 2:
@@ -139,27 +163,47 @@ class SecondaryIndex(ABC):
         """Merge schedule: store one sorted memtable's worth of postings."""
 
     @abstractmethod
+    def _slots(self) -> tuple[int, list[tuple[int, Run]]]:
+        """The merge schedule's shape and ``(tier or level, run)`` of every
+        live run, in lookup order — what a record stores."""
+
     def _runs(self) -> list[Run]:
         """Live runs, in lookup order."""
+        return [run for _, run in self._slots()[1]]
+
+    @abstractmethod
+    def _adopt(self, shape: int, slots: list[tuple[int, Run]]) -> bool:
+        """Take over :meth:`_slots` of a record; False if *shape* does
+        not fit this schedule."""
 
     def _write_run(self, postings: np.ndarray) -> Run:
         """Append a sorted run to the device with one write."""
         values = postings["value"]
-        bloom = BloomFilter(max(8, len(postings)), self.bloom_fpr)
-        bloom.add_many(values)
         data = postings.tobytes()
         if OBS.enabled:
             _RUNS_WRITTEN.inc()
             _RUN_BYTES.inc(len(data))
-        return Run(
+        run = Run(
             offset=self.device.append(data),
             count=len(postings),
             min_value=float(values[0]),
             # NaNs sit at the tail; the bound is the largest real value.
             max_value=float(np.fmax.reduce(values)),
-            bloom=bloom,
-            fences=values[::FENCE_EVERY].copy(),
+            ends=postings[[0, -1]].tobytes(),
         )
+        self._derive(run, values)
+        return run
+
+    def _derive(self, run: Run, values: np.ndarray | None = None) -> Run:
+        """Fill *run*'s Bloom filter and fences, reading its values once
+        if the caller does not have them."""
+        if run.fences is None:
+            if values is None:
+                values = self._read(run, 0, run.count)["value"]
+            run.bloom = BloomFilter(max(8, run.count), self.bloom_fpr)
+            run.bloom.add_many(values)
+            run.fences = values[::FENCE_EVERY].copy()
+        return run
 
     def _read(self, run: Run, start: int, count: int) -> np.ndarray:
         data = self.device.read(run.offset + start * ENTRY_SIZE, count * ENTRY_SIZE)
@@ -175,6 +219,76 @@ class SecondaryIndex(ABC):
         if carry is not None:
             parts.append(carry)
         return sort_postings(np.concatenate(parts))
+
+    # ------------------------------------------------------------ records
+
+    def record(self, lsn: int) -> bytes:
+        """The run directory as one record payload: the primary's *lsn*,
+        posting count, ``.idx`` size, every live run with its first and
+        last posting, and the memtable's postings inline."""
+        shape, slots = self._slots()
+        parts = [_RECORD_HEAD.pack(
+            self.KIND, self.memtable_capacity, shape, lsn, self.posting_count,
+            self.device.size, len(slots), self._fill,
+        )]
+        for slot, run in slots:
+            parts.append(_RECORD_RUN.pack(
+                slot, run.offset, run.count, run.min_value, run.max_value
+            ))
+            parts.append(run.ends)
+        parts.append(self._memtable[: self._fill].tobytes())
+        return b"".join(parts)
+
+    def load(self, payload: bytes, postings: int, lsn: int) -> bool:
+        """Adopt the run directory of a record, if it still describes the
+        device and the primary; returns whether it did.
+
+        The record must be of this merge schedule and memtable capacity,
+        hold exactly *postings* postings (what a rebuild from the primary
+        would post) written at the primary's *lsn*, fit in the ``.idx``
+        device, and every named run's first and last postings must read
+        back as recorded (two reads per run).  Bytes behind the recorded
+        size are cut off.  A refused record leaves the index as it was.
+        """
+        try:
+            kind, capacity, shape, at_lsn, count, size, n_runs, fill = (
+                _RECORD_HEAD.unpack_from(payload)
+            )
+        except struct.error:
+            return False
+        if (kind, capacity, at_lsn, count) != (
+            self.KIND, self.memtable_capacity, lsn, postings
+        ):
+            return False
+        run_bytes = _RECORD_RUN.size + 2 * ENTRY_SIZE
+        at = _RECORD_HEAD.size
+        if (
+            self.device.size < size
+            or fill >= capacity
+            or len(payload) != at + n_runs * run_bytes + fill * ENTRY_SIZE
+        ):
+            return False
+        slots = []
+        for _ in range(n_runs):
+            slot, offset, length, low, high = _RECORD_RUN.unpack_from(payload, at)
+            run = Run(offset, length, low, high,
+                      payload[at + _RECORD_RUN.size : at + run_bytes])
+            at += run_bytes
+            if length < 1 or offset < 0 or offset + length * ENTRY_SIZE > size:
+                return False
+            first = self._read(run, 0, 1).tobytes()
+            last = self._read(run, length - 1, 1).tobytes()
+            if first + last != run.ends:
+                return False
+            slots.append((slot, run))
+        if not self._adopt(shape, slots):
+            return False
+        self._memtable[:fill] = np.frombuffer(payload, POSTING, fill, at)
+        self._fill = fill
+        self.posting_count = count
+        if self.device.size > size:
+            self.device.truncate(size)
+        return True
 
     # -------------------------------------------------------------- reading
 
@@ -193,7 +307,7 @@ class SecondaryIndex(ABC):
         for run in self._runs():
             if not (run.min_value <= high and low <= run.max_value):
                 continue  # also every NaN bound: comparisons are false
-            if exact and low not in run.bloom:
+            if exact and low not in self._derive(run).bloom:
                 continue
             hits.extend(self._scan(run, low, high))
         return [SecondaryRef(*row) for row in np.concatenate(hits).tolist()]
@@ -206,7 +320,8 @@ class SecondaryIndex(ABC):
         """
         # side="left" handles duplicate runs of `low` spanning pages: the
         # page *before* the first fence equal to `low` may still hold it.
-        page = max(0, int(np.searchsorted(run.fences, low, side="left")) - 1)
+        fences = self._derive(run).fences
+        page = max(0, int(np.searchsorted(fences, low, side="left")) - 1)
         index = page * FENCE_EVERY
         while index < run.count:
             chunk = self._read(run, index, min(FENCE_EVERY, run.count - index))
@@ -215,6 +330,43 @@ class SecondaryIndex(ABC):
             if (values > high).any():
                 return
             index += len(chunk)
+
+
+def append_record(device, payload: bytes) -> None:
+    """Append *payload* to a sidecar as one CRC-framed record.
+
+    The last complete record wins.  Once the log holds a few records'
+    worth it restarts from empty; a crash in between leaves no record,
+    which a reopen answers with a rebuild.
+    """
+    frame = RECORD_FRAME.pack(RECORD_MAGIC, len(payload), zlib.crc32(payload))
+    record = frame + payload
+    if device.size > 3 * len(record):
+        device.truncate(0)
+    device.append(record)
+
+
+def last_record(device) -> bytes | None:
+    """The payload of the last complete record of a sidecar, if any.
+
+    A torn or foreign tail behind it is cut off, so the next record
+    lands where a reader finds it.
+    """
+    size = device.size
+    data = device.read(0, size) if size else b""
+    found, at = None, 0
+    while at + RECORD_FRAME.size <= size:
+        magic, length, crc = RECORD_FRAME.unpack_from(data, at)
+        end = at + RECORD_FRAME.size + length
+        if magic != RECORD_MAGIC or end > size:
+            break
+        payload = data[at + RECORD_FRAME.size : end]
+        if zlib.crc32(payload) != crc:
+            break
+        found, at = payload, end
+    if at < size:
+        device.truncate(at)
+    return found
 
 
 def resolve_refs(tree, attribute: str, refs: list[SecondaryRef]):

@@ -6,7 +6,8 @@ per level) are gone; everything flushed to disk is intact.  Recovery:
 1. Scan *backward* from the end of the file, at L-block granularity, for
    the last successfully written TLB block (self-identifying magic + CRC;
    the scan is bounded because at least one TLB block exists per
-   ``entries_per_tlb_block`` data blocks).
+   ``entries_per_tlb_block`` data blocks).  It reads macro-sized chunks,
+   and keeps them: the rescan of step 3 reads the same tail forward.
 2. Rebuild the right flank of every level from the two references each
    TLB block carries: ``prev`` (same level) and ``prev_parent`` (the
    parent's predecessor).  Blocks sharing a ``prev_parent`` belong to the
@@ -39,6 +40,7 @@ reserved or unwritten id below the recovered TLB's end.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -61,6 +63,9 @@ from repro.storage.walker import iter_cblocks
 #: Bytes a compressed C-block may exceed its L-block by: the C-block
 #: header plus what a codec adds to incompressible input.
 CBLOCK_SLACK = 64
+#: Most tail bytes :class:`_KeptTail` holds for the rescan.
+KEEP_MAX = 64 << 20
+_MAGIC = struct.Struct("<I")
 #: C-blocks the tail rescans visited (one increment per rescan).
 _M_RESCANNED = OBS.counter("recovery.tail_blocks_rescanned")
 
@@ -96,7 +101,8 @@ def recover_tlb(layout) -> None:
     with obs.span("recovery.tlb"):
         with obs.span("recovery.tlb.locate"):
             _truncate_torn_tail(device, lblock)
-            last = _find_last_tlb_block(device, lblock)
+            kept = _KeptTail(device)
+            last = _find_last_tlb_block(kept, lblock, layout.macro_size)
         header_start = scan_start = SUPERBLOCK_SIZE
         if last is not None:
             offset, block = last
@@ -107,7 +113,7 @@ def recover_tlb(layout) -> None:
             if tail is not None:
                 tail.fresh_from = layout.tlb.levels[0].number * layout.tlb.b - 1
         with obs.span("recovery.tlb.rescan_tail"):
-            _rescan_tail(layout, scan_start, header_start, tail)
+            _rescan_tail(layout, scan_start, header_start, tail, kept)
         _normalize_flanks(layout)
         _drop_phantom_mappings(layout, tail)
         if tail is not None and last is not None:
@@ -140,20 +146,61 @@ def _truncate_torn_tail(device, lblock: int) -> None:
         device.truncate(aligned)
 
 
-def _find_last_tlb_block(device, lblock: int) -> tuple[int, TlbBlock] | None:
+def _find_last_tlb_block(
+    device, lblock: int, chunk: int = 0
+) -> tuple[int, TlbBlock] | None:
     """Backward scan for the last valid TLB block (step 1 of Algorithm 4).
 
-    Each L-block is probed by its magic alone; only a match is read whole.
+    Reads the units behind the superblock from the end, *chunk* bytes
+    (rounded down to whole L-blocks, at least one) per device read, and
+    probes each L-block of a chunk by its magic; a match is decoded from
+    the chunk.
     """
-    offset = device.size - lblock
-    while offset >= SUPERBLOCK_SIZE:
-        if _magic(device, offset) == MAGIC_TLB:
-            try:
-                return offset, decode_tlb_block(device.read(offset, lblock))
-            except CorruptBlockError:
-                pass  # payload bytes that merely look like a TLB block
-        offset -= lblock
+    chunk = max(lblock, chunk - chunk % lblock)
+    end = device.size
+    while end > SUPERBLOCK_SIZE:
+        start = max(SUPERBLOCK_SIZE, end - chunk)
+        data = device.read(start, end - start)
+        for at in range(end - start - lblock, -1, -lblock):
+            if _MAGIC.unpack_from(data, at)[0] == MAGIC_TLB:
+                try:
+                    return start + at, decode_tlb_block(data[at : at + lblock])
+                except CorruptBlockError:
+                    pass  # payload bytes that merely look like a TLB block
+        end = start
     return None
+
+
+class _KeptTail:
+    """A device whose tail, read backward chunk by chunk by the search
+    for the last TLB block, stays in memory for the tail rescan that
+    reads the same bytes forward (up to :data:`KEEP_MAX` bytes)."""
+
+    def __init__(self, device):
+        self.device = device
+        self.size = device.size
+        self.start = self.size  # kept: [start, size)
+        self._keys: list[int] = []  # minus each chunk's offset, ascending
+        self._chunks: list[bytes] = []
+
+    def read(self, offset: int, size: int) -> bytes:
+        if offset + size == self.start and self.size - offset <= KEEP_MAX:
+            data = self.device.read(offset, size)
+            self._keys.append(-offset)
+            self._chunks.append(data)
+            self.start = offset
+            return data
+        if not (self.start <= offset and offset + size <= self.size):
+            return self.device.read(offset, size)
+        # The chunk holding `offset`, then the ones above it as needed.
+        i = bisect_left(self._keys, -offset)
+        parts, end = [], offset + size
+        while offset < end:
+            chunk, at = self._chunks[i], offset + self._keys[i]
+            parts.append(chunk[at : at + end - offset])
+            offset += len(parts[-1])
+            i -= 1
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
 
 def _magic(device, offset: int) -> int:
@@ -250,7 +297,7 @@ def _only_tlb_blocks(device, lblock: int, start: int, end: int) -> bool:
 
 
 def _rescan_tail(layout, start_offset: int, header_start: int,
-                 tail: RecoveredTail | None) -> None:
+                 tail: RecoveredTail | None, device=None) -> None:
     """Step 3: re-map C-blocks of the tail from their embedded ids.
 
     A tail block's id may fall into three cases: never mapped (regular
@@ -259,13 +306,15 @@ def _rescan_tail(layout, start_offset: int, header_start: int,
     in memory only), or mapped to a real address (a relocated copy whose
     original carries a reference entry) — only the last is skipped.
     Blocks from *header_start* on also leave their header in *tail*.
+    The units are read through *device* (the layout's by default).
     """
     tlb = layout.tlb
     max_id = tlb.next_slot - 1
     header_addr = encode_addr(header_start, 0)
     rescanned = 0
     for addr, framed in iter_cblocks(
-        layout.device, layout.lblock_size, layout.macro_size, start_offset
+        device or layout.device, layout.lblock_size, layout.macro_size,
+        start_offset,
     ):
         rescanned += 1
         try:

@@ -193,12 +193,14 @@ def check_recovery(
     ingested: set[tuple],
     stream_name: str = STREAM,
     on_restored=None,
+    secondary_attributes=(),
 ) -> tuple[list[str], set[tuple]]:
     """Reopen the stream from *devices* and check invariants I1–I4.
 
     Returns ``(violations, recovered event keys)``; an empty violation
     list means the crash point recovered cleanly.  *on_restored* sees the
-    stream as recovery left it, before any check touches it.
+    stream as recovery left it, before any check touches it.  The
+    manifest declares *secondary_attributes* on every split.
     """
     violations: list[str] = []
     floor = durable_floor(devices, schema, stream_name)
@@ -219,7 +221,7 @@ def check_recovery(
                 "t_start": None,
                 "t_end": None,
                 "kind": "regular",
-                "secondary_attributes": [],
+                "secondary_attributes": list(secondary_attributes),
             }
             for index in indices
         ],

@@ -2,9 +2,12 @@
 
 Maintaining an LSM secondary costs one ``insert_run`` per flushed leaf;
 between the leaf and the device a posting is never a ``SecondaryRef``
-and never a scalar ``BloomFilter.add``.  The same holds for the rebuild
-a reopen performs.
+and never a scalar ``BloomFilter.add``.  A reopen after a clean close
+loads the run record and posts nothing; the rebuild a reopen falls back
+to (here forced by removing the record) is as batched as ingest.
 """
+
+import os
 
 import numpy as np
 
@@ -13,6 +16,7 @@ from repro.core.split import TimeSplit
 from repro.index import secondary
 from repro.index.bloom import BloomFilter
 from repro.index.lsm import LsmIndex
+from repro.index.tab_tree import TabTree
 
 N_EVENTS = 50_000
 CONFIG = ChronicleConfig(secondary_indexes={"b": "lsm"}, memtable_capacity=1024)
@@ -55,7 +59,22 @@ def test_ingest_and_rebuild_do_no_per_posting_work(tmp_path, monkeypatch):
     assert len(insert_runs) == len(leaf_flushes)
     assert len(refs) == len(bloom_adds) == 0
 
+    # A clean close left a run record: the reopen loads it, posting
+    # nothing and reading no leaf.
     del insert_runs[:]
+    leaf_walks = count_calls(monkeypatch, TabTree, "leaf_slices")
+    db = ChronicleDB.open(str(tmp_path), CONFIG)
+    loaded = db.get_stream("s").splits[0].secondaries["b"]
+    assert loaded.posting_count == flushed
+    assert len(insert_runs) == len(leaf_walks) == 0
+    hits = loaded.lookup_exact(7)
+    assert len(refs) == len(hits) == b[:flushed].count(7.0) > 0
+    assert len(bloom_adds) == 0
+    db.close()
+
+    # Without the record the reopen rebuilds from the tree.
+    del refs[:]
+    os.remove(tmp_path / "s" / "split-000000.b.runs")
     db = ChronicleDB.open(str(tmp_path), CONFIG)
     reopened = db.get_stream("s").splits[0]
     rebuilt = reopened.secondaries["b"]
@@ -64,6 +83,7 @@ def test_ingest_and_rebuild_do_no_per_posting_work(tmp_path, monkeypatch):
     # nodes above them are loaded through it.
     assert reopened.tree.buffer.misses < len(leaf_flushes) // 20
     assert len(insert_runs) == len(leaf_flushes)  # once per leaf in the chain
+    assert len(leaf_walks) == 1
     assert len(refs) == len(bloom_adds) == 0
 
     # The guard can see the things it counts: a lookup does box its hits.

@@ -343,3 +343,37 @@ def test_an_empty_tail_rescans_one_flush():
     assert after == 0
     blocks, _ = _open_counted(device)
     assert 0 < blocks <= between
+
+
+class _CountedReads:
+    def __init__(self, disk):
+        self.disk = disk
+        self.reads = 0
+
+    @property
+    def size(self):
+        return self.disk.size
+
+    def read(self, offset, size):
+        self.reads += 1
+        return self.disk.read(offset, size)
+
+
+@pytest.mark.parametrize("leaves", [0, 3])
+def test_the_last_tlb_block_is_found_in_macro_sized_reads(leaves):
+    """The backward search probed every L-block with a read of its own:
+    on a file with no TLB leaf, one read per L-block of the file."""
+    n = leaves * B + B - 1
+    disk, _, _ = _write(n, [("write", i) for i in range(n)], FaultPlan())
+    counted = _CountedReads(disk)
+    found = tlb_recovery._find_last_tlb_block(counted, LBLOCK, MACRO)
+    assert counted.reads <= -(-disk.size // MACRO) + 1
+    if not leaves:
+        assert found is None
+        assert disk.size // LBLOCK > 3 * (-(-disk.size // MACRO) + 1)
+    # Probing L-block by L-block finds the same block.
+    by_lblock = tlb_recovery._find_last_tlb_block(disk, LBLOCK)
+    assert (found is None) == (by_lblock is None)
+    if found is not None:
+        assert found[0] == by_lblock[0]
+        assert found[1].level == 0 and found[1].number == leaves - 1
