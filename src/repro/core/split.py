@@ -106,6 +106,7 @@ class TimeSplit:
         self.tree.leaf_flush_hook = self._on_leaf_flush
         self.tree.run_flush_hook = self._on_run_flush
         self.tree.ooo_insert_hook = self._on_ooo_insert
+        self.manager.checkpoint_hook = self._on_checkpoint
 
     # ------------------------------------------------------------ secondary
 
@@ -185,6 +186,14 @@ class TimeSplit:
             )
         self._summary = None  # a sealed split's summary must follow
         self._records_stale |= self.sealed
+
+    def _on_checkpoint(self) -> None:
+        # The WAL is about to go, and with it the only trace of the late
+        # postings past the last record: a reopen would take the tree's
+        # LSN and count from the seal-time footer, which the seal's
+        # record matches.  Record them first.
+        if self._records_stale:
+            self.persist_secondaries()
 
     # ------------------------------------------------------------- ingestion
 

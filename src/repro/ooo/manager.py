@@ -54,6 +54,9 @@ class OutOfOrderManager:
         self.queued_inserts = 0
         self.queue_flushes = 0
         self.checkpoints = 0
+        #: Called by :meth:`checkpoint` after the write-back, before the
+        #: WAL is cleared (the owner persists what the WAL covered).
+        self.checkpoint_hook = None
         self._m_queue_depth = OBS.gauge("ooo.queue_depth")
         self._m_mirror_bytes = OBS.gauge("ooo.mirror_log_bytes")
         self._m_wal_bytes = OBS.gauge("ooo.wal_bytes")
@@ -167,6 +170,8 @@ class OutOfOrderManager:
         """Force dirty pages to storage and truncate the WAL (Figure 7)."""
         self.tree.buffer.flush_dirty()
         self.tree.layout.flush()
+        if self.checkpoint_hook is not None:
+            self.checkpoint_hook()
         self.wal.clear()
         self._since_checkpoint = 0
         self.checkpoints += 1

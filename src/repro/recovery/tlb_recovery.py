@@ -7,7 +7,7 @@ per level) are gone; everything flushed to disk is intact.  Recovery:
    the last successfully written TLB block (self-identifying magic + CRC;
    the scan is bounded because at least one TLB block exists per
    ``entries_per_tlb_block`` data blocks).  It reads macro-sized chunks,
-   and keeps them: the rescan of step 3 reads the same tail forward.
+   and the rescan of step 3 walks the bytes it read.
 2. Rebuild the right flank of every level from the two references each
    TLB block carries: ``prev`` (same level) and ``prev_parent`` (the
    parent's predecessor).  Blocks sharing a ``prev_parent`` belong to the
@@ -40,7 +40,6 @@ reserved or unwritten id below the recovered TLB's end.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -63,8 +62,6 @@ from repro.storage.walker import iter_cblocks
 #: Bytes a compressed C-block may exceed its L-block by: the C-block
 #: header plus what a codec adds to incompressible input.
 CBLOCK_SLACK = 64
-#: Most tail bytes :class:`_KeptTail` holds for the rescan.
-KEEP_MAX = 64 << 20
 _MAGIC = struct.Struct("<I")
 #: C-blocks the tail rescans visited (one increment per rescan).
 _M_RESCANNED = OBS.counter("recovery.tail_blocks_rescanned")
@@ -101,8 +98,9 @@ def recover_tlb(layout) -> None:
     with obs.span("recovery.tlb"):
         with obs.span("recovery.tlb.locate"):
             _truncate_torn_tail(device, lblock)
-            kept = _KeptTail(device)
-            last = _find_last_tlb_block(kept, lblock, layout.macro_size)
+            chunks: list[tuple[int, bytes]] = []
+            last = _find_last_tlb_block(device, lblock, layout.macro_size,
+                                        chunks)
         header_start = scan_start = SUPERBLOCK_SIZE
         if last is not None:
             offset, block = last
@@ -113,7 +111,8 @@ def recover_tlb(layout) -> None:
             if tail is not None:
                 tail.fresh_from = layout.tlb.levels[0].number * layout.tlb.b - 1
         with obs.span("recovery.tlb.rescan_tail"):
-            _rescan_tail(layout, scan_start, header_start, tail, kept)
+            _rescan_tail(layout, scan_start, header_start, tail,
+                         _ReadTail(device, chunks))
         _normalize_flanks(layout)
         _drop_phantom_mappings(layout, tail)
         if tail is not None and last is not None:
@@ -147,20 +146,23 @@ def _truncate_torn_tail(device, lblock: int) -> None:
 
 
 def _find_last_tlb_block(
-    device, lblock: int, chunk: int = 0
+    device, lblock: int, chunk: int = 0, read: list | None = None
 ) -> tuple[int, TlbBlock] | None:
     """Backward scan for the last valid TLB block (step 1 of Algorithm 4).
 
     Reads the units behind the superblock from the end, *chunk* bytes
     (rounded down to whole L-blocks, at least one) per device read, and
     probes each L-block of a chunk by its magic; a match is decoded from
-    the chunk.
+    the chunk.  Each chunk read is appended to *read*, if given, as
+    ``(offset, bytes)``.
     """
     chunk = max(lblock, chunk - chunk % lblock)
     end = device.size
     while end > SUPERBLOCK_SIZE:
         start = max(SUPERBLOCK_SIZE, end - chunk)
         data = device.read(start, end - start)
+        if read is not None:
+            read.append((start, data))
         for at in range(end - start - lblock, -1, -lblock):
             if _MAGIC.unpack_from(data, at)[0] == MAGIC_TLB:
                 try:
@@ -171,36 +173,24 @@ def _find_last_tlb_block(
     return None
 
 
-class _KeptTail:
-    """A device whose tail, read backward chunk by chunk by the search
-    for the last TLB block, stays in memory for the tail rescan that
-    reads the same bytes forward (up to :data:`KEEP_MAX` bytes)."""
+class _ReadTail:
+    """*device* with its tail served from memory: the *chunks* the search
+    for the last TLB block read, from the end backward.  The search stops
+    at that block, so the tail is about the data one TLB leaf maps (the
+    whole file when it holds no TLB block, and so less than a leaf's
+    worth of data blocks)."""
 
-    def __init__(self, device):
+    def __init__(self, device, chunks: list[tuple[int, bytes]]):
         self.device = device
         self.size = device.size
-        self.start = self.size  # kept: [start, size)
-        self._keys: list[int] = []  # minus each chunk's offset, ascending
-        self._chunks: list[bytes] = []
+        self.start = chunks[-1][0] if chunks else self.size
+        self.data = b"".join(data for _, data in reversed(chunks))
 
     def read(self, offset: int, size: int) -> bytes:
-        if offset + size == self.start and self.size - offset <= KEEP_MAX:
-            data = self.device.read(offset, size)
-            self._keys.append(-offset)
-            self._chunks.append(data)
-            self.start = offset
-            return data
-        if not (self.start <= offset and offset + size <= self.size):
+        if offset < self.start:
             return self.device.read(offset, size)
-        # The chunk holding `offset`, then the ones above it as needed.
-        i = bisect_left(self._keys, -offset)
-        parts, end = [], offset + size
-        while offset < end:
-            chunk, at = self._chunks[i], offset + self._keys[i]
-            parts.append(chunk[at : at + end - offset])
-            offset += len(parts[-1])
-            i -= 1
-        return parts[0] if len(parts) == 1 else b"".join(parts)
+        at = offset - self.start
+        return self.data[at : at + size]
 
 
 def _magic(device, offset: int) -> int:
@@ -297,7 +287,7 @@ def _only_tlb_blocks(device, lblock: int, start: int, end: int) -> bool:
 
 
 def _rescan_tail(layout, start_offset: int, header_start: int,
-                 tail: RecoveredTail | None, device=None) -> None:
+                 tail: RecoveredTail | None, device) -> None:
     """Step 3: re-map C-blocks of the tail from their embedded ids.
 
     A tail block's id may fall into three cases: never mapped (regular
@@ -306,15 +296,14 @@ def _rescan_tail(layout, start_offset: int, header_start: int,
     in memory only), or mapped to a real address (a relocated copy whose
     original carries a reference entry) — only the last is skipped.
     Blocks from *header_start* on also leave their header in *tail*.
-    The units are read through *device* (the layout's by default).
+    The units are read through *device*.
     """
     tlb = layout.tlb
     max_id = tlb.next_slot - 1
     header_addr = encode_addr(header_start, 0)
     rescanned = 0
     for addr, framed in iter_cblocks(
-        device or layout.device, layout.lblock_size, layout.macro_size,
-        start_offset,
+        device, layout.lblock_size, layout.macro_size, start_offset,
     ):
         rescanned += 1
         try:

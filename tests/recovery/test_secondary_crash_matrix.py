@@ -41,6 +41,8 @@ CONFIG = ChronicleConfig(
     secondary_indexes={"x": "lsm", "y": "cola"},
     time_split_interval=10 * 300,
 )
+#: ``checkpoint_interval`` late events in one batch.
+LATE_BULK = 48
 STRIDE = max(1, int(os.environ.get("CRASH_MATRIX_STRIDE", "1")))
 PROBES = ((0.0, 0.0), (2.0, 2.0), (1.0, 3.0))
 
@@ -48,7 +50,8 @@ PROBES = ((0.0, 0.0), (2.0, 2.0), (1.0, 3.0))
 def workload():
     """Batches of (timestamps, columns) in arrival order: 8 % of every 70
     events withheld to the window's end, so windows that straddle a
-    split boundary send late events into a sealed split."""
+    split boundary send late events into a sealed split; then one bulk
+    of late events into the oldest split."""
     rng = np.random.default_rng(50)
     t = np.arange(1, N_EVENTS + 1, dtype=np.int64) * 10
     x = np.floor(rng.random(N_EVENTS) * 5)
@@ -58,11 +61,18 @@ def workload():
         window = np.arange(start, min(N_EVENTS, start + 70))
         late = rng.random(len(window)) < 0.08
         order += window[~late].tolist() + window[late].tolist()
-    return [
+    batches = [
         (t[order[i : i + 16]].tolist(),
          [x[order[i : i + 16]].tolist(), y[order[i : i + 16]].tolist()])
         for i in range(0, N_EVENTS, 16)
     ]
+    # One batch of LATE_BULK late events into sealed split 0, which has
+    # had none since its seal: its queue flushes reach a checkpoint,
+    # which clears the WAL inside the call.
+    late = np.arange(LATE_BULK) * 60 + 5
+    batches.append((late.tolist(), [np.floor(rng.random(LATE_BULK) * 5).tolist(),
+                                    np.floor(rng.random(LATE_BULK) * 7).tolist()]))
+    return batches
 
 
 BATCHES = workload()

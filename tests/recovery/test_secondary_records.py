@@ -11,11 +11,15 @@ import os
 import shutil
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import ChronicleConfig, ChronicleDB, EventSchema, obs
+from repro.errors import DiskCrashed
 from repro.index.secondary import last_record
+from repro.lifecycle import LifecyclePolicy, manager as lifecycle
+from repro.ooo.manager import OutOfOrderManager
 from repro.simdisk import SimulatedDisk
 
 N_EVENTS = 12_000
@@ -275,6 +279,108 @@ def test_a_stale_record_behind_an_outdated_commit_footer_is_refused(tmp_path):
     with open(path, "wb") as fh:
         fh.write(stale)
     _check_fallback(tmp_path, directory, reloads=False)
+
+
+def test_a_crash_after_the_lifecycle_drain_keeps_the_late_postings(
+        tmp_path, monkeypatch):
+    """Before it migrates a sealed split, the lifecycle drains the split's
+    late queue: a queue flush, then a checkpoint that writes the leaves
+    in place and clears the WAL.  A crash before the migration commits
+    leaves the split hot, behind its seal-time commit footer and with no
+    WAL: the record of the seal matches that tree, so the drained
+    postings must be in a later record by the time the WAL goes."""
+    directory, db, stream = _sealed_store(tmp_path)
+    target = stream.splits[0]
+    late = np.arange(target.t_start + 3, target.tree.flank_boundary_t, 370)
+    stream.append_columns(late.tolist(), [np.full(len(late), 12.5).tolist()] * 3)
+    assert target.manager.pending >= len(late) > 30  # all queued
+    db._write_manifest()
+
+    def crash_before_commit(stream, split, log, policy):
+        db.devices.close()  # SIGKILL: the drained split stays hot
+        raise DiskCrashed("crash before warm_commit")
+
+    monkeypatch.setattr(lifecycle, "migrate_split_to_warm", crash_before_commit)
+    ticker = lifecycle.LifecycleManager(
+        stream, LifecyclePolicy(hot_to_warm_after=1, max_jobs_per_tick=1))
+    with pytest.raises(DiskCrashed):
+        ticker.tick()
+    assert target.manager.pending == 0 and target.manager.wal.size_bytes == 0
+
+    twin = copy_store(directory, tmp_path / "twin")
+    db, _ = reopen_counted(directory)
+    stream = db.get_stream("s")
+    rebuilt = forced_rebuild(twin)
+    assert snapshot(stream) == snapshot(rebuilt.get_stream("s"))
+    rebuilt.close()
+    hits = searched(stream, "b", 12.5, 12.5)
+    assert hits == model_search(stream, "b", 12.5, 12.5)
+    assert set(late.tolist()) <= {t for t, _ in hits}
+    db.close()
+
+
+def test_a_crash_after_a_checkpoint_inside_an_ingest_call_keeps_the_late_postings(
+        tmp_path, monkeypatch):
+    """One ingest call carries more late events into a sealed split than a
+    checkpoint interval: its queue flushes reach a checkpoint, which
+    clears the WAL before the call returns.  A crash right after it must
+    not leave the seal's record as the last word."""
+    directory = str(tmp_path / "db")
+    t, cols = late_small_columns()
+    order = np.argsort(t)  # in order: the bulk is the first late posting
+    db = ChronicleDB(directory, config(queue_capacity=8, checkpoint_interval=32))
+    stream = db.create_stream("s", SCHEMA)
+    ingest(stream, t[order], [c[order] for c in cols], 0, N_EVENTS)
+    db._write_manifest()
+    target = stream.splits[0]
+    assert target.sealed and not target.manager.pending
+    checkpoints = target.manager.checkpoints
+    late = np.arange(target.t_start + 3, target.tree.flank_boundary_t, 370)
+    assert len(late) > 32
+    checkpoint = OutOfOrderManager.checkpoint
+
+    def crash_after(manager):
+        checkpoint(manager)
+        if manager is target.manager:
+            db.devices.close()
+            raise DiskCrashed("crash after the checkpoint")
+
+    monkeypatch.setattr(OutOfOrderManager, "checkpoint", crash_after)
+    with pytest.raises(DiskCrashed):
+        stream.append_columns(late.tolist(),
+                              [np.full(len(late), 12.5).tolist()] * 3)
+    assert target.manager.checkpoints == checkpoints + 1
+    monkeypatch.undo()
+
+    twin = copy_store(directory, tmp_path / "twin")
+    db, _ = reopen_counted(directory)
+    stream = db.get_stream("s")
+    rebuilt = forced_rebuild(twin)
+    assert snapshot(stream) == snapshot(rebuilt.get_stream("s"))
+    rebuilt.close()
+    assert searched(stream, "b", 12.5, 12.5) == model_search(stream, "b", 12.5, 12.5)
+    db.close()
+
+
+def test_forced_rebuilds_do_not_grow_the_index_devices(tmp_path):
+    """With the run records removed before each open, every open rebuilds
+    every index: onto an emptied `.idx`, never behind the last one's
+    runs."""
+    directory, db, _ = _sealed_store(tmp_path)
+    db.close()
+    folder = os.path.join(directory, "s")
+
+    def idx_sizes():
+        return {n: os.path.getsize(os.path.join(folder, n))
+                for n in os.listdir(folder) if n.endswith(".idx")}
+
+    sizes = []
+    for _ in range(2):
+        db = forced_rebuild(directory)
+        db.close()
+        sizes.append(idx_sizes())
+    assert len(sizes[0]) == len(ATTRIBUTES) * SPLITS
+    assert sizes[0] == sizes[1]
 
 
 def test_a_foreign_index_device_falls_back_to_the_rebuild(tmp_path):
